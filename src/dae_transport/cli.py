@@ -25,18 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .measures import Estimate, GaussianMixture, ParticleEnsemble, density, sample
-from .pushforward import one_shot_covariance, push_continuous, push_one_shot
+from .measures import Estimate, GaussianMixture, ParticleEnsemble, _SpectralGaussian, density, sample
 from .svg import ChartFrame, SvgCanvas
 from .transport import (
     FlowDiagnostics,
     FlowSchedule,
     Trajectory,
+    _moments_or_degenerate,
     compose,
     continuous_flow,
     one_shot_orbit,
 )
-from .verify import EXPECTED_FAILURES, default_checks
+from .verify import EXPECTED_FAILURES, default_checks, probe_lattice
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -46,7 +46,6 @@ EXIT_CRASH = 4
 
 _MODES = ("one_shot", "composed", "continuous")
 _FORMATS = ("csv", "json", "svg")
-_LOG_2PI = math.log(2.0 * math.pi)
 
 _SAMPLE_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b")
 
@@ -63,6 +62,31 @@ def _key_line(raw: str, key: str) -> int:
         if needle in ln:
             return i
     return 1
+
+
+def _field(raw: str, obj: dict, key: str, kind, default=None, positive: bool = False):
+    """``obj[key]`` checked against ``kind``; any bad value is a ConfigError at the key's line.
+
+    ``kind`` is ``dict`` or ``list`` (type checked), ``int`` or ``float`` (a
+    finite JSON number, integral for ``int``, and > 0 if ``positive``), or a
+    one-element list such as ``[float]`` for a list of such numbers.
+    """
+    value = obj.get(key, default)
+    if isinstance(kind, list):
+        return [_field(raw, {key: v}, key, kind[0], positive=positive) for v in _field(raw, obj, key, list)]
+    if kind in (dict, list):
+        if isinstance(value, kind):
+            return value
+        expected = "an object" if kind is dict else "a list"
+    else:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            if number and math.isfinite(value) and (kind is float or value == int(value)) and (value > 0 or not positive):
+                return kind(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+        expected = f"a finite{' positive' if positive else ''} {'integer' if kind is int else 'number'}"
+    raise ConfigError(f"{key} must be {expected}, got {value!r}", _key_line(raw, key))
 
 
 @dataclass
@@ -90,43 +114,39 @@ class RunConfig:
 
 
 def _validate_schedule(spec, mode: str, raw: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigError("schedule must be an object", _key_line(raw, "schedule"))
     line = _key_line(raw, "schedule")
+    if not isinstance(spec, dict):
+        raise ConfigError("schedule must be an object", line)
+    uniform = "t_end" in spec and "steps" in spec
+    if uniform:
+        t_end = _field(raw, spec, "t_end", float, positive=True)
+        steps = _field(raw, spec, "steps", int, positive=True)
+        uniform_times = [t_end * (i + 1) / steps for i in range(steps)]
+    if mode == "continuous":
+        if not uniform:
+            raise ConfigError("continuous schedule needs ('t_end','steps')", line)
+        return {"t_end": t_end, "steps": steps, "times": uniform_times}
     if mode == "one_shot":
         if "t" in spec:
-            times = [float(spec["t"])]
+            times = [_field(raw, spec, "t", float, positive=True)]
         elif "times" in spec:
-            times = [float(v) for v in spec["times"]]
-        elif "t_end" in spec and "steps" in spec:
-            steps = int(spec["steps"])
-            t_end = float(spec["t_end"])
-            times = [t_end * (i + 1) / steps for i in range(steps)]
+            times = _field(raw, spec, "times", [float], positive=True)
+        elif uniform:
+            times = uniform_times
         else:
             raise ConfigError("one_shot schedule needs 't', 'times', or ('t_end','steps')", line)
-        if not times or any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError("one_shot times must be positive and strictly increasing", line)
+        if not times or any(b <= a for a, b in zip(times, times[1:])):
+            raise ConfigError("one_shot times must be nonempty and strictly increasing", line)
         return {"times": times}
-    if mode == "composed":
-        if "taus" in spec:
-            taus = [float(v) for v in spec["taus"]]
-        elif "t_end" in spec and "steps" in spec:
-            steps = int(spec["steps"])
-            taus = [float(spec["t_end"]) / steps] * steps
-        else:
-            raise ConfigError("composed schedule needs 'taus' or ('t_end','steps')", line)
-        if not taus or any(t <= 0 for t in taus):
-            raise ConfigError("composed taus must be strictly positive", line)
-        return {"taus": taus}
-    if mode == "continuous":
-        if "t_end" not in spec or "steps" not in spec:
-            raise ConfigError("continuous schedule needs ('t_end','steps')", line)
-        t_end = float(spec["t_end"])
-        steps = int(spec["steps"])
-        if t_end <= 0 or steps < 1:
-            raise ConfigError("continuous schedule needs t_end > 0 and steps >= 1", line)
-        return {"t_end": t_end, "steps": steps}
-    raise ConfigError(f"unknown mode {mode!r}, expected one of {_MODES}", _key_line(raw, "mode"))
+    if "taus" in spec:
+        taus = _field(raw, spec, "taus", [float], positive=True)
+    elif uniform:
+        taus = [t_end / steps] * steps
+    else:
+        raise ConfigError("composed schedule needs 'taus' or ('t_end','steps')", line)
+    if not taus:
+        raise ConfigError("composed taus must be nonempty", line)
+    return {"taus": taus}
 
 
 def load_config(path: Path, seed_override: int | None, out_override: str | None) -> RunConfig:
@@ -142,39 +162,34 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     if "distribution" in doc:
         try:
             mixture = GaussianMixture.from_json_dict(doc["distribution"])
-        except ContractError as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad distribution: {exc}", _key_line(raw, "distribution")) from exc
 
-    particles = doc.get("particles", {})
-    if not isinstance(particles, dict):
-        raise ConfigError("particles must be an object", _key_line(raw, "particles"))
-    n = int(particles.get("n", 100))
-    seed = int(particles.get("seed", 0))
-    if n < 1:
-        raise ConfigError(f"particles.n must be >= 1, got {n}", _key_line(raw, "n"))
+    particles = _field(raw, doc, "particles", dict, {})
+    n = _field(raw, particles, "n", int, 100, positive=True)
+    seed = _field(raw, particles, "seed", int, 0)
     if seed_override is not None:
         seed = int(seed_override)
 
-    grid = doc.get("grid", {})
-    grid_per_axis = int(grid.get("per_axis", 9))
-    grid_extent = float(grid.get("extent", 3.0))
-    curve_points = int(grid.get("points", 401))
-    curve_extent = float(grid.get("curve_extent", 4.0))
-    if grid_per_axis < 1 or grid_extent <= 0:
-        raise ConfigError("grid.per_axis must be >= 1 and grid.extent > 0", _key_line(raw, "grid"))
+    grid = _field(raw, doc, "grid", dict, {})
+    grid_per_axis = _field(raw, grid, "per_axis", int, 9, positive=True)
+    grid_extent = _field(raw, grid, "extent", float, 3.0, positive=True)
+    curve_points = _field(raw, grid, "points", int, 401, positive=True)
+    curve_extent = _field(raw, grid, "curve_extent", float, 4.0, positive=True)
 
-    outputs = doc.get("outputs", {})
-    out_dir = Path(out_override) if out_override is not None else Path(outputs.get("dir", "out"))
-    formats = tuple(outputs.get("formats", list(_FORMATS)))
+    outputs = _field(raw, doc, "outputs", dict, {})
+    out_dir = Path(out_override) if out_override is not None else Path(str(outputs.get("dir", "out")))
+    formats = tuple(_field(raw, outputs, "formats", list, list(_FORMATS)))
     for fmt in formats:
         if fmt not in _FORMATS:
             raise ConfigError(f"unknown output format {fmt!r}", _key_line(raw, "formats"))
 
     panels: list[Panel] = []
     if "panels" in doc:
-        if not isinstance(doc["panels"], list) or not doc["panels"]:
+        panel_docs = _field(raw, doc, "panels", [dict])
+        if not panel_docs:
             raise ConfigError("panels must be a nonempty list", _key_line(raw, "panels"))
-        for i, p in enumerate(doc["panels"]):
+        for i, p in enumerate(panel_docs):
             mode = p.get("mode")
             if mode not in _MODES:
                 raise ConfigError(f"panel {i}: unknown mode {mode!r}", _key_line(raw, "panels"))
@@ -199,9 +214,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
             )
         )
 
-    tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object", _key_line(raw, "tolerances"))
+    tolerances = _field(raw, doc, "tolerances", dict, {})
+    tolerances = {key: _field(raw, tolerances, key, float) for key in tolerances}
 
     return RunConfig(
         name=str(doc.get("name", path.stem)),
@@ -215,7 +229,7 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         curve_extent=curve_extent,
         out_dir=out_dir,
         formats=formats,
-        tolerances=dict(tolerances),
+        tolerances=tolerances,
     )
 
 
@@ -224,33 +238,17 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
 
 def _start_points(cfg: RunConfig) -> tuple[np.ndarray, int]:
     """Grid starts followed by sampled starts; returns (points, n_grid)."""
-    mix = cfg.mixture
-    axes = [np.linspace(-cfg.grid_extent, cfg.grid_extent, cfg.grid_per_axis)] * mix.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    samples = sample(mix, cfg.n, cfg.seed).points
+    grid = probe_lattice(cfg.grid_extent, cfg.grid_per_axis, cfg.mixture.dim)
+    samples = sample(cfg.mixture, cfg.n, cfg.seed).points
     return np.vstack([grid, samples]), grid.shape[0]
-
-
-def _gaussian_entropy_estimate(mean: np.ndarray, cov: np.ndarray) -> Estimate:
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        return Estimate(float("-inf"), 0.0)
-    m = mean.shape[0]
-    return Estimate(0.5 * (m * (_LOG_2PI + 1.0) + float(logdet)), 0.0)
 
 
 def _initial_trajectory(mix: GaussianMixture, ens: ParticleEnsemble) -> Trajectory:
     """Single-state trajectory used when a run is singular from the start."""
-    emp_mean = ens.points.mean(axis=0)
-    emp_cov = (
-        np.atleast_2d(np.cov(ens.points.T, ddof=1)) if ens.n >= 2 else np.zeros((ens.dim, ens.dim))
-    )
-    if mix.k == 1:
-        ent = _gaussian_entropy_estimate(mix.means[0], mix.covs[0])
-    else:
-        ent = Estimate(float("nan"), float("nan"))
-    diag = FlowDiagnostics(ent, Estimate(float("nan"), float("nan")), emp_mean, emp_cov)
+    emp_mean, emp_cov = _moments_or_degenerate(ens.points)
+    nan = Estimate(float("nan"), float("nan"))
+    ent = Estimate(_SpectralGaussian.of(mix).entropy(), 0.0) if mix.k == 1 else nan
+    diag = FlowDiagnostics(ent, nan, emp_mean, emp_cov)
     return Trajectory((0.0,), (ens,), (diag,))
 
 
@@ -348,42 +346,24 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[list[tuple[float, np.ndarray]], bool]:
     """(time, densities on the x-grid) for a 1-D measure; bool flags singularity."""
     mix = cfg.mixture
-    mean, cov = mix.means[0], mix.covs[0]
+    g = _SpectralGaussian.of(mix)
     xs = np.linspace(-cfg.curve_extent, cfg.curve_extent, cfg.curve_points)[:, None]
     curves = [(0.0, np.asarray(density(mix, xs)))]
-    singular = False
     if panel.mode == "composed":
-        times = list(np.cumsum(panel.schedule["taus"]))
-        covs = []
-        c = cov
-        for tau in panel.schedule["taus"]:
-            c = one_shot_covariance(c, tau)
-            covs.append(c)
-        pairs = zip(times, covs)
+        pairs, h = [], g
+        for t, tau in zip(np.cumsum(panel.schedule["taus"]), panel.schedule["taus"]):
+            h = h.one_shot(tau)
+            pairs.append((t, h))
     else:
-        times = panel.schedule.get("times")
-        if times is None:
-            steps = panel.schedule["steps"]
-            t_end = panel.schedule["t_end"]
-            times = [t_end * (i + 1) / steps for i in range(steps)]
-        pairs = []
-        for t in times:
-            try:
-                pf = (
-                    push_one_shot(mean, cov, t)
-                    if panel.mode == "one_shot"
-                    else push_continuous(mean, cov, t)
-                )
-            except SingularityError as exc:
-                print(f"warning: pushforward singular at t={t}: {exc}", file=sys.stderr)
-                singular = True
-                break
-            pairs.append((t, pf.covariance))
-    for t, c in pairs:
-        if float(np.linalg.eigvalsh(np.atleast_2d(c))[0]) <= 0.0:
+        push = g.one_shot if panel.mode == "one_shot" else g.continuous
+        pairs = [(t, push(t)) for t in panel.schedule["times"]]
+    singular = False
+    for t, h in pairs:
+        if h.evals[0] <= 0.0:
+            print(f"warning: pushforward singular at t={t} (critical time {g.critical_time!r})", file=sys.stderr)
             singular = True
-            continue
-        curves.append((float(t), np.asarray(density(GaussianMixture.single(mean, c), xs))))
+        else:
+            curves.append((float(t), np.asarray(density(h.as_mixture(), xs))))
     return curves, singular
 
 
@@ -402,39 +382,33 @@ def _density_svg(cfg: RunConfig, curves) -> SvgCanvas:
 
 def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, float, float, str]]:
     """(time, sigma1, sigma2, entropy, source) rows for the diagonal 2-D chart."""
-    mix = cfg.mixture
-    mean, cov = mix.means[0], mix.covs[0]
+    cov = cfg.mixture.covs[0]
     if np.max(np.abs(cov - np.diag(np.diag(cov)))) > 1e-9:
         raise DomainError("abstract chart is defined only for diagonal covariances")
-    lam_min = float(np.min(np.diag(cov)))
+    g = _SpectralGaussian.of(cfg.mixture)
     rows: list[tuple[float, float, float, float, str]] = []
 
-    def add(t: float, variances: np.ndarray, source: str) -> None:
-        sig = np.sqrt(np.clip(variances, 0.0, None))
-        ent = (
-            float("-inf")
-            if np.any(sig == 0.0)
-            else float(_LOG_2PI + 1.0 + np.log(sig).sum())
-        )
-        rows.append((float(t), float(sig[0]), float(sig[1]), ent, source))
+    def add(t: float, h: _SpectralGaussian, source: str) -> None:
+        # the eigenvectors of a diagonal covariance permute the coordinate axes
+        sig = np.sqrt(np.clip((g.evecs**2) @ h.evals, 0.0, None))
+        rows.append((float(t), float(sig[0]), float(sig[1]), h.entropy(), source))
 
     # continuous flow: straight to the singular boundary
-    for t in np.linspace(0.0, lam_min / 2.0, 81):
-        add(t, np.diag(cov) - 2.0 * t, "continuous")
+    for t in np.linspace(0.0, g.critical_time, 81):
+        add(t, g.continuous(t), "continuous")
 
-    one_shot_times = np.linspace(0.0, 3.0, 61)
-    for t in one_shot_times:
-        add(t, np.diag(one_shot_covariance(cov, float(t))), "one_shot")
+    for t in np.linspace(0.0, 3.0, 61):
+        add(t, g.one_shot(float(t)), "one_shot")
 
-    # composed recursion per axis; deep compositions contract the variance
-    # toward (and numerically onto) zero, which the chart reports as sigma = 0
-    v = np.diag(cov).copy()
-    add(0.0, v, "composed")
+    # composed recursion; deep compositions contract the variance toward (and
+    # numerically onto) zero, which the chart reports as sigma = 0
+    h = g
+    add(0.0, h, "composed")
     acc = 0.0
     for tau in panel.schedule["taus"]:
-        v = v**3 / (v + tau) ** 2
+        h = h.one_shot(tau)
         acc += tau
-        add(acc, v, "composed")
+        add(acc, h, "composed")
     return rows
 
 

@@ -9,8 +9,14 @@ sampling, and the zero-mean Gaussian noise identity residual.
 
 Log densities are evaluated with a max-shifted log-sum-exp so heavily
 smoothed mixtures do not underflow.  Each component covariance is stored
-with a cached spectral factorization; solves, log determinants, and
-symmetric square roots all reuse it.
+with a cached spectral factorization that the mixture's own solves, log
+determinants, and square roots reuse.
+
+:class:`_SpectralGaussian` is the one home of the single-Gaussian formulas:
+the denoising map, the one-shot and continuous pushforwards, the continuous
+map, and the closed-form entropies are all eigenvalue maps of one
+decomposed covariance.  :func:`_checked_time` is the one check every time,
+noise variance, and layer variance passes where it enters the package.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, SingularityError
 from .rand import substream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -245,6 +251,128 @@ class ParticleEnsemble:
         return cls(np.array(rows, dtype=float), seed)
 
 
+# -- single-Gaussian spectral core ----------------------------------------------
+
+
+def _checked_time(t, what: str = "time", positive: bool = False) -> float:
+    """``t`` as a float that is finite and nonnegative (positive if asked)."""
+    t = float(t)
+    if not math.isfinite(t) or t < 0.0 or (positive and t == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise ContractError(f"{what} must be finite and {kind}, got {t}")
+    return t
+
+
+@dataclass(frozen=True, eq=False)
+class _SpectralGaussian:
+    """N(mean, V diag(evals) V^T) with ascending ``evals`` and orthonormal ``evecs`` V.
+
+    Every single-Gaussian object of the transport keeps V and maps the
+    eigenvalues: the one-shot pushforward sends lambda to
+    lambda^3 / (lambda + t)^2, the continuous pushforward to lambda - 2 t, and
+    both maps act per axis of V.  Maps return new values and never
+    re-decompose, so a composed flow factorizes once.  They take any t, which
+    lets finite-difference stencils step slightly below 0; public entry points
+    check their times with :func:`_checked_time`.  Entropies are read straight
+    from the eigenvalues, so contractions far below what mixture validation
+    accepts (down to underflow) stay representable.
+    """
+
+    mean: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+
+    @classmethod
+    def from_cov(cls, cov, mean=None) -> "_SpectralGaussian":
+        """Decompose a finite, symmetric, positive-definite covariance (mean defaults to 0)."""
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        mean = np.zeros(cov.shape[0]) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
+        m = mean.shape[0]
+        if cov.shape != (m, m):
+            raise ContractError(f"covariance shape {cov.shape} does not match mean dimension {m}")
+        if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
+            raise ContractError("mean and covariance must be finite")
+        scale = max(1.0, float(np.max(np.abs(cov))))
+        if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL * scale:
+            raise ContractError("covariance must be symmetric")
+        evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        if float(evals[0]) <= 0.0:
+            raise ContractError("covariance must be positive definite")
+        mean = mean.copy()
+        mean.flags.writeable = False
+        return cls(mean, evals, evecs)
+
+    @classmethod
+    def of(cls, mix: GaussianMixture) -> "_SpectralGaussian":
+        """The first (for a single Gaussian, the only) component, from the cached factorization."""
+        return cls(mix.means[0], mix._evals[0], mix._evecs[0])
+
+    @property
+    def dim(self) -> int:
+        return self.evals.shape[0]
+
+    @property
+    def cov(self) -> np.ndarray:
+        return (self.evecs * self.evals) @ self.evecs.T
+
+    @property
+    def critical_time(self) -> float:
+        """Singular time of the continuous flow: half the smallest eigenvalue."""
+        return float(self.evals[0]) / 2.0
+
+    def as_mixture(self) -> GaussianMixture:
+        return GaussianMixture.single(self.mean, self.cov)
+
+    def one_shot(self, t: float) -> "_SpectralGaussian":
+        """Pushforward under the one-shot map: ``S (I + t S^{-1})^{-2}``; t = 0 is exact."""
+        if t == 0.0:
+            return self
+        lam = self.evals
+        return _SpectralGaussian(self.mean, lam**3 / (lam + t) ** 2, self.evecs)
+
+    def continuous(self, t: float) -> "_SpectralGaussian":
+        """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
+        return _SpectralGaussian(self.mean, self.evals - 2.0 * t, self.evecs)
+
+    def check_horizon(self, t: float, what: str, closed: bool = False) -> None:
+        """Raise :class:`SingularityError` once ``t`` reaches the critical time.
+
+        ``closed`` admits the boundary itself (up to 5e-13), where the
+        pushforward covariance first loses rank.
+        """
+        tc = self.critical_time
+        if (t > tc + 5e-13) if closed else (t >= tc):
+            raise SingularityError(f"{what} is singular at t = {tc!r} (requested t = {t!r})", critical_time=tc)
+
+    def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Denoising map on (n, m) points: ``(I + t S^{-1})^{-1} x + (I + S / t)^{-1} mean``."""
+        lam = self.evals
+        v = self.evecs
+        return (x @ v * (lam / (lam + t)) + self.mean @ v * (t / (lam + t))) @ v.T
+
+    def continuous_map(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Continuous-flow map on (n, m) points: ``sqrt(I - 2 t S^{-1}) (x - mean) + mean``."""
+        factors = np.sqrt(1.0 - 2.0 * t / self.evals)
+        return ((x - self.mean) @ self.evecs * factors) @ self.evecs.T + self.mean
+
+    @property
+    def log_det(self) -> float:
+        """``log det S``; -inf once the smallest eigenvalue reaches 0."""
+        if self.evals[0] <= 0.0:
+            return -math.inf
+        return float(np.log(self.evals).sum())
+
+    def entropy(self) -> float:
+        """Differential entropy ``(m/2) log(2 pi e) + (1/2) log det S``."""
+        return 0.5 * (self.dim * (_LOG_2PI + 1.0) + self.log_det)
+
+    def renyi(self, alpha: float) -> float:
+        """Renyi functional ``(int N^alpha - 1) / (alpha - 1)``, infinite past exp overflow."""
+        m = self.dim
+        log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + self.log_det) - 0.5 * m * math.log(alpha)
+        return ((math.exp(log_int) if log_int < 700.0 else math.inf) - 1.0) / (alpha - 1.0)
+
+
 # -- point handling -----------------------------------------------------------
 
 
@@ -359,9 +487,7 @@ def smooth(mix: GaussianMixture, t: float) -> GaussianMixture:
     Each component covariance gains ``t * I``; weights and means are
     untouched.  ``t = 0`` returns the mixture unchanged.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ContractError(f"noise variance must be nonnegative, got {t}")
+    t = _checked_time(t, "noise variance")
     if t == 0.0:
         return mix
     return GaussianMixture(mix.weights, mix.means, mix.covs + t * np.eye(mix.dim))
@@ -386,8 +512,7 @@ def entropy(mix: GaussianMixture, n: int = MC_DEFAULT_N, seed: int = 0) -> Estim
     k >= 2 mixture gets a seeded Monte Carlo estimate with its standard error.
     """
     if mix.k == 1:
-        value = 0.5 * (mix.dim * (_LOG_2PI + 1.0) + float(np.log(mix._evals[0]).sum()))
-        return Estimate(value, 0.0)
+        return Estimate(_SpectralGaussian.of(mix).entropy(), 0.0)
     ens = sample(mix, n, seed)
     lp = log_density(mix, ens.points)
     return Estimate(float(-np.mean(lp)), float(np.std(lp, ddof=1) / math.sqrt(n)))
@@ -406,9 +531,7 @@ def renyi_entropy(mix: GaussianMixture, alpha: float, n: int = MC_DEFAULT_N, see
             f"alpha must be positive and != 1 (got {alpha}); use entropy() for the alpha -> 1 limit"
         )
     if mix.k == 1:
-        log_det = float(np.log(mix._evals[0]).sum())
-        log_int = 0.5 * (1.0 - alpha) * (mix.dim * _LOG_2PI + log_det) - 0.5 * mix.dim * math.log(alpha)
-        return Estimate((math.exp(log_int) - 1.0) / (alpha - 1.0), 0.0)
+        return Estimate(_SpectralGaussian.of(mix).renyi(alpha), 0.0)
     ens = sample(mix, n, seed)
     lp = log_density(mix, ens.points)
     vals = (np.exp((alpha - 1.0) * lp) - 1.0) / (alpha - 1.0)
@@ -491,15 +614,12 @@ def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:
     """
     data = np.asarray(data, dtype=float)
     n, m = data.shape
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
     pts, single = _as_points(x, m)
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[0] <= 0.0:
-        raise ContractError("kernel covariance must be positive definite")
-    whiten = evecs / np.sqrt(evals)
+    kernel = _SpectralGaussian.from_cov(cov)
+    whiten = kernel.evecs / np.sqrt(kernel.evals)
     dw = data @ whiten
     pw = pts @ whiten
     d2 = np.sum(pw * pw, axis=1)[:, None] + np.sum(dw * dw, axis=1)[None, :] - 2.0 * (pw @ dw.T)
-    log_norm = -0.5 * (m * _LOG_2PI + float(np.log(evals).sum()))
+    log_norm = -0.5 * (m * _LOG_2PI + kernel.log_det)
     out = _logsumexp(-0.5 * d2, axis=1) + log_norm - math.log(n)
     return float(out[0]) if single else out

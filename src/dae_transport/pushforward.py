@@ -5,7 +5,8 @@ A Gaussian transported by the continuous flow keeps its mean and loses
 its mean and its covariance contracts to ``S (I + t S^{-1})^{-2}``.  Both are
 exposed here together with empirical moments and the diagonal-Gaussian
 coordinate chart ``(sigma_1, ..., sigma_m)`` in which the quadratic
-Wasserstein distance is Euclidean.
+Wasserstein distance is Euclidean.  The covariance maps themselves are
+eigenvalue maps of the single-Gaussian core, ``measures._SpectralGaussian``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, SingularityError
-from .measures import ParticleEnsemble
+from .errors import ContractError, DomainError
+from .measures import ParticleEnsemble, _checked_time, _SpectralGaussian
 
 SOURCE_CONTINUOUS = "continuous"
 SOURCE_ONE_SHOT = "one_shot"
@@ -49,8 +50,6 @@ class GaussianPushforward:
             raise ContractError("pushforward covariance must be symmetric")
         if self.source not in (SOURCE_CONTINUOUS, SOURCE_ONE_SHOT):
             raise ContractError(f"unknown pushforward source {self.source!r}")
-        if float(self.t) < 0.0:
-            raise ContractError("pushforward time must be nonnegative")
         evals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         if float(evals[0]) < _EIG_FLOOR * scale:
             raise ContractError(
@@ -62,7 +61,7 @@ class GaussianPushforward:
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _checked_time(self.t, "pushforward time"))
 
     @property
     def dim(self) -> int:
@@ -97,19 +96,6 @@ class AbstractPoint:
         return self.sigma.shape[0]
 
 
-def _validated_spd(cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.shape[0] != cov.shape[1]:
-        raise ContractError("covariance must be square")
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
-        raise ContractError("covariance must be symmetric")
-    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    if float(evals[0]) <= 0.0:
-        raise ContractError("covariance must be positive definite")
-    return cov, evals, evecs
-
-
 def push_continuous(mean, cov, t: float) -> GaussianPushforward:
     """Pushforward of N(mean, cov) under the continuous flow: covariance ``cov - 2 t I``.
 
@@ -117,30 +103,18 @@ def push_continuous(mean, cov, t: float) -> GaussianPushforward:
     eigenvalue, while any later time raises :class:`SingularityError` carrying
     the critical time.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ContractError(f"time must be nonnegative, got {t}")
-    cov, evals, _ = _validated_spd(cov)
-    lam_min = float(evals[0])
-    if 2.0 * t > lam_min + 1e-12:
-        raise SingularityError(
-            f"continuous pushforward is singular past t = {lam_min / 2.0!r} (requested t = {t!r})",
-            critical_time=lam_min / 2.0,
-        )
-    new_cov = cov - 2.0 * t * np.eye(cov.shape[0]) if t > 0.0 else cov.copy()
-    return GaussianPushforward(np.asarray(mean, dtype=float), new_cov, SOURCE_CONTINUOUS, t)
+    t = _checked_time(t)
+    g = _SpectralGaussian.from_cov(cov, mean)
+    g.check_horizon(t, "continuous pushforward", closed=True)
+    new_cov = g.continuous(t).cov if t > 0.0 else np.atleast_2d(np.asarray(cov, dtype=float))
+    return GaussianPushforward(g.mean, new_cov, SOURCE_CONTINUOUS, t)
 
 
 def one_shot_covariance(cov, t: float) -> np.ndarray:
     """Covariance of N(mean, cov) pushed through the one-shot map: ``cov (I + t cov^{-1})^{-2}``."""
-    t = float(t)
-    if t < 0.0:
-        raise ContractError(f"time must be nonnegative, got {t}")
-    cov, evals, evecs = _validated_spd(cov)
-    if t == 0.0:
-        return cov.copy()
-    new_evals = evals**3 / (evals + t) ** 2
-    return (evecs * new_evals) @ evecs.T
+    t = _checked_time(t)
+    g = _SpectralGaussian.from_cov(cov)
+    return g.one_shot(t).cov if t > 0.0 else np.array(cov, dtype=float, ndmin=2)
 
 
 def push_one_shot(mean, cov, t: float) -> GaussianPushforward:

@@ -14,6 +14,11 @@ pushforward measure; the continuous flow is the same composition on a uniform
 schedule, which is its broken-line (explicit Euler) approximation.  Both
 entry points share one step routine, so matching schedules produce identical
 trajectories bit for bit.
+
+Every single-Gaussian formula here (the analytic map, the continuous map, the
+propagated covariance and its entropies) is an eigenvalue map of the core
+value ``measures._SpectralGaussian``.  The analytic flow decomposes the
+initial covariance once and then costs O(n m^2) per layer.
 """
 
 from __future__ import annotations
@@ -33,12 +38,13 @@ from .measures import (
     GaussianMixture,
     ParticleEnsemble,
     _as_points,
+    _checked_time,
+    _SpectralGaussian,
     kde_log_density,
     score,
     silverman_covariance,
     smooth,
 )
-from .pushforward import one_shot_covariance
 from .rand import substream
 
 _COV_FLOOR = 1e-10  # propagated covariance eigenvalue floor
@@ -58,9 +64,7 @@ class MixtureExact:
     t: float
 
     def __post_init__(self):
-        t = float(self.t)
-        if t < 0.0:
-            raise ContractError(f"noise variance must be nonnegative, got {t}")
+        t = _checked_time(self.t, "noise variance")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "_smoothed", smooth(self.mix, t))
 
@@ -86,25 +90,14 @@ class AnalyticGaussian:
     t: float
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        t = float(self.t)
-        if t < 0.0:
-            raise ContractError(f"noise variance must be nonnegative, got {t}")
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ContractError("covariance shape does not match mean dimension")
-        evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        if float(evals[0]) <= 0.0:
-            raise ContractError("covariance must be positive definite")
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.flags.writeable = False
+        t = _checked_time(self.t, "noise variance")
+        g = _SpectralGaussian.from_cov(self.cov, self.mean)
+        cov = np.array(self.cov, dtype=float, ndmin=2)
         cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "mean", g.mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "_evals", evals)
-        object.__setattr__(self, "_evecs", evecs)
+        object.__setattr__(self, "_g", g)
 
     @property
     def dim(self) -> int:
@@ -112,16 +105,7 @@ class AnalyticGaussian:
 
     def apply(self, x) -> np.ndarray:
         pts, single = _as_points(x, self.dim)
-        if self.t == 0.0:
-            out = pts.copy()
-        else:
-            lam = self._evals
-            v = self._evecs
-            shrink = lam / (lam + self.t)  # (I + t S^{-1})^{-1} in the eigenbasis
-            pullback = self.t / (lam + self.t)  # (I + S/t)^{-1}, the mean term
-            y = pts @ v
-            w = self.mean @ v
-            out = (y * shrink + w * pullback) @ v.T
+        out = pts.copy() if self.t == 0.0 else self._g.denoise(pts, self.t)
         return out[0] if single else out
 
 
@@ -138,10 +122,7 @@ class EmpiricalKernel:
     t: float
 
     def __post_init__(self):
-        t = float(self.t)
-        if t < 0.0:
-            raise ContractError(f"noise variance must be nonnegative, got {t}")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _checked_time(self.t, "noise variance"))
 
     @property
     def dim(self) -> int:
@@ -207,25 +188,14 @@ def analytic_continuous_map(mean, cov, t: float, x) -> np.ndarray:
     beyond that the flow is singular and :class:`SingularityError` reports the
     critical time.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ContractError(f"time must be nonnegative, got {t}")
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    if float(evals[0]) <= 0.0:
-        raise ContractError("covariance must be positive definite")
-    pts, single = _as_points(x, mean.shape[0])
+    t = _checked_time(t)
+    g = _SpectralGaussian.from_cov(cov, mean)
+    pts, single = _as_points(x, g.dim)
     if t == 0.0:
-        return pts[0].copy() if single else pts.copy()
-    lam_min = float(evals[0])
-    if 2.0 * t >= lam_min:
-        raise SingularityError(
-            f"continuous map is singular at t = {lam_min / 2.0!r} (requested t = {t!r})",
-            critical_time=lam_min / 2.0,
-        )
-    factors = np.sqrt(1.0 - 2.0 * t / evals)
-    out = ((pts - mean) @ evecs * factors) @ evecs.T + mean
+        out = pts.copy()
+    else:
+        g.check_horizon(t, "continuous map")
+        out = g.continuous_map(pts, t)
     return out[0] if single else out
 
 
@@ -239,26 +209,27 @@ class FlowSchedule:
     taus: tuple[float, ...]
 
     def __post_init__(self):
-        taus = tuple(float(t) for t in np.atleast_1d(np.asarray(self.taus, dtype=float)))
+        taus = tuple(
+            _checked_time(t, "layer variance", positive=True)
+            for t in np.atleast_1d(np.asarray(self.taus, dtype=float))
+        )
         if len(taus) == 0:
             raise ContractError("schedule must contain at least one layer")
-        if any(t <= 0.0 for t in taus):
-            raise ContractError("all layer variances must be strictly positive")
         object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "_times", tuple(float(v) for v in np.cumsum(taus)))
 
     @classmethod
     def uniform(cls, t_end: float, steps: int) -> "FlowSchedule":
-        t_end = float(t_end)
+        t_end = _checked_time(t_end, "total time", positive=True)
         steps = int(steps)
-        if t_end <= 0.0:
-            raise ContractError(f"total time must be positive, got {t_end}")
         if steps < 1:
             raise ContractError(f"steps must be >= 1, got {steps}")
         return cls((t_end / steps,) * steps)
 
     @property
     def times(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in np.cumsum(self.taus))
+        """Cumulative times after each layer, summed once at construction."""
+        return self._times
 
     @property
     def total_time(self) -> float:
@@ -354,22 +325,9 @@ def _moments_or_degenerate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points.mean(axis=0), np.zeros((m, m))
 
 
-def _analytic_diagnostics(points: np.ndarray, mean, cov) -> FlowDiagnostics:
-    # closed forms straight from eigenvalues: composed flows can contract the
-    # covariance far below what mixture validation would accept
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    m = mean.shape[0]
-    log_2pi = math.log(2.0 * math.pi)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        ent_val, ren_val = float("-inf"), float("inf")
-    else:
-        ent_val = 0.5 * (m * (log_2pi + 1.0) + float(logdet))
-        log_int = -0.5 * (m * log_2pi + float(logdet)) - 0.5 * m * math.log(2.0)
-        ren_val = math.exp(log_int) - 1.0 if log_int < 700.0 else float("inf")
+def _analytic_diagnostics(points: np.ndarray, g: _SpectralGaussian) -> FlowDiagnostics:
     emp_mean, emp_cov = _moments_or_degenerate(points)
-    return FlowDiagnostics(Estimate(ent_val, 0.0), Estimate(ren_val, 0.0), emp_mean, emp_cov)
+    return FlowDiagnostics(Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0), emp_mean, emp_cov)
 
 
 def _kde_diagnostics(points: np.ndarray, seed: int, layer: int) -> FlowDiagnostics:
@@ -404,9 +362,10 @@ def compose(
     """Compose per-layer denoising maps, retraining each layer on the current measure.
 
     ``retrain='analytic'`` propagates the single-Gaussian measure in closed
-    form (mean fixed, covariance through the one-shot pushforward) and uses
-    the :class:`AnalyticGaussian` map; the ensemble may then be arbitrary
-    probe points.  ``retrain='empirical'`` rebuilds an
+    form (mean fixed, eigenvalues through the one-shot pushforward, one
+    eigendecomposition for the whole flow) and applies the
+    :class:`AnalyticGaussian` map; the ensemble may then be arbitrary probe
+    points.  ``retrain='empirical'`` rebuilds an
     :class:`EmpiricalKernel` map from the current particles with bandwidth
     equal to the layer's own noise variance, matching the map's smoothing
     scale.
@@ -432,29 +391,26 @@ def compose(
     states = [ensemble]
 
     if retrain == "analytic":
-        mean = mix0.means[0]
-        cov = mix0.covs[0]
-        diags = [_analytic_diagnostics(points, mean, cov)]
+        g = _SpectralGaussian.of(mix0)
+        diags = [_analytic_diagnostics(points, g)]
     else:
         diags = [_kde_diagnostics(points, seed, 0)]
 
-    for layer, tau in enumerate(schedule.taus):
+    # per analytic layer: the map apply, O(n m^2), and the eigenvalue recursion
+    for layer, (tau, t) in enumerate(zip(schedule.taus, schedule.times)):
         if retrain == "analytic":
-            layer_map: DaeMap = AnalyticGaussian(mean, cov, tau)
-            points = layer_map.apply(points)
-            cov = one_shot_covariance(cov, tau)
-            lam_min = float(np.linalg.eigvalsh(cov)[0])
-            if lam_min < cov_floor:
+            points = g.denoise(points, tau)
+            g = g.one_shot(tau)
+            if g.evals[0] < cov_floor:
                 raise SingularityError(
                     f"propagated covariance reached the eigenvalue floor at layer {layer}",
                     partial=Trajectory(tuple(times), tuple(states), tuple(diags)),
                 )
-            diag = _analytic_diagnostics(points, mean, cov)
+            diag = _analytic_diagnostics(points, g)
         else:
-            layer_map = EmpiricalKernel(ParticleEnsemble(points, seed), tau)
-            points = layer_map.apply(points)
+            points = EmpiricalKernel(ParticleEnsemble(points, seed), tau).apply(points)
             diag = _kde_diagnostics(points, seed, layer + 1)
-        times.append(schedule.times[layer])
+        times.append(t)
         states.append(ParticleEnsemble(points, seed))
         diags.append(diag)
 
@@ -476,14 +432,9 @@ def continuous_flow(
     For a single Gaussian the total time must stay strictly below the
     singular time (half the smallest covariance eigenvalue).
     """
-    t_end = float(t_end)
+    t_end = _checked_time(t_end, "total time", positive=True)
     if mix0.k == 1:
-        lam_min = float(np.linalg.eigvalsh(mix0.covs[0])[0])
-        if t_end >= lam_min / 2.0:
-            raise SingularityError(
-                f"continuous flow is singular at t = {lam_min / 2.0!r} (requested t_end = {t_end!r})",
-                critical_time=lam_min / 2.0,
-            )
+        _SpectralGaussian.of(mix0).check_horizon(t_end, "continuous flow")
     mode = retrain if retrain is not None else ("analytic" if mix0.k == 1 else "empirical")
     return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, mode, cov_floor=_COV_FLOOR)
 
@@ -496,8 +447,8 @@ def one_shot_orbit(
     Unlike a composed flow, every state is produced by a single map trained on
     the initial measure with noise variance t.
     """
-    ts = [float(t) for t in times]
-    if not ts or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
+    ts = [_checked_time(t, "orbit time", positive=True) for t in times]
+    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ContractError("orbit times must be strictly increasing and positive")
     if ensemble.dim != mix0.dim:
         raise ContractError("ensemble dimension does not match measure dimension")
@@ -505,18 +456,16 @@ def one_shot_orbit(
     seed = ensemble.seed
     out_times = [0.0] + ts
     states = [ensemble]
-    diags = []
-    if mix0.k == 1:
-        diags.append(_analytic_diagnostics(ensemble.points, mix0.means[0], mix0.covs[0]))
-    else:
-        diags.append(_kde_diagnostics(ensemble.points, seed, 0))
-    for layer, t in enumerate(ts):
+    g = _SpectralGaussian.of(mix0) if mix0.k == 1 else None
+
+    def diagnose(pts: np.ndarray, t: float, layer: int) -> FlowDiagnostics:
+        if g is not None:
+            return _analytic_diagnostics(pts, g.one_shot(t))
+        return _kde_diagnostics(pts, seed, layer)
+
+    diags = [diagnose(ensemble.points, 0.0, 0)]
+    for layer, t in enumerate(ts, start=1):
         pts = MixtureExact(mix0, t).apply(ensemble.points)
         states.append(ParticleEnsemble(pts, seed))
-        if mix0.k == 1:
-            diags.append(
-                _analytic_diagnostics(pts, mix0.means[0], one_shot_covariance(mix0.covs[0], t))
-            )
-        else:
-            diags.append(_kde_diagnostics(pts, seed, layer + 1))
+        diags.append(diagnose(pts, t, layer))
     return Trajectory(tuple(out_times), tuple(states), tuple(diags))

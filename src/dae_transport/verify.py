@@ -19,10 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, SingularityError
+from .errors import ContractError, DomainError
 from .measures import (
     GaussianMixture,
     ParticleEnsemble,
+    _checked_time,
+    _SpectralGaussian,
     convolve,
     density,
     density_gradient,
@@ -117,10 +119,6 @@ def probe_lattice(extent: float, per_axis: int, dim: int, center=None) -> np.nda
     return pts
 
 
-def _default_grid(mix: GaussianMixture, extent: float, per_axis: int) -> np.ndarray:
-    return probe_lattice(extent, per_axis, mix.dim, center=None)
-
-
 # -- variational minimizer ------------------------------------------------------
 
 
@@ -183,7 +181,7 @@ def check_variational_minimizer(
         grid = (
             np.linspace(-2.0, 2.0, 81)[:, None]
             if mix0.dim == 1
-            else _default_grid(mix0, 2.0, 9)
+            else probe_lattice(2.0, 9, mix0.dim)
         )
     grid = np.asarray(grid, dtype=float)
 
@@ -270,18 +268,15 @@ def check_continuity_t0(
         grid = (
             np.arange(-2.0, 2.0 + 1e-12, 0.25)[:, None]
             if mix0.dim == 1
-            else _default_grid(mix0, 2.0, 9)
+            else probe_lattice(2.0, 9, mix0.dim)
         )
     grid = np.asarray(grid, dtype=float)
 
     if gaussian_mode:
-        cov = mix0.covs[0]
-        lam_min = float(np.linalg.eigvalsh(cov)[0])
-        if 2.0 * dt >= lam_min:
+        g = _SpectralGaussian.of(mix0)
+        if dt >= g.critical_time:
             raise DomainError("dt too large: pushforward covariance not positive at t = dt")
-        eye = np.eye(mix0.dim)
-        plus = GaussianMixture.single(mix0.means[0], cov - 2.0 * dt * eye)
-        minus = GaussianMixture.single(mix0.means[0], cov + 2.0 * dt * eye)
+        plus, minus = g.continuous(dt).as_mixture(), g.continuous(-dt).as_mixture()
         fd = (density(plus, grid) - density(minus, grid)) / (2.0 * dt)
         target = -laplacian_density(mix0, grid)
         details = {"mode": "closed_form", "dt": dt}
@@ -330,36 +325,22 @@ def check_backward_heat(
     name = "backward_heat" if source == "continuous" else "backward_heat_one_shot_negative_control"
     tol = TOLERANCES[name] if tolerance is None else float(tolerance)
 
-    mean = mix0.means[0]
-    cov = mix0.covs[0]
     if grid is None:
-        grid = _default_grid(mix0, 3.0, 13 if mix0.dim <= 2 else 7)
+        grid = probe_lattice(3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
     grid = np.asarray(grid, dtype=float)
 
-    evals, evecs = np.linalg.eigh(cov)
-    lam_min = float(evals[0])
-    eye = np.eye(mix0.dim)
-
-    def cov_at(s: float) -> np.ndarray:
-        if source == "continuous":
-            return cov - 2.0 * s * eye
-        # one-shot closed form; valid for the slightly negative s the centered
-        # stencil needs at t = 0 since the eigenvalue shift stays positive
-        shrunk = evals**3 / (evals + s) ** 2
-        return (evecs * shrunk) @ evecs.T
+    g = _SpectralGaussian.of(mix0)
+    # the one-shot map is also valid for the slightly negative time the
+    # centered stencil needs at t = 0, since lambda + s stays positive
+    push = g.continuous if source == "continuous" else g.one_shot
 
     residuals = []
-    for t in (float(v) for v in t_grid):
-        if t < 0.0:
-            raise ContractError("t_grid times must be nonnegative")
-        if source == "continuous" and 2.0 * (t + dt) >= lam_min:
-            raise SingularityError(
-                "t_grid reaches the singular time of the continuous pushforward",
-                critical_time=lam_min / 2.0,
-            )
-        plus = GaussianMixture.single(mean, cov_at(t + dt))
-        minus = GaussianMixture.single(mean, cov_at(t - dt))
-        current = GaussianMixture.single(mean, cov_at(t) if t > 0.0 else cov)
+    for t in (_checked_time(v, "t_grid time") for v in t_grid):
+        if source == "continuous":
+            g.check_horizon(t + dt, "continuous pushforward on the t_grid stencil")
+        plus = push(t + dt).as_mixture()
+        minus = push(t - dt).as_mixture()
+        current = push(t).as_mixture() if t > 0.0 else mix0
         fd = (density(plus, grid) - density(minus, grid)) / (2.0 * dt)
         residuals.append(fd + laplacian_density(current, grid))
 
@@ -398,9 +379,8 @@ def check_time_reversal(
 
     original = GaussianMixture.single(mean, cov)
     probes = sample(original, int(n_probe), seed).points
-    lam_min = float(np.linalg.eigvalsh(cov)[0])
     density_checked = False
-    if 2.0 * t < lam_min:
+    if t < _SpectralGaussian.of(original).critical_time:
         recovered = smooth(GaussianMixture.single(mean, pf.covariance), 2.0 * t)
         residuals.append(np.abs(density(recovered, probes) - density(original, probes)))
         density_checked = True
@@ -503,7 +483,7 @@ def check_renyi_gradient_identity(
         raise DomainError(f"alpha must be positive and != 1, got {alpha}")
     tol = TOLERANCES["renyi_gradient_identity"] if tolerance is None else float(tolerance)
     if grid is None:
-        grid = _default_grid(mix0, 3.0, 9 if mix0.dim > 1 else 25)
+        grid = probe_lattice(3.0, 9 if mix0.dim > 1 else 25, mix0.dim)
     grid = np.asarray(grid, dtype=float)
 
     def flux(pts: np.ndarray) -> np.ndarray:

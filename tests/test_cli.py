@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -71,6 +74,40 @@ def test_unknown_mode_is_config_error(tmp_path):
     doc = base_trajectory_config(tmp_path / "out")
     doc["mode"] = "warp"
     assert main(["trajectory", "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mode, path, value, key",
+    [
+        ("composed", ("schedule",), {"t_end": 0.4, "steps": 0}, "steps"),
+        ("one_shot", ("schedule",), {"t": "abc"}, "t"),
+        ("composed", ("particles", "n"), "x", "n"),
+        ("composed", ("grid",), [1], "grid"),
+        ("composed", ("panels",), [1], "panels"),
+        ("continuous", ("schedule",), {"t_end": math.nan, "steps": 4}, "t_end"),
+    ],
+    ids=["steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan"],
+)
+def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, path, value, key):
+    doc = _set(base_trajectory_config(tmp_path / "out"), ("mode",), mode)
+    cfg = write_config(tmp_path, _set(doc, path, value))
+    line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in ln)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dae_transport", "trajectory", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert f"config error at line {line}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_one_shot_schedule_needs_single_t(tmp_path):
@@ -332,9 +369,6 @@ def test_verify_crash_maps_to_exit_4(tmp_path, monkeypatch):
 
 
 def test_module_entry_point_runs(tmp_path):
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "dae_transport", "verify", "--config", str(tmp_path / "missing.json")],
         capture_output=True,

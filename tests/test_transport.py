@@ -23,8 +23,10 @@ from dae_transport import (
     continuous_flow,
     dae_apply,
     denoising_shift,
+    one_shot_covariance,
     one_shot_orbit,
     probe_lattice,
+    push_continuous,
     sample,
     score,
     smooth,
@@ -197,6 +199,22 @@ def test_schedule_rejects_empty_and_nonpositive():
         FlowSchedule((0.1, 0.0))
 
 
+TIME_ENTRY_POINTS = {
+    "FlowSchedule": lambda t: FlowSchedule((t,)),
+    "FlowSchedule.uniform": lambda t: FlowSchedule.uniform(t, 3),
+    "AnalyticGaussian": lambda t: AnalyticGaussian([0.0], [[1.0]], t),
+    "one_shot_covariance": lambda t: one_shot_covariance([[1.0]], t),
+    "push_continuous": lambda t: push_continuous([0.0], [[1.0]], t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_time_entry_points_reject_nonfinite_and_negative_times(entry, t):
+    with pytest.raises(ContractError):
+        TIME_ENTRY_POINTS[entry](t)
+
+
 # -- composition ------------------------------------------------------------------------
 
 
@@ -267,6 +285,51 @@ def test_velocity_matches_score_of_current_measure():
     traj = compose(mix, FlowSchedule((tau,)), ens, "analytic")
     velocity = (traj.states[1].points - traj.states[0].points) / tau
     np.testing.assert_allclose(velocity, score(mix, ens.points), atol=5e-3)
+
+
+def test_compose_rotated_gaussian_matches_eigenbasis_recursion():
+    # N(mean, R diag(lam) R^T): in the eigenbasis R every layer scales axis j by
+    # lam_j / (lam_j + tau) about the mean and sends lam_j to lam_j^3 / (lam_j + tau)^2
+    angle = 0.7
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    lam = np.array([0.6, 2.5])
+    mean = np.array([1.5, -0.75])
+    cov = (rot * lam) @ rot.T
+    mix = GaussianMixture.single(mean, 0.5 * (cov + cov.T))
+    ens = ParticleEnsemble(probe_lattice(3.0, 7, 2, center=mean), seed=0)
+    taus = (0.05, 0.1, 0.02, 0.2, 0.07)
+    traj = compose(mix, FlowSchedule(taus), ens, "analytic")
+
+    z = (ens.points - mean) @ rot
+    for layer, tau in enumerate(taus, start=1):
+        z = z * (lam / (lam + tau))
+        lam = lam**3 / (lam + tau) ** 2
+        want = mean + z @ rot.T
+        got = traj.states[layer].points
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        want_h = math.log(2.0 * math.pi * math.e) + 0.5 * float(np.log(lam).sum())
+        got_h = traj.diagnostics[layer].entropy.value
+        assert abs(got_h - want_h) <= 1e-12 * max(1.0, abs(want_h))
+
+
+def test_analytic_flow_decomposes_independently_of_depth(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0, "slogdet": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    mix = aniso()
+    ens = probe_ensemble()
+    per_depth = []
+    for steps in (10, 1000):
+        before = dict(calls)
+        continuous_flow(mix, 0.4, steps, ens)
+        per_depth.append({name: calls[name] - before[name] for name in calls})
+    assert per_depth[0] == per_depth[1]
 
 
 # -- continuous flow ----------------------------------------------------------------------

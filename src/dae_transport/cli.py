@@ -25,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .measures import Estimate, GaussianMixture, ParticleEnsemble, _SpectralGaussian, density, sample
+from .measures import GaussianMixture, ParticleEnsemble, _SpectralGaussian, density, sample
+from .pushforward import _chart_sigma
 from .svg import ChartFrame, SvgCanvas
 from .transport import (
-    FlowDiagnostics,
     FlowSchedule,
     Trajectory,
-    _moments_or_degenerate,
+    _layer_diagnostics,
     compose,
     continuous_flow,
     one_shot_orbit,
@@ -245,11 +245,8 @@ def _start_points(cfg: RunConfig) -> tuple[np.ndarray, int]:
 
 def _initial_trajectory(mix: GaussianMixture, ens: ParticleEnsemble) -> Trajectory:
     """Single-state trajectory used when a run is singular from the start."""
-    emp_mean, emp_cov = _moments_or_degenerate(ens.points)
-    nan = Estimate(float("nan"), float("nan"))
-    ent = Estimate(_SpectralGaussian.of(mix).entropy(), 0.0) if mix.k == 1 else nan
-    diag = FlowDiagnostics(ent, nan, emp_mean, emp_cov)
-    return Trajectory((0.0,), (ens,), (diag,))
+    g = _SpectralGaussian.of(mix) if mix.k == 1 else None
+    return Trajectory((0.0,), (ens,), (_layer_diagnostics(ens.points, g, ens.seed, 0),))
 
 
 def _run_panel(cfg: RunConfig, panel: Panel, ens: ParticleEnsemble) -> tuple[Trajectory, bool]:
@@ -259,8 +256,7 @@ def _run_panel(cfg: RunConfig, panel: Panel, ens: ParticleEnsemble) -> tuple[Tra
         if panel.mode == "one_shot":
             return one_shot_orbit(mix, panel.schedule["times"], ens), False
         if panel.mode == "composed":
-            retrain = panel.retrain or ("analytic" if mix.k == 1 else "empirical")
-            return compose(mix, FlowSchedule(tuple(panel.schedule["taus"])), ens, retrain), False
+            return compose(mix, FlowSchedule(tuple(panel.schedule["taus"])), ens, panel.retrain), False
         return (
             continuous_flow(mix, panel.schedule["t_end"], panel.schedule["steps"], ens, panel.retrain),
             False,
@@ -343,17 +339,14 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 # -- pushforward command ----------------------------------------------------------
 
 
-def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[list[tuple[float, np.ndarray]], bool]:
-    """(time, densities on the x-grid) for a 1-D measure; bool flags singularity."""
+def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tuple[float, np.ndarray]], bool]:
+    """The x-grid and (time, densities on it) for a 1-D measure; bool flags singularity."""
     mix = cfg.mixture
     g = _SpectralGaussian.of(mix)
-    xs = np.linspace(-cfg.curve_extent, cfg.curve_extent, cfg.curve_points)[:, None]
-    curves = [(0.0, np.asarray(density(mix, xs)))]
+    xs = np.linspace(-cfg.curve_extent, cfg.curve_extent, cfg.curve_points)
+    curves = [(0.0, np.asarray(density(mix, xs[:, None])))]
     if panel.mode == "composed":
-        pairs, h = [], g
-        for t, tau in zip(np.cumsum(panel.schedule["taus"]), panel.schedule["taus"]):
-            h = h.one_shot(tau)
-            pairs.append((t, h))
+        pairs = g.composed(panel.schedule["taus"])
     else:
         push = g.one_shot if panel.mode == "one_shot" else g.continuous
         pairs = [(t, push(t)) for t in panel.schedule["times"]]
@@ -363,12 +356,11 @@ def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[list[tuple[float, np.
             print(f"warning: pushforward singular at t={t} (critical time {g.critical_time!r})", file=sys.stderr)
             singular = True
         else:
-            curves.append((float(t), np.asarray(density(h.as_mixture(), xs))))
-    return curves, singular
+            curves.append((float(t), np.asarray(density(h.as_mixture(), xs[:, None]))))
+    return xs, curves, singular
 
 
-def _density_svg(cfg: RunConfig, curves) -> SvgCanvas:
-    xs = np.linspace(-cfg.curve_extent, cfg.curve_extent, cfg.curve_points)
+def _density_svg(cfg: RunConfig, xs: np.ndarray, curves) -> SvgCanvas:
     ymax = max(float(np.max(d)) for _, d in curves) * 1.1
     canvas = SvgCanvas(520, 360)
     frame = ChartFrame(canvas, (-cfg.curve_extent, cfg.curve_extent), (0.0, ymax), title=cfg.name)
@@ -381,35 +373,17 @@ def _density_svg(cfg: RunConfig, curves) -> SvgCanvas:
 
 
 def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, float, float, str]]:
-    """(time, sigma1, sigma2, entropy, source) rows for the diagonal 2-D chart."""
-    cov = cfg.mixture.covs[0]
-    if np.max(np.abs(cov - np.diag(np.diag(cov)))) > 1e-9:
-        raise DomainError("abstract chart is defined only for diagonal covariances")
+    """(time, sigma1, sigma2, entropy, source) rows for the diagonal 2-D chart.
+
+    The continuous flow runs straight to the singular boundary.  Deep
+    compositions contract the variance toward (and numerically onto) zero,
+    which the chart reports as sigma = 0.
+    """
     g = _SpectralGaussian.of(cfg.mixture)
-    rows: list[tuple[float, float, float, float, str]] = []
-
-    def add(t: float, h: _SpectralGaussian, source: str) -> None:
-        # the eigenvectors of a diagonal covariance permute the coordinate axes
-        sig = np.sqrt(np.clip((g.evecs**2) @ h.evals, 0.0, None))
-        rows.append((float(t), float(sig[0]), float(sig[1]), h.entropy(), source))
-
-    # continuous flow: straight to the singular boundary
-    for t in np.linspace(0.0, g.critical_time, 81):
-        add(t, g.continuous(t), "continuous")
-
-    for t in np.linspace(0.0, 3.0, 61):
-        add(t, g.one_shot(float(t)), "one_shot")
-
-    # composed recursion; deep compositions contract the variance toward (and
-    # numerically onto) zero, which the chart reports as sigma = 0
-    h = g
-    add(0.0, h, "composed")
-    acc = 0.0
-    for tau in panel.schedule["taus"]:
-        h = h.one_shot(tau)
-        acc += tau
-        add(acc, h, "composed")
-    return rows
+    laws = [(t, g.continuous(t), "continuous") for t in np.linspace(0.0, g.critical_time, 81)]
+    laws += [(t, g.one_shot(float(t)), "one_shot") for t in np.linspace(0.0, 3.0, 61)]
+    laws += [(t, h, "composed") for t, h in [(0.0, g), *g.composed(panel.schedule["taus"])]]
+    return [(float(t), *map(float, _chart_sigma(h.cov)), h.entropy(), source) for t, h, source in laws]
 
 
 def _abstract_svg(cfg: RunConfig, rows) -> SvgCanvas:
@@ -451,10 +425,9 @@ def cmd_pushforward(cfg: RunConfig) -> int:
     status = EXIT_OK
 
     if cfg.mixture.dim == 1:
-        curves, singular = _density_curves(cfg, panel)
+        xs, curves, singular = _density_curves(cfg, panel)
         if singular:
             status = EXIT_SINGULAR
-        xs = np.linspace(-cfg.curve_extent, cfg.curve_extent, cfg.curve_points)
         if "csv" in cfg.formats:
             path = cfg.out_dir / f"{cfg.name}_densities.csv"
             with path.open("w", newline="") as fh:
@@ -463,7 +436,7 @@ def cmd_pushforward(cfg: RunConfig) -> int:
                     for x, d in zip(xs, dens):
                         fh.write(f"{t!r},{float(x)!r},{float(d)!r}\n")
         if "svg" in cfg.formats:
-            _density_svg(cfg, curves).write(cfg.out_dir / f"{cfg.name}_densities.svg")
+            _density_svg(cfg, xs, curves).write(cfg.out_dir / f"{cfg.name}_densities.svg")
         print(f"pushforward densities: {len(curves)} curves")
     elif cfg.mixture.dim == 2:
         if panel.mode != "composed":

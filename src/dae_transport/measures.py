@@ -10,7 +10,10 @@ sampling, and the zero-mean Gaussian noise identity residual.
 Log densities are evaluated with a max-shifted log-sum-exp so heavily
 smoothed mixtures do not underflow.  Each component covariance is stored
 with a cached spectral factorization that the mixture's own solves, log
-determinants, and square roots reuse.
+determinants, and square roots reuse; the density and its derivatives
+evaluate all components at once.  :func:`_decomposed` is the one
+covariance validator (finite, symmetric, decomposed) for mixtures, single
+Gaussians and pushforwards.
 
 :class:`_SpectralGaussian` is the one home of the single-Gaussian formulas:
 the denoising map, the one-shot and continuous pushforwards, the continuous
@@ -25,7 +28,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +61,24 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
+def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
+    """``(cov, evals, evecs)`` of finite, symmetric covariances, one ``(m, m)`` or ``(k, m, m)``.
+
+    Symmetry is checked to ``1e-12 * max(1, max |cov|)`` and the returned ``cov``
+    is symmetrized; each caller applies its own positivity rule to ``evals``.
+    """
+    m = mean.shape[-1]
+    if cov.shape != mean.shape + (m,):
+        raise ContractError(f"{what} covariance shape {cov.shape} does not match mean shape {mean.shape}")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ContractError(f"{what} mean and covariance must be finite")
+    flipped = np.swapaxes(cov, -1, -2)
+    if np.max(np.abs(cov - flipped)) > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
+        raise ContractError(f"{what} covariance must be symmetric within 1e-12")
+    cov = 0.5 * (cov + flipped)
+    return (cov, *np.linalg.eigh(cov))
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Weighted mixture of full-covariance Gaussians on R^m.
@@ -79,37 +100,26 @@ class GaussianMixture:
         cov = np.asarray(self.covs, dtype=float)
         if cov.ndim == 2:
             cov = cov[np.newaxis]
-        if w.ndim != 1 or mu.ndim != 2 or cov.ndim != 3:
-            raise ContractError("weights, means, covs must have shapes (k,), (k,m), (k,m,m)")
-        k, m = mu.shape
-        if w.shape != (k,) or cov.shape != (k, m, m):
+        if w.ndim != 1 or mu.ndim != 2 or cov.ndim != 3 or w.shape != mu.shape[:1]:
             raise ContractError(
-                f"inconsistent component shapes: weights {w.shape}, means {mu.shape}, covs {cov.shape}"
+                f"weights, means, covs must have shapes (k,), (k,m), (k,m,m); got {w.shape}, {mu.shape}, {cov.shape}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
-            raise ContractError("mixture parameters must be finite")
+        if not np.all(np.isfinite(w)):
+            raise ContractError("mixture weights must be finite")
         if np.any(w <= 0.0):
             raise ContractError("mixture weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
             raise ContractError(f"mixture weights sum to {w.sum()!r}, expected 1 within {_WEIGHT_SUM_TOL}")
 
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - np.swapaxes(cov, 1, 2))) > _SYMMETRY_TOL * scale:
-            raise ContractError("covariances must be symmetric within 1e-12")
+        cov, evals, evecs = _decomposed(mu, cov, "mixture component")
+        bad = np.flatnonzero(evals[:, 0] <= _SPD_EIG_RATIO * evals[:, -1])
+        if bad.size:
+            i = bad[0]
+            raise ContractError(f"component {i} covariance is not positive definite (eigenvalues {evals[i]})")
+
         # own all arrays before freezing them, so callers' arrays stay writable
         w = w.copy()
         mu = mu.copy()
-        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-
-        evals, evecs = np.linalg.eigh(cov)
-        for i in range(k):
-            lo, hi = float(evals[i, 0]), float(evals[i, -1])
-            if hi <= 0.0 or lo <= _SPD_EIG_RATIO * hi:
-                raise ContractError(
-                    f"component {i} covariance is not positive definite "
-                    f"(eigenvalues in [{lo:.3e}, {hi:.3e}])"
-                )
-
         for arr in (w, mu, cov, evals, evecs):
             arr.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -118,7 +128,7 @@ class GaussianMixture:
         object.__setattr__(self, "_evals", evals)
         object.__setattr__(self, "_evecs", evecs)
         # log of the Gaussian normalization constant per component
-        log_norm = -0.5 * (m * _LOG_2PI + np.log(evals).sum(axis=1))
+        log_norm = -0.5 * (mu.shape[1] * _LOG_2PI + np.log(evals).sum(axis=1))
         log_norm.flags.writeable = False
         object.__setattr__(self, "_log_norm", log_norm)
 
@@ -251,6 +261,13 @@ class ParticleEnsemble:
         return cls(np.array(rows, dtype=float), seed)
 
 
+def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and unbiased sample covariance of (n, m) points; zero covariance if n = 1."""
+    n, m = points.shape
+    cov = np.atleast_2d(np.cov(points.T, ddof=1)) if n >= 2 else np.zeros((m, m))
+    return points.mean(axis=0), cov
+
+
 # -- single-Gaussian spectral core ----------------------------------------------
 
 
@@ -287,15 +304,7 @@ class _SpectralGaussian:
         """Decompose a finite, symmetric, positive-definite covariance (mean defaults to 0)."""
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         mean = np.zeros(cov.shape[0]) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
-        m = mean.shape[0]
-        if cov.shape != (m, m):
-            raise ContractError(f"covariance shape {cov.shape} does not match mean dimension {m}")
-        if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
-            raise ContractError("mean and covariance must be finite")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL * scale:
-            raise ContractError("covariance must be symmetric")
-        evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        _, evals, evecs = _decomposed(mean, cov, "Gaussian")
         if float(evals[0]) <= 0.0:
             raise ContractError("covariance must be positive definite")
         mean = mean.copy()
@@ -329,6 +338,13 @@ class _SpectralGaussian:
             return self
         lam = self.evals
         return _SpectralGaussian(self.mean, lam**3 / (lam + t) ** 2, self.evecs)
+
+    def composed(self, taus: Iterable[float]) -> Iterator[tuple[float, "_SpectralGaussian"]]:
+        """``(cumulative time, pushforward)`` after each layer of a composed one-shot flow."""
+        g, t = self, 0.0
+        for tau in taus:
+            g, t = g.one_shot(tau), t + tau
+            yield t, g
 
     def continuous(self, t: float) -> "_SpectralGaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
@@ -394,25 +410,22 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ContractError("points must be a vector or an (n, m) array")
 
 
-def _component_terms(mix: GaussianMixture, pts: np.ndarray):
-    """Per-component log densities (with log weights) and whitened offsets.
+def _component_terms(mix: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component log densities (with log weights) and offsets, all components at once.
 
-    Returns ``(logs, whitened)`` where ``logs[n, i]`` is
-    ``log w_i + log N(x_n; mu_i, S_i)`` and ``whitened[i]`` holds the
-    spectral-basis offsets used to reconstruct solves ``S_i^{-1}(x - mu_i)``.
+    Returns ``(logs, y)``: ``logs[n, i]`` is ``log w_i + log N(x_n; mu_i, S_i)``
+    and ``y[i, n]`` is ``x_n - mu_i`` in the cached eigenbasis of ``S_i``.
     """
-    n = pts.shape[0]
-    k = mix.k
-    logs = np.empty((n, k))
-    whitened = []
-    logw = np.log(mix.weights)
-    for i in range(k):
-        d = pts - mix.means[i]
-        y = d @ mix._evecs[i]  # coordinates in the eigenbasis
-        quad = np.sum(y * y / mix._evals[i], axis=1)
-        logs[:, i] = logw[i] + mix._log_norm[i] - 0.5 * quad
-        whitened.append(y)
-    return logs, whitened
+    y = (pts[np.newaxis] - mix.means[:, np.newaxis]) @ mix._evecs
+    quad = np.sum(y * y / mix._evals[:, np.newaxis], axis=2)
+    logs = (np.log(mix.weights) + mix._log_norm)[:, np.newaxis] - 0.5 * quad
+    return np.ascontiguousarray(logs.T), y
+
+
+def _weighted_pulls(mix: GaussianMixture, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_i weights[:, i] * (-S_i^{-1}(x - mu_i))``, adding the components in order."""
+    pulls = -(y / mix._evals[:, np.newaxis]) @ np.swapaxes(mix._evecs, 1, 2)
+    return np.sum(weights.T[:, :, np.newaxis] * pulls, axis=0)
 
 
 # -- densities and derivatives --------------------------------------------------
@@ -439,26 +452,19 @@ def score(mix: GaussianMixture, x) -> np.ndarray:
     per-component terms ``-S_i^{-1}(x - mu_i)``.
     """
     pts, single = _as_points(x, mix.dim)
-    logs, whitened = _component_terms(mix, pts)
+    logs, y = _component_terms(mix, pts)
     shift = logs.max(axis=1, keepdims=True)
     resp = np.exp(logs - shift)
     resp /= resp.sum(axis=1, keepdims=True)
-    out = np.zeros_like(pts)
-    for i in range(mix.k):
-        pull = -(whitened[i] / mix._evals[i]) @ mix._evecs[i].T
-        out += resp[:, i : i + 1] * pull
+    out = _weighted_pulls(mix, resp, y)
     return out[0] if single else out
 
 
 def density_gradient(mix: GaussianMixture, x) -> np.ndarray:
     """Gradient of the density itself: sum_i w_i N_i(x) (-S_i^{-1}(x - mu_i))."""
     pts, single = _as_points(x, mix.dim)
-    logs, whitened = _component_terms(mix, pts)
-    out = np.zeros_like(pts)
-    for i in range(mix.k):
-        vals = np.exp(logs[:, i])
-        pull = -(whitened[i] / mix._evals[i]) @ mix._evecs[i].T
-        out += vals[:, np.newaxis] * pull
+    logs, y = _component_terms(mix, pts)
+    out = _weighted_pulls(mix, np.exp(logs), y)
     return out[0] if single else out
 
 
@@ -469,12 +475,10 @@ def laplacian_density(mix: GaussianMixture, x) -> float | np.ndarray:
     ``lap N = N * (|S^{-1}(x - mu)|^2 - tr S^{-1})``.
     """
     pts, single = _as_points(x, mix.dim)
-    logs, whitened = _component_terms(mix, pts)
-    out = np.zeros(pts.shape[0])
-    for i in range(mix.k):
-        vals = np.exp(logs[:, i])
-        solve_sq = np.sum((whitened[i] / mix._evals[i]) ** 2, axis=1)
-        out += vals * (solve_sq - float(np.sum(1.0 / mix._evals[i])))
+    logs, y = _component_terms(mix, pts)
+    solve_sq = np.sum((y / mix._evals[:, np.newaxis]) ** 2, axis=2)
+    traces = np.sum(1.0 / mix._evals, axis=1)[:, np.newaxis]
+    out = np.sum(np.exp(logs).T * (solve_sq - traces), axis=0)
     return float(out[0]) if single else out
 
 
@@ -488,9 +492,7 @@ def smooth(mix: GaussianMixture, t: float) -> GaussianMixture:
     untouched.  ``t = 0`` returns the mixture unchanged.
     """
     t = _checked_time(t, "noise variance")
-    if t == 0.0:
-        return mix
-    return GaussianMixture(mix.weights, mix.means, mix.covs + t * np.eye(mix.dim))
+    return mix if t == 0.0 else convolve(mix, t * np.eye(mix.dim))
 
 
 def convolve(mix: GaussianMixture, cov) -> GaussianMixture:
@@ -577,8 +579,8 @@ def stein_residual(t: float, eps) -> np.ndarray:
     residual is zero up to rounding.
     """
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"noise variance must be strictly positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"noise variance must be finite and strictly positive, got {t}")
     arr = np.asarray(eps, dtype=float)
     dim = 1 if arr.ndim == 0 else arr.shape[-1]
     noise = GaussianMixture.single(np.zeros(dim), t * np.eye(dim))
@@ -601,7 +603,7 @@ def silverman_covariance(points: np.ndarray, factor: float = 1.0) -> np.ndarray:
     n, m = pts.shape
     if n < 2:
         raise ContractError("bandwidth selection needs at least two points")
-    cov = np.atleast_2d(np.cov(pts.T, ddof=1))
+    cov = _moments(pts)[1]
     beta = (4.0 / (m + 2.0)) ** (2.0 / (m + 4.0)) * n ** (-2.0 / (m + 4.0))
     return (factor * factor) * beta * cov
 

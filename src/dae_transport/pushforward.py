@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .measures import ParticleEnsemble, _checked_time, _SpectralGaussian
+from .measures import ParticleEnsemble, _checked_time, _decomposed, _moments, _SpectralGaussian
 
 SOURCE_CONTINUOUS = "continuous"
 SOURCE_ONE_SHOT = "one_shot"
@@ -29,9 +29,9 @@ _DIAG_TOL = 1e-9  # off-diagonal tolerance for the abstract chart
 class GaussianPushforward:
     """A transported Gaussian: mean, covariance, source map, and time.
 
-    The covariance may touch rank deficiency (zero eigenvalue) exactly at the
-    singular time of the continuous flow; eigenvalues below ``-1e-12`` are
-    rejected.
+    Mean and covariance must be finite.  The covariance may touch rank
+    deficiency (zero eigenvalue) exactly at the singular time of the continuous
+    flow; eigenvalues below ``-1e-12`` are rejected.
     """
 
     mean: np.ndarray
@@ -42,25 +42,29 @@ class GaussianPushforward:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        m = mean.shape[0]
-        if cov.shape != (m, m):
-            raise ContractError(f"covariance shape {cov.shape} does not match mean dimension {m}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
-            raise ContractError("pushforward covariance must be symmetric")
+        self._freeze(mean, cov, _decomposed(mean, cov, "pushforward")[1])
+
+    @classmethod
+    def _pushed(cls, g: _SpectralGaussian, cov: np.ndarray, source: str, t: float) -> "GaussianPushforward":
+        """Wrap the pushed Gaussian ``g``, stored with covariance ``cov``, without decomposing it again."""
+        pf = object.__new__(cls)
+        object.__setattr__(pf, "source", source)
+        object.__setattr__(pf, "t", t)
+        pf._freeze(g.mean, cov, g.evals)
+        return pf
+
+    def _freeze(self, mean: np.ndarray, cov: np.ndarray, evals: np.ndarray) -> None:
+        """Check the source, time and eigenvalue floor, then store read-only copies."""
         if self.source not in (SOURCE_CONTINUOUS, SOURCE_ONE_SHOT):
             raise ContractError(f"unknown pushforward source {self.source!r}")
-        evals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-        if float(evals[0]) < _EIG_FLOOR * scale:
+        if float(evals[0]) < _EIG_FLOOR * max(1.0, float(np.max(np.abs(cov)))):
             raise ContractError(
                 f"pushforward covariance has eigenvalue {float(evals[0]):.3e} below the singular floor"
             )
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        mean, cov, evals = mean.copy(), cov.copy(), evals.copy()
+        for name, arr in (("mean", mean), ("covariance", cov), ("_evals", evals)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "t", _checked_time(self.t, "pushforward time"))
 
     @property
@@ -69,7 +73,7 @@ class GaussianPushforward:
 
     def eigenvalues(self) -> np.ndarray:
         """Covariance eigenvalues, ascending, with boundary round-off clipped to 0."""
-        return np.clip(np.linalg.eigvalsh(self.covariance), 0.0, None)
+        return np.clip(self._evals, 0.0, None)
 
     def __repr__(self) -> str:
         return f"GaussianPushforward(source={self.source!r}, t={self.t}, dim={self.dim})"
@@ -96,6 +100,19 @@ class AbstractPoint:
         return self.sigma.shape[0]
 
 
+def _push(mean, cov, t: float, source: str) -> GaussianPushforward:
+    """Decompose N(mean, cov) once and map its eigenvalues to time ``t``; t = 0 keeps ``cov``."""
+    t = _checked_time(t)
+    g = _SpectralGaussian.from_cov(cov, mean)
+    if source == SOURCE_CONTINUOUS:
+        g.check_horizon(t, "continuous pushforward", closed=True)
+        h = g.continuous(t)
+    else:
+        h = g.one_shot(t)
+    new_cov = h.cov if t > 0.0 else np.atleast_2d(np.asarray(cov, dtype=float))
+    return GaussianPushforward._pushed(h, new_cov, source, t)
+
+
 def push_continuous(mean, cov, t: float) -> GaussianPushforward:
     """Pushforward of N(mean, cov) under the continuous flow: covariance ``cov - 2 t I``.
 
@@ -103,18 +120,12 @@ def push_continuous(mean, cov, t: float) -> GaussianPushforward:
     eigenvalue, while any later time raises :class:`SingularityError` carrying
     the critical time.
     """
-    t = _checked_time(t)
-    g = _SpectralGaussian.from_cov(cov, mean)
-    g.check_horizon(t, "continuous pushforward", closed=True)
-    new_cov = g.continuous(t).cov if t > 0.0 else np.atleast_2d(np.asarray(cov, dtype=float))
-    return GaussianPushforward(g.mean, new_cov, SOURCE_CONTINUOUS, t)
+    return _push(mean, cov, t, SOURCE_CONTINUOUS)
 
 
 def one_shot_covariance(cov, t: float) -> np.ndarray:
     """Covariance of N(mean, cov) pushed through the one-shot map: ``cov (I + t cov^{-1})^{-2}``."""
-    t = _checked_time(t)
-    g = _SpectralGaussian.from_cov(cov)
-    return g.one_shot(t).cov if t > 0.0 else np.array(cov, dtype=float, ndmin=2)
+    return _push(None, cov, t, SOURCE_ONE_SHOT).covariance
 
 
 def push_one_shot(mean, cov, t: float) -> GaussianPushforward:
@@ -122,18 +133,22 @@ def push_one_shot(mean, cov, t: float) -> GaussianPushforward:
 
     The covariance contracts but stays positive definite for every finite t.
     """
-    return GaussianPushforward(
-        np.asarray(mean, dtype=float), one_shot_covariance(cov, t), SOURCE_ONE_SHOT, float(t)
-    )
+    return _push(mean, cov, t, SOURCE_ONE_SHOT)
 
 
 def empirical_moments(ens: ParticleEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and unbiased sample covariance of an ensemble (n >= 2)."""
     if ens.n < 2:
         raise ContractError(f"empirical moments need at least two points, got {ens.n}")
-    mean = ens.points.mean(axis=0)
-    cov = np.atleast_2d(np.cov(ens.points.T, ddof=1))
-    return mean, cov
+    return _moments(ens.points)
+
+
+def _chart_sigma(cov: np.ndarray) -> np.ndarray:
+    """Standard deviations ``sqrt(cov_ii)`` of a covariance within 1e-9 of diagonal."""
+    off = np.max(np.abs(cov - np.diag(np.diag(cov))))
+    if off > _DIAG_TOL:
+        raise DomainError(f"abstract coordinates need a diagonal covariance (max off-diagonal {off:.3e})")
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
 def abstract_coordinates(pf: GaussianPushforward) -> AbstractPoint:
@@ -142,17 +157,12 @@ def abstract_coordinates(pf: GaussianPushforward) -> AbstractPoint:
     Defined only for (numerically) diagonal covariances; anything else raises
     a :class:`DomainError` because the chart does not cover it.
     """
-    cov = pf.covariance
-    off = cov - np.diag(np.diag(cov))
-    if np.max(np.abs(off)) > _DIAG_TOL:
-        raise DomainError(
-            f"abstract coordinates need a diagonal covariance (max off-diagonal {np.max(np.abs(off)):.3e})"
-        )
-    return AbstractPoint(np.sqrt(np.clip(np.diag(cov), 0.0, None)))
+    return AbstractPoint(_chart_sigma(pf.covariance))
 
 
 def w2_distance(a: AbstractPoint, b: AbstractPoint) -> float:
     """Quadratic Wasserstein distance between diagonal Gaussians: Euclidean in sigma."""
     if a.dim != b.dim:
         raise ContractError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.linalg.norm(a.sigma - b.sigma))
+    d = a.sigma - b.sigma
+    return float(np.sqrt(d.dot(d)))

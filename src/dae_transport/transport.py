@@ -39,6 +39,7 @@ from .measures import (
     ParticleEnsemble,
     _as_points,
     _checked_time,
+    _moments,
     _SpectralGaussian,
     kde_log_density,
     score,
@@ -318,35 +319,27 @@ class Trajectory:
 # -- diagnostics helpers -------------------------------------------------------------
 
 
-def _moments_or_degenerate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, m = points.shape
-    if n >= 2:
-        return points.mean(axis=0), np.atleast_2d(np.cov(points.T, ddof=1))
-    return points.mean(axis=0), np.zeros((m, m))
+def _layer_diagnostics(
+    points: np.ndarray, g: _SpectralGaussian | None, seed: int, layer: int
+) -> FlowDiagnostics:
+    """Entropies of the layer's measure plus the particles' moments.
 
-
-def _analytic_diagnostics(points: np.ndarray, g: _SpectralGaussian) -> FlowDiagnostics:
-    emp_mean, emp_cov = _moments_or_degenerate(points)
-    return FlowDiagnostics(Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0), emp_mean, emp_cov)
-
-
-def _kde_diagnostics(points: np.ndarray, seed: int, layer: int) -> FlowDiagnostics:
-    rng = substream(seed, 100 + layer)
-    n = points.shape[0]
-    data = points
-    if n > _KDE_DATA_CAP:
-        data = points[rng.choice(n, _KDE_DATA_CAP, replace=False)]
-    evals = points
-    if n > _KDE_EVAL_CAP:
-        evals = points[rng.choice(n, _KDE_EVAL_CAP, replace=False)]
-    bw = silverman_covariance(data)
-    lp = kde_log_density(data, bw, evals)
-    ne = evals.shape[0]
-    dens = np.exp(lp)
-    ent = Estimate(float(-np.mean(lp)), float(np.std(lp, ddof=1) / math.sqrt(ne)))
-    ren = Estimate(float(np.mean(dens) - 1.0), float(np.std(dens, ddof=1) / math.sqrt(ne)))
-    emp_mean, emp_cov = _moments_or_degenerate(points)
-    return FlowDiagnostics(ent, ren, emp_mean, emp_cov)
+    Closed form when the layer's Gaussian ``g`` is known; otherwise seeded
+    kernel density estimates on capped subsamples of the particles.
+    """
+    if g is not None:
+        ent, ren = Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0)
+    else:
+        rng = substream(seed, 100 + layer)
+        n = points.shape[0]
+        data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
+                        for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
+        lp = kde_log_density(data, silverman_covariance(data), probes)
+        dens = np.exp(lp)
+        root_n = math.sqrt(probes.shape[0])
+        ent = Estimate(float(-np.mean(lp)), float(np.std(lp, ddof=1) / root_n))
+        ren = Estimate(float(np.mean(dens) - 1.0), float(np.std(dens, ddof=1) / root_n))
+    return FlowDiagnostics(ent, ren, *_moments(points))
 
 
 # -- flows -------------------------------------------------------------------------
@@ -356,7 +349,7 @@ def compose(
     mix0: GaussianMixture,
     schedule: FlowSchedule,
     ensemble: ParticleEnsemble,
-    retrain: str = "analytic",
+    retrain: str | None = None,
     cov_floor: float = 0.0,
 ) -> Trajectory:
     """Compose per-layer denoising maps, retraining each layer on the current measure.
@@ -368,7 +361,8 @@ def compose(
     points.  ``retrain='empirical'`` rebuilds an
     :class:`EmpiricalKernel` map from the current particles with bandwidth
     equal to the layer's own noise variance, matching the map's smoothing
-    scale.
+    scale.  The default is analytic for a single Gaussian and empirical
+    otherwise.
 
     A finite composition contracts the measure but never loses rank, so by
     default there is no singular time; callers that approximate the continuous
@@ -376,6 +370,8 @@ def compose(
     (with the trajectory built so far in ``partial``) if the propagated
     covariance drops below it.
     """
+    if retrain is None:
+        retrain = "analytic" if mix0.k == 1 else "empirical"
     if retrain not in ("analytic", "empirical"):
         raise ContractError(f"retrain mode must be 'analytic' or 'empirical', got {retrain!r}")
     if ensemble.dim != mix0.dim:
@@ -387,18 +383,14 @@ def compose(
 
     seed = ensemble.seed
     points = ensemble.points
+    g = _SpectralGaussian.of(mix0) if retrain == "analytic" else None
     times = [0.0]
     states = [ensemble]
-
-    if retrain == "analytic":
-        g = _SpectralGaussian.of(mix0)
-        diags = [_analytic_diagnostics(points, g)]
-    else:
-        diags = [_kde_diagnostics(points, seed, 0)]
+    diags = [_layer_diagnostics(points, g, seed, 0)]
 
     # per analytic layer: the map apply, O(n m^2), and the eigenvalue recursion
     for layer, (tau, t) in enumerate(zip(schedule.taus, schedule.times)):
-        if retrain == "analytic":
+        if g is not None:
             points = g.denoise(points, tau)
             g = g.one_shot(tau)
             if g.evals[0] < cov_floor:
@@ -406,13 +398,11 @@ def compose(
                     f"propagated covariance reached the eigenvalue floor at layer {layer}",
                     partial=Trajectory(tuple(times), tuple(states), tuple(diags)),
                 )
-            diag = _analytic_diagnostics(points, g)
         else:
             points = EmpiricalKernel(ParticleEnsemble(points, seed), tau).apply(points)
-            diag = _kde_diagnostics(points, seed, layer + 1)
         times.append(t)
         states.append(ParticleEnsemble(points, seed))
-        diags.append(diag)
+        diags.append(_layer_diagnostics(points, g, seed, layer + 1))
 
     return Trajectory(tuple(times), tuple(states), tuple(diags))
 
@@ -427,16 +417,15 @@ def continuous_flow(
     """Broken-line approximation of the continuous flow on a uniform schedule.
 
     Delegates to :func:`compose` with ``tau = t_end / steps``, so matching
-    uniform schedules and modes yield bit-identical trajectories.  The retrain
-    mode defaults to analytic for a single Gaussian and empirical otherwise.
-    For a single Gaussian the total time must stay strictly below the
-    singular time (half the smallest covariance eigenvalue).
+    uniform schedules and modes yield bit-identical trajectories; the retrain
+    mode defaults as in :func:`compose`.  For a single Gaussian the total time
+    must stay strictly below the singular time (half the smallest covariance
+    eigenvalue).
     """
     t_end = _checked_time(t_end, "total time", positive=True)
     if mix0.k == 1:
         _SpectralGaussian.of(mix0).check_horizon(t_end, "continuous flow")
-    mode = retrain if retrain is not None else ("analytic" if mix0.k == 1 else "empirical")
-    return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, mode, cov_floor=_COV_FLOOR)
+    return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, retrain, cov_floor=_COV_FLOOR)
 
 
 def one_shot_orbit(
@@ -454,18 +443,11 @@ def one_shot_orbit(
         raise ContractError("ensemble dimension does not match measure dimension")
 
     seed = ensemble.seed
-    out_times = [0.0] + ts
-    states = [ensemble]
     g = _SpectralGaussian.of(mix0) if mix0.k == 1 else None
-
-    def diagnose(pts: np.ndarray, t: float, layer: int) -> FlowDiagnostics:
-        if g is not None:
-            return _analytic_diagnostics(pts, g.one_shot(t))
-        return _kde_diagnostics(pts, seed, layer)
-
-    diags = [diagnose(ensemble.points, 0.0, 0)]
+    states = [ensemble]
+    diags = [_layer_diagnostics(ensemble.points, g, seed, 0)]
     for layer, t in enumerate(ts, start=1):
         pts = MixtureExact(mix0, t).apply(ensemble.points)
         states.append(ParticleEnsemble(pts, seed))
-        diags.append(diagnose(pts, t, layer))
-    return Trajectory(tuple(out_times), tuple(states), tuple(diags))
+        diags.append(_layer_diagnostics(pts, None if g is None else g.one_shot(t), seed, layer))
+    return Trajectory((0.0, *ts), tuple(states), tuple(diags))

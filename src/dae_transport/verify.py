@@ -76,10 +76,12 @@ class ResidualReport:
         name: str,
         grid: np.ndarray | None,
         residuals,
-        tolerance: float,
+        tolerance: float | None,
         seed: int | None = None,
         details: dict | None = None,
     ) -> "ResidualReport":
+        """Report for ``name``; ``tolerance=None`` takes the bound from :data:`TOLERANCES`."""
+        tolerance = TOLERANCES[name] if tolerance is None else float(tolerance)
         res = np.atleast_1d(np.asarray(residuals, dtype=float)).ravel()
         max_abs = float(np.max(np.abs(res))) if res.size else 0.0
         return cls(
@@ -87,8 +89,8 @@ class ResidualReport:
             grid=None if grid is None else np.asarray(grid, dtype=float),
             residuals=res,
             max_abs=max_abs,
-            tolerance=float(tolerance),
-            passed=bool(max_abs <= float(tolerance)),
+            tolerance=tolerance,
+            passed=bool(max_abs <= tolerance),
             seed=seed,
             details=dict(details or {}),
         )
@@ -237,6 +239,25 @@ def check_variational_minimizer(
 # -- continuity equation at t = 0 --------------------------------------------------
 
 
+def _checked_dt(dt: float) -> float:
+    """The time step of a central difference: ``0 < dt <= 1e-3``."""
+    dt = float(dt)
+    if not 0.0 < dt <= 1e-3:
+        raise DomainError(f"dt must lie in (0, 1e-3], got {dt}")
+    return dt
+
+
+def _heat_residual(mix0: GaussianMixture, push, t: float, dt: float, grid: np.ndarray) -> np.ndarray:
+    """Backward-heat residual ``d/dt mu_s + lap mu_s`` at ``s = t`` along Gaussians ``push(s)``.
+
+    Central difference in time (``push`` takes the ``-dt`` the stencil needs at
+    ``t = 0``, where ``push(0)`` is ``mix0``), analytic Laplacian in space.
+    """
+    plus, minus = push(t + dt).as_mixture(), push(t - dt).as_mixture()
+    fd = (density(plus, grid) - density(minus, grid)) / (2.0 * dt)
+    return fd + laplacian_density(push(t).as_mixture() if t > 0.0 else mix0, grid)
+
+
 def check_continuity_t0(
     mix0: GaussianMixture,
     dt: float = _DT,
@@ -256,13 +277,9 @@ def check_continuity_t0(
     convolution), so the comparison is unbiased and limited by Monte Carlo
     noise only.
     """
-    dt = float(dt)
-    if not (0.0 < dt <= 1e-3):
-        raise DomainError(f"dt must lie in (0, 1e-3], got {dt}")
-
+    dt = _checked_dt(dt)
     gaussian_mode = mix0.k == 1
     name = "continuity_t0_gaussian" if gaussian_mode else "continuity_t0_mixture"
-    tol = TOLERANCES[name] if tolerance is None else float(tolerance)
 
     if grid is None:
         grid = (
@@ -276,9 +293,7 @@ def check_continuity_t0(
         g = _SpectralGaussian.of(mix0)
         if dt >= g.critical_time:
             raise DomainError("dt too large: pushforward covariance not positive at t = dt")
-        plus, minus = g.continuous(dt).as_mixture(), g.continuous(-dt).as_mixture()
-        fd = (density(plus, grid) - density(minus, grid)) / (2.0 * dt)
-        target = -laplacian_density(mix0, grid)
+        residuals = _heat_residual(mix0, g.continuous, 0.0, dt, grid)
         details = {"mode": "closed_form", "dt": dt}
     else:
         ens = sample(mix0, n, seed)
@@ -286,8 +301,7 @@ def check_continuity_t0(
         bw = silverman_covariance(ens.points, factor=3.0)
         f_plus = np.exp(kde_log_density(ens.points + dt * velocity, bw, grid))
         f_minus = np.exp(kde_log_density(ens.points - dt * velocity, bw, grid))
-        fd = (f_plus - f_minus) / (2.0 * dt)
-        target = -laplacian_density(convolve(mix0, bw), grid)
+        residuals = (f_plus - f_minus) / (2.0 * dt) + laplacian_density(convolve(mix0, bw), grid)
         details = {
             "mode": "particle_kde",
             "dt": dt,
@@ -296,7 +310,7 @@ def check_continuity_t0(
             "bandwidth_rule": "silverman x 3 (derivative smoothing)",
         }
 
-    return ResidualReport.build(name, grid, fd - target, tol, seed=seed, details=details)
+    return ResidualReport.build(name, grid, residuals, tolerance, seed=seed, details=details)
 
 
 # -- backward heat equation ---------------------------------------------------------
@@ -322,9 +336,7 @@ def check_backward_heat(
         raise ContractError("backward-heat check needs a single-Gaussian measure")
     if source not in ("continuous", "one_shot"):
         raise ContractError(f"source must be 'continuous' or 'one_shot', got {source!r}")
-    name = "backward_heat" if source == "continuous" else "backward_heat_one_shot_negative_control"
-    tol = TOLERANCES[name] if tolerance is None else float(tolerance)
-
+    dt = _checked_dt(dt)
     if grid is None:
         grid = probe_lattice(3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
     grid = np.asarray(grid, dtype=float)
@@ -338,17 +350,13 @@ def check_backward_heat(
     for t in (_checked_time(v, "t_grid time") for v in t_grid):
         if source == "continuous":
             g.check_horizon(t + dt, "continuous pushforward on the t_grid stencil")
-        plus = push(t + dt).as_mixture()
-        minus = push(t - dt).as_mixture()
-        current = push(t).as_mixture() if t > 0.0 else mix0
-        fd = (density(plus, grid) - density(minus, grid)) / (2.0 * dt)
-        residuals.append(fd + laplacian_density(current, grid))
+        residuals.append(_heat_residual(mix0, push, t, dt, grid))
 
     return ResidualReport.build(
-        name,
+        "backward_heat" if source == "continuous" else "backward_heat_one_shot_negative_control",
         grid,
         np.concatenate(residuals),
-        tol,
+        tolerance,
         details={"t_grid": [float(v) for v in t_grid], "dt": dt, "source": source},
     )
 
@@ -371,7 +379,6 @@ def check_time_reversal(
     Gaussian and the re-smoothed pushforward on seeded probe points.
     """
     t = float(t)
-    tol = TOLERANCES["time_reversal"] if tolerance is None else float(tolerance)
     pf = push_continuous(mean, cov, t)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     recovered_cov = pf.covariance + 2.0 * t * np.eye(cov.shape[0])
@@ -389,7 +396,7 @@ def check_time_reversal(
         "time_reversal",
         probes,
         np.concatenate(residuals),
-        tol,
+        tolerance,
         seed=seed,
         details={"t": t, "density_checked": density_checked},
     )
@@ -410,7 +417,6 @@ def check_entropy_monotone(
     """
     if len(traj.times) < 3:
         raise ContractError("entropy monotonicity needs at least 3 recorded times")
-    tol = TOLERANCES["entropy_monotone"] if tolerance is None else float(tolerance)
     ents = [d.entropy for d in traj.diagnostics]
     if strict is None:
         strict = all(e.stderr == 0.0 for e in ents)
@@ -431,7 +437,7 @@ def check_entropy_monotone(
         "entropy_monotone",
         None,
         violations,
-        tol,
+        tolerance,
         details={
             "strict": bool(strict),
             "entropies": [e.value for e in ents],
@@ -449,7 +455,6 @@ def check_stein_identity(
     n_pairs: int = 100, seed: int = 0, tolerance: float | None = None
 ) -> ResidualReport:
     """Residual of the Gaussian identity over seeded (t, eps) pairs in dims 1..3."""
-    tol = TOLERANCES["stein_identity"] if tolerance is None else float(tolerance)
     rng = substream(seed, 4)
     residuals = []
     for i in range(int(n_pairs)):
@@ -458,7 +463,7 @@ def check_stein_identity(
         eps = rng.standard_normal(dim) * math.sqrt(2.0)
         residuals.append(float(np.max(np.abs(stein_residual(t, eps)))))
     return ResidualReport.build(
-        "stein_identity", None, residuals, tol, seed=seed, details={"n_pairs": int(n_pairs)}
+        "stein_identity", None, residuals, tolerance, seed=seed, details={"n_pairs": int(n_pairs)}
     )
 
 
@@ -481,7 +486,9 @@ def check_renyi_gradient_identity(
     alpha = float(alpha)
     if alpha <= 0.0 or alpha == 1.0:
         raise DomainError(f"alpha must be positive and != 1, got {alpha}")
-    tol = TOLERANCES["renyi_gradient_identity"] if tolerance is None else float(tolerance)
+    dx = float(dx)
+    if not 0.0 < dx < math.inf:
+        raise DomainError(f"dx must be finite and positive, got {dx}")
     if grid is None:
         grid = probe_lattice(3.0, 9 if mix0.dim > 1 else 25, mix0.dim)
     grid = np.asarray(grid, dtype=float)
@@ -505,7 +512,7 @@ def check_renyi_gradient_identity(
     )
 
     return ResidualReport.build(
-        "renyi_gradient_identity", grid, div - analytic, tol, details={"alpha": alpha, "dx": dx}
+        "renyi_gradient_identity", grid, div - analytic, tolerance, details={"alpha": alpha, "dx": dx}
     )
 
 
@@ -518,11 +525,7 @@ EXPECTED_FAILURES = ("backward_heat_one_shot_negative_control",)
 
 def default_checks(seed: int = 0, tolerances: dict | None = None) -> list[ResidualReport]:
     """Run the full default verification suite and return all reports in order."""
-    tolerances = dict(tolerances or {})
-
-    def tol(name: str) -> float | None:
-        return tolerances.get(name)
-
+    tol = (tolerances or {}).get
     std1 = GaussianMixture.standard(1)
     aniso2 = GaussianMixture.single([0.0, 0.0], np.diag([2.0, 1.0]))
     mix2 = GaussianMixture.from_components(

@@ -165,6 +165,9 @@ def test_trajectory_singular_horizon_exits_3_with_partial_output(tmp_path, capsy
     assert "singularity" in capsys.readouterr().err
     rows = read_csv_rows(out / "run_continuous.csv")
     assert len(rows) > 1  # partial (initial state) still written
+    # the initial state is a known Gaussian, so its diagnostics are closed form
+    (record,) = json.loads((out / "run_continuous_diagnostics.json").read_text())["records"]
+    assert math.isfinite(record["renyi2"]) and record["renyi2_stderr"] == 0.0
 
 
 def test_trajectory_multi_panel(tmp_path):

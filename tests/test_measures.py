@@ -189,6 +189,28 @@ def test_density_gradient_consistent_with_score():
     np.testing.assert_allclose(density_gradient(mix, pts), dens * score(mix, pts), rtol=1e-10)
 
 
+def test_component_pass_matches_per_component_closed_forms():
+    # three correlated 3-D components, summed one at a time with SciPy densities
+    rng = np.random.default_rng(17)
+    roots = rng.normal(size=(3, 3, 3))
+    covs = roots @ np.swapaxes(roots, 1, 2) + 0.2 * np.eye(3)
+    mix = GaussianMixture([0.2, 0.5, 0.3], rng.normal(size=(3, 3)), 0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    pts = rng.normal(size=(40, 3)) * 1.5
+    dens = np.zeros(40)
+    grad = np.zeros((40, 3))
+    lap = np.zeros(40)
+    for w, m, c in mix.components:
+        n_i = w * multivariate_normal.pdf(pts, mean=m, cov=c)
+        solve = np.linalg.solve(c, (pts - m).T).T
+        dens += n_i
+        grad -= n_i[:, None] * solve
+        lap += n_i * (np.sum(solve**2, axis=1) - np.trace(np.linalg.inv(c)))
+    np.testing.assert_allclose(density(mix, pts), dens, rtol=1e-11)
+    np.testing.assert_allclose(density_gradient(mix, pts), grad, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(score(mix, pts), grad / dens[:, None], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(laplacian_density(mix, pts), lap, rtol=1e-9, atol=1e-14)
+
+
 # -- smoothing -------------------------------------------------------------------------
 
 
@@ -384,8 +406,9 @@ def test_stein_residual_property_100_draws():
 
 
 def test_stein_rejects_zero_variance():
-    with pytest.raises(DomainError):
-        stein_residual(0.0, [1.0])
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="noise variance"):
+            stein_residual(t, [1.0])
 
 
 # -- kernel density helpers ----------------------------------------------------

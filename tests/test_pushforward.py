@@ -205,3 +205,32 @@ def test_smoothing_reverses_continuous_push_exactly():
 def test_pushforward_invariants_reject_negative_eigenvalues():
     with pytest.raises(ContractError):
         GaussianPushforward(ZERO2, np.diag([1.0, -0.5]), "continuous", 0.1)
+
+
+@pytest.mark.parametrize(
+    "mean, cov",
+    [([0.0], [[math.nan]]), ([0.0], [[math.inf]]), ([math.nan], [[1.0]])],
+    ids=["nan_cov", "inf_cov", "nan_mean"],
+)
+def test_pushforward_rejects_nonfinite_mean_and_covariance(mean, cov):
+    with pytest.raises(ContractError):
+        GaussianPushforward(mean, cov, "continuous", 0.1)
+
+
+def test_push_decomposes_once_and_eigenvalues_reuse_it(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "slogdet"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for push in (push_continuous, push_one_shot):
+        del calls[:]
+        pf = push(ZERO2, ANISO, 0.25)
+        assert len(calls) == 1, push.__name__
+        pf.eigenvalues()
+        assert len(calls) == 1, push.__name__
+

@@ -266,6 +266,17 @@ def test_compose_analytic_requires_single_gaussian():
         compose(mix, FlowSchedule((0.1,)), ens, "analytic")
 
 
+def test_compose_defaults_to_empirical_for_mixtures():
+    mix = GaussianMixture.from_components([(0.5, [-1.5], [[0.5]]), (0.5, [1.5], [[0.5]])])
+    ens = sample(mix, 200, 5)
+    schedule = FlowSchedule.uniform(0.2, 3)
+    default = compose(mix, schedule, ens)
+    explicit = compose(mix, schedule, ens, retrain="empirical")
+    for a, b in zip(default.states, explicit.states):
+        np.testing.assert_array_equal(a.points, b.points)
+    assert default.diagnostics_json() == explicit.diagnostics_json()
+
+
 def test_compose_empirical_mode_runs_and_contracts():
     mix = GaussianMixture.from_components([(0.5, [-1.5], [[0.5]]), (0.5, [1.5], [[0.5]])])
     ens = sample(mix, 400, 21)

@@ -142,6 +142,12 @@ def test_backward_heat_rejects_times_past_singularity():
         check_backward_heat(ANISO, (0.0, 0.5))
 
 
+@pytest.mark.parametrize("dt", [math.nan, 0.0, -1e-4])
+def test_backward_heat_rejects_bad_time_step(dt):
+    with pytest.raises(DomainError):
+        check_backward_heat(ANISO, (0.1,), dt=dt)
+
+
 def test_backward_heat_needs_single_gaussian():
     with pytest.raises(ContractError):
         check_backward_heat(MIX2, (0.1,))
@@ -234,6 +240,12 @@ def test_stein_identity_check():
 def test_renyi_gradient_identity_single_gaussian():
     rep = check_renyi_gradient_identity(ANISO)
     assert rep.passed and rep.max_abs < 1e-4
+
+
+@pytest.mark.parametrize("dx", [math.nan, 0.0, -1e-3])
+def test_renyi_gradient_identity_rejects_bad_space_step(dx):
+    with pytest.raises(DomainError):
+        check_renyi_gradient_identity(ANISO, dx=dx)
 
 
 def test_renyi_gradient_identity_rejects_alpha_one():

@@ -9,8 +9,9 @@ Three subcommands, one JSON config format::
 Exit codes: 0 success, 1 config error, 2 check failure, 3 runtime
 singularity (with partial output), 4 internal check crash.
 
-Outputs are deterministic given (config, seed): no timestamps, fixed float
-formatting, sorted JSON keys.
+Outputs are deterministic given (config, seed): no timestamps, and every
+file goes through the one writer in :mod:`dae_transport.svg` (shortest
+round-trip floats, sorted JSON keys, ``\n`` line endings).
 """
 
 from __future__ import annotations
@@ -27,15 +28,8 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularityError
 from .measures import GaussianMixture, ParticleEnsemble, _SpectralGaussian, density, sample
 from .pushforward import _chart_sigma
-from .svg import ChartFrame, SvgCanvas
-from .transport import (
-    FlowSchedule,
-    Trajectory,
-    _layer_diagnostics,
-    compose,
-    continuous_flow,
-    one_shot_orbit,
-)
+from .svg import ChartFrame, SvgCanvas, write_csv, write_json
+from .transport import _RETRAIN_MODES, FlowSchedule, Trajectory, compose, continuous_flow, one_shot_orbit
 from .verify import EXPECTED_FAILURES, default_checks, probe_lattice
 
 EXIT_OK = 0
@@ -184,35 +178,23 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         if fmt not in _FORMATS:
             raise ConfigError(f"unknown output format {fmt!r}", _key_line(raw, "formats"))
 
-    panels: list[Panel] = []
+    # a root mode/schedule/retrain is the one-panel case of "panels", named after its mode
     if "panels" in doc:
         panel_docs = _field(raw, doc, "panels", [dict])
         if not panel_docs:
             raise ConfigError("panels must be a nonempty list", _key_line(raw, "panels"))
-        for i, p in enumerate(panel_docs):
-            mode = p.get("mode")
-            if mode not in _MODES:
-                raise ConfigError(f"panel {i}: unknown mode {mode!r}", _key_line(raw, "panels"))
-            panels.append(
-                Panel(
-                    name=str(p.get("name", f"panel{i}")),
-                    mode=mode,
-                    schedule=_validate_schedule(p.get("schedule", {}), mode, raw),
-                    retrain=p.get("retrain"),
-                )
-            )
-    elif "mode" in doc:
-        mode = doc["mode"]
+    else:
+        panel_docs = [{**doc, "name": str(doc["mode"])}] if "mode" in doc else []
+    panels = []
+    for i, p in enumerate(panel_docs):
+        name, mode, retrain = str(p.get("name", f"panel{i}")), p.get("mode"), p.get("retrain")
         if mode not in _MODES:
-            raise ConfigError(f"unknown mode {mode!r}", _key_line(raw, "mode"))
-        panels.append(
-            Panel(
-                name=str(mode),
-                mode=mode,
-                schedule=_validate_schedule(doc.get("schedule", {}), mode, raw),
-                retrain=doc.get("retrain"),
-            )
-        )
+            line = _key_line(raw, "mode" if "mode" in p else "panels")
+            raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", line)
+        if retrain is not None and retrain not in _RETRAIN_MODES:
+            message = f"panel {name!r}: retrain must be one of {_RETRAIN_MODES}, got {retrain!r}"
+            raise ConfigError(message, _key_line(raw, "retrain"))
+        panels.append(Panel(name, mode, _validate_schedule(p.get("schedule", {}), mode, raw), retrain))
 
     tolerances = _field(raw, doc, "tolerances", dict, {})
     tolerances = {key: _field(raw, tolerances, key, float) for key in tolerances}
@@ -243,12 +225,6 @@ def _start_points(cfg: RunConfig) -> tuple[np.ndarray, int]:
     return np.vstack([grid, samples]), grid.shape[0]
 
 
-def _initial_trajectory(mix: GaussianMixture, ens: ParticleEnsemble) -> Trajectory:
-    """Single-state trajectory used when a run is singular from the start."""
-    g = _SpectralGaussian.of(mix) if mix.k == 1 else None
-    return Trajectory((0.0,), (ens,), (_layer_diagnostics(ens.points, g, ens.seed, 0),))
-
-
 def _run_panel(cfg: RunConfig, panel: Panel, ens: ParticleEnsemble) -> tuple[Trajectory, bool]:
     """Returns (trajectory, hit_singularity)."""
     mix = cfg.mixture
@@ -262,14 +238,14 @@ def _run_panel(cfg: RunConfig, panel: Panel, ens: ParticleEnsemble) -> tuple[Tra
             False,
         )
     except SingularityError as exc:
-        partial = exc.partial if exc.partial is not None else _initial_trajectory(mix, ens)
+        if exc.partial is None:
+            raise
         print(f"warning: panel {panel.name!r} hit a singularity: {exc}", file=sys.stderr)
-        return partial, True
+        return exc.partial, True
 
 
-def _interp_state(traj: Trajectory, t: float) -> np.ndarray:
-    times = np.asarray(traj.times)
-    stack = np.stack([s.points for s in traj.states])
+def _interp_state(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
+    """Positions at time ``t``, linear between the recorded ``(T, n, m)`` states."""
     j = int(np.searchsorted(times, t, side="right"))
     if j <= 0:
         return stack[0]
@@ -285,6 +261,7 @@ def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) ->
     frame = ChartFrame(canvas, (-lim, lim), (-lim, lim), title=title)
     ticks = [-extent, -extent / 2, 0.0, extent / 2, extent]
     frame.draw_axes(ticks, ticks)
+    times = np.asarray(traj.times)
     stack = np.stack([s.points for s in traj.states])  # (T, n, 2)
     for pid in range(stack.shape[1]):
         xs, ys = stack[:, pid, 0], stack[:, pid, 1]
@@ -296,7 +273,7 @@ def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) ->
     # midpoints every 0.2 time units along the orbit
     t_mark = 0.2
     while t_mark < traj.times[-1] + 1e-12:
-        pts = _interp_state(traj, t_mark)
+        pts = _interp_state(times, stack, t_mark)
         for pid in range(pts.shape[0]):
             fill = "#666666" if pid < n_grid else "#222222"
             frame.point(pts[pid, 0], pts[pid, 1], r=1.4, fill=fill, opacity=0.8)
@@ -325,9 +302,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
             doc = traj.diagnostics_json()
             doc["particles"] = {"grid": n_grid, "samples": cfg.n}
             doc["panel"] = {"name": panel.name, "mode": panel.mode}
-            (cfg.out_dir / f"{prefix}_diagnostics.json").write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
+            write_json(cfg.out_dir / f"{prefix}_diagnostics.json", doc)
         if "svg" in cfg.formats and traj.dim == 2:
             _trajectory_svg(traj, n_grid, cfg.grid_extent, panel.name).write(
                 cfg.out_dir / f"{prefix}.svg"
@@ -429,12 +404,8 @@ def cmd_pushforward(cfg: RunConfig) -> int:
         if singular:
             status = EXIT_SINGULAR
         if "csv" in cfg.formats:
-            path = cfg.out_dir / f"{cfg.name}_densities.csv"
-            with path.open("w", newline="") as fh:
-                fh.write("time,x,density\n")
-                for t, dens in curves:
-                    for x, d in zip(xs, dens):
-                        fh.write(f"{t!r},{float(x)!r},{float(d)!r}\n")
+            rows = ((t, x, d) for t, dens in curves for x, d in zip(xs.tolist(), dens.tolist()))
+            write_csv(cfg.out_dir / f"{cfg.name}_densities.csv", ["time", "x", "density"], rows)
         if "svg" in cfg.formats:
             _density_svg(cfg, xs, curves).write(cfg.out_dir / f"{cfg.name}_densities.svg")
         print(f"pushforward densities: {len(curves)} curves")
@@ -443,11 +414,8 @@ def cmd_pushforward(cfg: RunConfig) -> int:
             raise ConfigError("the 2-D abstract chart needs a composed schedule for the overlay")
         rows = _abstract_rows(cfg, panel)
         if "csv" in cfg.formats:
-            path = cfg.out_dir / f"{cfg.name}_abstract.csv"
-            with path.open("w", newline="") as fh:
-                fh.write("time,sigma1,sigma2,entropy,source\n")
-                for t, s1, s2, ent, source in rows:
-                    fh.write(f"{t!r},{s1!r},{s2!r},{ent!r},{source}\n")
+            header = ["time", "sigma1", "sigma2", "entropy", "source"]
+            write_csv(cfg.out_dir / f"{cfg.name}_abstract.csv", header, rows)
         if "svg" in cfg.formats:
             _abstract_svg(cfg, rows).write(cfg.out_dir / f"{cfg.name}_abstract.svg")
         print(f"pushforward abstract chart: {len(rows)} rows")
@@ -478,7 +446,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "checks": [r.to_json_dict() for r in reports],
     }
     path = cfg.out_dir / f"{cfg.name}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
 
     for r in reports:
         expect_fail = r.name in EXPECTED_FAILURES

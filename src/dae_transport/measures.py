@@ -24,7 +24,6 @@ noise variance, and layer variance passes where it enters the package.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
 from .rand import substream
+from .svg import write_csv
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -231,13 +231,7 @@ class ParticleEnsemble:
 
     def to_csv(self, path: str | Path) -> None:
         """Write points as CSV with header x1..xm and a seed comment line."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write(f"# seed={self.seed}\n")
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.dim)])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(path, [f"x{j + 1}" for j in range(self.dim)], self.points.tolist(), self.seed)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ParticleEnsemble":

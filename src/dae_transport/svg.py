@@ -1,17 +1,50 @@
-"""Minimal deterministic SVG emitter: polylines, markers, text, axes.
+"""The one writer of result files: deterministic SVG, CSV and JSON.
 
-Hand-rolled on purpose: output bytes depend only on the drawn data, so
-figure files are reproducible and diffable.
+Hand-rolled on purpose: output bytes depend only on the data, so result
+files are reproducible and diffable.  Every file is UTF-8 with ``\n`` line
+endings on every platform.  CSV cells are ``repr(float(v))`` for floats
+(the shortest text that round-trips) and ``str(v)`` otherwise; JSON has
+sorted keys and a two-space indent.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from xml.sax.saxutils import escape
+import json
 
 
 def _fmt(v: float) -> str:
     return f"{float(v):.2f}"
+
+
+def _escape(text: str) -> str:
+    # the output of xml.sax.saxutils.escape without importing it: its urllib
+    # import costs ~30 ms, which every ``import dae_transport`` would pay
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _cell(v) -> str:
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _open(path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_csv(path, header, rows, seed: int | None = None) -> None:
+    """CSV of ``rows`` under ``header``, after a ``# seed=N`` line when ``seed`` is given.
+
+    Cells are never quoted, so no cell may contain a comma.
+    """
+    with _open(path) as fh:
+        if seed is not None:
+            fh.write(f"# seed={seed}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_json(path, doc) -> None:
+    with _open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 class SvgCanvas:
@@ -47,7 +80,7 @@ class SvgCanvas:
     def text(self, x, y, content, size=11, fill="#333333", anchor="start"):
         self._parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" font-family="sans-serif" '
-            f'fill="{fill}" text-anchor="{anchor}">{escape(str(content))}</text>'
+            f'fill="{fill}" text-anchor="{anchor}">{_escape(str(content))}</text>'
         )
 
     def to_string(self) -> str:
@@ -59,7 +92,8 @@ class SvgCanvas:
         )
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_string())
+        with _open(path) as fh:
+            fh.write(self.to_string())
 
 
 class ChartFrame:

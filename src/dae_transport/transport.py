@@ -23,12 +23,10 @@ initial covariance once and then costs O(n m^2) per layer.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -47,11 +45,13 @@ from .measures import (
     smooth,
 )
 from .rand import substream
+from .svg import write_csv, write_json
 
 _COV_FLOOR = 1e-10  # propagated covariance eigenvalue floor
 _UNDERFLOW_LOG = math.log(1e-300)
 _KDE_DATA_CAP = 2048  # diagnostics subsample sizes
 _KDE_EVAL_CAP = 4096
+_RETRAIN_MODES = ("analytic", "empirical")
 
 
 # -- map backends ----------------------------------------------------------------
@@ -162,16 +162,8 @@ class EmpiricalKernel:
         return out[0] if single else out
 
 
-DaeMap = Union[MixtureExact, AnalyticGaussian, EmpiricalKernel]
-
-
-def dae_apply(transport_map: DaeMap, x) -> np.ndarray:
-    """Apply a denoising transport map to one point or a batch of points."""
-    return transport_map.apply(x)
-
-
-def denoising_shift(transport_map: DaeMap, x) -> np.ndarray:
-    """Displacement added by the map: ``dae_apply(map, x) - x``.
+def denoising_shift(transport_map: MixtureExact | AnalyticGaussian | EmpiricalKernel, x) -> np.ndarray:
+    """Displacement added by the map: ``transport_map.apply(x) - x``.
 
     This is the negated conditional mean of the noise given the observation;
     it vanishes at t = 0 and equals ``t * score(smoothed measure, x)`` for the
@@ -295,14 +287,10 @@ class Trajectory:
 
     def to_csv(self, path: str | Path) -> None:
         """Long-format CSV: one row per (time, particle) with columns x1..xm."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write(f"# seed={self.states[0].seed}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["time", "particle_id"] + [f"x{j + 1}" for j in range(self.dim)])
-            for t, state in zip(self.times, self.states):
-                for pid, row in enumerate(state.points):
-                    writer.writerow([repr(float(t)), pid] + [repr(float(v)) for v in row])
+        header = ["time", "particle_id"] + [f"x{j + 1}" for j in range(self.dim)]
+        rows = ([t, pid, *row] for t, s in zip(self.times, self.states)
+                for pid, row in enumerate(s.points.tolist()))
+        write_csv(path, header, rows, self.states[0].seed)
 
     def diagnostics_json(self) -> dict:
         return {
@@ -313,7 +301,7 @@ class Trajectory:
         }
 
     def write_diagnostics(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.diagnostics_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.diagnostics_json())
 
 
 # -- diagnostics helpers -------------------------------------------------------------
@@ -372,7 +360,7 @@ def compose(
     """
     if retrain is None:
         retrain = "analytic" if mix0.k == 1 else "empirical"
-    if retrain not in ("analytic", "empirical"):
+    if retrain not in _RETRAIN_MODES:
         raise ContractError(f"retrain mode must be 'analytic' or 'empirical', got {retrain!r}")
     if ensemble.dim != mix0.dim:
         raise ContractError(f"ensemble dimension {ensemble.dim} does not match measure dimension {mix0.dim}")
@@ -420,11 +408,18 @@ def continuous_flow(
     uniform schedules and modes yield bit-identical trajectories; the retrain
     mode defaults as in :func:`compose`.  For a single Gaussian the total time
     must stay strictly below the singular time (half the smallest covariance
-    eigenvalue).
+    eigenvalue); past it the :class:`SingularityError` carries the initial
+    state as a one-time trajectory in ``partial``.
     """
     t_end = _checked_time(t_end, "total time", positive=True)
     if mix0.k == 1:
-        _SpectralGaussian.of(mix0).check_horizon(t_end, "continuous flow")
+        g = _SpectralGaussian.of(mix0)
+        try:
+            g.check_horizon(t_end, "continuous flow")
+        except SingularityError as exc:
+            start = _layer_diagnostics(ensemble.points, g, ensemble.seed, 0)
+            exc.partial = Trajectory((0.0,), (ensemble,), (start,))
+            raise
     return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, retrain, cov_floor=_COV_FLOOR)
 
 

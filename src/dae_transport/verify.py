@@ -168,8 +168,8 @@ def check_variational_minimizer(
     ``details`` carries the raw margins.
     """
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"noise variance must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"noise variance must be finite and positive, got {t}")
     n = int(n)
     if n < 1000:
         raise ContractError(f"need at least 1000 sample pairs, got {n}")
@@ -180,11 +180,7 @@ def check_variational_minimizer(
     corrupted = clean.points + eps
 
     if grid is None:
-        grid = (
-            np.linspace(-2.0, 2.0, 81)[:, None]
-            if mix0.dim == 1
-            else probe_lattice(2.0, 9, mix0.dim)
-        )
+        grid = probe_lattice(2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
     grid = np.asarray(grid, dtype=float)
 
     fitted = EmpiricalKernel(ParticleEnsemble(clean.points, seed), t).apply(grid)
@@ -282,11 +278,7 @@ def check_continuity_t0(
     name = "continuity_t0_gaussian" if gaussian_mode else "continuity_t0_mixture"
 
     if grid is None:
-        grid = (
-            np.arange(-2.0, 2.0 + 1e-12, 0.25)[:, None]
-            if mix0.dim == 1
-            else probe_lattice(2.0, 9, mix0.dim)
-        )
+        grid = probe_lattice(2.0, 17 if mix0.dim == 1 else 9, mix0.dim)
     grid = np.asarray(grid, dtype=float)
 
     if gaussian_mode:

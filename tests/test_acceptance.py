@@ -27,7 +27,6 @@ from dae_transport import (
     compose,
     continuous_flow,
     abstract_coordinates,
-    dae_apply,
     AnalyticGaussian,
     FlowSchedule,
     probe_lattice,
@@ -137,7 +136,7 @@ def test_criterion_5_pushforward_moments(announce):
     start = time.monotonic()
     n = 100_000
     std = GaussianMixture.standard(1)
-    pushed = dae_apply(AnalyticGaussian([0.0], [[1.0]], 1.0), sample(std, n, 0).points)
+    pushed = AnalyticGaussian([0.0], [[1.0]], 1.0).apply(sample(std, n, 0).points)
     var = float(np.var(pushed, ddof=1))
     se = 0.25 * math.sqrt(2.0 / (n - 1))
     elapsed = time.monotonic() - start

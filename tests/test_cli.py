@@ -93,8 +93,9 @@ def _set(doc: dict, path: tuple, value) -> dict:
         ("composed", ("grid",), [1], "grid"),
         ("composed", ("panels",), [1], "panels"),
         ("continuous", ("schedule",), {"t_end": math.nan, "steps": 4}, "t_end"),
+        ("composed", ("retrain",), "bogus", "retrain"),
     ],
-    ids=["steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan"],
+    ids=["steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus"],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, path, value, key):
     doc = _set(base_trajectory_config(tmp_path / "out"), ("mode",), mode)
@@ -168,6 +169,22 @@ def test_trajectory_singular_horizon_exits_3_with_partial_output(tmp_path, capsy
     # the initial state is a known Gaussian, so its diagnostics are closed form
     (record,) = json.loads((out / "run_continuous_diagnostics.json").read_text())["records"]
     assert math.isfinite(record["renyi2"]) and record["renyi2_stderr"] == 0.0
+
+
+def test_result_files_end_lines_in_lf_only(tmp_path):
+    traj = base_trajectory_config(tmp_path / "traj")
+    traj["mode"] = "continuous"
+    traj["schedule"] = {"t_end": 0.6, "steps": 6}  # past the singular time: partial output
+    assert main(["trajectory", "--config", str(write_config(tmp_path, traj, "traj.json"))]) == EXIT_SINGULAR
+    assert main(["trajectory", "--config", str(CONFIG_DIR / "fig2.json"), "--out", str(tmp_path / "fig2")]) == EXIT_OK
+    for fig in ("fig1", "fig3"):
+        argv = ["pushforward", "--config", str(CONFIG_DIR / f"{fig}.json"), "--out", str(tmp_path / fig)]
+        assert main(argv) == EXIT_OK
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.parent != tmp_path)
+    assert {p.suffix for p in files} == {".csv", ".json", ".svg"}
+    for path in files:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
 
 
 def test_trajectory_multi_panel(tmp_path):

@@ -47,6 +47,22 @@ def test_weights_must_be_positive():
         GaussianMixture.from_components([(1.5, [0.0], [[1.0]]), (-0.5, [1.0], [[1.0]])])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weights_must_be_finite(bad):
+    with pytest.raises(ContractError, match="finite"):
+        GaussianMixture([bad, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[0.0, math.nan]], [[math.inf, 0.0]], np.empty((0, 2))],
+    ids=["nan", "inf", "empty"],
+)
+def test_ensemble_rejects_nonfinite_or_empty_points(points):
+    with pytest.raises(ContractError):
+        ParticleEnsemble(points, seed=0)
+
+
 def test_covariance_must_be_symmetric():
     with pytest.raises(ContractError):
         GaussianMixture.single([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])

@@ -21,8 +21,8 @@ from dae_transport import (
     analytic_continuous_map,
     compose,
     continuous_flow,
-    dae_apply,
     denoising_shift,
+    entropy,
     one_shot_covariance,
     one_shot_orbit,
     probe_lattice,
@@ -116,11 +116,11 @@ def test_empirical_kernel_converges_with_sample_size():
     assert mean_errs[2] < mean_errs[1] < mean_errs[0]
 
 
-def test_dae_apply_dispatch_and_dimension_check():
+def test_map_apply_value_and_dimension_check():
     m = AnalyticGaussian([0.0, 0.0], np.eye(2), 1.0)
-    np.testing.assert_allclose(dae_apply(m, [2.0, 2.0]), [1.0, 1.0])
+    np.testing.assert_allclose(m.apply([2.0, 2.0]), [1.0, 1.0])
     with pytest.raises(ContractError):
-        dae_apply(m, [1.0])
+        m.apply([1.0])
 
 
 # -- denoising shift -----------------------------------------------------------------
@@ -266,6 +266,14 @@ def test_compose_analytic_requires_single_gaussian():
         compose(mix, FlowSchedule((0.1,)), ens, "analytic")
 
 
+def test_compose_rejects_unknown_retrain_and_wrong_dimension():
+    with pytest.raises(ContractError, match="retrain mode"):
+        compose(aniso(), FlowSchedule((0.1,)), probe_ensemble(), "bogus")
+    ens_1d = ParticleEnsemble(np.linspace(-1.0, 1.0, 12)[:, None], seed=0)
+    with pytest.raises(ContractError, match="dimension"):
+        compose(aniso(), FlowSchedule((0.1,)), ens_1d)
+
+
 def test_compose_defaults_to_empirical_for_mixtures():
     mix = GaussianMixture.from_components([(0.5, [-1.5], [[0.5]]), (0.5, [1.5], [[0.5]])])
     ens = sample(mix, 200, 5)
@@ -394,6 +402,12 @@ def test_continuous_flow_rejects_singular_horizon():
     with pytest.raises(SingularityError) as err:
         continuous_flow(aniso(), 0.5, 10, ens)
     assert err.value.critical_time == pytest.approx(0.5)
+    # the flow hands back its initial state, with closed-form diagnostics
+    partial = err.value.partial
+    assert partial.times == (0.0,)
+    assert partial.states[0] is ens
+    assert partial.diagnostics[0].entropy.value == pytest.approx(entropy(aniso()).value, abs=1e-12)
+    assert partial.diagnostics[0].renyi2.stderr == 0.0
 
 
 def test_compose_covariance_floor_yields_partial_trajectory():
@@ -455,6 +469,12 @@ def test_one_shot_orbit_validates_times():
         one_shot_orbit(aniso(), [], ens)
 
 
+def test_one_shot_orbit_rejects_wrong_dimension():
+    ens_1d = ParticleEnsemble(np.linspace(-1.0, 1.0, 5)[:, None], seed=0)
+    with pytest.raises(ContractError, match="dimension"):
+        one_shot_orbit(aniso(), [0.5], ens_1d)
+
+
 # -- trajectory container -------------------------------------------------------------------
 
 
@@ -465,11 +485,25 @@ def test_trajectory_requires_increasing_times():
         Trajectory((0.0, 0.2, 0.1), traj.states, traj.diagnostics)
 
 
+def test_trajectory_rejects_bad_start_lengths_and_shapes():
+    traj = compose(aniso(), FlowSchedule((0.1, 0.1)), probe_ensemble(), "analytic")
+    with pytest.raises(ContractError, match="start at 0"):
+        Trajectory((0.1, 0.2, 0.3), traj.states, traj.diagnostics)
+    with pytest.raises(ContractError, match="equal length"):
+        Trajectory(traj.times, traj.states[:2], traj.diagnostics)
+    with pytest.raises(ContractError, match="equal length"):
+        Trajectory(traj.times, traj.states, traj.diagnostics[:2])
+    fewer = ParticleEnsemble(traj.states[2].points[:-1], seed=0)
+    with pytest.raises(ContractError, match="share n and m"):
+        Trajectory(traj.times, (*traj.states[:2], fewer), traj.diagnostics)
+
+
 def test_trajectory_csv_and_json_outputs(tmp_path):
     ens = ParticleEnsemble(np.array([[1.0, 1.0], [0.5, -0.5]]), seed=77)
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), ens, "analytic")
     csv_path = tmp_path / "traj.csv"
     traj.to_csv(csv_path)
+    assert b"\r" not in csv_path.read_bytes()
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "# seed=77"
     assert lines[1] == "time,particle_id,x1,x2"

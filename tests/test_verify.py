@@ -79,8 +79,9 @@ def test_variational_deviation_shrinks_with_n():
 
 
 def test_variational_requires_positive_t_and_min_n():
-    with pytest.raises(DomainError):
-        check_variational_minimizer(STD1, t=0.0, n=10_000)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            check_variational_minimizer(STD1, t=t, n=10_000)
     with pytest.raises(ContractError):
         check_variational_minimizer(STD1, t=0.5, n=10)
 

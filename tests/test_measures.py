@@ -54,12 +54,12 @@ def test_weights_must_be_finite(bad):
 
 
 @pytest.mark.parametrize(
-    "points",
-    [[[0.0, math.nan]], [[math.inf, 0.0]], np.empty((0, 2))],
+    "points, message",
+    [([[0.0, math.nan]], "finite"), ([[math.inf, 0.0]], "finite"), (np.empty((0, 2)), "nonempty")],
     ids=["nan", "inf", "empty"],
 )
-def test_ensemble_rejects_nonfinite_or_empty_points(points):
-    with pytest.raises(ContractError):
+def test_ensemble_rejects_nonfinite_or_empty_points(points, message):
+    with pytest.raises(ContractError, match=message):
         ParticleEnsemble(points, seed=0)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,11 +52,22 @@ class ConfigError(Exception):
 
 
 def _key_line(raw: str, key: str) -> int:
-    needle = f'"{key}"'
-    for i, ln in enumerate(raw.splitlines(), start=1):
-        if needle in ln:
-            return i
+    """Line of the first ``"key"`` in ``raw``, else of its first non-blank line."""
+    for needle in (f'"{key}"', ""):
+        for i, ln in enumerate(raw.splitlines(), start=1):
+            if needle in ln and ln.strip():
+                return i
     return 1
+
+
+def _panel_texts(raw: str, count: int) -> list[str]:
+    """Each listed panel's own text after as many newlines as precede it, so line numbers stay absolute."""
+    end, texts = re.search(r'"panels"\s*:', raw).end(), []
+    for _ in range(count):
+        start = raw.index("{", end)
+        end = json.JSONDecoder().raw_decode(raw, start)[1]
+        texts.append("\n" * raw.count("\n", 0, start) + raw[start:end])
+    return texts
 
 
 def _field(raw: str, obj: dict, key: str, kind, default=None, positive: bool = False):
@@ -183,18 +195,20 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         panel_docs = _field(raw, doc, "panels", [dict])
         if not panel_docs:
             raise ConfigError("panels must be a nonempty list", _key_line(raw, "panels"))
+        texts = _panel_texts(raw, len(panel_docs))
     else:
         panel_docs = [{**doc, "name": str(doc["mode"])}] if "mode" in doc else []
+        texts = [raw]
     panels = []
-    for i, p in enumerate(panel_docs):
+    for i, (p, text) in enumerate(zip(panel_docs, texts)):
         name, mode, retrain = str(p.get("name", f"panel{i}")), p.get("mode"), p.get("retrain")
         if mode not in _MODES:
-            line = _key_line(raw, "mode" if "mode" in p else "panels")
-            raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", line)
-        if retrain is not None and retrain not in _RETRAIN_MODES:
-            message = f"panel {name!r}: retrain must be one of {_RETRAIN_MODES}, got {retrain!r}"
-            raise ConfigError(message, _key_line(raw, "retrain"))
-        panels.append(Panel(name, mode, _validate_schedule(p.get("schedule", {}), mode, raw), retrain))
+            raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", _key_line(text, "mode"))
+        allowed = _RETRAIN_MODES if mixture is None or mixture.k == 1 else ("empirical",)
+        if retrain is not None and retrain not in allowed:
+            message = f"panel {name!r}: retrain must be one of {allowed} for this distribution, got {retrain!r}"
+            raise ConfigError(message, _key_line(text, "retrain"))
+        panels.append(Panel(name, mode, _validate_schedule(p.get("schedule", {}), mode, text), retrain))
 
     tolerances = _field(raw, doc, "tolerances", dict, {})
     tolerances = {key: _field(raw, tolerances, key, float) for key in tolerances}

@@ -19,11 +19,11 @@ class SingularityError(RuntimeError):
     critical_time : float | None
         The first time at which the covariance becomes singular, when known.
     partial : object | None
-        Partial result computed before the singularity (e.g. a truncated
-        trajectory), when the caller can make use of it.
+        Partial result computed before the singularity (the initial state of a
+        continuous flow past its horizon), set by the raiser when it has one.
     """
 
-    def __init__(self, message: str, critical_time: float | None = None, partial=None):
+    def __init__(self, message: str, critical_time: float | None = None):
         super().__init__(message)
         self.critical_time = critical_time
-        self.partial = partial
+        self.partial = None

@@ -7,19 +7,24 @@ here as a pure function of the mixture: density, log density, score
 smoothing (convolution), differential entropy, Renyi entropy, seeded
 sampling, and the zero-mean Gaussian noise identity residual.
 
-Log densities are evaluated with a max-shifted log-sum-exp so heavily
-smoothed mixtures do not underflow.  Each component covariance is stored
-with a cached spectral factorization that the mixture's own solves, log
-determinants, and square roots reuse; the density and its derivatives
-evaluate all components at once.  :func:`_decomposed` is the one
-covariance validator (finite, symmetric, decomposed) for mixtures, single
-Gaussians and pushforwards.
+Log densities are evaluated with a max-shifted log-sum-exp (shift and
+exponential in :func:`_shifted_exp`) so heavily smoothed mixtures do not
+underflow.  Each component covariance is stored with a cached spectral
+factorization that the mixture's own solves, log determinants, and square
+roots reuse; the density and its derivatives evaluate all components at
+once.  :func:`_decomposed` is the one covariance validator (finite,
+symmetric, decomposed) for mixtures, single Gaussians and pushforwards.
 
 :class:`_SpectralGaussian` is the one home of the single-Gaussian formulas:
 the denoising map, the one-shot and continuous pushforwards, the continuous
 map, and the closed-form entropies are all eigenvalue maps of one
 decomposed covariance.  :func:`_checked_time` is the one check every time,
-noise variance, and layer variance passes where it enters the package.
+noise variance, and layer variance passes where it enters the package, and
+:func:`_checked_parameter` the one check of a verification parameter.
+
+On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
+data (kernel regression map and KDE alike), and :meth:`Estimate.mean_of` the
+one Monte Carlo mean with its standard error.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ _SPD_EIG_RATIO = 1e-12  # min eigenvalue must exceed this fraction of the max
 #: reported standard error.
 MC_DEFAULT_N = 100_000
 
+#: Most (point, datum) pairs one block of a kernel pass holds at once.
+_KERNEL_BLOCK_PAIRS = 8_000_000
+
 
 class Estimate(NamedTuple):
     """A numeric estimate with its standard error (0.0 when exact)."""
@@ -53,12 +61,17 @@ class Estimate(NamedTuple):
     value: float
     stderr: float
 
+    @classmethod
+    def mean_of(cls, samples: np.ndarray) -> "Estimate":
+        """Monte Carlo mean of per-sample terms with its standard error."""
+        return cls(float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(samples.shape[0])))
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    shift = np.max(a, axis=axis, keepdims=True)
+
+def _shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(a - shift)`` of an (n, k) array and its row maxima ``shift`` (0 where not finite)."""
+    shift = np.max(a, axis=1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    out = np.log(np.sum(np.exp(a - shift), axis=axis)) + np.squeeze(shift, axis=axis)
-    return out
+    return np.exp(a - shift[:, None]), shift
 
 
 def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
@@ -235,24 +248,12 @@ class ParticleEnsemble:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ParticleEnsemble":
-        path = Path(path)
-        seed = 0
-        rows: list[list[float]] = []
-        with path.open("r", newline="") as fh:
-            header_seen = False
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "seed=" in line:
-                        seed = int(line.split("seed=", 1)[1])
-                    continue
-                if not header_seen:
-                    header_seen = True  # column names
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-        return cls(np.array(rows, dtype=float), seed)
+        """Read :meth:`to_csv` output: ``#`` lines (the last ``seed=N`` is the seed), column names, rows."""
+        lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+        seeds = [int(ln.split("seed=", 1)[1]) for ln in lines if ln.startswith("#") and "seed=" in ln]
+        data = [ln for ln in lines if not ln.startswith("#")][1:]  # after the column names
+        rows = [[float(v) for v in ln.split(",")] for ln in data]
+        return cls(np.array(rows, dtype=float), seeds[-1] if seeds else 0)
 
 
 def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,6 +273,22 @@ def _checked_time(t, what: str = "time", positive: bool = False) -> float:
         kind = "positive" if positive else "nonnegative"
         raise ContractError(f"{what} must be finite and {kind}, got {t}")
     return t
+
+
+def _checked_parameter(value, what: str, upper: float = math.inf) -> float:
+    """A check's numeric parameter as a finite float in ``(0, upper]``, else :class:`DomainError`."""
+    value = float(value)
+    if not (0.0 < value <= upper and math.isfinite(value)):
+        bound = "positive" if upper == math.inf else f"in (0, {upper:g}]"
+        raise DomainError(f"{what} must be finite and {bound}, got {value}")
+    return value
+
+
+def _checked_alpha(alpha) -> float:
+    """A Renyi order: finite, positive and != 1 (the limit alpha -> 1 is :func:`entropy`)."""
+    if _checked_parameter(alpha, "alpha") == 1.0:
+        raise DomainError("alpha must be != 1; use entropy() for the alpha -> 1 limit")
+    return float(alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,8 +404,10 @@ class _SpectralGaussian:
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce x into an (n, dim) array; report whether input was a single point."""
+    """Coerce finite x into an (n, dim) array; report whether input was a single point."""
     arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ContractError("points must be finite")
     if arr.ndim == 0:
         if dim != 1:
             raise ContractError(f"scalar point given for a {dim}-dimensional mixture")
@@ -428,8 +447,8 @@ def _weighted_pulls(mix: GaussianMixture, weights: np.ndarray, y: np.ndarray) ->
 def log_density(mix: GaussianMixture, x) -> float | np.ndarray:
     """Log of the mixture density, stable for strongly smoothed mixtures."""
     pts, single = _as_points(x, mix.dim)
-    logs, _ = _component_terms(mix, pts)
-    out = _logsumexp(logs, axis=1)
+    terms, shift = _shifted_exp(_component_terms(mix, pts)[0])
+    out = np.log(terms.sum(axis=1)) + shift
     return float(out[0]) if single else out
 
 
@@ -447,8 +466,7 @@ def score(mix: GaussianMixture, x) -> np.ndarray:
     """
     pts, single = _as_points(x, mix.dim)
     logs, y = _component_terms(mix, pts)
-    shift = logs.max(axis=1, keepdims=True)
-    resp = np.exp(logs - shift)
+    resp = _shifted_exp(logs)[0]
     resp /= resp.sum(axis=1, keepdims=True)
     out = _weighted_pulls(mix, resp, y)
     return out[0] if single else out
@@ -509,9 +527,7 @@ def entropy(mix: GaussianMixture, n: int = MC_DEFAULT_N, seed: int = 0) -> Estim
     """
     if mix.k == 1:
         return Estimate(_SpectralGaussian.of(mix).entropy(), 0.0)
-    ens = sample(mix, n, seed)
-    lp = log_density(mix, ens.points)
-    return Estimate(float(-np.mean(lp)), float(np.std(lp, ddof=1) / math.sqrt(n)))
+    return Estimate.mean_of(-log_density(mix, sample(mix, n, seed).points))
 
 
 def renyi_entropy(mix: GaussianMixture, alpha: float, n: int = MC_DEFAULT_N, seed: int = 0) -> Estimate:
@@ -521,17 +537,15 @@ def renyi_entropy(mix: GaussianMixture, alpha: float, n: int = MC_DEFAULT_N, see
     otherwise.  ``alpha`` must be positive and different from 1 (use
     :func:`entropy` for the alpha -> 1 limit).
     """
-    alpha = float(alpha)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise DomainError(
-            f"alpha must be positive and != 1 (got {alpha}); use entropy() for the alpha -> 1 limit"
-        )
+    alpha = _checked_alpha(alpha)
     if mix.k == 1:
         return Estimate(_SpectralGaussian.of(mix).renyi(alpha), 0.0)
-    ens = sample(mix, n, seed)
-    lp = log_density(mix, ens.points)
-    vals = (np.exp((alpha - 1.0) * lp) - 1.0) / (alpha - 1.0)
-    return Estimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
+    return Estimate.mean_of(_renyi_terms(log_density(mix, sample(mix, n, seed).points), alpha))
+
+
+def _renyi_terms(log_p: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-sample Renyi terms ``(p^(alpha-1) - 1) / (alpha - 1)``, whose mean under p is the functional."""
+    return (np.exp((alpha - 1.0) * log_p) - 1.0) / (alpha - 1.0)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -572,9 +586,7 @@ def stein_residual(t: float, eps) -> np.ndarray:
     nonzero residual would expose a defect in either; for Gaussian noise the
     residual is zero up to rounding.
     """
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"noise variance must be finite and strictly positive, got {t}")
+    t = _checked_parameter(t, "noise variance")
     arr = np.asarray(eps, dtype=float)
     dim = 1 if arr.ndim == 0 else arr.shape[-1]
     noise = GaussianMixture.single(np.zeros(dim), t * np.eye(dim))
@@ -602,20 +614,41 @@ def silverman_covariance(points: np.ndarray, factor: float = 1.0) -> np.ndarray:
     return (factor * factor) * beta * cov
 
 
+def _kernel_pass(pts: np.ndarray, data: np.ndarray, var: float, log_norm: float, weighted_mean: bool = False):
+    """Log mean of the kernels ``exp(log_norm - |x - d_i|^2 / (2 var))`` over the data, per point.
+
+    With ``weighted_mean`` also returns the kernel-weighted mean of the data
+    per point.  Points go in row blocks of at most :data:`_KERNEL_BLOCK_PAIRS`
+    (point, datum) pairs, so memory stays bounded.  Rows do not interact, but
+    BLAS may round the products of a small block differently in the last bits.
+    """
+    n = data.shape[0]
+    rows = max(1, _KERNEL_BLOCK_PAIRS // n)
+    d_sq = np.sum(data * data, axis=1)
+    log_mean = np.empty(pts.shape[0])
+    mean = np.empty_like(pts) if weighted_mean else None
+    for lo in range(0, pts.shape[0], rows):
+        block = pts[lo : lo + rows]
+        logk = -0.5 * (np.sum(block * block, axis=1)[:, None] + d_sq[None, :] - 2.0 * (block @ data.T)) / var
+        w, shift = _shifted_exp(logk)
+        wsum = w.sum(axis=1)
+        log_mean[lo : lo + rows] = np.log(wsum) + shift + log_norm - math.log(n)
+        if weighted_mean:
+            mean[lo : lo + rows] = (w @ data) / wsum[:, None]
+    return log_mean, mean
+
+
 def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:
     """Log density of the equal-weight Gaussian KDE with shared covariance.
 
-    Vectorized over both data and evaluation points, unlike building an
-    n-component :class:`GaussianMixture`.
+    One :func:`_kernel_pass` in coordinates whitened by the kernel covariance,
+    unlike building an n-component :class:`GaussianMixture`.  Data and
+    evaluation points must be finite.
     """
-    data = np.asarray(data, dtype=float)
-    n, m = data.shape
-    pts, single = _as_points(x, m)
     kernel = _SpectralGaussian.from_cov(cov)
+    data, _ = _as_points(data, kernel.dim)
+    pts, single = _as_points(x, kernel.dim)
     whiten = kernel.evecs / np.sqrt(kernel.evals)
-    dw = data @ whiten
-    pw = pts @ whiten
-    d2 = np.sum(pw * pw, axis=1)[:, None] + np.sum(dw * dw, axis=1)[None, :] - 2.0 * (pw @ dw.T)
-    log_norm = -0.5 * (m * _LOG_2PI + kernel.log_det)
-    out = _logsumexp(-0.5 * d2, axis=1) + log_norm - math.log(n)
+    log_norm = -0.5 * (kernel.dim * _LOG_2PI + kernel.log_det)
+    out, _ = _kernel_pass(pts @ whiten, data @ whiten, 1.0, log_norm)
     return float(out[0]) if single else out

@@ -37,7 +37,9 @@ from .measures import (
     ParticleEnsemble,
     _as_points,
     _checked_time,
+    _kernel_pass,
     _moments,
+    _renyi_terms,
     _SpectralGaussian,
     kde_log_density,
     score,
@@ -47,7 +49,6 @@ from .measures import (
 from .rand import substream
 from .svg import write_csv, write_json
 
-_COV_FLOOR = 1e-10  # propagated covariance eigenvalue floor
 _UNDERFLOW_LOG = math.log(1e-300)
 _KDE_DATA_CAP = 2048  # diagnostics subsample sizes
 _KDE_EVAL_CAP = 4096
@@ -133,32 +134,13 @@ class EmpiricalKernel:
         if self.t == 0.0:
             raise DomainError("empirical kernel map is degenerate at t = 0")
         pts, single = _as_points(x, self.dim)
-        d = self.data.points
-        n, m = d.shape
-        log_const = -0.5 * m * math.log(2.0 * math.pi * self.t)
-        out = np.empty_like(pts)
-        # chunk evaluation points to bound the (chunk x n) distance matrix
-        chunk = max(1, int(8_000_000 / max(n, 1)))
-        d_sq = np.sum(d * d, axis=1)
-        for lo in range(0, pts.shape[0], chunk):
-            block = pts[lo : lo + chunk]
-            d2 = (
-                np.sum(block * block, axis=1)[:, None]
-                + d_sq[None, :]
-                - 2.0 * (block @ d.T)
+        log_norm = -0.5 * self.dim * math.log(2.0 * math.pi * self.t)
+        log_weight, out = _kernel_pass(pts, self.data.points, self.t, log_norm, weighted_mean=True)
+        if np.any(log_weight < _UNDERFLOW_LOG):
+            raise DomainError(
+                f"kernel weight sum underflow (log sum {float(np.min(log_weight)):.1f} < log 1e-300); "
+                "the probe point is too far from the data for bandwidth t"
             )
-            logk = -0.5 * d2 / self.t
-            shift = logk.max(axis=1, keepdims=True)
-            w = np.exp(logk - shift)
-            wsum = w.sum(axis=1)
-            log_weight_sum = np.log(wsum) + shift[:, 0] + log_const - math.log(n)
-            if np.any(log_weight_sum < _UNDERFLOW_LOG):
-                worst = float(np.min(log_weight_sum))
-                raise DomainError(
-                    f"kernel weight sum underflow (log sum {worst:.1f} < log 1e-300); "
-                    "the probe point is too far from the data for bandwidth t"
-                )
-            out[lo : lo + chunk] = (w @ d) / wsum[:, None]
         return out[0] if single else out
 
 
@@ -323,10 +305,7 @@ def _layer_diagnostics(
         data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
                         for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
         lp = kde_log_density(data, silverman_covariance(data), probes)
-        dens = np.exp(lp)
-        root_n = math.sqrt(probes.shape[0])
-        ent = Estimate(float(-np.mean(lp)), float(np.std(lp, ddof=1) / root_n))
-        ren = Estimate(float(np.mean(dens) - 1.0), float(np.std(dens, ddof=1) / root_n))
+        ent, ren = Estimate.mean_of(-lp), Estimate.mean_of(_renyi_terms(lp, 2.0))
     return FlowDiagnostics(ent, ren, *_moments(points))
 
 
@@ -338,7 +317,6 @@ def compose(
     schedule: FlowSchedule,
     ensemble: ParticleEnsemble,
     retrain: str | None = None,
-    cov_floor: float = 0.0,
 ) -> Trajectory:
     """Compose per-layer denoising maps, retraining each layer on the current measure.
 
@@ -352,11 +330,10 @@ def compose(
     scale.  The default is analytic for a single Gaussian and empirical
     otherwise.
 
-    A finite composition contracts the measure but never loses rank, so by
-    default there is no singular time; callers that approximate the continuous
-    flow pass a positive ``cov_floor`` and get a :class:`SingularityError`
-    (with the trajectory built so far in ``partial``) if the propagated
-    covariance drops below it.
+    A finite composition contracts the measure but never loses rank: a layer
+    maps each eigenvalue lambda to lambda^3 / (lambda + tau)^2, which exceeds
+    lambda - 2 tau, so there is no singular time here; the horizon check of
+    :func:`continuous_flow` is the one singularity rule.
     """
     if retrain is None:
         retrain = "analytic" if mix0.k == 1 else "empirical"
@@ -381,11 +358,6 @@ def compose(
         if g is not None:
             points = g.denoise(points, tau)
             g = g.one_shot(tau)
-            if g.evals[0] < cov_floor:
-                raise SingularityError(
-                    f"propagated covariance reached the eigenvalue floor at layer {layer}",
-                    partial=Trajectory(tuple(times), tuple(states), tuple(diags)),
-                )
         else:
             points = EmpiricalKernel(ParticleEnsemble(points, seed), tau).apply(points)
         times.append(t)
@@ -420,7 +392,7 @@ def continuous_flow(
             start = _layer_diagnostics(ensemble.points, g, ensemble.seed, 0)
             exc.partial = Trajectory((0.0,), (ensemble,), (start,))
             raise
-    return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, retrain, cov_floor=_COV_FLOOR)
+    return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, retrain)
 
 
 def one_shot_orbit(

@@ -21,8 +21,11 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .measures import (
+    Estimate,
     GaussianMixture,
     ParticleEnsemble,
+    _checked_alpha,
+    _checked_parameter,
     _checked_time,
     _SpectralGaussian,
     convolve,
@@ -121,6 +124,11 @@ def probe_lattice(extent: float, per_axis: int, dim: int, center=None) -> np.nda
     return pts
 
 
+def _probe_grid(grid, extent: float, per_axis: int, dim: int) -> np.ndarray:
+    """``grid`` as a float array, or the default :func:`probe_lattice` when it is None."""
+    return probe_lattice(extent, per_axis, dim) if grid is None else np.asarray(grid, dtype=float)
+
+
 # -- variational minimizer ------------------------------------------------------
 
 
@@ -167,9 +175,7 @@ def check_variational_minimizer(
     vector (scaled past tolerance), so ``passed`` reflects all three facts;
     ``details`` carries the raw margins.
     """
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"noise variance must be finite and positive, got {t}")
+    t = _checked_parameter(t, "noise variance")
     n = int(n)
     if n < 1000:
         raise ContractError(f"need at least 1000 sample pairs, got {n}")
@@ -179,9 +185,7 @@ def check_variational_minimizer(
     eps = substream(seed, 2).standard_normal((n, mix0.dim)) * math.sqrt(t)
     corrupted = clean.points + eps
 
-    if grid is None:
-        grid = probe_lattice(2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
-    grid = np.asarray(grid, dtype=float)
+    grid = _probe_grid(grid, 2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
 
     fitted = EmpiricalKernel(ParticleEnsemble(clean.points, seed), t).apply(grid)
     exact_map = MixtureExact(mix0, t)
@@ -207,7 +211,7 @@ def check_variational_minimizer(
         # decomposition: margin - l_hat is the empirical cross term, mean zero
         cross_terms = 2.0 * np.sum(hv * base_err, axis=1)
         cross = margin - l_hat
-        se = float(np.std(cross_terms, ddof=1) / math.sqrt(n))
+        se = Estimate.mean_of(cross_terms).stderr
         ratio = abs(cross) / (5.0 * se) if se > 0.0 else 0.0
         cross_se_ratios.append(ratio)
         if ratio > 1.0:
@@ -233,14 +237,6 @@ def check_variational_minimizer(
 
 
 # -- continuity equation at t = 0 --------------------------------------------------
-
-
-def _checked_dt(dt: float) -> float:
-    """The time step of a central difference: ``0 < dt <= 1e-3``."""
-    dt = float(dt)
-    if not 0.0 < dt <= 1e-3:
-        raise DomainError(f"dt must lie in (0, 1e-3], got {dt}")
-    return dt
 
 
 def _heat_residual(mix0: GaussianMixture, push, t: float, dt: float, grid: np.ndarray) -> np.ndarray:
@@ -273,13 +269,11 @@ def check_continuity_t0(
     convolution), so the comparison is unbiased and limited by Monte Carlo
     noise only.
     """
-    dt = _checked_dt(dt)
+    dt = _checked_parameter(dt, "dt", 1e-3)
     gaussian_mode = mix0.k == 1
     name = "continuity_t0_gaussian" if gaussian_mode else "continuity_t0_mixture"
 
-    if grid is None:
-        grid = probe_lattice(2.0, 17 if mix0.dim == 1 else 9, mix0.dim)
-    grid = np.asarray(grid, dtype=float)
+    grid = _probe_grid(grid, 2.0, 17 if mix0.dim == 1 else 9, mix0.dim)
 
     if gaussian_mode:
         g = _SpectralGaussian.of(mix0)
@@ -328,10 +322,8 @@ def check_backward_heat(
         raise ContractError("backward-heat check needs a single-Gaussian measure")
     if source not in ("continuous", "one_shot"):
         raise ContractError(f"source must be 'continuous' or 'one_shot', got {source!r}")
-    dt = _checked_dt(dt)
-    if grid is None:
-        grid = probe_lattice(3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
-    grid = np.asarray(grid, dtype=float)
+    dt = _checked_parameter(dt, "dt", 1e-3)
+    grid = _probe_grid(grid, 3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
 
     g = _SpectralGaussian.of(mix0)
     # the one-shot map is also valid for the slightly negative time the
@@ -413,17 +405,11 @@ def check_entropy_monotone(
     if strict is None:
         strict = all(e.stderr == 0.0 for e in ents)
 
-    violations = []
-    deltas = []
-    for prev, cur in zip(ents, ents[1:]):
-        delta = cur.value - prev.value
-        deltas.append(delta)
-        allowance = 0.0 if strict else 3.0 * (prev.stderr + cur.stderr)
-        excess = delta - allowance
-        if strict and delta >= 0.0:
-            violations.append(max(delta, np.finfo(float).tiny))
-        else:
-            violations.append(max(0.0, excess))
+    deltas = [cur.value - prev.value for prev, cur in zip(ents, ents[1:])]
+    if strict:  # every step must decrease
+        violations = [max(d, np.finfo(float).tiny) if d >= 0.0 else 0.0 for d in deltas]
+    else:  # an increase within three combined standard errors is Monte Carlo noise
+        violations = [max(0.0, d - 3.0 * (a.stderr + b.stderr)) for d, a, b in zip(deltas, ents, ents[1:])]
 
     return ResidualReport.build(
         "entropy_monotone",
@@ -475,15 +461,9 @@ def check_renyi_gradient_identity(
     ``alpha mu^(alpha-1) grad mu``; the right side uses the closed form
     ``alpha ((alpha-1) mu^(alpha-2) |grad mu|^2 + mu^(alpha-1) lap mu)``.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise DomainError(f"alpha must be positive and != 1, got {alpha}")
-    dx = float(dx)
-    if not 0.0 < dx < math.inf:
-        raise DomainError(f"dx must be finite and positive, got {dx}")
-    if grid is None:
-        grid = probe_lattice(3.0, 9 if mix0.dim > 1 else 25, mix0.dim)
-    grid = np.asarray(grid, dtype=float)
+    alpha = _checked_alpha(alpha)
+    dx = _checked_parameter(dx, "dx")
+    grid = _probe_grid(grid, 3.0, 9 if mix0.dim > 1 else 25, mix0.dim)
 
     def flux(pts: np.ndarray) -> np.ndarray:
         mu = np.asarray(density(mix0, pts)).reshape(-1, 1)

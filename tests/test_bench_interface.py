@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from dae_transport import FlowSchedule
+import dae_transport
+from dae_transport import FlowSchedule, GaussianMixture, compose, sample
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,3 +20,22 @@ def test_tracer_wraps_and_restores_library_names(monkeypatch):
     assert tracer.counts["transport.FlowSchedule.times.calls"] == 1
     assert isinstance(FlowSchedule.__dict__["times"], property)
     assert FlowSchedule.uniform(1.0, 4).times == times
+
+
+def test_tracer_counts_kernel_pairs_of_maps_and_density_estimates(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    mix = GaussianMixture.from_components([(0.5, [-1.0], [[0.5]]), (0.5, [1.0], [[0.5]])])
+    ens = sample(mix, 12, 0)
+    with tracing.Tracer() as tracer:
+        traj = compose(mix, FlowSchedule.uniform(0.2, 2), ens, "empirical")
+        # looked up in the package namespace, which the tracer rebinds
+        dae_transport.kde_log_density(ens.points, [[0.3]], ens.points[:5])
+    assert len(traj.times) == 3
+    n = ens.n
+    # two layers, each an n x n map apply; three n x n KDE diagnostics plus the 5 x n call
+    assert tracer.counts["transport.EmpiricalKernel.apply.calls"] == 2
+    assert tracer.counts["transport.EmpiricalKernel.apply.pairs"] == 2 * n * n
+    assert tracer.counts["measures.kde_log_density.calls"] == 4
+    assert tracer.counts["measures.kde_log_density.pairs"] == 3 * n * n + 5 * n

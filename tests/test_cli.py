@@ -84,23 +84,44 @@ def _set(doc: dict, path: tuple, value) -> dict:
     return doc
 
 
+def _panel(name: str, retrain: str, taus: list) -> dict:
+    return {"name": name, "mode": "composed", "retrain": retrain, "schedule": {"taus": taus}}
+
+
+MIXTURE_1D = {
+    "dim": 1,
+    "components": [{"weight": 0.5, "mean": [-1.0], "cov": [[1.0]]}, {"weight": 0.5, "mean": [1.0], "cov": [[1.0]]}],
+}
+
+
 @pytest.mark.parametrize(
-    "mode, path, value, key",
+    "mode, edits, key",
     [
-        ("composed", ("schedule",), {"t_end": 0.4, "steps": 0}, "steps"),
-        ("one_shot", ("schedule",), {"t": "abc"}, "t"),
-        ("composed", ("particles", "n"), "x", "n"),
-        ("composed", ("grid",), [1], "grid"),
-        ("composed", ("panels",), [1], "panels"),
-        ("continuous", ("schedule",), {"t_end": math.nan, "steps": 4}, "t_end"),
-        ("composed", ("retrain",), "bogus", "retrain"),
+        ("composed", {("schedule",): {"t_end": 0.4, "steps": 0}}, "steps"),
+        ("one_shot", {("schedule",): {"t": "abc"}}, "t"),
+        ("composed", {("particles", "n"): "x"}, "n"),
+        ("composed", {("grid",): [1]}, "grid"),
+        ("composed", {("panels",): [1]}, "panels"),
+        ("continuous", {("schedule",): {"t_end": math.nan, "steps": 4}}, "t_end"),
+        ("composed", {("retrain",): "bogus"}, "retrain"),
+        # a run named "panels" must not be taken for the panels key
+        ("composed", {("name",): "panels", ("panels",): [_panel("a", "analytic", [0.1]), _panel("b", "bogus", [0.1])]},
+         "retrain"),
+        ("composed", {("panels",): [_panel("a", "analytic", [0.1]), _panel("b", "analytic", [-0.1])]}, "taus"),
+        ("composed", {("distribution",): MIXTURE_1D, ("retrain",): "analytic"}, "retrain"),
     ],
-    ids=["steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus"],
+    ids=[
+        "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
+        "second_panel_retrain", "second_panel_taus", "analytic_retrain_on_mixture",
+    ],
 )
-def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, path, value, key):
+def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
     doc = _set(base_trajectory_config(tmp_path / "out"), ("mode",), mode)
-    cfg = write_config(tmp_path, _set(doc, path, value))
-    line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in ln)
+    for path, value in edits.items():
+        _set(doc, path, value)
+    cfg = write_config(tmp_path, doc)
+    # the key's last line: in the panel rows, the first panel's same key is valid
+    line = [i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in ln][-1]
     proc = subprocess.run(
         [sys.executable, "-m", "dae_transport", "trajectory", "--config", str(cfg)],
         capture_output=True,

@@ -336,11 +336,10 @@ def test_renyi_wide_gaussian_limit():
 
 
 def test_renyi_rejects_bad_alpha():
-    mix = GaussianMixture.standard(1)
-    with pytest.raises(DomainError):
-        renyi_entropy(mix, 1.0)
-    with pytest.raises(DomainError):
-        renyi_entropy(mix, -0.5)
+    for mix in (GaussianMixture.standard(1), two_mixture()):
+        for alpha in (1.0, -0.5, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="alpha"):
+                renyi_entropy(mix, alpha, n=100)
 
 
 def test_renyi_mixture_mc_matches_quadrature():
@@ -463,3 +462,29 @@ def test_kde_log_density_matches_equal_weight_mixture():
     np.testing.assert_allclose(
         kde_log_density(data, bw, probes), log_density(mix, probes), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_pass_matches_one_block_when_blocked(monkeypatch, m):
+    from dae_transport import EmpiricalKernel, ParticleEnsemble, kde_log_density
+    from dae_transport import measures
+
+    rng = np.random.default_rng(20 + m)
+    data = rng.normal(size=(1000, m))
+    probes = rng.normal(size=(3600, m)) * 1.5
+    cov = 0.3 * np.cov(data.T).reshape(m, m)
+    kernel_map = EmpiricalKernel(ParticleEnsemble(data, 0), 0.4)
+
+    def both():
+        return kde_log_density(data, cov, probes), kernel_map.apply(probes)
+
+    one_block = both()
+    # three blocks of 1200 rows: bit for bit
+    monkeypatch.setattr(measures, "_KERNEL_BLOCK_PAIRS", 1200 * data.shape[0])
+    for a, b in zip(one_block, both()):
+        np.testing.assert_array_equal(a, b)
+    # blocks of 7 rows are small enough for BLAS to pick other product kernels,
+    # which may round the last bits differently
+    monkeypatch.setattr(measures, "_KERNEL_BLOCK_PAIRS", 7 * data.shape[0])
+    for a, b in zip(one_block, both()):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)

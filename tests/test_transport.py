@@ -22,7 +22,10 @@ from dae_transport import (
     compose,
     continuous_flow,
     denoising_shift,
+    density,
     entropy,
+    kde_log_density,
+    laplacian_density,
     one_shot_covariance,
     one_shot_orbit,
     probe_lattice,
@@ -30,6 +33,7 @@ from dae_transport import (
     sample,
     score,
     smooth,
+    stein_residual,
 )
 
 ANISO_COV = np.diag([2.0, 1.0])
@@ -213,6 +217,27 @@ TIME_ENTRY_POINTS = {
 def test_time_entry_points_reject_nonfinite_and_negative_times(entry, t):
     with pytest.raises(ContractError):
         TIME_ENTRY_POINTS[entry](t)
+
+
+POINT_ENTRY_POINTS = {
+    "score": lambda x: score(aniso(), x),
+    "density": lambda x: density(aniso(), x),
+    "laplacian_density": lambda x: laplacian_density(aniso(), x),
+    "MixtureExact": lambda x: MixtureExact(aniso(), 0.3).apply(x),
+    "AnalyticGaussian": lambda x: AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.3).apply(x),
+    "EmpiricalKernel": lambda x: EmpiricalKernel(probe_ensemble(), 0.3).apply(x),
+    "analytic_continuous_map": lambda x: analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.3, x),
+    "stein_residual": lambda x: stein_residual(0.3, x),
+    "kde_log_density_points": lambda x: kde_log_density(probe_lattice(3.0, 5, 2), ANISO_COV, x),
+    "kde_log_density_data": lambda x: kde_log_density(x, ANISO_COV, [[0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRY_POINTS))
+def test_point_entry_points_reject_nonfinite_points(entry, bad):
+    with pytest.raises(ContractError, match="finite"):
+        POINT_ENTRY_POINTS[entry]([[0.0, 0.0], [bad, 1.0]])
 
 
 # -- composition ------------------------------------------------------------------------
@@ -410,14 +435,23 @@ def test_continuous_flow_rejects_singular_horizon():
     assert partial.diagnostics[0].renyi2.stderr == 0.0
 
 
-def test_compose_covariance_floor_yields_partial_trajectory():
+def test_continuous_flow_is_scale_covariant_at_tiny_scales():
+    # N(0, s S) flows like N(0, S) with lengths scaled by sqrt(s) and times by s;
+    # the horizon (half the smallest eigenvalue) is the only singularity rule
+    rot = np.array([[math.cos(0.6), -math.sin(0.6)], [math.sin(0.6), math.cos(0.6)]])
+    cov = rot @ ANISO_COV @ rot.T
     ens = probe_ensemble()
-    with pytest.raises(SingularityError) as err:
-        compose(aniso(), FlowSchedule.uniform(0.4, 4), ens, "analytic", cov_floor=0.7)
-    partial = err.value.partial
-    assert partial is not None
-    assert partial.times[0] == 0.0
-    assert 1 <= len(partial.times) < 5
+    unit = continuous_flow(GaussianMixture.single([0.0, 0.0], cov), 0.4, 8, ens)
+    s = 1e-11
+    small = continuous_flow(
+        GaussianMixture.single([0.0, 0.0], s * cov), 0.4 * s, 8, ParticleEnsemble(math.sqrt(s) * ens.points, 0)
+    )
+    np.testing.assert_allclose(np.array(small.times) / s, unit.times, rtol=1e-12)
+    scale = np.max(np.abs(ens.points))
+    for a, b in zip(small.states, unit.states):
+        np.testing.assert_allclose(a.points / math.sqrt(s), b.points, rtol=1e-12, atol=1e-12 * scale)
+    for a, b in zip(small.diagnostics, unit.diagnostics):
+        assert a.entropy.value == pytest.approx(b.entropy.value + math.log(s), rel=1e-12)
 
 
 def test_continuous_flow_infers_empirical_mode_for_mixtures():

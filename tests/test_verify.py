@@ -250,8 +250,9 @@ def test_renyi_gradient_identity_rejects_bad_space_step(dx):
 
 
 def test_renyi_gradient_identity_rejects_alpha_one():
-    with pytest.raises(DomainError):
-        check_renyi_gradient_identity(ANISO, alpha=1.0)
+    for alpha in (1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="alpha"):
+            check_renyi_gradient_identity(ANISO, alpha=alpha)
 
 
 # -- reports and suite ---------------------------------------------------------------------

@@ -27,11 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .measures import GaussianMixture, ParticleEnsemble, _SpectralGaussian, density, sample
-from .pushforward import _chart_sigma
+from .measures import Gaussian, GaussianMixture, ParticleEnsemble, density, sample
 from .svg import ChartFrame, SvgCanvas, write_csv, write_json
 from .transport import _RETRAIN_MODES, FlowSchedule, Trajectory, compose, continuous_flow, one_shot_orbit
-from .verify import EXPECTED_FAILURES, default_checks, probe_lattice
+from .verify import EXPECTED_FAILURES, TOLERANCES, default_checks, probe_lattice
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -43,6 +42,7 @@ _MODES = ("one_shot", "composed", "continuous")
 _FORMATS = ("csv", "json", "svg")
 
 _SAMPLE_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b")
+_DIAG_TOL = 1e-9  # off-diagonal tolerance of the (sigma1, sigma2) chart
 
 
 class ConfigError(Exception):
@@ -60,14 +60,18 @@ def _key_line(raw: str, key: str) -> int:
     return 1
 
 
-def _panel_texts(raw: str, count: int) -> list[str]:
-    """Each listed panel's own text after as many newlines as precede it, so line numbers stay absolute."""
-    end, texts = re.search(r'"panels"\s*:', raw).end(), []
+def _panel_texts(raw: str, count: int) -> tuple[list[str], str]:
+    """Each listed panel's own text, and the root's text with the panels blanked.
+
+    Every text keeps the newlines before it, so line numbers stay absolute.
+    """
+    end, texts, root = re.search(r'"panels"\s*:', raw).end(), [], raw
     for _ in range(count):
         start = raw.index("{", end)
         end = json.JSONDecoder().raw_decode(raw, start)[1]
         texts.append("\n" * raw.count("\n", 0, start) + raw[start:end])
-    return texts
+        root = root[:start] + re.sub(r"[^\n]", " ", raw[start:end]) + root[end:]
+    return texts, root
 
 
 def _field(raw: str, obj: dict, key: str, kind, default=None, positive: bool = False):
@@ -93,6 +97,13 @@ def _field(raw: str, obj: dict, key: str, kind, default=None, positive: bool = F
             pass
         expected = f"a finite{' positive' if positive else ''} {'integer' if kind is int else 'number'}"
     raise ConfigError(f"{key} must be {expected}, got {value!r}", _key_line(raw, key))
+
+
+def _checked_name(name: str, text: str) -> str:
+    """A run or panel name, which prefixes output files, so it may not leave the output directory."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"name must be a plain file name without '/' or '\\', got {name!r}", _key_line(text, "name"))
+    return name
 
 
 @dataclass
@@ -195,13 +206,14 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         panel_docs = _field(raw, doc, "panels", [dict])
         if not panel_docs:
             raise ConfigError("panels must be a nonempty list", _key_line(raw, "panels"))
-        texts = _panel_texts(raw, len(panel_docs))
+        texts, root_text = _panel_texts(raw, len(panel_docs))
     else:
         panel_docs = [{**doc, "name": str(doc["mode"])}] if "mode" in doc else []
-        texts = [raw]
+        texts, root_text = [raw], raw
+    run_name = _checked_name(str(doc.get("name", path.stem)), root_text)
     panels = []
     for i, (p, text) in enumerate(zip(panel_docs, texts)):
-        name, mode, retrain = str(p.get("name", f"panel{i}")), p.get("mode"), p.get("retrain")
+        name, mode, retrain = _checked_name(str(p.get("name", f"panel{i}")), text), p.get("mode"), p.get("retrain")
         if mode not in _MODES:
             raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", _key_line(text, "mode"))
         allowed = _RETRAIN_MODES if mixture is None or mixture.k == 1 else ("empirical",)
@@ -210,11 +222,16 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
             raise ConfigError(message, _key_line(text, "retrain"))
         panels.append(Panel(name, mode, _validate_schedule(p.get("schedule", {}), mode, text), retrain))
 
-    tolerances = _field(raw, doc, "tolerances", dict, {})
-    tolerances = {key: _field(raw, tolerances, key, float) for key in tolerances}
+    bounds, tolerances = _field(raw, doc, "tolerances", dict, {}), {}
+    for key in bounds:
+        if key not in TOLERANCES:
+            raise ConfigError(f"unknown tolerance {key!r}, expected one of {sorted(TOLERANCES)}", _key_line(raw, key))
+        tolerances[key] = _field(raw, bounds, key, float)
+        if tolerances[key] < 0.0:
+            raise ConfigError(f"tolerance {key} must be >= 0, got {bounds[key]!r}", _key_line(raw, key))
 
     return RunConfig(
-        name=str(doc.get("name", path.stem)),
+        name=run_name,
         mixture=mixture,
         panels=panels,
         n=n,
@@ -331,7 +348,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tuple[float, np.ndarray]], bool]:
     """The x-grid and (time, densities on it) for a 1-D measure; bool flags singularity."""
     mix = cfg.mixture
-    g = _SpectralGaussian.of(mix)
+    g = Gaussian.of(mix)
     xs = np.linspace(-cfg.curve_extent, cfg.curve_extent, cfg.curve_points)
     curves = [(0.0, np.asarray(density(mix, xs[:, None])))]
     if panel.mode == "composed":
@@ -361,6 +378,14 @@ def _density_svg(cfg: RunConfig, xs: np.ndarray, curves) -> SvgCanvas:
     return canvas
 
 
+def _chart_sigma(cov: np.ndarray) -> np.ndarray:
+    """Standard deviations ``sqrt(cov_ii)`` of a covariance within 1e-9 of diagonal."""
+    off = np.max(np.abs(cov - np.diag(np.diag(cov))))
+    if off > _DIAG_TOL:
+        raise DomainError(f"abstract coordinates need a diagonal covariance (max off-diagonal {off:.3e})")
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+
 def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, float, float, str]]:
     """(time, sigma1, sigma2, entropy, source) rows for the diagonal 2-D chart.
 
@@ -368,7 +393,7 @@ def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, flo
     compositions contract the variance toward (and numerically onto) zero,
     which the chart reports as sigma = 0.
     """
-    g = _SpectralGaussian.of(cfg.mixture)
+    g = Gaussian.of(cfg.mixture)
     laws = [(t, g.continuous(t), "continuous") for t in np.linspace(0.0, g.critical_time, 81)]
     laws += [(t, g.one_shot(float(t)), "one_shot") for t in np.linspace(0.0, 3.0, 61)]
     laws += [(t, h, "composed") for t, h in [(0.0, g), *g.composed(panel.schedule["taus"])]]

@@ -13,11 +13,12 @@ underflow.  Each component covariance is stored with a cached spectral
 factorization that the mixture's own solves, log determinants, and square
 roots reuse; the density and its derivatives evaluate all components at
 once.  :func:`_decomposed` is the one covariance validator (finite,
-symmetric, decomposed) for mixtures, single Gaussians and pushforwards.
+symmetric, decomposed) for mixtures and single Gaussians.
 
-:class:`_SpectralGaussian` is the one home of the single-Gaussian formulas:
-the denoising map, the one-shot and continuous pushforwards, the continuous
-map, and the closed-form entropies are all eigenvalue maps of one
+:class:`Gaussian` is the one single-Gaussian value: a mean and one
+eigenbasis.  The denoising map, the one-shot and continuous pushforwards
+(themselves ``Gaussian`` values), the continuous map, the closed-form
+entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
 decomposed covariance.  :func:`_checked_time` is the one check every time,
 noise variance, and layer variance passes where it enters the package, and
 :func:`_checked_parameter` the one check of a verification parameter.
@@ -292,18 +293,20 @@ def _checked_alpha(alpha) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _SpectralGaussian:
+class Gaussian:
     """N(mean, V diag(evals) V^T) with ascending ``evals`` and orthonormal ``evecs`` V.
 
     Every single-Gaussian object of the transport keeps V and maps the
     eigenvalues: the one-shot pushforward sends lambda to
     lambda^3 / (lambda + t)^2, the continuous pushforward to lambda - 2 t, and
     both maps act per axis of V.  Maps return new values and never
-    re-decompose, so a composed flow factorizes once.  They take any t, which
-    lets finite-difference stencils step slightly below 0; public entry points
-    check their times with :func:`_checked_time`.  Entropies are read straight
-    from the eigenvalues, so contractions far below what mixture validation
-    accepts (down to underflow) stay representable.
+    re-decompose, so a composed flow factorizes once.  :meth:`from_cov` is the
+    validating constructor.  :meth:`one_shot`, :meth:`continuous` and
+    :meth:`denoise` take any t, which lets finite-difference stencils step
+    slightly below 0; :meth:`continuous_map` checks its time, points and
+    horizon.  Entropies are read straight from the eigenvalues, so
+    contractions far below what mixture validation accepts (down to
+    underflow) stay representable.
     """
 
     mean: np.ndarray
@@ -311,7 +314,7 @@ class _SpectralGaussian:
     evecs: np.ndarray
 
     @classmethod
-    def from_cov(cls, cov, mean=None) -> "_SpectralGaussian":
+    def from_cov(cls, cov, mean=None) -> "Gaussian":
         """Decompose a finite, symmetric, positive-definite covariance (mean defaults to 0)."""
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         mean = np.zeros(cov.shape[0]) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
@@ -319,11 +322,12 @@ class _SpectralGaussian:
         if float(evals[0]) <= 0.0:
             raise ContractError("covariance must be positive definite")
         mean = mean.copy()
-        mean.flags.writeable = False
+        for arr in (mean, evals, evecs):
+            arr.flags.writeable = False
         return cls(mean, evals, evecs)
 
     @classmethod
-    def of(cls, mix: GaussianMixture) -> "_SpectralGaussian":
+    def of(cls, mix: GaussianMixture) -> "Gaussian":
         """The first (for a single Gaussian, the only) component, from the cached factorization."""
         return cls(mix.means[0], mix._evals[0], mix._evecs[0])
 
@@ -343,23 +347,23 @@ class _SpectralGaussian:
     def as_mixture(self) -> GaussianMixture:
         return GaussianMixture.single(self.mean, self.cov)
 
-    def one_shot(self, t: float) -> "_SpectralGaussian":
+    def one_shot(self, t: float) -> "Gaussian":
         """Pushforward under the one-shot map: ``S (I + t S^{-1})^{-2}``; t = 0 is exact."""
         if t == 0.0:
             return self
         lam = self.evals
-        return _SpectralGaussian(self.mean, lam**3 / (lam + t) ** 2, self.evecs)
+        return Gaussian(self.mean, lam**3 / (lam + t) ** 2, self.evecs)
 
-    def composed(self, taus: Iterable[float]) -> Iterator[tuple[float, "_SpectralGaussian"]]:
+    def composed(self, taus: Iterable[float]) -> Iterator[tuple[float, "Gaussian"]]:
         """``(cumulative time, pushforward)`` after each layer of a composed one-shot flow."""
         g, t = self, 0.0
         for tau in taus:
             g, t = g.one_shot(tau), t + tau
             yield t, g
 
-    def continuous(self, t: float) -> "_SpectralGaussian":
+    def continuous(self, t: float) -> "Gaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
-        return _SpectralGaussian(self.mean, self.evals - 2.0 * t, self.evecs)
+        return Gaussian(self.mean, self.evals - 2.0 * t, self.evecs)
 
     def check_horizon(self, t: float, what: str, closed: bool = False) -> None:
         """Raise :class:`SingularityError` once ``t`` reaches the critical time.
@@ -377,10 +381,39 @@ class _SpectralGaussian:
         v = self.evecs
         return (x @ v * (lam / (lam + t)) + self.mean @ v * (t / (lam + t))) @ v.T
 
-    def continuous_map(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Continuous-flow map on (n, m) points: ``sqrt(I - 2 t S^{-1}) (x - mean) + mean``."""
-        factors = np.sqrt(1.0 - 2.0 * t / self.evals)
-        return ((x - self.mean) @ self.evecs * factors) @ self.evecs.T + self.mean
+    def continuous_map(self, x, t: float) -> np.ndarray:
+        """Continuous-flow map on one point or (n, m) points: ``sqrt(I - 2 t S^{-1}) (x - mean) + mean``.
+
+        ``t`` must be finite and nonnegative and the points finite.  The flow
+        is singular from half the smallest eigenvalue on, where
+        :class:`SingularityError` carries that critical time.
+        """
+        t = _checked_time(t)
+        pts, single = _as_points(x, self.dim)
+        if t == 0.0:
+            out = pts.copy()
+        else:
+            self.check_horizon(t, "continuous map")
+            factors = np.sqrt(1.0 - 2.0 * t / self.evals)
+            out = ((pts - self.mean) @ self.evecs * factors) @ self.evecs.T + self.mean
+        return out[0] if single else out
+
+    def w2(self, other: "Gaussian") -> float:
+        """Quadratic Wasserstein (Bures-Wasserstein) distance to ``other``.
+
+        ``W2^2 = |m1 - m2|^2 + tr S1 + tr S2 - 2 tr (S1^1/2 S2 S1^1/2)^1/2``,
+        evaluated as ``|m1 - m2|^2 + |R1 - R2 U|_F^2`` with the square roots
+        ``R = S^1/2`` and ``U`` the orthogonal polar factor of ``R1 R2``.  That
+        form subtracts no large traces, so close Gaussians keep their digits
+        (equal diagonal ones are at exactly 0).  Eigenvalue round-off below 0
+        at the singular boundary counts as 0.
+        """
+        if other.dim != self.dim:
+            raise ContractError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        r1, r2 = ((g.evecs * np.sqrt(np.clip(g.evals, 0.0, None))) @ g.evecs.T for g in (self, other))
+        x, _, yt = np.linalg.svd(r1 @ r2)
+        diff, dm = r1 - r2 @ (yt.T @ x.T), self.mean - other.mean
+        return float(np.sqrt(dm @ dm + np.sum(diff * diff)))
 
     @property
     def log_det(self) -> float:
@@ -526,7 +559,7 @@ def entropy(mix: GaussianMixture, n: int = MC_DEFAULT_N, seed: int = 0) -> Estim
     k >= 2 mixture gets a seeded Monte Carlo estimate with its standard error.
     """
     if mix.k == 1:
-        return Estimate(_SpectralGaussian.of(mix).entropy(), 0.0)
+        return Estimate(Gaussian.of(mix).entropy(), 0.0)
     return Estimate.mean_of(-log_density(mix, sample(mix, n, seed).points))
 
 
@@ -539,7 +572,7 @@ def renyi_entropy(mix: GaussianMixture, alpha: float, n: int = MC_DEFAULT_N, see
     """
     alpha = _checked_alpha(alpha)
     if mix.k == 1:
-        return Estimate(_SpectralGaussian.of(mix).renyi(alpha), 0.0)
+        return Estimate(Gaussian.of(mix).renyi(alpha), 0.0)
     return Estimate.mean_of(_renyi_terms(log_density(mix, sample(mix, n, seed).points), alpha))
 
 
@@ -645,7 +678,7 @@ def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:
     unlike building an n-component :class:`GaussianMixture`.  Data and
     evaluation points must be finite.
     """
-    kernel = _SpectralGaussian.from_cov(cov)
+    kernel = Gaussian.from_cov(cov)
     data, _ = _as_points(data, kernel.dim)
     pts, single = _as_points(x, kernel.dim)
     whiten = kernel.evecs / np.sqrt(kernel.evals)

@@ -13,7 +13,7 @@ path  purpose
 0     mixture sampling: component selection uniforms
 1     mixture sampling: standard normal draws
 2     corruption noise in the variational check
-3     probe points for density agreement checks
+3     reserved, unused: check_time_reversal probes come from sample (0, 1)
 4     noise-identity check draws
 100+  per-layer trajectory diagnostics (100 + layer index)
 1000+ perturbation bump fields (1000 + trial index)

@@ -15,10 +15,11 @@ schedule, which is its broken-line (explicit Euler) approximation.  Both
 entry points share one step routine, so matching schedules produce identical
 trajectories bit for bit.
 
-Every single-Gaussian formula here (the analytic map, the continuous map, the
-propagated covariance and its entropies) is an eigenvalue map of the core
-value ``measures._SpectralGaussian``.  The analytic flow decomposes the
-initial covariance once and then costs O(n m^2) per layer.
+Every single-Gaussian formula here (the analytic map, the propagated
+covariance and its entropies) is an eigenvalue map of the one Gaussian value
+``measures.Gaussian``, which also owns the closed-form continuous map
+``Gaussian.continuous_map``.  The analytic flow decomposes the initial
+covariance once and then costs O(n m^2) per layer.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularityError
 from .measures import (
     Estimate,
+    Gaussian,
     GaussianMixture,
     ParticleEnsemble,
     _as_points,
@@ -40,7 +42,6 @@ from .measures import (
     _kernel_pass,
     _moments,
     _renyi_terms,
-    _SpectralGaussian,
     kde_log_density,
     score,
     silverman_covariance,
@@ -85,7 +86,7 @@ class MixtureExact:
 
 @dataclass(frozen=True, eq=False)
 class AnalyticGaussian:
-    """Closed-form denoising map for a single Gaussian N(mean, cov)."""
+    """Closed-form denoising map for a single Gaussian N(mean, cov): ``Gaussian.denoise`` at a checked t."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -93,7 +94,7 @@ class AnalyticGaussian:
 
     def __post_init__(self):
         t = _checked_time(self.t, "noise variance")
-        g = _SpectralGaussian.from_cov(self.cov, self.mean)
+        g = Gaussian.from_cov(self.cov, self.mean)
         cov = np.array(self.cov, dtype=float, ndmin=2)
         cov.flags.writeable = False
         object.__setattr__(self, "mean", g.mean)
@@ -153,25 +154,6 @@ def denoising_shift(transport_map: MixtureExact | AnalyticGaussian | EmpiricalKe
     """
     pts = np.asarray(x, dtype=float)
     return transport_map.apply(x) - pts
-
-
-def analytic_continuous_map(mean, cov, t: float, x) -> np.ndarray:
-    """Closed-form continuous-flow map for N(mean, cov):
-
-    ``sqrt(I - 2 t S^{-1}) (x - mean) + mean`` with the symmetric square root.
-    Defined for ``2 t`` strictly below the smallest covariance eigenvalue;
-    beyond that the flow is singular and :class:`SingularityError` reports the
-    critical time.
-    """
-    t = _checked_time(t)
-    g = _SpectralGaussian.from_cov(cov, mean)
-    pts, single = _as_points(x, g.dim)
-    if t == 0.0:
-        out = pts.copy()
-    else:
-        g.check_horizon(t, "continuous map")
-        out = g.continuous_map(pts, t)
-    return out[0] if single else out
 
 
 # -- schedules and trajectories -----------------------------------------------------
@@ -290,7 +272,7 @@ class Trajectory:
 
 
 def _layer_diagnostics(
-    points: np.ndarray, g: _SpectralGaussian | None, seed: int, layer: int
+    points: np.ndarray, g: Gaussian | None, seed: int, layer: int
 ) -> FlowDiagnostics:
     """Entropies of the layer's measure plus the particles' moments.
 
@@ -348,7 +330,7 @@ def compose(
 
     seed = ensemble.seed
     points = ensemble.points
-    g = _SpectralGaussian.of(mix0) if retrain == "analytic" else None
+    g = Gaussian.of(mix0) if retrain == "analytic" else None
     times = [0.0]
     states = [ensemble]
     diags = [_layer_diagnostics(points, g, seed, 0)]
@@ -385,7 +367,7 @@ def continuous_flow(
     """
     t_end = _checked_time(t_end, "total time", positive=True)
     if mix0.k == 1:
-        g = _SpectralGaussian.of(mix0)
+        g = Gaussian.of(mix0)
         try:
             g.check_horizon(t_end, "continuous flow")
         except SingularityError as exc:
@@ -410,7 +392,7 @@ def one_shot_orbit(
         raise ContractError("ensemble dimension does not match measure dimension")
 
     seed = ensemble.seed
-    g = _SpectralGaussian.of(mix0) if mix0.k == 1 else None
+    g = Gaussian.of(mix0) if mix0.k == 1 else None
     states = [ensemble]
     diags = [_layer_diagnostics(ensemble.points, g, seed, 0)]
     for layer, t in enumerate(ts, start=1):

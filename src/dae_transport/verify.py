@@ -22,12 +22,12 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .measures import (
     Estimate,
+    Gaussian,
     GaussianMixture,
     ParticleEnsemble,
     _checked_alpha,
     _checked_parameter,
     _checked_time,
-    _SpectralGaussian,
     convolve,
     density,
     density_gradient,
@@ -39,7 +39,6 @@ from .measures import (
     smooth,
     stein_residual,
 )
-from .pushforward import push_continuous
 from .rand import substream
 from .transport import EmpiricalKernel, MixtureExact, Trajectory, continuous_flow
 
@@ -276,7 +275,7 @@ def check_continuity_t0(
     grid = _probe_grid(grid, 2.0, 17 if mix0.dim == 1 else 9, mix0.dim)
 
     if gaussian_mode:
-        g = _SpectralGaussian.of(mix0)
+        g = Gaussian.of(mix0)
         if dt >= g.critical_time:
             raise DomainError("dt too large: pushforward covariance not positive at t = dt")
         residuals = _heat_residual(mix0, g.continuous, 0.0, dt, grid)
@@ -325,7 +324,7 @@ def check_backward_heat(
     dt = _checked_parameter(dt, "dt", 1e-3)
     grid = _probe_grid(grid, 3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
 
-    g = _SpectralGaussian.of(mix0)
+    g = Gaussian.of(mix0)
     # the one-shot map is also valid for the slightly negative time the
     # centered stencil needs at t = 0, since lambda + s stays positive
     push = g.continuous if source == "continuous" else g.one_shot
@@ -362,19 +361,18 @@ def check_time_reversal(
     strictly inside the singular time, density agreement between the original
     Gaussian and the re-smoothed pushforward on seeded probe points.
     """
-    t = float(t)
-    pf = push_continuous(mean, cov, t)
+    g, t = Gaussian.from_cov(cov, mean), _checked_time(t)
+    g.check_horizon(t, "continuous pushforward", closed=True)
+    pushed = g.continuous(t).cov
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    recovered_cov = pf.covariance + 2.0 * t * np.eye(cov.shape[0])
-    residuals = [np.abs(recovered_cov - cov).ravel()]
+    residuals = [np.abs(pushed + 2.0 * t * np.eye(g.dim) - cov).ravel()]
 
     original = GaussianMixture.single(mean, cov)
     probes = sample(original, int(n_probe), seed).points
-    density_checked = False
-    if t < _SpectralGaussian.of(original).critical_time:
-        recovered = smooth(GaussianMixture.single(mean, pf.covariance), 2.0 * t)
+    density_checked = t < g.critical_time
+    if density_checked:
+        recovered = smooth(GaussianMixture.single(mean, pushed), 2.0 * t)
         residuals.append(np.abs(density(recovered, probes) - density(original, probes)))
-        density_checked = True
 
     return ResidualReport.build(
         "time_reversal",

@@ -17,16 +17,15 @@ import numpy as np
 import pytest
 
 from dae_transport import (
+    Gaussian,
     GaussianMixture,
     ParticleEnsemble,
     SingularityError,
-    analytic_continuous_map,
     check_backward_heat,
     check_stein_identity,
     check_variational_minimizer,
     compose,
     continuous_flow,
-    abstract_coordinates,
     AnalyticGaussian,
     FlowSchedule,
     probe_lattice,
@@ -34,10 +33,11 @@ from dae_transport import (
     sample,
     smooth,
 )
-from dae_transport.cli import EXIT_OK, main
+from dae_transport.cli import EXIT_OK, _chart_sigma, main
 
 ANISO_COV = np.diag([2.0, 1.0])
 ANISO = GaussianMixture.single([0.0, 0.0], ANISO_COV)
+ANISO_G = Gaussian.of(ANISO)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "dae_transport" / "configs"
 
 
@@ -58,15 +58,15 @@ def test_criterion_1_singular_time(announce):
     raised_at_half = False
     critical = None
     try:
-        analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.5, [1.0, 1.0])
+        ANISO_G.continuous_map([1.0, 1.0], 0.5)
     except SingularityError as exc:
         raised_at_half = True
         critical = exc.critical_time
     # just inside the singular time the map still works and the pushforward
     # covariance has an almost-vanished eigenvalue
     t = 0.5 - 1e-6
-    analytic_continuous_map([0.0, 0.0], ANISO_COV, t, [1.0, 1.0])
-    lam_min = float(np.min(push_continuous([0.0, 0.0], ANISO_COV, t).eigenvalues()))
+    ANISO_G.continuous_map([1.0, 1.0], t)
+    lam_min = float(np.min(push_continuous([0.0, 0.0], ANISO_COV, t).evals))
     elapsed = time.monotonic() - start
     ok = raised_at_half and critical == pytest.approx(0.5) and lam_min < 4e-6 and elapsed < 1.0
     announce(1, "singular time", ok, f"min eig {lam_min:.2e}, {elapsed * 1000:.0f} ms")
@@ -76,7 +76,7 @@ def test_criterion_2_broken_line_convergence(announce):
     start = time.monotonic()
     grid = probe_lattice(3.0, 9, 2)
     ens = ParticleEnsemble(grid, seed=0)
-    target = analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.4, grid)
+    target = ANISO_G.continuous_map(grid, 0.4)
     errs = {}
     for tau in (0.05, 0.025):
         traj = compose(ANISO, FlowSchedule.uniform(0.4, round(0.4 / tau)), ens, "analytic")
@@ -149,9 +149,7 @@ def test_criterion_6_entropy_gradient_flow(announce):
     dt = 1e-6
     grad_ok = True
     for t in (0.05, 0.1, 0.15):
-        sig = abstract_coordinates(push_continuous([0.0, 0.0], ANISO_COV, t)).sigma
-        sig_p = abstract_coordinates(push_continuous([0.0, 0.0], ANISO_COV, t + dt)).sigma
-        sig_m = abstract_coordinates(push_continuous([0.0, 0.0], ANISO_COV, t - dt)).sigma
+        sig, sig_p, sig_m = (_chart_sigma(push_continuous([0.0, 0.0], ANISO_COV, s).cov) for s in (t, t + dt, t - dt))
         fd = (sig_p - sig_m) / (2.0 * dt)
         rel = np.max(np.abs(fd + 1.0 / sig) / np.abs(1.0 / sig))
         grad_ok = grad_ok and rel < 1e-4
@@ -168,7 +166,7 @@ def test_criterion_7_time_reversal(announce):
     worst = 0.0
     for t in (0.1, 0.2, 0.4):
         pf = push_continuous([0.0, 0.0], ANISO_COV, t)
-        recovered = smooth(GaussianMixture.single(pf.mean, pf.covariance), 2.0 * t)
+        recovered = smooth(GaussianMixture.single(pf.mean, pf.cov), 2.0 * t)
         worst = max(worst, float(np.max(np.abs(recovered.covs[0] - ANISO_COV))))
     ok = worst < 1e-12
     announce(7, "time reversal", ok, f"max deviation {worst:.2e}")

@@ -15,6 +15,7 @@ from dae_transport.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SINGULAR,
+    load_config,
     main,
 )
 
@@ -109,10 +110,22 @@ MIXTURE_1D = {
          "retrain"),
         ("composed", {("panels",): [_panel("a", "analytic", [0.1]), _panel("b", "analytic", [-0.1])]}, "taus"),
         ("composed", {("distribution",): MIXTURE_1D, ("retrain",): "analytic"}, "retrain"),
+        # run and panel names prefix the output files, so they must stay inside the out dir
+        ("composed", {("name",): "../escaped"}, "name"),
+        ("composed", {("name",): "a/b"}, "name"),
+        ("composed", {("name",): "a\\b"}, "name"),
+        ("composed", {("name",): ""}, "name"),
+        ("composed", {("name",): ".."}, "name"),
+        ("composed", {("panels",): [_panel("a", "analytic", [0.1]), _panel("../b", "analytic", [0.1])]}, "name"),
+        ("composed", {("panels",): [_panel(".", "analytic", [0.1])]}, "name"),
+        ("composed", {("tolerances",): {"backward_haet": 1.0}}, "backward_haet"),
+        ("composed", {("tolerances",): {"backward_heat": 1e-4, "time_reversal": -1.0}}, "time_reversal"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
         "second_panel_retrain", "second_panel_taus", "analytic_retrain_on_mixture",
+        "name_escapes", "name_slash", "name_backslash", "name_empty", "name_dotdot",
+        "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -130,6 +143,25 @@ def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key)
     assert proc.returncode == EXIT_CONFIG
     assert f"config error at line {line}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # nothing written, in or out of the out dir
+
+
+def test_bad_run_name_after_the_panels_is_reported_at_its_own_line(tmp_path, capsys):
+    doc = base_trajectory_config(tmp_path / "out")
+    del doc["name"], doc["mode"], doc["schedule"]
+    doc["panels"] = [_panel("a", "analytic", [0.1])]
+    doc["name"] = "../escaped"
+    cfg = write_config(tmp_path, doc)
+    line = [i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if '"../escaped"' in ln][0]
+    assert main(["trajectory", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config error at line {line}:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_zero_tolerance_is_legal(tmp_path):
+    doc = {"name": "v", "tolerances": {"entropy_monotone": 0, "time_reversal": 0.0}}
+    cfg = load_config(write_config(tmp_path, doc), None, None)
+    assert cfg.tolerances == {"entropy_monotone": 0.0, "time_reversal": 0.0}
 
 
 def test_one_shot_schedule_needs_single_t(tmp_path):

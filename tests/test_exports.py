@@ -1,0 +1,40 @@
+"""The package export list: every name resolves, none is listed twice, removed names stay gone."""
+
+from __future__ import annotations
+
+import dae_transport
+from dae_transport import measures, pushforward, transport
+
+# names folded into ``Gaussian`` (one value, one validator, one W2)
+REMOVED = (
+    "AbstractPoint",
+    "GaussianPushforward",
+    "SOURCE_CONTINUOUS",
+    "SOURCE_ONE_SHOT",
+    "_SpectralGaussian",
+    "abstract_coordinates",
+    "analytic_continuous_map",
+    "empirical_moments",
+    "w2_distance",
+)
+
+
+def test_export_list_resolves_without_duplicates():
+    names = dae_transport.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(dae_transport, n)] == []
+    namespace: dict = {}
+    exec("from dae_transport import *", namespace)
+    assert set(names) <= set(namespace)
+
+
+def test_removed_names_are_gone_from_package_and_modules():
+    for owner in (dae_transport, measures, pushforward, transport):
+        assert [n for n in REMOVED if hasattr(owner, n)] == [], owner.__name__
+    assert not set(REMOVED) & set(dae_transport.__all__)
+
+
+def test_pushforward_defines_only_the_three_entry_points():
+    own = [n for n, v in vars(pushforward).items()
+           if callable(v) and getattr(v, "__module__", None) == pushforward.__name__]
+    assert sorted(own) == ["one_shot_covariance", "push_continuous", "push_one_shot"]

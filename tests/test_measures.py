@@ -9,6 +9,7 @@ from scipy.stats import multivariate_normal
 from dae_transport import (
     ContractError,
     DomainError,
+    Gaussian,
     GaussianMixture,
     ParticleEnsemble,
     density,
@@ -82,6 +83,15 @@ def test_mixture_arrays_are_immutable():
     mix = two_mixture()
     with pytest.raises(ValueError):
         mix.means[0, 0] = 5.0
+
+
+def test_gaussian_arrays_are_immutable_and_callers_stay_writable():
+    mean, cov = np.array([1.0, -1.0]), np.diag([2.0, 1.0])
+    g = Gaussian.from_cov(cov, mean)
+    for arr in (g.mean, g.evals, g.evecs):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    assert mean.flags.writeable and cov.flags.writeable
 
 
 def test_json_round_trip():

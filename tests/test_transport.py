@@ -13,12 +13,12 @@ from dae_transport import (
     DomainError,
     EmpiricalKernel,
     FlowSchedule,
+    Gaussian,
     GaussianMixture,
     MixtureExact,
     ParticleEnsemble,
     SingularityError,
     Trajectory,
-    analytic_continuous_map,
     compose,
     continuous_flow,
     denoising_shift,
@@ -37,6 +37,7 @@ from dae_transport import (
 )
 
 ANISO_COV = np.diag([2.0, 1.0])
+ANISO_G = Gaussian.from_cov(ANISO_COV)
 
 
 def aniso() -> GaussianMixture:
@@ -165,19 +166,19 @@ def test_shift_over_t_approaches_score():
 
 
 def test_continuous_map_value():
-    out = analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.25, [1.0, 1.0])
+    out = ANISO_G.continuous_map([1.0, 1.0], 0.25)
     np.testing.assert_allclose(out, [math.sqrt(0.75), math.sqrt(0.5)], rtol=1e-12)
     assert out == pytest.approx([0.86603, 0.70711], abs=1e-5)
 
 
 def test_continuous_map_identity_at_zero():
     x = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.0, x), x)
+    np.testing.assert_array_equal(ANISO_G.continuous_map(x, 0.0), x)
 
 
 def test_continuous_map_singular_at_half_min_eigenvalue():
     with pytest.raises(SingularityError) as err:
-        analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.5, [1.0, 1.0])
+        ANISO_G.continuous_map([1.0, 1.0], 0.5)
     assert err.value.critical_time == pytest.approx(0.5)
 
 
@@ -209,6 +210,7 @@ TIME_ENTRY_POINTS = {
     "AnalyticGaussian": lambda t: AnalyticGaussian([0.0], [[1.0]], t),
     "one_shot_covariance": lambda t: one_shot_covariance([[1.0]], t),
     "push_continuous": lambda t: push_continuous([0.0], [[1.0]], t),
+    "Gaussian.continuous_map": lambda t: Gaussian.from_cov([[1.0]]).continuous_map([0.5], t),
 }
 
 
@@ -226,7 +228,7 @@ POINT_ENTRY_POINTS = {
     "MixtureExact": lambda x: MixtureExact(aniso(), 0.3).apply(x),
     "AnalyticGaussian": lambda x: AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.3).apply(x),
     "EmpiricalKernel": lambda x: EmpiricalKernel(probe_ensemble(), 0.3).apply(x),
-    "analytic_continuous_map": lambda x: analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.3, x),
+    "Gaussian.continuous_map": lambda x: ANISO_G.continuous_map(x, 0.3),
     "stein_residual": lambda x: stein_residual(0.3, x),
     "kde_log_density_points": lambda x: kde_log_density(probe_lattice(3.0, 5, 2), ANISO_COV, x),
     "kde_log_density_data": lambda x: kde_log_density(x, ANISO_COV, [[0.0, 0.0]]),
@@ -257,7 +259,7 @@ def test_single_layer_equals_one_map_application():
 
 def test_compose_halving_tau_roughly_halves_endpoint_error():
     ens = probe_ensemble()
-    target = analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.4, ens.points)
+    target = ANISO_G.continuous_map(ens.points, 0.4)
     errs = {}
     for tau in (0.05, 0.025):
         traj = compose(aniso(), FlowSchedule.uniform(0.4, round(0.4 / tau)), ens, "analytic")
@@ -270,7 +272,7 @@ def test_coarse_and_fine_schedules_differ():
     ens = probe_ensemble()
     fine = compose(aniso(), FlowSchedule.uniform(0.4, 8), ens, "analytic")
     coarse = compose(aniso(), FlowSchedule((0.4,)), ens, "analytic")
-    target = analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.4, ens.points)
+    target = ANISO_G.continuous_map(ens.points, 0.4)
     err_fine = np.max(np.abs(fine.states[-1].points - target))
     err_coarse = np.max(np.abs(coarse.states[-1].points - target))
     assert err_fine < err_coarse
@@ -412,7 +414,7 @@ def test_continuous_flow_single_step_is_one_map():
 
 def test_continuous_flow_first_order_convergence():
     ens = probe_ensemble()
-    target = analytic_continuous_map([0.0, 0.0], ANISO_COV, 0.4, ens.points)
+    target = ANISO_G.continuous_map(ens.points, 0.4)
     errs = []
     for steps in (8, 16, 32):
         traj = continuous_flow(aniso(), 0.4, steps, ens)

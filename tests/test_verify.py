@@ -190,7 +190,7 @@ def test_entropy_decrease_closed_form_value():
     # entropy drop of the continuous pushforward at t = 0.4 from diag[2, 1]
     h0 = entropy(ANISO).value
     pf = push_continuous([0.0, 0.0], np.diag([2.0, 1.0]), 0.4)
-    h1 = entropy(GaussianMixture.single(pf.mean, pf.covariance)).value
+    h1 = entropy(pf.as_mixture()).value
     assert h1 - h0 == pytest.approx(0.5 * math.log((1.2 * 0.2) / (2.0 * 1.0)), rel=1e-12)
     assert h1 - h0 == pytest.approx(-1.0601, abs=2e-4)
 
@@ -198,7 +198,7 @@ def test_entropy_decrease_closed_form_value():
 def test_entropy_decrease_one_shot_value():
     h0 = entropy(GaussianMixture.standard(1)).value
     pf = push_one_shot([0.0], [[1.0]], 1.0)
-    h1 = entropy(GaussianMixture.single(pf.mean, pf.covariance)).value
+    h1 = entropy(pf.as_mixture()).value
     assert h1 - h0 == pytest.approx(0.5 * math.log(0.25), rel=1e-12)
     assert h1 - h0 == pytest.approx(-0.6931, abs=1e-4)
 

@@ -213,9 +213,11 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     run_name = _checked_name(str(doc.get("name", path.stem)), root_text)
     panels = []
     for i, (p, text) in enumerate(zip(panel_docs, texts)):
-        name, mode, retrain = _checked_name(str(p.get("name", f"panel{i}")), text), p.get("mode"), p.get("retrain")
+        name, mode, retrain = str(p.get("name", f"panel{i}")), p.get("mode"), p.get("retrain")
+        # a one-panel config is named after its mode, so a bad mode is reported as the mode
         if mode not in _MODES:
             raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", _key_line(text, "mode"))
+        _checked_name(name, text)
         allowed = _RETRAIN_MODES if mixture is None or mixture.k == 1 else ("empirical",)
         if retrain is not None and retrain not in allowed:
             message = f"panel {name!r}: retrain must be one of {allowed} for this distribution, got {retrain!r}"

@@ -321,10 +321,7 @@ class Gaussian:
         _, evals, evecs = _decomposed(mean, cov, "Gaussian")
         if float(evals[0]) <= 0.0:
             raise ContractError("covariance must be positive definite")
-        mean = mean.copy()
-        for arr in (mean, evals, evecs):
-            arr.flags.writeable = False
-        return cls(mean, evals, evecs)
+        return cls(_frozen(mean.copy()), _frozen(evals), _frozen(evecs))
 
     @classmethod
     def of(cls, mix: GaussianMixture) -> "Gaussian":
@@ -352,7 +349,7 @@ class Gaussian:
         if t == 0.0:
             return self
         lam = self.evals
-        return Gaussian(self.mean, lam**3 / (lam + t) ** 2, self.evecs)
+        return Gaussian(self.mean, _frozen(lam**3 / (lam + t) ** 2), self.evecs)
 
     def composed(self, taus: Iterable[float]) -> Iterator[tuple[float, "Gaussian"]]:
         """``(cumulative time, pushforward)`` after each layer of a composed one-shot flow."""
@@ -363,7 +360,7 @@ class Gaussian:
 
     def continuous(self, t: float) -> "Gaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
-        return Gaussian(self.mean, self.evals - 2.0 * t, self.evecs)
+        return Gaussian(self.mean, _frozen(self.evals - 2.0 * t), self.evecs)
 
     def check_horizon(self, t: float, what: str, closed: bool = False) -> None:
         """Raise :class:`SingularityError` once ``t`` reaches the critical time.
@@ -405,11 +402,15 @@ class Gaussian:
         evaluated as ``|m1 - m2|^2 + |R1 - R2 U|_F^2`` with the square roots
         ``R = S^1/2`` and ``U`` the orthogonal polar factor of ``R1 R2``.  That
         form subtracts no large traces, so close Gaussians keep their digits
-        (equal diagonal ones are at exactly 0).  Eigenvalue round-off below 0
-        at the singular boundary counts as 0.
+        (equal diagonal ones are at exactly 0).  Eigenvalues down to -1e-12
+        (relative to the largest, if above 1), the singular boundary's
+        round-off, count as 0; lower ones raise :class:`ContractError`.
         """
         if other.dim != self.dim:
             raise ContractError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        for g in (self, other):
+            if float(g.evals[0]) < -1e-12 * max(1.0, float(np.max(np.abs(g.evals)))):
+                raise ContractError(f"w2 needs a positive semidefinite covariance, eigenvalue {g.evals[0]:.3e}")
         r1, r2 = ((g.evecs * np.sqrt(np.clip(g.evals, 0.0, None))) @ g.evecs.T for g in (self, other))
         x, _, yt = np.linalg.svd(r1 @ r2)
         diff, dm = r1 - r2 @ (yt.T @ x.T), self.mean - other.mean
@@ -431,6 +432,12 @@ class Gaussian:
         m = self.dim
         log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + self.log_det) - 0.5 * m * math.log(alpha)
         return ((math.exp(log_int) if log_int < 700.0 else math.inf) - 1.0) / (alpha - 1.0)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only in place, so a frozen value cannot be changed through it."""
+    arr.flags.writeable = False
+    return arr
 
 
 # -- point handling -----------------------------------------------------------

@@ -120,12 +120,15 @@ MIXTURE_1D = {
         ("composed", {("panels",): [_panel(".", "analytic", [0.1])]}, "name"),
         ("composed", {("tolerances",): {"backward_haet": 1.0}}, "backward_haet"),
         ("composed", {("tolerances",): {"backward_heat": 1e-4, "time_reversal": -1.0}}, "time_reversal"),
+        # a one-panel config is named after its mode: a bad mode is reported at the mode, not as a name
+        ("a/b", {}, "mode"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
         "second_panel_retrain", "second_panel_taus", "analytic_retrain_on_mixture",
         "name_escapes", "name_slash", "name_backslash", "name_empty", "name_dotdot",
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
+        "mode_with_slash",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):

@@ -17,6 +17,8 @@ from dae_transport import (
     entropy,
     laplacian_density,
     log_density,
+    push_continuous,
+    push_one_shot,
     renyi_entropy,
     sample,
     score,
@@ -88,9 +90,11 @@ def test_mixture_arrays_are_immutable():
 def test_gaussian_arrays_are_immutable_and_callers_stay_writable():
     mean, cov = np.array([1.0, -1.0]), np.diag([2.0, 1.0])
     g = Gaussian.from_cov(cov, mean)
-    for arr in (g.mean, g.evals, g.evecs):
-        with pytest.raises(ValueError):
-            arr[0] = 5.0
+    values = (g, g.one_shot(0.3), g.continuous(0.2), push_one_shot(mean, cov, 0.3), push_continuous(mean, cov, 0.2))
+    for h in values:
+        for arr in (h.mean, h.evals, h.evecs):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
     assert mean.flags.writeable and cov.flags.writeable
 
 

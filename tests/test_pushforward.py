@@ -39,7 +39,7 @@ def test_push_continuous_identity_at_zero():
 
 def test_push_continuous_boundary_reports_zero_eigenvalue():
     pf = push_continuous(ZERO2, ANISO, 0.5)
-    np.testing.assert_allclose(pf.cov, np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(pf.cov, np.diag([1.0, 0.0]))
     assert pf.evals[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -175,6 +175,18 @@ def test_w2_value():
 def test_w2_dimension_mismatch():
     with pytest.raises(ContractError):
         diagonal(np.ones(2)).w2(diagonal(np.ones(3)))
+
+
+def test_w2_takes_the_singular_boundary_and_rejects_past_it():
+    g = Gaussian.from_cov(ANISO)
+    boundary = g.continuous(0.5)
+    assert boundary.w2(boundary) == pytest.approx(0.0, abs=1e-15)
+    assert boundary.w2(g) == pytest.approx(math.hypot(math.sqrt(2.0) - 1.0, 1.0), rel=1e-12)
+    for past in (g.continuous(0.5 + 1e-6), g.continuous(2.0)):
+        with pytest.raises(ContractError, match="positive semidefinite"):
+            past.w2(g)
+        with pytest.raises(ContractError, match="positive semidefinite"):
+            g.w2(past)
 
 
 def test_w2_triangle_inequality_100_triples():

@@ -52,23 +52,37 @@ class ConfigError(Exception):
 
 
 def _key_line(raw: str, key: str) -> int:
-    """Line of the first ``"key"`` in ``raw``, else of its first non-blank line."""
-    for needle in (f'"{key}"', ""):
-        for i, ln in enumerate(raw.splitlines(), start=1):
-            if needle in ln and ln.strip():
-                return i
-    return 1
+    """Line of the first ``"key":`` (a key, never a string value) in ``raw``, else of its first non-blank line."""
+    found = re.search(rf'(?<!\\)"{re.escape(key)}"\s*:', raw) or re.search(r"\S", raw)
+    return raw.count("\n", 0, found.start()) + 1 if found else 1
 
 
-def _panel_texts(raw: str, count: int) -> tuple[list[str], str]:
+def _members(raw: str, start: int) -> list[tuple[str | None, int, int]]:
+    """``(key, start, end)`` of each member of the valid JSON object or array opening at ``raw[start]``.
+
+    Array members have key None.  Strings are decoded, never searched, so a
+    nested key or a brace inside a string value is not taken for a member.
+    """
+    # in valid JSON only whitespace, ',' and ':' lie between the tokens
+    decode, skip, members = json.JSONDecoder().raw_decode, re.compile(r"[ \t\n\r,:]*").match, []
+    i = skip(raw, start + 1).end()
+    while raw[i] not in "]}":
+        key, i = decode(raw, i) if raw[start] == "{" else (None, i)
+        i = skip(raw, i).end()
+        end = decode(raw, i)[1]
+        members.append((key, i, end))
+        i = skip(raw, end).end()
+    return members
+
+
+def _panel_texts(raw: str) -> tuple[list[str], str]:
     """Each listed panel's own text, and the root's text with the panels blanked.
 
     Every text keeps the newlines before it, so line numbers stay absolute.
     """
-    end, texts, root = re.search(r'"panels"\s*:', raw).end(), [], raw
-    for _ in range(count):
-        start = raw.index("{", end)
-        end = json.JSONDecoder().raw_decode(raw, start)[1]
+    root_members = _members(raw, raw.index("{"))
+    texts, root = [], raw
+    for _, start, end in _members(raw, [s for key, s, _ in root_members if key == "panels"][-1]):
         texts.append("\n" * raw.count("\n", 0, start) + raw[start:end])
         root = root[:start] + re.sub(r"[^\n]", " ", raw[start:end]) + root[end:]
     return texts, root
@@ -170,8 +184,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     raw = path.read_text()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise ConfigError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", 1)) from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
 
@@ -206,7 +220,7 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         panel_docs = _field(raw, doc, "panels", [dict])
         if not panel_docs:
             raise ConfigError("panels must be a nonempty list", _key_line(raw, "panels"))
-        texts, root_text = _panel_texts(raw, len(panel_docs))
+        texts, root_text = _panel_texts(raw)
     else:
         panel_docs = [{**doc, "name": str(doc["mode"])}] if "mode" in doc else []
         texts, root_text = [raw], raw

@@ -12,8 +12,9 @@ exponential in :func:`_shifted_exp`) so heavily smoothed mixtures do not
 underflow.  Each component covariance is stored with a cached spectral
 factorization that the mixture's own solves, log determinants, and square
 roots reuse; the density and its derivatives evaluate all components at
-once.  :func:`_decomposed` is the one covariance validator (finite,
-symmetric, decomposed) for mixtures and single Gaussians.
+once.  :func:`_decomposed` is the one covariance validator (finite, symmetric,
+lambda_min > 1e-12 lambda_max), :func:`_pointwise` the one point-or-batch
+rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 
 :class:`Gaussian` is the one single-Gaussian value: a mean and one
 eigenbasis.  The denoising map, the one-shot and continuous pushforwards
@@ -30,6 +31,7 @@ one Monte Carlo mean with its standard error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +48,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # Validation tolerances for mixture construction.
 _WEIGHT_SUM_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
-_SPD_EIG_RATIO = 1e-12  # min eigenvalue must exceed this fraction of the max
 
 #: Default sample count for Monte Carlo estimates; always paired with a
 #: reported standard error.
@@ -75,11 +76,19 @@ def _shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(a - shift[:, None]), shift
 
 
-def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
-    """``(cov, evals, evecs)`` of finite, symmetric covariances, one ``(m, m)`` or ``(k, m, m)``.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only in place, so a frozen value cannot be changed through it."""
+    arr.flags.writeable = False
+    return arr
 
-    Symmetry is checked to ``1e-12 * max(1, max |cov|)`` and the returned ``cov``
-    is symmetrized; each caller applies its own positivity rule to ``evals``.
+
+def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
+    """``(cov, evals, evecs)`` of valid covariances, one ``(m, m)`` or a ``(k, m, m)`` stack.
+
+    Valid means finite, symmetric to ``1e-12 * max(1, max |cov|)`` (the
+    returned ``cov`` is symmetrized) and positive definite with every
+    smallest eigenvalue above ``1e-12`` times the largest, so a covariance one
+    caller accepts no other caller rejects.
     """
     m = mean.shape[-1]
     if cov.shape != mean.shape + (m,):
@@ -90,7 +99,13 @@ def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
     if np.max(np.abs(cov - flipped)) > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
         raise ContractError(f"{what} covariance must be symmetric within 1e-12")
     cov = 0.5 * (cov + flipped)
-    return (cov, *np.linalg.eigh(cov))
+    evals, evecs = np.linalg.eigh(cov)
+    lam = evals.reshape(-1, m)
+    bad = np.flatnonzero(lam[:, 0] <= 1e-12 * lam[:, -1])
+    if bad.size:
+        label = what if cov.ndim == 2 else f"{what} {bad[0]}"
+        raise ContractError(f"{label} covariance is not positive definite (eigenvalues {lam[bad[0]]})")
+    return cov, evals, evecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,25 +141,16 @@ class GaussianMixture:
             raise ContractError(f"mixture weights sum to {w.sum()!r}, expected 1 within {_WEIGHT_SUM_TOL}")
 
         cov, evals, evecs = _decomposed(mu, cov, "mixture component")
-        bad = np.flatnonzero(evals[:, 0] <= _SPD_EIG_RATIO * evals[:, -1])
-        if bad.size:
-            i = bad[0]
-            raise ContractError(f"component {i} covariance is not positive definite (eigenvalues {evals[i]})")
 
         # own all arrays before freezing them, so callers' arrays stay writable
-        w = w.copy()
-        mu = mu.copy()
-        for arr in (w, mu, cov, evals, evecs):
-            arr.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "covs", cov)
-        object.__setattr__(self, "_evals", evals)
-        object.__setattr__(self, "_evecs", evecs)
+        object.__setattr__(self, "weights", _frozen(w.copy()))
+        object.__setattr__(self, "means", _frozen(mu.copy()))
+        object.__setattr__(self, "covs", _frozen(cov))
+        object.__setattr__(self, "_evals", _frozen(evals))
+        object.__setattr__(self, "_evecs", _frozen(evecs))
         # log of the Gaussian normalization constant per component
         log_norm = -0.5 * (mu.shape[1] * _LOG_2PI + np.log(evals).sum(axis=1))
-        log_norm.flags.writeable = False
-        object.__setattr__(self, "_log_norm", log_norm)
+        object.__setattr__(self, "_log_norm", _frozen(log_norm))
 
     # -- construction helpers -------------------------------------------------
 
@@ -201,12 +207,15 @@ class GaussianMixture:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GaussianMixture":
+        """Inverse of :meth:`to_json_dict`; ``dim`` must be a finite integral number, not a bool."""
         try:
-            dim = int(doc["dim"])
+            dim = doc["dim"]
             comps = doc["components"]
             mix = cls.from_components([(c["weight"], c["mean"], c["cov"]) for c in comps])
         except (KeyError, TypeError) as exc:
             raise ContractError(f"malformed mixture document: {exc}") from exc
+        if isinstance(dim, bool) or not (isinstance(dim, int) or (isinstance(dim, float) and dim.is_integer())):
+            raise ContractError(f"dim must be a finite integer, got {dim!r}")
         if mix.dim != dim:
             raise ContractError(f"declared dim {dim} does not match component dim {mix.dim}")
         return mix
@@ -227,9 +236,7 @@ class ParticleEnsemble:
             raise ContractError("ensemble points must form a nonempty (n, m) array")
         if not np.all(np.isfinite(pts)):
             raise ContractError("ensemble points must be finite")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen(pts.copy()))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -262,6 +269,40 @@ def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, m = points.shape
     cov = np.atleast_2d(np.cov(points.T, ddof=1)) if n >= 2 else np.zeros((m, m))
     return points.mean(axis=0), cov
+
+
+# -- point handling -----------------------------------------------------------
+
+
+def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
+    """Coerce finite x (a scalar or vector is one point) into an (n, dim) array; report whether it was one point."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ContractError("points must be finite")
+    if arr.ndim > 2:
+        raise ContractError("points must be a scalar, a vector or an (n, m) array")
+    pts = arr if arr.ndim == 2 else arr.reshape(1, -1)
+    if pts.shape[1] != dim:
+        raise ContractError(f"points have dimension {pts.shape[1]}, expected {dim}")
+    return pts, arr.ndim < 2
+
+
+def _pointwise(body):
+    """Evaluate ``body(owner, points, *args)`` at one point or an (n, m) batch, the second argument.
+
+    ``x`` is coerced by :func:`_as_points` to ``owner.dim`` columns; ``body``
+    sees only the (n, m) array.  One point gives row 0 of the batch result, a
+    Python float where that row is a scalar.
+    """
+
+    @functools.wraps(body)
+    def at_points(owner, x, *args):
+        pts, single = _as_points(x, owner.dim)
+        out = body(owner, pts, *args)
+        row = out[0] if single else out
+        return float(row) if np.ndim(row) == 0 else row
+
+    return at_points
 
 
 # -- single-Gaussian spectral core ----------------------------------------------
@@ -315,12 +356,10 @@ class Gaussian:
 
     @classmethod
     def from_cov(cls, cov, mean=None) -> "Gaussian":
-        """Decompose a finite, symmetric, positive-definite covariance (mean defaults to 0)."""
+        """Decompose a covariance that :func:`_decomposed` accepts (mean defaults to 0)."""
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         mean = np.zeros(cov.shape[0]) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
         _, evals, evecs = _decomposed(mean, cov, "Gaussian")
-        if float(evals[0]) <= 0.0:
-            raise ContractError("covariance must be positive definite")
         return cls(_frozen(mean.copy()), _frozen(evals), _frozen(evecs))
 
     @classmethod
@@ -378,6 +417,7 @@ class Gaussian:
         v = self.evecs
         return (x @ v * (lam / (lam + t)) + self.mean @ v * (t / (lam + t))) @ v.T
 
+    @_pointwise
     def continuous_map(self, x, t: float) -> np.ndarray:
         """Continuous-flow map on one point or (n, m) points: ``sqrt(I - 2 t S^{-1}) (x - mean) + mean``.
 
@@ -386,14 +426,11 @@ class Gaussian:
         :class:`SingularityError` carries that critical time.
         """
         t = _checked_time(t)
-        pts, single = _as_points(x, self.dim)
         if t == 0.0:
-            out = pts.copy()
-        else:
-            self.check_horizon(t, "continuous map")
-            factors = np.sqrt(1.0 - 2.0 * t / self.evals)
-            out = ((pts - self.mean) @ self.evecs * factors) @ self.evecs.T + self.mean
-        return out[0] if single else out
+            return x.copy()
+        self.check_horizon(t, "continuous map")
+        factors = np.sqrt(1.0 - 2.0 * t / self.evals)
+        return ((x - self.mean) @ self.evecs * factors) @ self.evecs.T + self.mean
 
     def w2(self, other: "Gaussian") -> float:
         """Quadratic Wasserstein (Bures-Wasserstein) distance to ``other``.
@@ -434,35 +471,6 @@ class Gaussian:
         return ((math.exp(log_int) if log_int < 700.0 else math.inf) - 1.0) / (alpha - 1.0)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only in place, so a frozen value cannot be changed through it."""
-    arr.flags.writeable = False
-    return arr
-
-
-# -- point handling -----------------------------------------------------------
-
-
-def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce finite x into an (n, dim) array; report whether input was a single point."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ContractError("points must be finite")
-    if arr.ndim == 0:
-        if dim != 1:
-            raise ContractError(f"scalar point given for a {dim}-dimensional mixture")
-        return arr.reshape(1, 1), True
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ContractError(f"point has dimension {arr.shape[0]}, mixture has dimension {dim}")
-        return arr.reshape(1, dim), True
-    if arr.ndim == 2:
-        if arr.shape[1] != dim:
-            raise ContractError(f"points have dimension {arr.shape[1]}, mixture has dimension {dim}")
-        return arr, False
-    raise ContractError("points must be a vector or an (n, m) array")
-
-
 def _component_terms(mix: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-component log densities (with log weights) and offsets, all components at once.
 
@@ -484,54 +492,50 @@ def _weighted_pulls(mix: GaussianMixture, weights: np.ndarray, y: np.ndarray) ->
 # -- densities and derivatives --------------------------------------------------
 
 
+@_pointwise
 def log_density(mix: GaussianMixture, x) -> float | np.ndarray:
     """Log of the mixture density, stable for strongly smoothed mixtures."""
-    pts, single = _as_points(x, mix.dim)
-    terms, shift = _shifted_exp(_component_terms(mix, pts)[0])
-    out = np.log(terms.sum(axis=1)) + shift
-    return float(out[0]) if single else out
+    terms, shift = _shifted_exp(_component_terms(mix, x)[0])
+    return np.log(terms.sum(axis=1)) + shift
 
 
+@_pointwise
 def density(mix: GaussianMixture, x) -> float | np.ndarray:
     """Mixture density sum_i w_i N(x; mu_i, S_i)."""
-    out = np.exp(log_density(mix, x))
-    return float(out) if np.ndim(out) == 0 else out
+    return np.exp(log_density(mix, x))
 
 
+@_pointwise
 def score(mix: GaussianMixture, x) -> np.ndarray:
     """Gradient of the log density.
 
     Computed analytically as the responsibility-weighted sum of the
     per-component terms ``-S_i^{-1}(x - mu_i)``.
     """
-    pts, single = _as_points(x, mix.dim)
-    logs, y = _component_terms(mix, pts)
+    logs, y = _component_terms(mix, x)
     resp = _shifted_exp(logs)[0]
     resp /= resp.sum(axis=1, keepdims=True)
-    out = _weighted_pulls(mix, resp, y)
-    return out[0] if single else out
+    return _weighted_pulls(mix, resp, y)
 
 
+@_pointwise
 def density_gradient(mix: GaussianMixture, x) -> np.ndarray:
     """Gradient of the density itself: sum_i w_i N_i(x) (-S_i^{-1}(x - mu_i))."""
-    pts, single = _as_points(x, mix.dim)
-    logs, y = _component_terms(mix, pts)
-    out = _weighted_pulls(mix, np.exp(logs), y)
-    return out[0] if single else out
+    logs, y = _component_terms(mix, x)
+    return _weighted_pulls(mix, np.exp(logs), y)
 
 
+@_pointwise
 def laplacian_density(mix: GaussianMixture, x) -> float | np.ndarray:
     """Laplacian of the density.
 
     Uses the closed form per component:
     ``lap N = N * (|S^{-1}(x - mu)|^2 - tr S^{-1})``.
     """
-    pts, single = _as_points(x, mix.dim)
-    logs, y = _component_terms(mix, pts)
+    logs, y = _component_terms(mix, x)
     solve_sq = np.sum((y / mix._evals[:, np.newaxis]) ** 2, axis=2)
     traces = np.sum(1.0 / mix._evals, axis=1)[:, np.newaxis]
-    out = np.sum(np.exp(logs).T * (solve_sq - traces), axis=0)
-    return float(out[0]) if single else out
+    return np.sum(np.exp(logs).T * (solve_sq - traces), axis=0)
 
 
 # -- smoothing -----------------------------------------------------------------
@@ -628,12 +632,9 @@ def stein_residual(t: float, eps) -> np.ndarray:
     """
     t = _checked_parameter(t, "noise variance")
     arr = np.asarray(eps, dtype=float)
-    dim = 1 if arr.ndim == 0 else arr.shape[-1]
-    noise = GaussianMixture.single(np.zeros(dim), t * np.eye(dim))
-    pts, single = _as_points(eps, dim)
-    grad = density_gradient(noise, pts)
-    dens = density(noise, pts)
-    res = -t * grad - pts * np.asarray(dens).reshape(-1, 1)
+    pts, single = _as_points(arr, 1 if arr.ndim == 0 else arr.shape[-1])
+    noise = GaussianMixture.single(np.zeros(pts.shape[1]), t * np.eye(pts.shape[1]))
+    res = -t * density_gradient(noise, pts) - pts * density(noise, pts)[:, np.newaxis]
     return res[0] if single else res
 
 

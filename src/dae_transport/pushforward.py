@@ -26,7 +26,7 @@ def push_continuous(mean, cov, t: float) -> Gaussian:
 
 
 def push_one_shot(mean, cov, t: float) -> Gaussian:
-    """N(mean, cov) under the one-shot map, covariance ``cov (I + t cov^{-1})^{-2}``, positive definite for every t."""
+    """N(mean, cov) under the one-shot map, covariance ``cov (I + t cov^{-1})^{-2}``, full rank for every t."""
     return Gaussian.from_cov(cov, mean).one_shot(_checked_time(t))
 
 

@@ -37,10 +37,11 @@ from .measures import (
     Gaussian,
     GaussianMixture,
     ParticleEnsemble,
-    _as_points,
     _checked_time,
+    _frozen,
     _kernel_pass,
     _moments,
+    _pointwise,
     _renyi_terms,
     kde_log_density,
     score,
@@ -75,13 +76,9 @@ class MixtureExact:
     def dim(self) -> int:
         return self.mix.dim
 
+    @_pointwise
     def apply(self, x) -> np.ndarray:
-        pts, single = _as_points(x, self.dim)
-        if self.t == 0.0:
-            out = pts.copy()
-        else:
-            out = pts + self.t * score(self._smoothed, pts)
-        return out[0] if single else out
+        return x.copy() if self.t == 0.0 else x + self.t * score(self._smoothed, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +92,8 @@ class AnalyticGaussian:
     def __post_init__(self):
         t = _checked_time(self.t, "noise variance")
         g = Gaussian.from_cov(self.cov, self.mean)
-        cov = np.array(self.cov, dtype=float, ndmin=2)
-        cov.flags.writeable = False
         object.__setattr__(self, "mean", g.mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", _frozen(np.array(self.cov, dtype=float, ndmin=2)))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "_g", g)
 
@@ -106,10 +101,9 @@ class AnalyticGaussian:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    @_pointwise
     def apply(self, x) -> np.ndarray:
-        pts, single = _as_points(x, self.dim)
-        out = pts.copy() if self.t == 0.0 else self._g.denoise(pts, self.t)
-        return out[0] if single else out
+        return x.copy() if self.t == 0.0 else self._g.denoise(x, self.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,18 +125,18 @@ class EmpiricalKernel:
     def dim(self) -> int:
         return self.data.dim
 
+    @_pointwise
     def apply(self, x) -> np.ndarray:
         if self.t == 0.0:
             raise DomainError("empirical kernel map is degenerate at t = 0")
-        pts, single = _as_points(x, self.dim)
         log_norm = -0.5 * self.dim * math.log(2.0 * math.pi * self.t)
-        log_weight, out = _kernel_pass(pts, self.data.points, self.t, log_norm, weighted_mean=True)
+        log_weight, out = _kernel_pass(x, self.data.points, self.t, log_norm, weighted_mean=True)
         if np.any(log_weight < _UNDERFLOW_LOG):
             raise DomainError(
                 f"kernel weight sum underflow (log sum {float(np.min(log_weight)):.1f} < log 1e-300); "
                 "the probe point is too far from the data for bandwidth t"
             )
-        return out[0] if single else out
+        return out
 
 
 def denoising_shift(transport_map: MixtureExact | AnalyticGaussian | EmpiricalKernel, x) -> np.ndarray:
@@ -152,8 +146,7 @@ def denoising_shift(transport_map: MixtureExact | AnalyticGaussian | EmpiricalKe
     it vanishes at t = 0 and equals ``t * score(smoothed measure, x)`` for the
     exact backends.
     """
-    pts = np.asarray(x, dtype=float)
-    return transport_map.apply(x) - pts
+    return transport_map.apply(x) - np.asarray(x, dtype=float)
 
 
 # -- schedules and trajectories -----------------------------------------------------
@@ -282,7 +275,7 @@ def _layer_diagnostics(
     if g is not None:
         ent, ren = Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0)
     else:
-        rng = substream(seed, 100 + layer)
+        rng = substream(seed, 100, layer)
         n = points.shape[0]
         data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
                         for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))

@@ -3,9 +3,11 @@
 Each check evaluates an identity on a probe grid by two independent routes
 (finite differences vs. closed forms, Monte Carlo vs. analytic maps) and
 reports the residuals in a :class:`ResidualReport`.  Tolerances live in one
-table, :data:`TOLERANCES`; a report passes iff its max absolute residual is
-within tolerance.  The one-shot control in the backward-heat check is
-expected to fail, which is itself asserted by the suite.
+table, :data:`TOLERANCES`.  The report is the one owner of the verdict: it
+derives its default tolerance, max absolute residual and ``passed`` itself.
+Covariance validity and point coercion are owned by ``measures._decomposed``
+and ``measures._pointwise``.  The one-shot control in the backward-heat
+check is expected to fail, which is itself asserted by the suite.
 
 Finite-difference conventions: dt = 1e-4 in time and dx = 1e-3 in space,
 central stencils throughout.
@@ -24,7 +26,6 @@ from .measures import (
     Estimate,
     Gaussian,
     GaussianMixture,
-    ParticleEnsemble,
     _checked_alpha,
     _checked_parameter,
     _checked_time,
@@ -62,41 +63,29 @@ _DX = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
-    """Residuals of one identity on a probe grid, with pass/fail verdict."""
+    """Residuals of one identity on a probe grid, with the pass/fail verdict it derives.
+
+    ``tolerance=None`` takes the bound from :data:`TOLERANCES`; ``max_abs``
+    and ``passed`` (``max_abs <= tolerance``) are computed here, never given.
+    """
 
     name: str
     grid: np.ndarray | None
     residuals: np.ndarray
-    max_abs: float
-    tolerance: float
-    passed: bool
+    tolerance: float | None = None
     seed: int | None = None
     details: dict = field(default_factory=dict)
+    max_abs: float = field(init=False)
+    passed: bool = field(init=False)
 
-    @classmethod
-    def build(
-        cls,
-        name: str,
-        grid: np.ndarray | None,
-        residuals,
-        tolerance: float | None,
-        seed: int | None = None,
-        details: dict | None = None,
-    ) -> "ResidualReport":
-        """Report for ``name``; ``tolerance=None`` takes the bound from :data:`TOLERANCES`."""
-        tolerance = TOLERANCES[name] if tolerance is None else float(tolerance)
-        res = np.atleast_1d(np.asarray(residuals, dtype=float)).ravel()
+    def __post_init__(self):
+        res = np.atleast_1d(np.asarray(self.residuals, dtype=float)).ravel()
+        tol = TOLERANCES[self.name] if self.tolerance is None else float(self.tolerance)
         max_abs = float(np.max(np.abs(res))) if res.size else 0.0
-        return cls(
-            name=name,
-            grid=None if grid is None else np.asarray(grid, dtype=float),
-            residuals=res,
-            max_abs=max_abs,
-            tolerance=tolerance,
-            passed=bool(max_abs <= tolerance),
-            seed=seed,
-            details=dict(details or {}),
-        )
+        grid = None if self.grid is None else np.asarray(self.grid, dtype=float)
+        for key, value in zip(("grid", "residuals", "tolerance", "details", "max_abs", "passed"),
+                              (grid, res, tol, dict(self.details), max_abs, bool(max_abs <= tol))):
+            object.__setattr__(self, key, value)
 
     @property
     def grid_size(self) -> int:
@@ -187,7 +176,7 @@ def check_variational_minimizer(
 
     grid = _probe_grid(grid, 2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
 
-    fitted = EmpiricalKernel(ParticleEnsemble(clean.points, seed), t).apply(grid)
+    fitted = EmpiricalKernel(clean, t).apply(grid)
     exact_map = MixtureExact(mix0, t)
     exact = exact_map.apply(grid)
     deviations = np.max(np.abs(fitted - exact), axis=1)
@@ -218,7 +207,7 @@ def check_variational_minimizer(
             extras.append(2.0 * tol * ratio)
 
     residuals = np.concatenate([deviations, np.asarray(extras, dtype=float)])
-    return ResidualReport.build(
+    return ResidualReport(
         "variational_minimizer",
         grid,
         residuals,
@@ -296,7 +285,7 @@ def check_continuity_t0(
             "bandwidth_rule": "silverman x 3 (derivative smoothing)",
         }
 
-    return ResidualReport.build(name, grid, residuals, tolerance, seed=seed, details=details)
+    return ResidualReport(name, grid, residuals, tolerance, seed=seed, details=details)
 
 
 # -- backward heat equation ---------------------------------------------------------
@@ -336,7 +325,7 @@ def check_backward_heat(
             g.check_horizon(t + dt, "continuous pushforward on the t_grid stencil")
         residuals.append(_heat_residual(mix0, push, t, dt, grid))
 
-    return ResidualReport.build(
+    return ResidualReport(
         "backward_heat" if source == "continuous" else "backward_heat_one_shot_negative_control",
         grid,
         np.concatenate(residuals),
@@ -373,7 +362,7 @@ def check_time_reversal(
         recovered = smooth(GaussianMixture.single(mean, pushed), 2.0 * t)
         residuals.append(np.abs(density(recovered, probes) - density(original, probes)))
 
-    return ResidualReport.build(
+    return ResidualReport(
         "time_reversal",
         probes,
         np.concatenate(residuals),
@@ -408,7 +397,7 @@ def check_entropy_monotone(
     else:  # an increase within three combined standard errors is Monte Carlo noise
         violations = [max(0.0, d - 3.0 * (a.stderr + b.stderr)) for d, a, b in zip(deltas, ents, ents[1:])]
 
-    return ResidualReport.build(
+    return ResidualReport(
         "entropy_monotone",
         None,
         violations,
@@ -437,7 +426,7 @@ def check_stein_identity(
         t = float(rng.uniform(0.1, 2.0))
         eps = rng.standard_normal(dim) * math.sqrt(2.0)
         residuals.append(float(np.max(np.abs(stein_residual(t, eps)))))
-    return ResidualReport.build(
+    return ResidualReport(
         "stein_identity", None, residuals, tolerance, seed=seed, details={"n_pairs": int(n_pairs)}
     )
 
@@ -480,7 +469,7 @@ def check_renyi_gradient_identity(
         + mu ** (alpha - 1.0) * lap
     )
 
-    return ResidualReport.build(
+    return ResidualReport(
         "renyi_gradient_identity", grid, div - analytic, tolerance, details={"alpha": alpha, "dx": dx}
     )
 

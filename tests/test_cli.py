@@ -9,8 +9,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dae_transport.cli import (
+    ConfigError,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
@@ -62,6 +65,14 @@ def test_broken_json_reports_line_number(tmp_path, capsys):
     assert main(["trajectory", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "line 3" in err
+
+
+def test_overlong_integer_is_config_error(tmp_path, capsys):
+    # Python's json refuses integer literals over 4300 digits with a plain ValueError
+    path = tmp_path / "bad.json"
+    path.write_text('{"particles": {"n": ' + "1" * 5000 + "}}\n")
+    assert main(["trajectory", "--config", str(path)]) == EXIT_CONFIG
+    assert "config error at line 1: invalid JSON" in capsys.readouterr().err
 
 
 def test_zero_particles_is_config_error(tmp_path, capsys):
@@ -122,13 +133,24 @@ MIXTURE_1D = {
         ("composed", {("tolerances",): {"backward_heat": 1e-4, "time_reversal": -1.0}}, "time_reversal"),
         # a one-panel config is named after its mode: a bad mode is reported at the mode, not as a name
         ("a/b", {}, "mode"),
+        # a string value equal to the key is not the key
+        ("composed", {("name",): "steps", ("schedule",): {"t_end": 0.4, "steps": 0}}, "steps"),
+        ("composed", {("name",): "n", ("particles", "n"): 0}, "n"),
+        # dim is a finite integral number: 1e400 reads as inf, and 2.5 is not truncated to 2
+        ("composed", {("distribution", "dim"): math.inf}, "distribution"),
+        ("composed", {("distribution", "dim"): 2.5}, "distribution"),
+        # a nested "panels" key, with a brace in its string value, is not the root's panel list
+        ("composed",
+         {("grid", "panels"): "a{", ("panels",): [_panel("a", "analytic", [0.1]), _panel("b", "bogus", [0.1])]},
+         "retrain"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
         "second_panel_retrain", "second_panel_taus", "analytic_retrain_on_mixture",
         "name_escapes", "name_slash", "name_backslash", "name_empty", "name_dotdot",
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
-        "mode_with_slash",
+        "mode_with_slash", "name_value_is_steps", "name_value_is_n", "dim_overflow", "dim_fraction",
+        "nested_panels_key",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -136,6 +158,7 @@ def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key)
     for path, value in edits.items():
         _set(doc, path, value)
     cfg = write_config(tmp_path, doc)
+    cfg.write_text(cfg.read_text().replace("Infinity", "1e400"))  # a JSON file spells inf as an overflowing number
     # the key's last line: in the panel rows, the first panel's same key is valid
     line = [i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in ln][-1]
     proc = subprocess.run(
@@ -147,6 +170,46 @@ def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key)
     assert f"config error at line {line}:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # nothing written, in or out of the out dir
+
+
+CONFIG_KEYS = (
+    "name", "distribution", "dim", "components", "weight", "mean", "cov", "mode", "schedule", "t", "times",
+    "taus", "t_end", "steps", "retrain", "particles", "n", "seed", "grid", "per_axis", "extent", "points",
+    "curve_extent", "outputs", "dir", "formats", "panels", "tolerances", "time_reversal",
+)
+# |x| <= 1e3 keeps every schedule small; inf and NaN are the non-finite inputs JSON can carry
+NUMBERS = st.one_of(st.integers(-1000, 1000), st.floats(-1e3, 1e3), st.sampled_from([math.inf, -math.inf, math.nan]))
+WORDS = st.sampled_from(["composed", "one_shot", "continuous", "svg", "{"])
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, WORDS, st.text(max_size=6))
+KEYS = st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=6))
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=5), max_leaves=24
+)
+
+
+@st.composite
+def _mutated(draw, value):
+    """A bundled config value with each leaf kept or redrawn, and up to one random key added to each object."""
+    if isinstance(value, dict):
+        return {**{k: draw(_mutated(v)) for k, v in value.items()}, **draw(st.dictionaries(KEYS, VALUES, max_size=1))}
+    if isinstance(value, list):
+        return [draw(_mutated(v)) for v in value]
+    return draw(st.one_of(st.just(value), NUMBERS if isinstance(value, (int, float)) else SCALARS))
+
+
+BUNDLED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+DOCUMENTS = st.one_of(st.dictionaries(KEYS, VALUES, max_size=8), st.sampled_from(BUNDLED).flatmap(_mutated))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=DOCUMENTS)
+def test_load_config_returns_or_reports_a_line(tmp_path, doc):
+    cfg = write_config(tmp_path, doc)
+    try:
+        load_config(cfg, None, None)
+    except ConfigError as exc:
+        assert 1 <= exc.line <= len(cfg.read_text().splitlines())
 
 
 def test_bad_run_name_after_the_panels_is_reported_at_its_own_line(tmp_path, capsys):

@@ -7,11 +7,13 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from dae_transport import (
+    AnalyticGaussian,
     ContractError,
     DomainError,
     Gaussian,
     GaussianMixture,
     ParticleEnsemble,
+    check_time_reversal,
     density,
     density_gradient,
     entropy,
@@ -74,6 +76,33 @@ def test_covariance_must_be_symmetric():
 def test_covariance_must_be_positive_definite():
     with pytest.raises(ContractError):
         GaussianMixture.single([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda cov: Gaussian.from_cov(cov),
+        lambda cov: push_one_shot([0.0, 0.0], cov, 0.0),
+        lambda cov: push_continuous([0.0, 0.0], cov, 0.0),
+        lambda cov: AnalyticGaussian([0.0, 0.0], cov, 0.1),
+        lambda cov: GaussianMixture.single([0.0, 0.0], cov),
+        lambda cov: check_time_reversal([0.0, 0.0], cov, 0.0),
+    ],
+    ids=["Gaussian.from_cov", "push_one_shot", "push_continuous", "AnalyticGaussian", "GaussianMixture.single",
+         "check_time_reversal"],
+)
+def test_one_positivity_rule_at_every_entry(entry):
+    # lambda_min <= 1e-12 lambda_max is rejected where the covariance enters, so no
+    # Gaussian is accepted whose as_mixture() would then raise
+    with pytest.raises(ContractError, match="not positive definite"):
+        entry(np.diag([1.0, 1e-13]))
+    entry(np.diag([1.0, 2e-12]))
+
+
+def test_positivity_rule_names_the_bad_component():
+    with pytest.raises(ContractError, match="mixture component 1 covariance is not positive definite"):
+        GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[0.0]]])
+    assert Gaussian.from_cov(np.diag([1.0, 2e-12])).as_mixture().k == 1
 
 
 def test_component_dimensions_must_agree():

@@ -23,9 +23,11 @@ from dae_transport import (
     continuous_flow,
     denoising_shift,
     density,
+    density_gradient,
     entropy,
     kde_log_density,
     laplacian_density,
+    log_density,
     one_shot_covariance,
     one_shot_orbit,
     probe_lattice,
@@ -240,6 +242,45 @@ POINT_ENTRY_POINTS = {
 def test_point_entry_points_reject_nonfinite_points(entry, bad):
     with pytest.raises(ContractError, match="finite"):
         POINT_ENTRY_POINTS[entry]([[0.0, 0.0], [bad, 1.0]])
+
+
+def _two_mixture() -> GaussianMixture:
+    return GaussianMixture.from_components(
+        [(0.4, [-1.0, 0.5], [[1.0, 0.3], [0.3, 0.8]]), (0.6, [1.5, -0.5], [[0.6, -0.1], [-0.1, 1.2]])]
+    )
+
+
+ROTATED_COV = [[2.0, 0.4], [0.4, 1.0]]
+# every function decorated with measures._pointwise, and whether one point gives a float
+POINTWISE = {
+    "log_density": (lambda x: log_density(_two_mixture(), x), True),
+    "density": (lambda x: density(_two_mixture(), x), True),
+    "laplacian_density": (lambda x: laplacian_density(_two_mixture(), x), True),
+    "score": (lambda x: score(_two_mixture(), x), False),
+    "density_gradient": (lambda x: density_gradient(_two_mixture(), x), False),
+    "Gaussian.continuous_map": (lambda x: Gaussian.from_cov(ROTATED_COV, [0.3, -0.2]).continuous_map(x, 0.3), False),
+    "MixtureExact.apply": (lambda x: MixtureExact(_two_mixture(), 0.3).apply(x), False),
+    "AnalyticGaussian.apply": (lambda x: AnalyticGaussian([0.3, -0.2], ROTATED_COV, 0.3).apply(x), False),
+    "EmpiricalKernel.apply": (lambda x: EmpiricalKernel(sample(_two_mixture(), 200, 5), 0.5).apply(x), False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POINTWISE))
+def test_one_point_is_row_zero_of_its_batch(entry):
+    f, scalar = POINTWISE[entry]
+    pts = np.random.default_rng(7).standard_normal((6, 2))
+    batch = f(pts)
+    assert isinstance(batch, np.ndarray) and batch.shape == ((6,) if scalar else (6, 2))
+    for i, x in enumerate(pts):
+        one = f(x)
+        if scalar:
+            assert type(one) is float
+        else:
+            assert isinstance(one, np.ndarray) and one.shape == (2,)
+        assert np.array_equal(one, f(x[np.newaxis])[0])  # bit for bit
+        # a larger batch may round in the last bits: BLAS picks its kernel by shape
+        np.testing.assert_allclose(one, batch[i], rtol=1e-12, atol=1e-15)
+    assert type(log_density(GaussianMixture.standard(1), 0.5)) is float  # a scalar is a point in one dimension
 
 
 # -- composition ------------------------------------------------------------------------
@@ -462,6 +503,26 @@ def test_continuous_flow_infers_empirical_mode_for_mixtures():
     traj = continuous_flow(mix, 0.2, 2, ens)
     assert len(traj.times) == 3
     assert traj.diagnostics[0].entropy.stderr > 0.0
+
+
+def test_layer_diagnostics_and_bump_fields_draw_from_distinct_streams(monkeypatch):
+    # flat paths 100 + layer and 1000 + trial met at layer 900 and trial 0
+    from dae_transport import rand, transport, verify
+
+    paths = []
+
+    def recording(seed, *path):
+        paths.append(path)
+        return rand.substream(seed, *path)
+
+    monkeypatch.setattr(transport, "substream", recording)
+    monkeypatch.setattr(verify, "substream", recording)
+    mix = _two_mixture()
+    transport._layer_diagnostics(sample(mix, 50, 0).points, None, 0, 900)
+    verify._bump_field(0, 0, mix)
+    assert paths == [(100, 900), (1000,)]
+    draws = [rand.substream(0, *path).random(8) for path in paths]
+    assert not np.any(draws[0] == draws[1])
 
 
 def test_empirical_diagnostics_subsample_large_ensembles():

@@ -14,6 +14,7 @@ from dae_transport import (
     FlowDiagnostics,
     GaussianMixture,
     ParticleEnsemble,
+    ResidualReport,
     SingularityError,
     Trajectory,
     check_backward_heat,
@@ -35,6 +36,19 @@ from dae_transport import (
 ANISO = GaussianMixture.single([0.0, 0.0], np.diag([2.0, 1.0]))
 STD1 = GaussianMixture.standard(1)
 MIX2 = GaussianMixture.from_components([(0.5, [-1.0], [[1.0]]), (0.5, [1.0], [[1.0]])])
+
+
+# -- reports ------------------------------------------------------------------------
+
+
+def test_report_derives_its_verdict():
+    r = ResidualReport("time_reversal", None, [1e-13, -2e-13])
+    assert (r.tolerance, r.max_abs, r.passed) == (1e-12, 2e-13, True)
+    assert not ResidualReport("time_reversal", None, [1e-13], 1e-14).passed
+    assert not ResidualReport("stein_identity", None, [math.nan]).passed
+    assert ResidualReport("entropy_monotone", None, []).passed
+    with pytest.raises(TypeError):
+        ResidualReport("time_reversal", None, [1.0], passed=True)
 
 
 # -- variational minimizer ----------------------------------------------------------

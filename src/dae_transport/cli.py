@@ -51,45 +51,57 @@ class ConfigError(Exception):
         self.line = line
 
 
-def _key_line(raw: str, key: str) -> int:
-    """Line of the first ``"key":`` (a key, never a string value) in ``raw``, else of its first non-blank line."""
-    found = re.search(rf'(?<!\\)"{re.escape(key)}"\s*:', raw) or re.search(r"\S", raw)
-    return raw.count("\n", 0, found.start()) + 1 if found else 1
+def _key_line(text: str, key: str) -> int:
+    """Line of member ``key`` of the JSON object in ``text``, else of the object's opening brace.
+
+    Only the object's own members count, so neither a same-named key in
+    another object nor a string value equal to ``key`` is taken for it.  Of
+    repeated keys the last counts, as it is the one ``json`` keeps.
+    """
+    start = text.index("{")
+    found = [at for name, at, _, _ in _members(text, start) if name == key]
+    return text.count("\n", 0, found[-1] if found else start) + 1
 
 
-def _members(raw: str, start: int) -> list[tuple[str | None, int, int]]:
-    """``(key, start, end)`` of each member of the valid JSON object or array opening at ``raw[start]``.
+def _members(raw: str, start: int) -> list[tuple[str | None, int, int, int]]:
+    """``(key, key start, value start, value end)`` of each member of the valid JSON object or array at ``raw[start]``.
 
-    Array members have key None.  Strings are decoded, never searched, so a
-    nested key or a brace inside a string value is not taken for a member.
+    Array members have key None and start at their value.  Strings are
+    decoded, never searched, so a nested key or a brace inside a string value
+    is not taken for a member.
     """
     # in valid JSON only whitespace, ',' and ':' lie between the tokens
     decode, skip, members = json.JSONDecoder().raw_decode, re.compile(r"[ \t\n\r,:]*").match, []
     i = skip(raw, start + 1).end()
     while raw[i] not in "]}":
+        at = i
         key, i = decode(raw, i) if raw[start] == "{" else (None, i)
         i = skip(raw, i).end()
         end = decode(raw, i)[1]
-        members.append((key, i, end))
+        members.append((key, at, i, end))
         i = skip(raw, end).end()
     return members
 
 
-def _panel_texts(raw: str) -> tuple[list[str], str]:
-    """Each listed panel's own text, and the root's text with the panels blanked.
+def _lined(raw: str, start: int, end: int) -> str:
+    """``raw[start:end]`` behind the newlines before it, so its line numbers stay those of ``raw``."""
+    return "\n" * raw.count("\n", 0, start) + raw[start:end]
 
-    Every text keeps the newlines before it, so line numbers stay absolute.
-    """
-    root_members = _members(raw, raw.index("{"))
-    texts, root = [], raw
-    for _, start, end in _members(raw, [s for key, s, _ in root_members if key == "panels"][-1]):
-        texts.append("\n" * raw.count("\n", 0, start) + raw[start:end])
-        root = root[:start] + re.sub(r"[^\n]", " ", raw[start:end]) + root[end:]
-    return texts, root
+
+def _object_text(text: str, key: str) -> str:
+    """The text (see :func:`_lined`) of member ``key`` of the object in ``text`` if that is an object, else ``text``."""
+    spans = [(s, e) for name, _, s, e in _members(text, text.index("{")) if name == key]
+    return _lined(text, *spans[-1]) if spans and text[spans[-1][0]] == "{" else text
+
+
+def _panel_texts(raw: str) -> list[str]:
+    """Each listed panel's own text (see :func:`_lined`)."""
+    panels = [s for key, _, s, _ in _members(raw, raw.index("{")) if key == "panels"][-1]
+    return [_lined(raw, s, e) for _, _, s, e in _members(raw, panels)]
 
 
 def _field(raw: str, obj: dict, key: str, kind, default=None, positive: bool = False):
-    """``obj[key]`` checked against ``kind``; any bad value is a ConfigError at the key's line.
+    """``obj[key]`` checked against ``kind``; a bad value is a ConfigError at the key's line in ``raw``, obj's text.
 
     ``kind`` is ``dict`` or ``list`` (type checked), ``int`` or ``float`` (a
     finite JSON number, integral for ``int``, and > 0 if ``positive``), or a
@@ -144,14 +156,16 @@ class RunConfig:
     tolerances: dict
 
 
-def _validate_schedule(spec, mode: str, raw: str) -> dict:
-    line = _key_line(raw, "schedule")
+def _validate_schedule(spec, mode: str, text: str) -> dict:
+    """The checked schedule of a panel whose text is ``text``."""
+    line = _key_line(text, "schedule")
     if not isinstance(spec, dict):
         raise ConfigError("schedule must be an object", line)
+    own = _object_text(text, "schedule")
     uniform = "t_end" in spec and "steps" in spec
     if uniform:
-        t_end = _field(raw, spec, "t_end", float, positive=True)
-        steps = _field(raw, spec, "steps", int, positive=True)
+        t_end = _field(own, spec, "t_end", float, positive=True)
+        steps = _field(own, spec, "steps", int, positive=True)
         uniform_times = [t_end * (i + 1) / steps for i in range(steps)]
     if mode == "continuous":
         if not uniform:
@@ -159,9 +173,9 @@ def _validate_schedule(spec, mode: str, raw: str) -> dict:
         return {"t_end": t_end, "steps": steps, "times": uniform_times}
     if mode == "one_shot":
         if "t" in spec:
-            times = [_field(raw, spec, "t", float, positive=True)]
+            times = [_field(own, spec, "t", float, positive=True)]
         elif "times" in spec:
-            times = _field(raw, spec, "times", [float], positive=True)
+            times = _field(own, spec, "times", [float], positive=True)
         elif uniform:
             times = uniform_times
         else:
@@ -170,7 +184,7 @@ def _validate_schedule(spec, mode: str, raw: str) -> dict:
             raise ConfigError("one_shot times must be nonempty and strictly increasing", line)
         return {"times": times}
     if "taus" in spec:
-        taus = _field(raw, spec, "taus", [float], positive=True)
+        taus = _field(own, spec, "taus", [float], positive=True)
     elif uniform:
         taus = [t_end / steps] * steps
     else:
@@ -196,35 +210,35 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         except ValueError as exc:
             raise ConfigError(f"bad distribution: {exc}", _key_line(raw, "distribution")) from exc
 
-    particles = _field(raw, doc, "particles", dict, {})
-    n = _field(raw, particles, "n", int, 100, positive=True)
-    seed = _field(raw, particles, "seed", int, 0)
+    particles, text = _field(raw, doc, "particles", dict, {}), _object_text(raw, "particles")
+    n = _field(text, particles, "n", int, 100, positive=True)
+    seed = _field(text, particles, "seed", int, 0)
     if seed_override is not None:
         seed = int(seed_override)
 
-    grid = _field(raw, doc, "grid", dict, {})
-    grid_per_axis = _field(raw, grid, "per_axis", int, 9, positive=True)
-    grid_extent = _field(raw, grid, "extent", float, 3.0, positive=True)
-    curve_points = _field(raw, grid, "points", int, 401, positive=True)
-    curve_extent = _field(raw, grid, "curve_extent", float, 4.0, positive=True)
+    grid, text = _field(raw, doc, "grid", dict, {}), _object_text(raw, "grid")
+    grid_per_axis = _field(text, grid, "per_axis", int, 9, positive=True)
+    grid_extent = _field(text, grid, "extent", float, 3.0, positive=True)
+    curve_points = _field(text, grid, "points", int, 401, positive=True)
+    curve_extent = _field(text, grid, "curve_extent", float, 4.0, positive=True)
 
-    outputs = _field(raw, doc, "outputs", dict, {})
+    outputs, text = _field(raw, doc, "outputs", dict, {}), _object_text(raw, "outputs")
     out_dir = Path(out_override) if out_override is not None else Path(str(outputs.get("dir", "out")))
-    formats = tuple(_field(raw, outputs, "formats", list, list(_FORMATS)))
+    formats = tuple(_field(text, outputs, "formats", list, list(_FORMATS)))
     for fmt in formats:
         if fmt not in _FORMATS:
-            raise ConfigError(f"unknown output format {fmt!r}", _key_line(raw, "formats"))
+            raise ConfigError(f"unknown output format {fmt!r}", _key_line(text, "formats"))
 
     # a root mode/schedule/retrain is the one-panel case of "panels", named after its mode
     if "panels" in doc:
         panel_docs = _field(raw, doc, "panels", [dict])
         if not panel_docs:
             raise ConfigError("panels must be a nonempty list", _key_line(raw, "panels"))
-        texts, root_text = _panel_texts(raw)
+        texts = _panel_texts(raw)
     else:
         panel_docs = [{**doc, "name": str(doc["mode"])}] if "mode" in doc else []
-        texts, root_text = [raw], raw
-    run_name = _checked_name(str(doc.get("name", path.stem)), root_text)
+        texts = [raw]
+    run_name = _checked_name(str(doc.get("name", path.stem)), raw)
     panels = []
     for i, (p, text) in enumerate(zip(panel_docs, texts)):
         name, mode, retrain = str(p.get("name", f"panel{i}")), p.get("mode"), p.get("retrain")
@@ -238,13 +252,13 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
             raise ConfigError(message, _key_line(text, "retrain"))
         panels.append(Panel(name, mode, _validate_schedule(p.get("schedule", {}), mode, text), retrain))
 
-    bounds, tolerances = _field(raw, doc, "tolerances", dict, {}), {}
+    bounds, text, tolerances = _field(raw, doc, "tolerances", dict, {}), _object_text(raw, "tolerances"), {}
     for key in bounds:
         if key not in TOLERANCES:
-            raise ConfigError(f"unknown tolerance {key!r}, expected one of {sorted(TOLERANCES)}", _key_line(raw, key))
-        tolerances[key] = _field(raw, bounds, key, float)
+            raise ConfigError(f"unknown tolerance {key!r}, expected one of {sorted(TOLERANCES)}", _key_line(text, key))
+        tolerances[key] = _field(text, bounds, key, float)
         if tolerances[key] < 0.0:
-            raise ConfigError(f"tolerance {key} must be >= 0, got {bounds[key]!r}", _key_line(raw, key))
+            raise ConfigError(f"tolerance {key} must be >= 0, got {bounds[key]!r}", _key_line(text, key))
 
     return RunConfig(
         name=run_name,

@@ -234,7 +234,7 @@ class ParticleEnsemble:
             pts = pts[:, np.newaxis]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ContractError("ensemble points must form a nonempty (n, m) array")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ContractError("ensemble points must be finite")
         object.__setattr__(self, "points", _frozen(pts.copy()))
         object.__setattr__(self, "seed", int(self.seed))
@@ -453,9 +453,9 @@ class Gaussian:
         diff, dm = r1 - r2 @ (yt.T @ x.T), self.mean - other.mean
         return float(np.sqrt(dm @ dm + np.sum(diff * diff)))
 
-    @property
+    @functools.cached_property
     def log_det(self) -> float:
-        """``log det S``; -inf once the smallest eigenvalue reaches 0."""
+        """``log det S``, computed once per value; -inf once the smallest eigenvalue reaches 0."""
         if self.evals[0] <= 0.0:
             return -math.inf
         return float(np.log(self.evals).sum())

@@ -18,8 +18,12 @@ trajectories bit for bit.
 Every single-Gaussian formula here (the analytic map, the propagated
 covariance and its entropies) is an eigenvalue map of the one Gaussian value
 ``measures.Gaussian``, which also owns the closed-form continuous map
-``Gaussian.continuous_map``.  The analytic flow decomposes the initial
-covariance once and then costs O(n m^2) per layer.
+``Gaussian.continuous_map``.  An analytic flow of L layers on n points in R^m
+decomposes the initial covariance once, then costs an O(L m) eigenvalue
+recursion, one O(n m^2) pass per state straight from the initial points (each
+layer scales the axes of one eigenbasis, so L layers are one cumulative
+per-axis factor), and O(m^3) per layer for the particle moments, which are
+derived from the initial sample moments.
 """
 
 from __future__ import annotations
@@ -273,15 +277,19 @@ def _layer_diagnostics(
     kernel density estimates on capped subsamples of the particles.
     """
     if g is not None:
-        ent, ren = Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0)
-    else:
-        rng = substream(seed, 100, layer)
-        n = points.shape[0]
-        data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
-                        for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
-        lp = kde_log_density(data, silverman_covariance(data), probes)
-        ent, ren = Estimate.mean_of(-lp), Estimate.mean_of(_renyi_terms(lp, 2.0))
+        return _gaussian_diagnostics(g, *_moments(points))
+    rng = substream(seed, 100, layer)
+    n = points.shape[0]
+    data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
+                    for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
+    lp = kde_log_density(data, silverman_covariance(data), probes)
+    ent, ren = Estimate.mean_of(-lp), Estimate.mean_of(_renyi_terms(lp, 2.0))
     return FlowDiagnostics(ent, ren, *_moments(points))
+
+
+def _gaussian_diagnostics(g: Gaussian, mean: np.ndarray, cov: np.ndarray) -> FlowDiagnostics:
+    """Closed-form entropies of ``g`` with the given particle moments."""
+    return FlowDiagnostics(Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0), mean, cov)
 
 
 # -- flows -------------------------------------------------------------------------
@@ -297,9 +305,14 @@ def compose(
 
     ``retrain='analytic'`` propagates the single-Gaussian measure in closed
     form (mean fixed, eigenvalues through the one-shot pushforward, one
-    eigendecomposition for the whole flow) and applies the
-    :class:`AnalyticGaussian` map; the ensemble may then be arbitrary probe
-    points.  ``retrain='empirical'`` rebuilds an
+    eigendecomposition for the whole flow) and moves the points by the
+    composed :class:`AnalyticGaussian` maps; the ensemble may then be
+    arbitrary probe points.  Each map scales the axes of one eigenbasis about
+    the mean, so every state comes straight from the initial points through
+    a cumulative per-axis factor.  The cost is an O(L m) eigenvalue
+    recursion, one O(n m^2) pass per state, and O(m^3) per layer for the
+    diagnostics' moments, which are derived from the initial sample moments
+    instead of the particles.  ``retrain='empirical'`` rebuilds an
     :class:`EmpiricalKernel` map from the current particles with bandwidth
     equal to the layer's own noise variance, matching the map's smoothing
     scale.  The default is analytic for a single Gaussian and empirical
@@ -321,25 +334,50 @@ def compose(
     if retrain == "empirical" and ensemble.n < 10:
         raise ContractError(f"empirical retraining needs at least 10 particles, got {ensemble.n}")
 
+    if retrain == "analytic":
+        states, diags = _analytic_flow(Gaussian.of(mix0), schedule, ensemble)
+        return Trajectory((0.0, *schedule.times), states, diags)
+
     seed = ensemble.seed
     points = ensemble.points
-    g = Gaussian.of(mix0) if retrain == "analytic" else None
-    times = [0.0]
     states = [ensemble]
-    diags = [_layer_diagnostics(points, g, seed, 0)]
-
-    # per analytic layer: the map apply, O(n m^2), and the eigenvalue recursion
-    for layer, (tau, t) in enumerate(zip(schedule.taus, schedule.times)):
-        if g is not None:
-            points = g.denoise(points, tau)
-            g = g.one_shot(tau)
-        else:
-            points = EmpiricalKernel(ParticleEnsemble(points, seed), tau).apply(points)
-        times.append(t)
+    diags = [_layer_diagnostics(points, None, seed, 0)]
+    for layer, tau in enumerate(schedule.taus, start=1):
+        points = EmpiricalKernel(ParticleEnsemble(points, seed), tau).apply(points)
         states.append(ParticleEnsemble(points, seed))
-        diags.append(_layer_diagnostics(points, g, seed, layer + 1))
+        diags.append(_layer_diagnostics(points, None, seed, layer))
+    return Trajectory((0.0, *schedule.times), tuple(states), tuple(diags))
 
-    return Trajectory(tuple(times), tuple(states), tuple(diags))
+
+def _analytic_flow(
+    g0: Gaussian, schedule: FlowSchedule, ensemble: ParticleEnsemble
+) -> tuple[tuple[ParticleEnsemble, ...], tuple[FlowDiagnostics, ...]]:
+    """States and diagnostics of the analytic composed flow, each state straight from the initial points.
+
+    Layer l scales axis j of the fixed eigenbasis V about the mean by
+    ``f_lj = lam_j / (lam_j + tau_l)`` at the layer's incoming eigenvalues, so
+    after l layers the factor is the cumulative product ``F_l``.  State l is
+    ``((x0 - mean) V F_l) V^T + mean``, the form of ``Gaussian.continuous_map``,
+    and its sample moments are the affine image of the initial ones:
+    ``mean_l = mean + ((m0 - mean) V F_l) V^T`` and
+    ``cov_l = V F_l (V^T C0 V) F_l V^T``.
+    """
+    laws = [g for _, g in g0.composed(schedule.taus)]
+    lam = np.array([g0.evals] + [g.evals for g in laws[:-1]])
+    factors = np.cumprod(lam / (lam + np.array(schedule.taus)[:, None]), axis=0)
+    v, mu, seed = g0.evecs, g0.mean, ensemble.seed
+    m0, c0 = _moments(ensemble.points)
+    means = ((m0 - mu) @ v * factors) @ v.T + mu
+    covs = v @ ((v.T @ c0 @ v) * factors[:, :, None] * factors[:, None, :]) @ v.T
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))  # exactly symmetric, as np.cov's are
+    z0 = (ensemble.points - mu) @ v
+
+    states = [ensemble]
+    diags = [_gaussian_diagnostics(g0, m0, c0)]
+    for g, f, mean, cov in zip(laws, factors, means, covs):
+        states.append(ParticleEnsemble((z0 * f) @ v.T + mu, seed))
+        diags.append(_gaussian_diagnostics(g, mean, cov))
+    return tuple(states), tuple(diags)
 
 
 def continuous_flow(

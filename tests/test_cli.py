@@ -136,6 +136,8 @@ MIXTURE_1D = {
         # a string value equal to the key is not the key
         ("composed", {("name",): "steps", ("schedule",): {"t_end": 0.4, "steps": 0}}, "steps"),
         ("composed", {("name",): "n", ("particles", "n"): 0}, "n"),
+        # a same-named key in an earlier object is not the key of the object being read
+        ("composed", {("schedule", "n"): 1, ("particles", "n"): 0}, "n"),
         # dim is a finite integral number: 1e400 reads as inf, and 2.5 is not truncated to 2
         ("composed", {("distribution", "dim"): math.inf}, "distribution"),
         ("composed", {("distribution", "dim"): 2.5}, "distribution"),
@@ -149,8 +151,8 @@ MIXTURE_1D = {
         "second_panel_retrain", "second_panel_taus", "analytic_retrain_on_mixture",
         "name_escapes", "name_slash", "name_backslash", "name_empty", "name_dotdot",
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
-        "mode_with_slash", "name_value_is_steps", "name_value_is_n", "dim_overflow", "dim_fraction",
-        "nested_panels_key",
+        "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
+        "dim_fraction", "nested_panels_key",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):

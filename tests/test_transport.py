@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from dae_transport import (
     smooth,
     stein_residual,
 )
+from dae_transport.measures import _moments
 
 ANISO_COV = np.diag([2.0, 1.0])
 ANISO_G = Gaussian.from_cov(ANISO_COV)
@@ -374,29 +376,66 @@ def test_velocity_matches_score_of_current_measure():
     np.testing.assert_allclose(velocity, score(mix, ens.points), atol=5e-3)
 
 
-def test_compose_rotated_gaussian_matches_eigenbasis_recursion():
-    # N(mean, R diag(lam) R^T): in the eigenbasis R every layer scales axis j by
-    # lam_j / (lam_j + tau) about the mean and sends lam_j to lam_j^3 / (lam_j + tau)^2
-    angle = 0.7
-    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-    lam = np.array([0.6, 2.5])
-    mean = np.array([1.5, -0.75])
-    cov = (rot * lam) @ rot.T
-    mix = GaussianMixture.single(mean, 0.5 * (cov + cov.T))
-    ens = ParticleEnsemble(probe_lattice(3.0, 7, 2, center=mean), seed=0)
-    taus = (0.05, 0.1, 0.02, 0.2, 0.07)
-    traj = compose(mix, FlowSchedule(taus), ens, "analytic")
+ROT_ANGLE = 0.7
+ROT = np.array([[math.cos(ROT_ANGLE), -math.sin(ROT_ANGLE)], [math.sin(ROT_ANGLE), math.cos(ROT_ANGLE)]])
+ROT_LAM = np.array([0.6, 2.5])
+ROT_MEAN = np.array([1.5, -0.75])
 
-    z = (ens.points - mean) @ rot
-    for layer, tau in enumerate(taus, start=1):
-        z = z * (lam / (lam + tau))
-        lam = lam**3 / (lam + tau) ** 2
-        want = mean + z @ rot.T
-        got = traj.states[layer].points
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-        want_h = math.log(2.0 * math.pi * math.e) + 0.5 * float(np.log(lam).sum())
-        got_h = traj.diagnostics[layer].entropy.value
-        assert abs(got_h - want_h) <= 1e-12 * max(1.0, abs(want_h))
+
+def rotated() -> GaussianMixture:
+    """N(ROT_MEAN, ROT diag(ROT_LAM) ROT^T): rotated and not centred."""
+    cov = (ROT * ROT_LAM) @ ROT.T
+    return GaussianMixture.single(ROT_MEAN, 0.5 * (cov + cov.T))
+
+
+def test_compose_rotated_gaussian_matches_eigenbasis_recursion():
+    # in the eigenbasis ROT every layer scales axis j by lam_j / (lam_j + tau)
+    # about the mean and sends lam_j to lam_j^3 / (lam_j + tau)^2; the deep
+    # uniform schedule lets rounding build up over many layers
+    mean = ROT_MEAN
+    ens = ParticleEnsemble(probe_lattice(3.0, 7, 2, center=mean), seed=0)
+    for taus in ((0.05, 0.1, 0.02, 0.2, 0.07), (0.25 / 2000,) * 2000):
+        traj = compose(rotated(), FlowSchedule(taus), ens, "analytic")
+        lam, z = ROT_LAM, (ens.points - mean) @ ROT
+        for layer, tau in enumerate(taus, start=1):
+            z = z * (lam / (lam + tau))
+            lam = lam**3 / (lam + tau) ** 2
+            want = mean + z @ ROT.T
+            got = traj.states[layer].points
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            want_h = math.log(2.0 * math.pi * math.e) + 0.5 * float(np.log(lam).sum())
+            got_h = traj.diagnostics[layer].entropy.value
+            assert abs(got_h - want_h) <= 1e-12 * max(1.0, abs(want_h))
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_analytic_diagnostics_moments_are_the_particles_moments(n):
+    # the moments derived from the initial ones equal the particles' own; one particle has zero covariance.
+    # In 3-D the eigenbasis is not its own transpose, unlike the 2-D one eigh returns.
+    rng = np.random.default_rng(5)
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    cov, mean = (basis * [0.6, 1.2, 2.5]) @ basis.T, np.array([1.5, -0.75, 0.3])
+    mix = GaussianMixture.single(mean, 0.5 * (cov + cov.T))
+    pts = mean + 0.8 + rng.standard_normal((n, 3)) * [1.5, 0.5, 1.0]  # sample mean off the measure mean
+    traj = compose(mix, FlowSchedule.uniform(0.25, 200), ParticleEnsemble(pts, seed=0), "analytic")
+    for state, diag in zip(traj.states, traj.diagnostics):
+        mean, cov = _moments(state.points)
+        assert np.max(np.abs(diag.mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+        assert np.max(np.abs(diag.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+    if n == 1:
+        assert all(np.all(d.cov == 0.0) for d in traj.diagnostics)
+
+
+def test_analytic_flow_peak_memory_stays_near_its_states():
+    # each state is its own array, filled once: no whole-trajectory stack beside the states
+    ens = ParticleEnsemble(ROT_MEAN + np.random.default_rng(0).standard_normal((50_000, 2)), seed=0)
+    tracemalloc.start()
+    try:
+        traj = continuous_flow(rotated(), 0.25, 16, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sum(s.points.nbytes for s in traj.states)
 
 
 def test_analytic_flow_decomposes_independently_of_depth(monkeypatch):

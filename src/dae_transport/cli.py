@@ -51,65 +51,53 @@ class ConfigError(Exception):
         self.line = line
 
 
-def _key_line(text: str, key: str) -> int:
-    """Line of member ``key`` of the JSON object in ``text``, else of the object's opening brace.
-
-    Only the object's own members count, so neither a same-named key in
-    another object nor a string value equal to ``key`` is taken for it.  Of
-    repeated keys the last counts, as it is the one ``json`` keeps.
-    """
-    start = text.index("{")
-    found = [at for name, at, _, _ in _members(text, start) if name == key]
-    return text.count("\n", 0, found[-1] if found else start) + 1
+_DECODE = json.JSONDecoder().raw_decode
+_SKIP = re.compile(r"[ \t\n\r,:]*").match  # in valid JSON only whitespace, ',' and ':' lie between the tokens
 
 
-def _members(raw: str, start: int) -> list[tuple[str | None, int, int, int]]:
-    """``(key, key start, value start, value end)`` of each member of the valid JSON object or array at ``raw[start]``.
+class _Object(dict):
+    """A decoded JSON object that knows where each of its keys stands in the text it came from."""
 
-    Array members have key None and start at their value.  Strings are
-    decoded, never searched, so a nested key or a brace inside a string value
-    is not taken for a member.
-    """
-    # in valid JSON only whitespace, ',' and ':' lie between the tokens
-    decode, skip, members = json.JSONDecoder().raw_decode, re.compile(r"[ \t\n\r,:]*").match, []
-    i = skip(raw, start + 1).end()
+    def __init__(self, pairs: list, raw: str, brace: int, starts: dict):
+        super().__init__(pairs)
+        self._raw, self._brace, self._starts = raw, brace, starts
+
+    def line(self, key: str) -> int:
+        """Line of ``key``, of its last copy if repeated (the one ``json`` keeps), else of the object's ``{``."""
+        return self._raw.count("\n", 0, self._starts.get(key, self._brace)) + 1
+
+
+def _located(raw: str, i: int) -> tuple[object, int]:
+    """The valid JSON value at ``raw[i]``, with every object in it an :class:`_Object`, and the index after it."""
+    if raw[i] not in "[{":
+        return _DECODE(raw, i)
+    brace, pairs, starts = i, [], {}
+    i = _SKIP(raw, i + 1).end()
     while raw[i] not in "]}":
-        at = i
-        key, i = decode(raw, i) if raw[start] == "{" else (None, i)
-        i = skip(raw, i).end()
-        end = decode(raw, i)[1]
-        members.append((key, at, i, end))
-        i = skip(raw, end).end()
-    return members
+        key, end = _DECODE(raw, i) if raw[brace] == "{" else (None, i)
+        starts[key] = i
+        value, i = _located(raw, _SKIP(raw, end).end())
+        pairs.append((key, value))
+        i = _SKIP(raw, i).end()
+    if raw[brace] == "[":
+        return [value for _, value in pairs], i + 1
+    return _Object(pairs, raw, brace, starts), i + 1
 
 
-def _lined(raw: str, start: int, end: int) -> str:
-    """``raw[start:end]`` behind the newlines before it, so its line numbers stay those of ``raw``."""
-    return "\n" * raw.count("\n", 0, start) + raw[start:end]
-
-
-def _object_text(text: str, key: str) -> str:
-    """The text (see :func:`_lined`) of member ``key`` of the object in ``text`` if that is an object, else ``text``."""
-    spans = [(s, e) for name, _, s, e in _members(text, text.index("{")) if name == key]
-    return _lined(text, *spans[-1]) if spans and text[spans[-1][0]] == "{" else text
-
-
-def _panel_texts(raw: str) -> list[str]:
-    """Each listed panel's own text (see :func:`_lined`)."""
-    panels = [s for key, _, s, _ in _members(raw, raw.index("{")) if key == "panels"][-1]
-    return [_lined(raw, s, e) for _, _, s, e in _members(raw, panels)]
-
-
-def _field(raw: str, obj: dict, key: str, kind, default=None, positive: bool = False):
-    """``obj[key]`` checked against ``kind``; a bad value is a ConfigError at the key's line in ``raw``, obj's text.
+def _field(obj: _Object, key: str, kind, default=None, positive: bool = False):
+    """``obj[key]`` checked against ``kind``; a bad value is a ConfigError at the key's line.
 
     ``kind`` is ``dict`` or ``list`` (type checked), ``int`` or ``float`` (a
     finite JSON number, integral for ``int``, and > 0 if ``positive``), or a
     one-element list such as ``[float]`` for a list of such numbers.
     """
-    value = obj.get(key, default)
     if isinstance(kind, list):
-        return [_field(raw, {key: v}, key, kind[0], positive=positive) for v in _field(raw, obj, key, list)]
+        return [_checked_value(obj, key, v, kind[0], positive) for v in _field(obj, key, list)]
+    return _checked_value(obj, key, obj.get(key, default), kind, positive)
+
+
+def _checked_value(obj: _Object, key: str, value, kind, positive: bool):
+    """``value``, read from ``obj[key]``, checked against ``kind`` as :func:`_field` says."""
     if kind in (dict, list):
         if isinstance(value, kind):
             return value
@@ -122,13 +110,13 @@ def _field(raw: str, obj: dict, key: str, kind, default=None, positive: bool = F
         except OverflowError:  # an integer beyond float range
             pass
         expected = f"a finite{' positive' if positive else ''} {'integer' if kind is int else 'number'}"
-    raise ConfigError(f"{key} must be {expected}, got {value!r}", _key_line(raw, key))
+    raise ConfigError(f"{key} must be {expected}, got {value!r}", obj.line(key))
 
 
-def _checked_name(name: str, text: str) -> str:
+def _checked_name(name: str, obj: _Object) -> str:
     """A run or panel name, which prefixes output files, so it may not leave the output directory."""
     if name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ConfigError(f"name must be a plain file name without '/' or '\\', got {name!r}", _key_line(text, "name"))
+        raise ConfigError(f"name must be a plain file name without '/' or '\\', got {name!r}", obj.line("name"))
     return name
 
 
@@ -156,16 +144,15 @@ class RunConfig:
     tolerances: dict
 
 
-def _validate_schedule(spec, mode: str, text: str) -> dict:
-    """The checked schedule of a panel whose text is ``text``."""
-    line = _key_line(text, "schedule")
+def _validate_schedule(panel: _Object, mode: str) -> dict:
+    """The checked schedule of ``panel``."""
+    spec, line = panel.get("schedule", {}), panel.line("schedule")
     if not isinstance(spec, dict):
         raise ConfigError("schedule must be an object", line)
-    own = _object_text(text, "schedule")
     uniform = "t_end" in spec and "steps" in spec
     if uniform:
-        t_end = _field(own, spec, "t_end", float, positive=True)
-        steps = _field(own, spec, "steps", int, positive=True)
+        t_end = _field(spec, "t_end", float, positive=True)
+        steps = _field(spec, "steps", int, positive=True)
         uniform_times = [t_end * (i + 1) / steps for i in range(steps)]
     if mode == "continuous":
         if not uniform:
@@ -173,9 +160,9 @@ def _validate_schedule(spec, mode: str, text: str) -> dict:
         return {"t_end": t_end, "steps": steps, "times": uniform_times}
     if mode == "one_shot":
         if "t" in spec:
-            times = [_field(own, spec, "t", float, positive=True)]
+            times = [_field(spec, "t", float, positive=True)]
         elif "times" in spec:
-            times = _field(own, spec, "times", [float], positive=True)
+            times = _field(spec, "times", [float], positive=True)
         elif uniform:
             times = uniform_times
         else:
@@ -184,7 +171,7 @@ def _validate_schedule(spec, mode: str, text: str) -> dict:
             raise ConfigError("one_shot times must be nonempty and strictly increasing", line)
         return {"times": times}
     if "taus" in spec:
-        taus = _field(own, spec, "taus", [float], positive=True)
+        taus = _field(spec, "taus", [float], positive=True)
     elif uniform:
         taus = [t_end / steps] * steps
     else:
@@ -195,70 +182,74 @@ def _validate_schedule(spec, mode: str, text: str) -> dict:
 
 
 def load_config(path: Path, seed_override: int | None, out_override: str | None) -> RunConfig:
-    raw = path.read_text()
+    data = path.read_bytes()
     try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raw = data.decode("utf-8")
+        plain = json.loads(raw)  # the validator: _located reads valid JSON only
+        doc = _located(raw, _SKIP(raw, 0).end())[0]
+    except UnicodeDecodeError as exc:
+        message = f"invalid UTF-8: byte {data[exc.start]:#04x} ({exc.reason})"
+        raise ConfigError(message, data.count(b"\n", 0, exc.start) + 1) from exc
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer too long to convert, or deep nesting
         raise ConfigError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", 1)) from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
 
     mixture = None
     if "distribution" in doc:
-        try:
-            mixture = GaussianMixture.from_json_dict(doc["distribution"])
+        try:  # the plain decode, so library messages name plain JSON types
+            mixture = GaussianMixture.from_json_dict(plain["distribution"])
         except ValueError as exc:
-            raise ConfigError(f"bad distribution: {exc}", _key_line(raw, "distribution")) from exc
+            raise ConfigError(f"bad distribution: {exc}", doc.line("distribution")) from exc
 
-    particles, text = _field(raw, doc, "particles", dict, {}), _object_text(raw, "particles")
-    n = _field(text, particles, "n", int, 100, positive=True)
-    seed = _field(text, particles, "seed", int, 0)
+    particles = _field(doc, "particles", dict, {})
+    n = _field(particles, "n", int, 100, positive=True)
+    seed = _field(particles, "seed", int, 0)
     if seed_override is not None:
         seed = int(seed_override)
 
-    grid, text = _field(raw, doc, "grid", dict, {}), _object_text(raw, "grid")
-    grid_per_axis = _field(text, grid, "per_axis", int, 9, positive=True)
-    grid_extent = _field(text, grid, "extent", float, 3.0, positive=True)
-    curve_points = _field(text, grid, "points", int, 401, positive=True)
-    curve_extent = _field(text, grid, "curve_extent", float, 4.0, positive=True)
+    grid = _field(doc, "grid", dict, {})
+    grid_per_axis = _field(grid, "per_axis", int, 9, positive=True)
+    grid_extent = _field(grid, "extent", float, 3.0, positive=True)
+    curve_points = _field(grid, "points", int, 401, positive=True)
+    curve_extent = _field(grid, "curve_extent", float, 4.0, positive=True)
 
-    outputs, text = _field(raw, doc, "outputs", dict, {}), _object_text(raw, "outputs")
+    outputs = _field(doc, "outputs", dict, {})
     out_dir = Path(out_override) if out_override is not None else Path(str(outputs.get("dir", "out")))
-    formats = tuple(_field(text, outputs, "formats", list, list(_FORMATS)))
+    formats = tuple(_field(outputs, "formats", list, list(_FORMATS)))
     for fmt in formats:
         if fmt not in _FORMATS:
-            raise ConfigError(f"unknown output format {fmt!r}", _key_line(text, "formats"))
+            raise ConfigError(f"unknown output format {fmt!r}", outputs.line("formats"))
 
-    # a root mode/schedule/retrain is the one-panel case of "panels", named after its mode
+    # a root mode/schedule/retrain makes the root itself the one panel, named after its mode
     if "panels" in doc:
-        panel_docs = _field(raw, doc, "panels", [dict])
+        panel_docs = _field(doc, "panels", [dict])
         if not panel_docs:
-            raise ConfigError("panels must be a nonempty list", _key_line(raw, "panels"))
-        texts = _panel_texts(raw)
+            raise ConfigError("panels must be a nonempty list", doc.line("panels"))
     else:
-        panel_docs = [{**doc, "name": str(doc["mode"])}] if "mode" in doc else []
-        texts = [raw]
-    run_name = _checked_name(str(doc.get("name", path.stem)), raw)
+        panel_docs = [doc] if "mode" in doc else []
+    run_name = _checked_name(str(doc.get("name", path.stem)), doc)
     panels = []
-    for i, (p, text) in enumerate(zip(panel_docs, texts)):
-        name, mode, retrain = str(p.get("name", f"panel{i}")), p.get("mode"), p.get("retrain")
+    for i, p in enumerate(panel_docs):
+        name = str(p["mode"] if p is doc else p.get("name", f"panel{i}"))
+        mode, retrain = p.get("mode"), p.get("retrain")
         # a one-panel config is named after its mode, so a bad mode is reported as the mode
         if mode not in _MODES:
-            raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", _key_line(text, "mode"))
-        _checked_name(name, text)
+            raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", p.line("mode"))
+        _checked_name(name, p)
         allowed = _RETRAIN_MODES if mixture is None or mixture.k == 1 else ("empirical",)
         if retrain is not None and retrain not in allowed:
             message = f"panel {name!r}: retrain must be one of {allowed} for this distribution, got {retrain!r}"
-            raise ConfigError(message, _key_line(text, "retrain"))
-        panels.append(Panel(name, mode, _validate_schedule(p.get("schedule", {}), mode, text), retrain))
+            raise ConfigError(message, p.line("retrain"))
+        panels.append(Panel(name, mode, _validate_schedule(p, mode), retrain))
 
-    bounds, text, tolerances = _field(raw, doc, "tolerances", dict, {}), _object_text(raw, "tolerances"), {}
+    bounds, tolerances = _field(doc, "tolerances", dict, {}), {}
     for key in bounds:
         if key not in TOLERANCES:
-            raise ConfigError(f"unknown tolerance {key!r}, expected one of {sorted(TOLERANCES)}", _key_line(text, key))
-        tolerances[key] = _field(text, bounds, key, float)
+            raise ConfigError(f"unknown tolerance {key!r}, expected one of {sorted(TOLERANCES)}", bounds.line(key))
+        tolerances[key] = _field(bounds, key, float)
         if tolerances[key] < 0.0:
-            raise ConfigError(f"tolerance {key} must be >= 0, got {bounds[key]!r}", _key_line(text, key))
+            raise ConfigError(f"tolerance {key} must be >= 0, got {bounds[key]!r}", bounds.line(key))
 
     return RunConfig(
         name=run_name,

@@ -338,12 +338,14 @@ def compose(
         states, diags = _analytic_flow(Gaussian.of(mix0), schedule, ensemble)
         return Trajectory((0.0, *schedule.times), states, diags)
 
+    # the moved points never share the trained-on state's array: a kernel product of one array with itself rounds
+    # differently (numpy takes it as symmetric), so one copy up front keeps every layer reproducible
     seed = ensemble.seed
-    points = ensemble.points
+    points = ensemble.points.copy()
     states = [ensemble]
     diags = [_layer_diagnostics(points, None, seed, 0)]
     for layer, tau in enumerate(schedule.taus, start=1):
-        points = EmpiricalKernel(ParticleEnsemble(points, seed), tau).apply(points)
+        points = EmpiricalKernel(states[-1], tau).apply(points)
         states.append(ParticleEnsemble(points, seed))
         diags.append(_layer_diagnostics(points, None, seed, layer))
     return Trajectory((0.0, *schedule.times), tuple(states), tuple(diags))

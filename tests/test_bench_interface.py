@@ -36,6 +36,7 @@ def test_tracer_counts_kernel_pairs_of_maps_and_density_estimates(monkeypatch):
     n = ens.n
     # two layers, each an n x n map apply; three n x n KDE diagnostics plus the 5 x n call
     assert tracer.counts["transport.EmpiricalKernel.apply.calls"] == 2
+    assert tracer.counts["measures.ParticleEnsemble.init.calls"] == 2  # one state per layer, no training copy
     assert tracer.counts["transport.EmpiricalKernel.apply.pairs"] == 2 * n * n
     assert tracer.counts["measures.kde_log_density.calls"] == 4
     assert tracer.counts["measures.kde_log_density.pairs"] == 3 * n * n + 5 * n

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -18,6 +20,7 @@ from dae_transport.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SINGULAR,
+    _located,
     load_config,
     main,
 )
@@ -73,6 +76,22 @@ def test_overlong_integer_is_config_error(tmp_path, capsys):
     path.write_text('{"particles": {"n": ' + "1" * 5000 + "}}\n")
     assert main(["trajectory", "--config", str(path)]) == EXIT_CONFIG
     assert "config error at line 1: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (b'{\n  "a": 1,\n  "name": "x\xff"\n}\n', 3, "invalid UTF-8: byte 0xff"),
+        (b'\xef\xbb\xbf{"name": "x"}\n', 1, "invalid JSON: Unexpected UTF-8 BOM"),
+        (b'{"a": ' + b"[" * 5000 + b"]" * 5000 + b"}\n", 1, "invalid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["not_utf8", "utf8_bom", "nested_too_deep"],
+)
+def test_undecodable_config_is_config_error_at_its_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error at line {line}: {message}" in capsys.readouterr().err
 
 
 def test_zero_particles_is_config_error(tmp_path, capsys):
@@ -181,12 +200,22 @@ CONFIG_KEYS = (
 )
 # |x| <= 1e3 keeps every schedule small; inf and NaN are the non-finite inputs JSON can carry
 NUMBERS = st.one_of(st.integers(-1000, 1000), st.floats(-1e3, 1e3), st.sampled_from([math.inf, -math.inf, math.nan]))
+# small, so that a command run on an edited bundled config stays quick
+SMALL_NUMBERS = st.one_of(st.integers(-3, 40), st.floats(-3, 3), st.sampled_from([math.inf, -math.inf, math.nan]))
 WORDS = st.sampled_from(["composed", "one_shot", "continuous", "svg", "{"])
-SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, WORDS, st.text(max_size=6))
 KEYS = st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=6))
-VALUES = st.recursive(
-    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=5), max_leaves=24
-)
+
+
+def _leaves(numbers):
+    """Scalar and nested JSON values whose numbers are drawn from ``numbers``."""
+    scalars = st.one_of(st.none(), st.booleans(), numbers, WORDS, st.text(max_size=6))
+    return scalars, st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=5), max_leaves=24
+    )
+
+
+SCALARS, VALUES = _leaves(NUMBERS)
+SMALL_VALUES = _leaves(SMALL_NUMBERS)[1]
 
 
 @st.composite
@@ -197,6 +226,27 @@ def _mutated(draw, value):
     if isinstance(value, list):
         return [draw(_mutated(v)) for v in value]
     return draw(st.one_of(st.just(value), NUMBERS if isinstance(value, (int, float)) else SCALARS))
+
+
+def _containers(value) -> list:
+    """Every nonempty object and list in a JSON value."""
+    members = list(value.values()) if isinstance(value, dict) else value if isinstance(value, list) else []
+    return ([value] if members else []) + [c for m in members for c in _containers(m)]
+
+
+@st.composite
+def _edited(draw, doc):
+    """A bundled config with one to three members, old or new, set to small values.
+
+    Few edits and an intact distribution, unlike :func:`_mutated`, so that many configs pass the config check.
+    """
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        targets = [doc, *(c for key, value in doc.items() if key != "distribution" for c in _containers(value))]
+        target = draw(st.sampled_from(targets))
+        keys = st.sampled_from(list(target)) | KEYS if isinstance(target, dict) else st.integers(0, len(target) - 1)
+        target[draw(keys)] = draw(SMALL_NUMBERS | SMALL_VALUES)
+    return doc
 
 
 BUNDLED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
@@ -212,6 +262,41 @@ def test_load_config_returns_or_reports_a_line(tmp_path, doc):
         load_config(cfg, None, None)
     except ConfigError as exc:
         assert 1 <= exc.line <= len(cfg.read_text().splitlines())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.sampled_from(BUNDLED).flatmap(_edited), command=st.sampled_from(["trajectory", "pushforward"]))
+def test_commands_on_edited_configs_end_in_a_documented_exit_code(tmp_path, capsys, doc, command):
+    # an uncaught exception fails the test; the run writes only under tmp_path
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) in (
+        EXIT_OK, EXIT_CONFIG, EXIT_CHECK, EXIT_SINGULAR)
+    capsys.readouterr()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(doc=DOCUMENTS)
+def test_located_decode_equals_json_and_knows_its_key_lines(doc):
+    text = json.dumps(doc, indent=2)
+    value, end = _located(text, 0)
+    assert end == len(text)
+    assert json.dumps(value) == json.dumps(json.loads(text))  # dumped, so NaN compares equal
+    lines, objects = text.splitlines(), [value]
+    while objects:
+        obj = objects.pop()
+        if isinstance(obj, list):
+            objects += obj
+        elif isinstance(obj, dict):
+            for key, item in obj.items():
+                assert re.match(r"\s+" + re.escape(json.dumps(key) + ":"), lines[obj.line(key) - 1])
+                objects.append(item)
+
+
+def test_located_object_keeps_the_last_copy_of_a_key_and_reports_a_missing_key_at_its_brace():
+    doc, _ = _located('{\n "a": 1,\n "b": {\n  "c": 2\n },\n "a": 3\n}', 0)
+    assert doc == {"a": 3, "b": {"c": 2}}
+    assert (doc.line("a"), doc.line("missing"), doc["b"].line("c"), doc["b"].line("missing")) == (6, 1, 4, 3)
 
 
 def test_bad_run_name_after_the_panels_is_reported_at_its_own_line(tmp_path, capsys):

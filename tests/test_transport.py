@@ -365,6 +365,21 @@ def test_compose_empirical_mode_runs_and_contracts():
     assert spread1 < spread0
 
 
+def test_empirical_compose_is_bit_identical_to_a_copy_per_layer():
+    # a kernel product of one array with itself rounds differently (numpy takes it as symmetric), so a
+    # layer may never move the very array it was trained on; this reference copies the points every layer
+    rng = np.random.default_rng(4)
+    parts = [rng.normal(size=(3, 3)) for _ in range(3)]
+    mix = GaussianMixture.from_components([(1 / 3, 2 * rng.normal(size=3), a @ a.T / 3 + np.eye(3) / 2) for a in parts])
+    ens = sample(mix, 2500, 4)
+    schedule = FlowSchedule.uniform(0.3, 3)
+    traj = compose(mix, schedule, ens, "empirical")
+    points = ens.points
+    for state, tau in zip(traj.states[1:], schedule.taus):
+        points = EmpiricalKernel(ParticleEnsemble(points, ens.seed), tau).apply(points.copy())
+        assert np.array_equal(state.points, points)
+
+
 def test_velocity_matches_score_of_current_measure():
     # each layer moves particles by tau * score of the tau-smoothed measure,
     # which approaches the raw score as tau shrinks

@@ -169,8 +169,14 @@ class FlowSchedule:
         )
         if len(taus) == 0:
             raise ContractError("schedule must contain at least one layer")
+        times = np.cumsum(taus)
+        stuck = np.flatnonzero(times[1:] <= times[:-1])
+        if stuck.size:
+            i = int(stuck[0]) + 1
+            raise ContractError(f"cumulative times must strictly increase: layer {i} variance {taus[i]!r} "
+                                f"does not move the time past {float(times[i - 1])!r}")
         object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "_times", tuple(float(v) for v in np.cumsum(taus)))
+        object.__setattr__(self, "_times", tuple(times.tolist()))
 
     @classmethod
     def uniform(cls, t_end: float, steps: int) -> "FlowSchedule":

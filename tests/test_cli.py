@@ -164,6 +164,10 @@ MIXTURE_1D = {
         ("composed",
          {("grid", "panels"): "a{", ("panels",): [_panel("a", "analytic", [0.1]), _panel("b", "bogus", [0.1])]},
          "retrain"),
+        # a schedule whose layers do not move the cumulative time is rejected by the library's FlowSchedule
+        ("composed", {("schedule",): {"taus": [0.05, 1e-67]}}, "taus"),
+        ("composed", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
+        ("continuous", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
@@ -171,7 +175,7 @@ MIXTURE_1D = {
         "name_escapes", "name_slash", "name_backslash", "name_empty", "name_dotdot",
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
         "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
-        "dim_fraction", "nested_panels_key",
+        "dim_fraction", "nested_panels_key", "taus_stuck", "composed_t_end_underflow", "continuous_t_end_underflow",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -500,6 +504,17 @@ def test_pushforward_rejects_correlated_chart(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["pushforward", "--config", str(cfg)]) == EXIT_CONFIG
     assert "diagonal" in capsys.readouterr().err
+
+
+def test_pushforward_rejects_a_stuck_schedule_at_its_line(tmp_path, capsys):
+    # trajectory's side is a row of test_malformed_field_is_config_error_at_its_line
+    doc = base_trajectory_config(tmp_path / "out")
+    doc["schedule"] = {"taus": [0.05, 1e-67]}
+    cfg = write_config(tmp_path, doc)
+    line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if '"taus"' in ln)
+    assert main(["pushforward", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config error at line {line}: cumulative times must strictly increase" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- verify command -------------------------------------------------------------------------

@@ -208,6 +208,13 @@ def test_schedule_rejects_empty_and_nonpositive():
         FlowSchedule((0.1, 0.0))
 
 
+def test_schedule_rejects_a_layer_that_does_not_move_time():
+    with pytest.raises(ContractError, match="layer 1 variance 1e-67"):
+        FlowSchedule((0.05, 1e-67))
+    with pytest.raises(ContractError, match="positive"):
+        FlowSchedule.uniform(5e-324, 3)  # each layer underflows to 0
+
+
 TIME_ENTRY_POINTS = {
     "FlowSchedule": lambda t: FlowSchedule((t,)),
     "FlowSchedule.uniform": lambda t: FlowSchedule.uniform(t, 3),

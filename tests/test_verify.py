@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from dae_transport import (
     ParticleEnsemble,
     ResidualReport,
     SingularityError,
+    TOLERANCES,
     Trajectory,
     check_backward_heat,
     check_continuity_t0,
@@ -68,6 +71,21 @@ def test_variational_standard_normal_sup_norm():
     assert rep.details["max_grid_deviation"] < 0.05
     assert rep.details["min_margin"] >= 0.0
     assert rep.details["max_cross_se_ratio"] <= 1.0
+
+
+def test_variational_violation_is_infinite_under_any_override(monkeypatch):
+    # the exact map of N(0.8, 1) is no minimizer for data from N(0, 1)
+    from dae_transport import MixtureExact, verify
+
+    shifted = GaussianMixture.single([0.8], [[1.0]])
+    monkeypatch.setattr(verify, "MixtureExact", lambda mix, t: MixtureExact(shifted, t))
+    rep = check_variational_minimizer(STD1, t=0.5, n=100_000, seed=0)
+    assert rep.details["min_margin"] < 0.0 and rep.details["max_cross_se_ratio"] > 1.0
+    assert not rep.passed and rep.max_abs == math.inf
+    assert json.loads(json.dumps(rep.to_json_dict())) == rep.to_json_dict()
+    by_name = {r.name: r for r in default_checks(seed=0, tolerances={"variational_minimizer": 1e9})}
+    loose = by_name["variational_minimizer"]
+    assert loose.tolerance == 1e9 and loose.max_abs == math.inf and not loose.passed
 
 
 def test_variational_zero_perturbation_changes_nothing():
@@ -221,7 +239,7 @@ def test_entropy_monotone_constant_trajectory_is_flat():
     ens = ParticleEnsemble(np.linspace(-1, 1, 12)[:, None], seed=0)
     diag = FlowDiagnostics(Estimate(1.0, 0.1), Estimate(0.0, 0.1), np.zeros(1), np.eye(1))
     traj = Trajectory((0.0, 1.0, 2.0), (ens, ens, ens), (diag, diag, diag))
-    rep = check_entropy_monotone(traj, strict=False)
+    rep = check_entropy_monotone(traj)
     assert rep.passed and rep.max_abs == 0.0
 
 
@@ -309,6 +327,20 @@ def test_tolerance_overrides_force_failures():
     reports = default_checks(seed=0, tolerances={"variational_minimizer": 1e-12})
     by_name = {r.name: r for r in reports}
     assert not by_name["variational_minimizer"].passed
+
+
+def test_unknown_override_name_is_rejected():
+    with pytest.raises(ContractError, match="varitional_minimizer"):
+        default_checks(seed=0, tolerances={"varitional_minimizer": 1e-12})
+
+
+def test_readme_tolerance_table_mirrors_tolerances():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Verification manifest and tolerances")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)`\s*\| ([^|]+)\|", section, flags=re.MULTILINE)
+    table = {name: float(value) for name, value in rows}
+    assert table == TOLERANCES
+    assert set(EXPECTED_FAILURES) <= set(table)
 
 
 def test_seed_changes_residuals_not_verdicts():

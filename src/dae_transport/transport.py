@@ -11,19 +11,21 @@ Three interchangeable map backends are provided:
 
 Deep flows are compositions of such maps, each retrained on the current
 pushforward measure; the continuous flow is the same composition on a uniform
-schedule, which is its broken-line (explicit Euler) approximation.  Both
-entry points share one step routine, so matching schedules produce identical
-trajectories bit for bit.
+schedule, which is its broken-line (explicit Euler) approximation, so matching
+schedules produce identical trajectories bit for bit.
+
+Every flow hands its times, states and each state's law (a ``Gaussian`` when
+known in closed form, else None) to one builder, which records each state's
+entropies; the states' sample moments are taken when the JSON is written.
 
 Every single-Gaussian formula here (the analytic map, the propagated
 covariance and its entropies) is an eigenvalue map of the one Gaussian value
 ``measures.Gaussian``, which also owns the closed-form continuous map
 ``Gaussian.continuous_map``.  An analytic flow of L layers on n points in R^m
 decomposes the initial covariance once, then costs an O(L m) eigenvalue
-recursion, one O(n m^2) pass per state straight from the initial points (each
-layer scales the axes of one eigenbasis, so L layers are one cumulative
-per-axis factor), and O(m^3) per layer for the particle moments, which are
-derived from the initial sample moments.
+recursion and one O(n m^2) pass per state straight from the initial points
+(each layer scales the axes of one eigenbasis, so L layers are one cumulative
+per-axis factor).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .measures import (
     smooth,
 )
 from .rand import substream
-from .svg import write_csv, write_json
+from .svg import write_csv
 
 _UNDERFLOW_LOG = math.log(1e-300)
 _KDE_DATA_CAP = 2048  # diagnostics subsample sizes
@@ -143,16 +145,6 @@ class EmpiricalKernel:
         return out
 
 
-def denoising_shift(transport_map: MixtureExact | AnalyticGaussian | EmpiricalKernel, x) -> np.ndarray:
-    """Displacement added by the map: ``transport_map.apply(x) - x``.
-
-    This is the negated conditional mean of the noise given the observation;
-    it vanishes at t = 0 and equals ``t * score(smoothed measure, x)`` for the
-    exact backends.
-    """
-    return transport_map.apply(x) - np.asarray(x, dtype=float)
-
-
 # -- schedules and trajectories -----------------------------------------------------
 
 
@@ -169,12 +161,13 @@ class FlowSchedule:
         )
         if len(taus) == 0:
             raise ContractError("schedule must contain at least one layer")
-        times = np.cumsum(taus)
-        stuck = np.flatnonzero(times[1:] <= times[:-1])
+        with np.errstate(over="ignore"):  # a sum past the largest float is rejected below as inf
+            times = np.cumsum(taus)
+        stuck = np.flatnonzero((times[1:] <= times[:-1]) | np.isinf(times[1:]))
         if stuck.size:
             i = int(stuck[0]) + 1
-            raise ContractError(f"cumulative times must strictly increase: layer {i} variance {taus[i]!r} "
-                                f"does not move the time past {float(times[i - 1])!r}")
+            raise ContractError(f"cumulative times must strictly increase and stay finite: layer {i} variance "
+                                f"{taus[i]!r} moves the time from {float(times[i - 1])!r} to {float(times[i])!r}")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "_times", tuple(times.tolist()))
 
@@ -191,22 +184,16 @@ class FlowSchedule:
         """Cumulative times after each layer, summed once at construction."""
         return self._times
 
-    @property
-    def total_time(self) -> float:
-        return self.times[-1]
-
     def __len__(self) -> int:
         return len(self.taus)
 
 
 @dataclass(frozen=True, eq=False)
 class FlowDiagnostics:
-    """Per-time summary: entropy and quadratic Renyi estimates plus moments."""
+    """Per-time summary: entropy and quadratic Renyi estimates."""
 
     entropy: Estimate
     renyi2: Estimate
-    mean: np.ndarray
-    cov: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,8 +201,6 @@ class FlowDiagnostics:
             "entropy_stderr": self.entropy.stderr,
             "renyi2": self.renyi2.value,
             "renyi2_stderr": self.renyi2.stderr,
-            "mean": np.asarray(self.mean).tolist(),
-            "cov": np.asarray(self.cov).tolist(),
         }
 
 
@@ -260,15 +245,12 @@ class Trajectory:
         write_csv(path, header, rows, self.states[0].seed)
 
     def diagnostics_json(self) -> dict:
-        return {
-            "seed": self.states[0].seed,
-            "records": [
-                {"time": t, **d.to_json_dict()} for t, d in zip(self.times, self.diagnostics)
-            ],
-        }
-
-    def write_diagnostics(self, path: str | Path) -> None:
-        write_json(path, self.diagnostics_json())
+        """Per-time records: the diagnostics plus the particles' sample moments, taken here from the states."""
+        records = []
+        for t, s, d in zip(self.times, self.states, self.diagnostics):
+            mean, cov = _moments(s.points)
+            records.append({"time": t, **d.to_json_dict(), "mean": mean.tolist(), "cov": cov.tolist()})
+        return {"seed": self.states[0].seed, "records": records}
 
 
 # -- diagnostics helpers -------------------------------------------------------------
@@ -277,25 +259,29 @@ class Trajectory:
 def _layer_diagnostics(
     points: np.ndarray, g: Gaussian | None, seed: int, layer: int
 ) -> FlowDiagnostics:
-    """Entropies of the layer's measure plus the particles' moments.
+    """Entropies of the layer's measure.
 
     Closed form when the layer's Gaussian ``g`` is known; otherwise seeded
     kernel density estimates on capped subsamples of the particles.
     """
     if g is not None:
-        return _gaussian_diagnostics(g, *_moments(points))
+        return FlowDiagnostics(Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0))
     rng = substream(seed, 100, layer)
     n = points.shape[0]
     data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
                     for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
     lp = kde_log_density(data, silverman_covariance(data), probes)
-    ent, ren = Estimate.mean_of(-lp), Estimate.mean_of(_renyi_terms(lp, 2.0))
-    return FlowDiagnostics(ent, ren, *_moments(points))
+    return FlowDiagnostics(Estimate.mean_of(-lp), Estimate.mean_of(_renyi_terms(lp, 2.0)))
 
 
-def _gaussian_diagnostics(g: Gaussian, mean: np.ndarray, cov: np.ndarray) -> FlowDiagnostics:
-    """Closed-form entropies of ``g`` with the given particle moments."""
-    return FlowDiagnostics(Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0), mean, cov)
+def _trajectory(
+    times: Sequence[float], states: Sequence[ParticleEnsemble], laws: Sequence[Gaussian | None]
+) -> Trajectory:
+    """The one place states become a :class:`Trajectory`: state l's diagnostics from its law ``laws[l]``."""
+    seed = states[0].seed
+    diags = [_layer_diagnostics(s.points, g, seed, layer)
+             for layer, (s, g) in enumerate(zip(states, laws))]
+    return Trajectory(times, states, diags)
 
 
 # -- flows -------------------------------------------------------------------------
@@ -316,13 +302,11 @@ def compose(
     arbitrary probe points.  Each map scales the axes of one eigenbasis about
     the mean, so every state comes straight from the initial points through
     a cumulative per-axis factor.  The cost is an O(L m) eigenvalue
-    recursion, one O(n m^2) pass per state, and O(m^3) per layer for the
-    diagnostics' moments, which are derived from the initial sample moments
-    instead of the particles.  ``retrain='empirical'`` rebuilds an
-    :class:`EmpiricalKernel` map from the current particles with bandwidth
-    equal to the layer's own noise variance, matching the map's smoothing
-    scale.  The default is analytic for a single Gaussian and empirical
-    otherwise.
+    recursion and one O(n m^2) pass per state; no moments are derived.
+    ``retrain='empirical'`` rebuilds an :class:`EmpiricalKernel` map from the
+    current particles with bandwidth equal to the layer's own noise variance,
+    matching the map's smoothing scale.  The default is analytic for a single
+    Gaussian and empirical otherwise.
 
     A finite composition contracts the measure but never loses rank: a layer
     maps each eigenvalue lambda to lambda^3 / (lambda + tau)^2, which exceeds
@@ -340,52 +324,37 @@ def compose(
     if retrain == "empirical" and ensemble.n < 10:
         raise ContractError(f"empirical retraining needs at least 10 particles, got {ensemble.n}")
 
+    times = (0.0, *schedule.times)
     if retrain == "analytic":
-        states, diags = _analytic_flow(Gaussian.of(mix0), schedule, ensemble)
-        return Trajectory((0.0, *schedule.times), states, diags)
+        return _trajectory(times, *_analytic_flow(Gaussian.of(mix0), schedule, ensemble))
 
     # the moved points never share the trained-on state's array: a kernel product of one array with itself rounds
     # differently (numpy takes it as symmetric), so one copy up front keeps every layer reproducible
-    seed = ensemble.seed
     points = ensemble.points.copy()
     states = [ensemble]
-    diags = [_layer_diagnostics(points, None, seed, 0)]
-    for layer, tau in enumerate(schedule.taus, start=1):
+    for tau in schedule.taus:
         points = EmpiricalKernel(states[-1], tau).apply(points)
-        states.append(ParticleEnsemble(points, seed))
-        diags.append(_layer_diagnostics(points, None, seed, layer))
-    return Trajectory((0.0, *schedule.times), tuple(states), tuple(diags))
+        states.append(ParticleEnsemble(points, ensemble.seed))
+    return _trajectory(times, states, [None] * len(states))
 
 
 def _analytic_flow(
     g0: Gaussian, schedule: FlowSchedule, ensemble: ParticleEnsemble
-) -> tuple[tuple[ParticleEnsemble, ...], tuple[FlowDiagnostics, ...]]:
-    """States and diagnostics of the analytic composed flow, each state straight from the initial points.
+) -> tuple[list[ParticleEnsemble], list[Gaussian]]:
+    """States and laws of the analytic composed flow, each state straight from the initial points.
 
     Layer l scales axis j of the fixed eigenbasis V about the mean by
     ``f_lj = lam_j / (lam_j + tau_l)`` at the layer's incoming eigenvalues, so
     after l layers the factor is the cumulative product ``F_l``.  State l is
-    ``((x0 - mean) V F_l) V^T + mean``, the form of ``Gaussian.continuous_map``,
-    and its sample moments are the affine image of the initial ones:
-    ``mean_l = mean + ((m0 - mean) V F_l) V^T`` and
-    ``cov_l = V F_l (V^T C0 V) F_l V^T``.
+    ``((x0 - mean) V F_l) V^T + mean``, the form of ``Gaussian.continuous_map``.
     """
-    laws = [g for _, g in g0.composed(schedule.taus)]
-    lam = np.array([g0.evals] + [g.evals for g in laws[:-1]])
+    laws = [g0] + [g for _, g in g0.composed(schedule.taus)]
+    lam = np.array([g.evals for g in laws[:-1]])
     factors = np.cumprod(lam / (lam + np.array(schedule.taus)[:, None]), axis=0)
-    v, mu, seed = g0.evecs, g0.mean, ensemble.seed
-    m0, c0 = _moments(ensemble.points)
-    means = ((m0 - mu) @ v * factors) @ v.T + mu
-    covs = v @ ((v.T @ c0 @ v) * factors[:, :, None] * factors[:, None, :]) @ v.T
-    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))  # exactly symmetric, as np.cov's are
+    v, mu = g0.evecs, g0.mean
     z0 = (ensemble.points - mu) @ v
-
-    states = [ensemble]
-    diags = [_gaussian_diagnostics(g0, m0, c0)]
-    for g, f, mean, cov in zip(laws, factors, means, covs):
-        states.append(ParticleEnsemble((z0 * f) @ v.T + mu, seed))
-        diags.append(_gaussian_diagnostics(g, mean, cov))
-    return tuple(states), tuple(diags)
+    states = [ensemble] + [ParticleEnsemble((z0 * f) @ v.T + mu, ensemble.seed) for f in factors]
+    return states, laws
 
 
 def continuous_flow(
@@ -410,8 +379,7 @@ def continuous_flow(
         try:
             g.check_horizon(t_end, "continuous flow")
         except SingularityError as exc:
-            start = _layer_diagnostics(ensemble.points, g, ensemble.seed, 0)
-            exc.partial = Trajectory((0.0,), (ensemble,), (start,))
+            exc.partial = _trajectory((0.0,), [ensemble], [g])
             raise
     return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, retrain)
 
@@ -430,12 +398,9 @@ def one_shot_orbit(
     if ensemble.dim != mix0.dim:
         raise ContractError("ensemble dimension does not match measure dimension")
 
-    seed = ensemble.seed
     g = Gaussian.of(mix0) if mix0.k == 1 else None
-    states = [ensemble]
-    diags = [_layer_diagnostics(ensemble.points, g, seed, 0)]
-    for layer, t in enumerate(ts, start=1):
-        pts = MixtureExact(mix0, t).apply(ensemble.points)
-        states.append(ParticleEnsemble(pts, seed))
-        diags.append(_layer_diagnostics(pts, None if g is None else g.one_shot(t), seed, layer))
-    return Trajectory((0.0, *ts), tuple(states), tuple(diags))
+    states, laws = [ensemble], [g]
+    for t in ts:
+        states.append(ParticleEnsemble(MixtureExact(mix0, t).apply(ensemble.points), ensemble.seed))
+        laws.append(None if g is None else g.one_shot(t))
+    return _trajectory((0.0, *ts), states, laws)

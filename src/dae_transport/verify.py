@@ -116,8 +116,11 @@ def probe_lattice(extent: float, per_axis: int, dim: int, center=None) -> np.nda
 
 
 def _probe_grid(grid, extent: float, per_axis: int, dim: int) -> np.ndarray:
-    """``grid`` as a float array, or the default :func:`probe_lattice` when it is None."""
-    return probe_lattice(extent, per_axis, dim) if grid is None else np.asarray(grid, dtype=float)
+    """``grid`` as a float array, or the default :func:`probe_lattice` when it is None; it must hold a point."""
+    pts = probe_lattice(extent, per_axis, dim) if grid is None else np.asarray(grid, dtype=float)
+    if pts.size == 0:
+        raise ContractError("probe grid must hold at least one point")
+    return pts
 
 
 # -- variational minimizer ------------------------------------------------------
@@ -166,15 +169,16 @@ def check_variational_minimizer(
     ``details`` carries the raw margins.
     """
     t = _checked_parameter(t, "noise variance")
-    n = int(n)
+    n, n_trials = int(n), int(n_trials)
     if n < 1000:
         raise ContractError(f"need at least 1000 sample pairs, got {n}")
+    if n_trials < 1:
+        raise ContractError(f"need at least 1 perturbation trial, got {n_trials}")
+    grid = _probe_grid(grid, 2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
 
     clean = sample(mix0, n, seed)
     eps = substream(seed, 2).standard_normal((n, mix0.dim)) * math.sqrt(t)
     corrupted = clean.points + eps
-
-    grid = _probe_grid(grid, 2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
 
     fitted = EmpiricalKernel(clean, t).apply(grid)
     exact_map = MixtureExact(mix0, t)
@@ -187,7 +191,7 @@ def check_variational_minimizer(
 
     margins = []
     cross_se_ratios = []
-    for trial in range(int(n_trials)):
+    for trial in range(n_trials):
         hv = _bump_field(seed, trial, mix0)(corrupted)
         pert_err = base_err + hv
         l_pert = float(np.mean(np.sum(pert_err * pert_err, axis=1)))
@@ -212,7 +216,7 @@ def check_variational_minimizer(
             "l_gstar": l_gstar,
             "min_margin": float(min(margins)),
             "max_cross_se_ratio": float(max(cross_se_ratios)),
-            "n_trials": int(n_trials),
+            "n_trials": n_trials,
             "max_grid_deviation": float(np.max(deviations)),
         },
     )
@@ -303,6 +307,8 @@ def check_backward_heat(
     if source not in ("continuous", "one_shot"):
         raise ContractError(f"source must be 'continuous' or 'one_shot', got {source!r}")
     dt = _checked_parameter(dt, "dt", 1e-3)
+    if len(t_grid) == 0:
+        raise ContractError("backward-heat check needs at least one time in t_grid")
     grid = _probe_grid(grid, 3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
 
     g = Gaussian.of(mix0)
@@ -401,14 +407,17 @@ def check_entropy_monotone(traj: Trajectory) -> ResidualReport:
 
 def check_stein_identity(n_pairs: int = 100, seed: int = 0) -> ResidualReport:
     """Residual of the Gaussian identity over seeded (t, eps) pairs in dims 1..3."""
+    n_pairs = int(n_pairs)
+    if n_pairs < 1:
+        raise ContractError(f"need at least 1 (t, eps) pair, got {n_pairs}")
     rng = substream(seed, 4)
     residuals = []
-    for i in range(int(n_pairs)):
+    for i in range(n_pairs):
         dim = 1 + (i % 3)
         t = float(rng.uniform(0.1, 2.0))
         eps = rng.standard_normal(dim) * math.sqrt(2.0)
         residuals.append(float(np.max(np.abs(stein_residual(t, eps)))))
-    return ResidualReport("stein_identity", None, residuals, seed=seed, details={"n_pairs": int(n_pairs)})
+    return ResidualReport("stein_identity", None, residuals, seed=seed, details={"n_pairs": n_pairs})
 
 
 # -- Renyi flow gradient identity -------------------------------------------------------

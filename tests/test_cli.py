@@ -166,6 +166,7 @@ MIXTURE_1D = {
          "retrain"),
         # a schedule whose layers do not move the cumulative time is rejected by the library's FlowSchedule
         ("composed", {("schedule",): {"taus": [0.05, 1e-67]}}, "taus"),
+        ("composed", {("schedule",): {"taus": [1e308, 1e308]}}, "taus"),
         ("composed", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
         ("continuous", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
     ],
@@ -175,7 +176,7 @@ MIXTURE_1D = {
         "name_escapes", "name_slash", "name_backslash", "name_empty", "name_dotdot",
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
         "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
-        "dim_fraction", "nested_panels_key", "taus_stuck", "composed_t_end_underflow", "continuous_t_end_underflow",
+        "dim_fraction", "nested_panels_key", "taus_stuck", "taus_overflow", "composed_t_end_underflow", "continuous_t_end_underflow",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -507,14 +508,18 @@ def test_pushforward_rejects_correlated_chart(tmp_path, capsys):
 
 
 def test_pushforward_rejects_a_stuck_schedule_at_its_line(tmp_path, capsys):
-    # trajectory's side is a row of test_malformed_field_is_config_error_at_its_line
-    doc = base_trajectory_config(tmp_path / "out")
-    doc["schedule"] = {"taus": [0.05, 1e-67]}
-    cfg = write_config(tmp_path, doc)
-    line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if '"taus"' in ln)
-    assert main(["pushforward", "--config", str(cfg)]) == EXIT_CONFIG
-    assert f"config error at line {line}: cumulative times must strictly increase" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # trajectory's side is a row of test_malformed_field_is_config_error_at_its_line; a cumulative time that
+    # overflows to inf is as bad as one that does not move
+    for taus, moves in (([0.05, 1e-67], "1e-67 moves the time from 0.05 to 0.05"),
+                        ([1e308, 1e308], "1e+308 moves the time from 1e+308 to inf")):
+        doc = base_trajectory_config(tmp_path / "out")
+        doc["schedule"] = {"taus": taus}
+        cfg = write_config(tmp_path, doc)
+        line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if '"taus"' in ln)
+        assert main(["pushforward", "--config", str(cfg)]) == EXIT_CONFIG
+        message = f"cumulative times must strictly increase and stay finite: layer 1 variance {moves}"
+        assert f"config error at line {line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # -- verify command -------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dae_transport
 from dae_transport import measures, pushforward, transport
 
-# names folded into ``Gaussian`` (one value, one validator, one W2)
+# names folded into ``Gaussian`` (one value, one validator, one W2), and ``denoising_shift``, which is ``apply(x) - x``
 REMOVED = (
     "AbstractPoint",
     "GaussianPushforward",
@@ -14,6 +14,7 @@ REMOVED = (
     "_SpectralGaussian",
     "abstract_coordinates",
     "analytic_continuous_map",
+    "denoising_shift",
     "empirical_moments",
     "w2_distance",
 )

@@ -22,7 +22,6 @@ from dae_transport import (
     Trajectory,
     compose,
     continuous_flow,
-    denoising_shift,
     density,
     density_gradient,
     entropy,
@@ -39,6 +38,7 @@ from dae_transport import (
     stein_residual,
 )
 from dae_transport.measures import _moments
+from dae_transport.svg import write_json
 
 ANISO_COV = np.diag([2.0, 1.0])
 ANISO_G = Gaussian.from_cov(ANISO_COV)
@@ -137,15 +137,15 @@ def test_map_apply_value_and_dimension_check():
 
 def test_shift_vanishes_at_time_zero():
     pts = np.array([[1.0, 2.0]])
-    np.testing.assert_array_equal(denoising_shift(MixtureExact(aniso(), 0.0), pts), np.zeros((1, 2)))
+    np.testing.assert_array_equal(MixtureExact(aniso(), 0.0).apply(pts) - pts, np.zeros((1, 2)))
     np.testing.assert_array_equal(
-        denoising_shift(AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.0), pts), np.zeros((1, 2))
+        AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.0).apply(pts) - pts, np.zeros((1, 2))
     )
 
 
 def test_shift_standard_normal_value():
     m = MixtureExact(GaussianMixture.standard(1), 1.0)
-    np.testing.assert_allclose(denoising_shift(m, [2.0]), [-1.0], rtol=1e-12)
+    np.testing.assert_allclose(m.apply([2.0]) - 2.0, [-1.0], rtol=1e-12)
 
 
 def test_shift_equals_scaled_smoothed_score():
@@ -154,7 +154,7 @@ def test_shift_equals_scaled_smoothed_score():
     m = MixtureExact(mix, t)
     pts = np.linspace(-2, 2, 9)[:, None]
     np.testing.assert_allclose(
-        denoising_shift(m, pts), t * score(smooth(mix, t), pts), atol=1e-10
+        m.apply(pts) - pts, t * score(smooth(mix, t), pts), atol=1e-10
     )
 
 
@@ -162,7 +162,7 @@ def test_shift_over_t_approaches_score():
     mix = GaussianMixture.from_components([(0.5, [-1.0], [[1.0]]), (0.5, [1.0], [[0.5]])])
     t = 1e-4
     pts = np.linspace(-2, 2, 9)[:, None]
-    ratio = denoising_shift(MixtureExact(mix, t), pts) / t
+    ratio = (MixtureExact(mix, t).apply(pts) - pts) / t
     np.testing.assert_allclose(ratio, score(mix, pts), atol=1e-3)
 
 
@@ -192,7 +192,6 @@ def test_continuous_map_singular_at_half_min_eigenvalue():
 def test_schedule_cumulative_times():
     s = FlowSchedule((0.1, 0.2, 0.3))
     np.testing.assert_allclose(s.times, (0.1, 0.30000000000000004, 0.6))
-    assert s.total_time == pytest.approx(0.6)
 
 
 def test_schedule_uniform():
@@ -213,6 +212,11 @@ def test_schedule_rejects_a_layer_that_does_not_move_time():
         FlowSchedule((0.05, 1e-67))
     with pytest.raises(ContractError, match="positive"):
         FlowSchedule.uniform(5e-324, 3)  # each layer underflows to 0
+
+
+def test_schedule_rejects_a_cumulative_time_that_overflows():
+    with pytest.raises(ContractError, match="layer 1 variance 1e\\+308 moves the time from 1e\\+308 to inf"):
+        FlowSchedule((1e308, 1e308))
 
 
 TIME_ENTRY_POINTS = {
@@ -431,21 +435,25 @@ def test_compose_rotated_gaussian_matches_eigenbasis_recursion():
 
 
 @pytest.mark.parametrize("n", [1, 40])
-def test_analytic_diagnostics_moments_are_the_particles_moments(n):
-    # the moments derived from the initial ones equal the particles' own; one particle has zero covariance.
-    # In 3-D the eigenbasis is not its own transpose, unlike the 2-D one eigh returns.
+def test_diagnostics_json_moments_are_the_states_moments(n):
+    # every record carries its state's sample moments exactly, whatever flow made the state; one particle has
+    # zero covariance, and empirical retraining needs at least 10 particles
     rng = np.random.default_rng(5)
     basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     cov, mean = (basis * [0.6, 1.2, 2.5]) @ basis.T, np.array([1.5, -0.75, 0.3])
     mix = GaussianMixture.single(mean, 0.5 * (cov + cov.T))
-    pts = mean + 0.8 + rng.standard_normal((n, 3)) * [1.5, 0.5, 1.0]  # sample mean off the measure mean
-    traj = compose(mix, FlowSchedule.uniform(0.25, 200), ParticleEnsemble(pts, seed=0), "analytic")
-    for state, diag in zip(traj.states, traj.diagnostics):
-        mean, cov = _moments(state.points)
-        assert np.max(np.abs(diag.mean - mean)) <= 1e-12 * np.max(np.abs(mean))
-        assert np.max(np.abs(diag.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
-    if n == 1:
-        assert all(np.all(d.cov == 0.0) for d in traj.diagnostics)
+    ens = ParticleEnsemble(mean + 0.8 + rng.standard_normal((n, 3)) * [1.5, 0.5, 1.0], seed=0)
+    trajs = [compose(mix, FlowSchedule.uniform(0.25, 20), ens, "analytic"), one_shot_orbit(mix, (0.1, 0.2), ens)]
+    if n >= 10:
+        trajs.append(compose(mix, FlowSchedule.uniform(0.25, 3), ens, "empirical"))
+    for traj in trajs:
+        records = traj.diagnostics_json()["records"]
+        assert len(records) == len(traj.states)
+        for state, record in zip(traj.states, records):
+            mean, cov = _moments(state.points)
+            assert record["mean"] == mean.tolist() and record["cov"] == cov.tolist()
+            if n == 1:
+                assert record["cov"] == np.zeros((3, 3)).tolist()
 
 
 def test_analytic_flow_peak_memory_stays_near_its_states():
@@ -670,7 +678,7 @@ def test_trajectory_csv_and_json_outputs(tmp_path):
     assert {r[1] for r in body} == {"0", "1"}
 
     json_path = tmp_path / "diag.json"
-    traj.write_diagnostics(json_path)
+    write_json(json_path, traj.diagnostics_json())
     doc = json.loads(json_path.read_text())
     assert doc["seed"] == 77
     assert len(doc["records"]) == 3

@@ -237,7 +237,7 @@ def test_entropy_decrease_one_shot_value():
 
 def test_entropy_monotone_constant_trajectory_is_flat():
     ens = ParticleEnsemble(np.linspace(-1, 1, 12)[:, None], seed=0)
-    diag = FlowDiagnostics(Estimate(1.0, 0.1), Estimate(0.0, 0.1), np.zeros(1), np.eye(1))
+    diag = FlowDiagnostics(Estimate(1.0, 0.1), Estimate(0.0, 0.1))
     traj = Trajectory((0.0, 1.0, 2.0), (ens, ens, ens), (diag, diag, diag))
     rep = check_entropy_monotone(traj)
     assert rep.passed and rep.max_abs == 0.0
@@ -246,7 +246,7 @@ def test_entropy_monotone_constant_trajectory_is_flat():
 def test_entropy_monotone_detects_increase():
     ens = ParticleEnsemble(np.linspace(-1, 1, 12)[:, None], seed=0)
     diags = tuple(
-        FlowDiagnostics(Estimate(v, 0.0), Estimate(0.0, 0.0), np.zeros(1), np.eye(1))
+        FlowDiagnostics(Estimate(v, 0.0), Estimate(0.0, 0.0))
         for v in (1.0, 0.5, 0.9)
     )
     traj = Trajectory((0.0, 1.0, 2.0), (ens, ens, ens), diags)
@@ -256,10 +256,33 @@ def test_entropy_monotone_detects_increase():
 
 def test_entropy_monotone_needs_three_times():
     ens = ParticleEnsemble(np.linspace(-1, 1, 12)[:, None], seed=0)
-    diag = FlowDiagnostics(Estimate(1.0, 0.0), Estimate(0.0, 0.0), np.zeros(1), np.eye(1))
+    diag = FlowDiagnostics(Estimate(1.0, 0.0), Estimate(0.0, 0.0))
     traj = Trajectory((0.0, 1.0), (ens, ens), (diag, diag))
     with pytest.raises(ContractError):
         check_entropy_monotone(traj)
+
+
+EMPTY_CHECKS = {
+    "variational_no_trials": lambda: check_variational_minimizer(STD1, 0.5, n=1000, n_trials=0),
+    "variational_empty_grid": lambda: check_variational_minimizer(STD1, 0.5, n=1000, grid=np.zeros((0, 1))),
+    "stein_no_pairs": lambda: check_stein_identity(0),
+    "backward_heat_no_times": lambda: check_backward_heat(ANISO, ()),
+    "backward_heat_empty_grid": lambda: check_backward_heat(STD1, [0.1], grid=np.zeros((0, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_CHECKS))
+def test_a_check_with_nothing_to_check_is_a_contract_error_before_sampling(case, monkeypatch):
+    from dae_transport import verify
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(verify, "sample", no_draws)
+    monkeypatch.setattr(verify, "substream", no_draws)
+    with pytest.raises(Exception) as err:
+        EMPTY_CHECKS[case]()
+    assert type(err.value) is ContractError
 
 
 # -- noise identity and Renyi identity -------------------------------------------------------

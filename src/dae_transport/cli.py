@@ -174,6 +174,8 @@ def _validate_schedule(panel: _Object, mode: str) -> dict:
             times = _field(spec, "times", [float], positive=True)
         elif uniform:
             times = uniform_times
+            if not math.isfinite(times[-1]):
+                raise ConfigError(f"one_shot time t_end * steps = {t_end!r} * {steps} overflows", spec.line("t_end"))
         else:
             raise ConfigError("one_shot schedule needs 't', 'times', or ('t_end','steps')", line)
         if not times or any(b <= a for a, b in zip(times, times[1:])):
@@ -330,14 +332,14 @@ def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) ->
         else:
             color = _SAMPLE_COLORS[(pid - n_grid) % len(_SAMPLE_COLORS)]
             frame.polyline(xs, ys, stroke=color, width=1.2)
-    # midpoints every 0.2 time units along the orbit
-    t_mark = 0.2
+    # midpoints every max(0.2, T / 50) time units along the orbit, so at most about 50 of them
+    t_mark = spacing = max(0.2, traj.times[-1] / 50)
     while t_mark < traj.times[-1] + 1e-12:
         pts = _interp_state(times, stack, t_mark)
         for pid in range(pts.shape[0]):
             fill = "#666666" if pid < n_grid else "#222222"
             frame.point(pts[pid, 0], pts[pid, 1], r=1.4, fill=fill, opacity=0.8)
-        t_mark += 0.2
+        t_mark += spacing
     return canvas
 
 

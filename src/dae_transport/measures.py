@@ -25,8 +25,9 @@ noise variance, and layer variance passes where it enters the package, and
 :func:`_checked_parameter` the one check of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
-data (kernel regression map and KDE alike), and :meth:`Estimate.mean_of` the
-one Monte Carlo mean with its standard error.
+data (kernel regression map and KDE alike), in O(points * data * m) time and
+one block plus one cache-sized chunk of memory, and :meth:`Estimate.mean_of`
+the one Monte Carlo mean with its standard error.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ MC_DEFAULT_N = 100_000
 
 #: Most (point, datum) pairs one block of a kernel pass holds at once.
 _KERNEL_BLOCK_PAIRS = 8_000_000
+#: Most pairs of a block one cache-sized chunk of the kernel pass's elementwise work touches.
+_KERNEL_CHUNK_PAIRS = 65_536
 
 
 class Estimate(NamedTuple):
@@ -69,11 +72,11 @@ class Estimate(NamedTuple):
         return cls(float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(samples.shape[0])))
 
 
-def _shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(a - shift)`` of an (n, k) array and its row maxima ``shift`` (0 where not finite)."""
+def _shifted_exp(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(a - shift)`` of an (n, k) array, into ``out`` if given, and its row maxima ``shift`` (0 if not finite)."""
     shift = np.max(a, axis=1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    return np.exp(a - shift[:, None]), shift
+    return np.exp(np.subtract(a, shift[:, None], out=out), out=out), shift
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -659,24 +662,34 @@ def _kernel_pass(pts: np.ndarray, data: np.ndarray, var: float, log_norm: float,
     """Log mean of the kernels ``exp(log_norm - |x - d_i|^2 / (2 var))`` over the data, per point.
 
     With ``weighted_mean`` also returns the kernel-weighted mean of the data
-    per point.  Points go in row blocks of at most :data:`_KERNEL_BLOCK_PAIRS`
-    (point, datum) pairs, so memory stays bounded.  Rows do not interact, but
-    BLAS may round the products of a small block differently in the last bits.
+    per point.  Time is O(points * data * m).  Points go in row blocks of at
+    most :data:`_KERNEL_BLOCK_PAIRS` (point, datum) pairs; each block's
+    ``block @ data.T`` fills one reused buffer, worked in place in cache-sized
+    chunks of :data:`_KERNEL_CHUNK_PAIRS` pairs, so memory is one block plus one
+    chunk.  That moves no bit: the products (and ``w @ data``) see whole blocks
+    and each elementwise step is row-local.  Rows do not interact, but BLAS may
+    round the products of a small block differently in the last bits.
     """
     n = data.shape[0]
-    rows = max(1, _KERNEL_BLOCK_PAIRS // n)
+    rows, step = max(1, _KERNEL_BLOCK_PAIRS // n), max(1, _KERNEL_CHUNK_PAIRS // n)
     d_sq = np.sum(data * data, axis=1)
-    log_mean = np.empty(pts.shape[0])
+    buf = np.empty((min(rows, pts.shape[0]), n))
+    shifts, sums = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mean = np.empty_like(pts) if weighted_mean else None
     for lo in range(0, pts.shape[0], rows):
-        block = pts[lo : lo + rows]
-        logk = -0.5 * (np.sum(block * block, axis=1)[:, None] + d_sq[None, :] - 2.0 * (block @ data.T)) / var
-        w, shift = _shifted_exp(logk)
-        wsum = w.sum(axis=1)
-        log_mean[lo : lo + rows] = np.log(wsum) + shift + log_norm - math.log(n)
+        block, shift, wsum = pts[lo : lo + rows], shifts[lo : lo + rows], sums[lo : lo + rows]
+        w = np.matmul(block, data.T, out=buf[: block.shape[0]])
+        x_sq = np.sum(block * block, axis=1)
+        for c in range(0, block.shape[0], step):
+            # -0.5 * (|x|^2 + |d|^2 - 2 x.d) / var, one operation at a time, in place
+            logk = w[c : c + step]
+            np.subtract(x_sq[c : c + step, None] + d_sq[None, :], np.multiply(logk, 2.0, out=logk), out=logk)
+            np.divide(np.multiply(logk, -0.5, out=logk), var, out=logk)
+            shift[c : c + step] = _shifted_exp(logk, out=logk)[1]
+            wsum[c : c + step] = logk.sum(axis=1)
         if weighted_mean:
             mean[lo : lo + rows] = (w @ data) / wsum[:, None]
-    return log_mean, mean
+    return np.log(sums) + shifts + log_norm - math.log(n), mean
 
 
 def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:

@@ -169,6 +169,8 @@ MIXTURE_1D = {
         ("composed", {("schedule",): {"taus": [1e308, 1e308]}}, "taus"),
         ("composed", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
         ("continuous", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
+        # the last one-shot time t_end * steps / steps overflows although t_end is finite
+        ("one_shot", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
@@ -177,6 +179,7 @@ MIXTURE_1D = {
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
         "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
         "dim_fraction", "nested_panels_key", "taus_stuck", "taus_overflow", "composed_t_end_underflow", "continuous_t_end_underflow",
+        "one_shot_t_end_overflow",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -196,6 +199,24 @@ def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key)
     assert f"config error at line {line}:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]  # nothing written, in or out of the out dir
+
+
+@pytest.mark.parametrize("taus", [[200.0], [1e308]], ids=["long", "huge"])
+def test_trajectory_svg_midpoints_stay_bounded(tmp_path, taus):
+    # midpoints come every max(0.2, T / 50) time units: about 50 of them for any T, however long
+    doc = base_trajectory_config(tmp_path / "out")
+    doc["schedule"] = {"taus": taus}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dae_transport", "trajectory", "--config", str(write_config(tmp_path, doc))],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    svg = ET.parse(tmp_path / "out" / "run_composed.svg")
+    marks = [el for el in svg.iter() if el.tag.endswith("circle")]
+    assert 0 < len(marks) <= 51 * 14  # 14 particles: 3 x 3 grid and 5 samples
+    assert (tmp_path / "out" / "run_composed.svg").stat().st_size < 100_000
 
 
 CONFIG_KEYS = (

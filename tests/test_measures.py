@@ -531,3 +531,44 @@ def test_kernel_pass_matches_one_block_when_blocked(monkeypatch, m):
     monkeypatch.setattr(measures, "_KERNEL_BLOCK_PAIRS", 7 * data.shape[0])
     for a, b in zip(one_block, both()):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+def _kernel_pass_reference(pts, data, var, log_norm, weighted_mean):
+    """The kernel pass as one whole-block expression per step: the in-place pass must match it bit for bit."""
+    from dae_transport import measures
+
+    n = data.shape[0]
+    rows = max(1, measures._KERNEL_BLOCK_PAIRS // n)
+    d_sq = np.sum(data * data, axis=1)
+    log_mean = np.empty(pts.shape[0])
+    mean = np.empty_like(pts) if weighted_mean else None
+    for lo in range(0, pts.shape[0], rows):
+        block = pts[lo : lo + rows]
+        logk = -0.5 * (np.sum(block * block, axis=1)[:, None] + d_sq[None, :] - 2.0 * (block @ data.T)) / var
+        shift = np.max(logk, axis=1)
+        shift = np.where(np.isfinite(shift), shift, 0.0)
+        w = np.exp(logk - shift[:, None])
+        wsum = w.sum(axis=1)
+        log_mean[lo : lo + rows] = np.log(wsum) + shift + log_norm - math.log(n)
+        if weighted_mean:
+            mean[lo : lo + rows] = (w @ data) / wsum[:, None]
+    return log_mean, mean
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("weighted_mean", [False, True])
+@pytest.mark.parametrize("var", [1.0, 0.37])
+def test_kernel_pass_is_bit_identical_to_the_whole_block_expression(monkeypatch, m, weighted_mean, var):
+    from dae_transport import measures
+
+    rng = np.random.default_rng(40 + m)
+    data = rng.normal(size=(1000, m))
+    probes = rng.normal(size=(1330, m)) * 1.5  # 1330 rows: 20 chunks of 65 rows and one of 30
+    for block_pairs, chunk_pairs in ((measures._KERNEL_BLOCK_PAIRS, measures._KERNEL_CHUNK_PAIRS),
+                                     (400 * 1000, 9 * 1000)):  # then blocks of 400 rows and one of 130, in 9-row chunks
+        monkeypatch.setattr(measures, "_KERNEL_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(measures, "_KERNEL_CHUNK_PAIRS", chunk_pairs)
+        got = measures._kernel_pass(probes, data, var, -0.7, weighted_mean)
+        want = _kernel_pass_reference(probes, data, var, -0.7, weighted_mean)
+        assert np.array_equal(got[0], want[0])
+        assert (got[1] is None) if not weighted_mean else np.array_equal(got[1], want[1])

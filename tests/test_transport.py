@@ -468,6 +468,20 @@ def test_analytic_flow_peak_memory_stays_near_its_states():
     assert peak <= 1.5 * sum(s.points.nbytes for s in traj.states)
 
 
+def test_empirical_kernel_peak_memory_is_one_kernel_block():
+    # the kernel pass fills one (points, data) buffer in place: no full-size temporaries beside it
+    rng = np.random.default_rng(4)
+    kernel_map = EmpiricalKernel(ParticleEnsemble(rng.normal(size=(2000, 2)), seed=0), 0.5)
+    probes = rng.normal(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        kernel_map.apply(probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * np.empty((2000, 2000)).nbytes
+
+
 def test_analytic_flow_decomposes_independently_of_depth(monkeypatch):
     calls = {"eigh": 0, "eigvalsh": 0, "slogdet": 0}
     for name in calls:

@@ -142,6 +142,7 @@ class RunConfig:
     out_dir: Path
     formats: tuple[str, ...]
     tolerances: dict
+    panels_line: int = 1  # where a command that draws one panel reports a second
 
 
 def _flow_schedule(spec: _Object, key: str, build, *args) -> FlowSchedule:
@@ -162,6 +163,8 @@ def _validate_schedule(panel: _Object, mode: str) -> dict:
         t_end = _field(spec, "t_end", float, positive=True)
         steps = _field(spec, "steps", int, positive=True)
         uniform_times = [t_end * (i + 1) / steps for i in range(steps)]
+        if mode != "composed" and not math.isfinite(uniform_times[-1]):  # composed times come from FlowSchedule
+            raise ConfigError(f"{mode} time t_end * steps = {t_end!r} * {steps} overflows", spec.line("t_end"))
     if mode == "continuous":
         if not uniform:
             raise ConfigError("continuous schedule needs ('t_end','steps')", line)
@@ -174,8 +177,6 @@ def _validate_schedule(panel: _Object, mode: str) -> dict:
             times = _field(spec, "times", [float], positive=True)
         elif uniform:
             times = uniform_times
-            if not math.isfinite(times[-1]):
-                raise ConfigError(f"one_shot time t_end * steps = {t_end!r} * {steps} overflows", spec.line("t_end"))
         else:
             raise ConfigError("one_shot schedule needs 't', 'times', or ('t_end','steps')", line)
         if not times or any(b <= a for a, b in zip(times, times[1:])):
@@ -274,6 +275,7 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         out_dir=out_dir,
         formats=formats,
         tolerances=tolerances,
+        panels_line=doc.line("panels"),
     )
 
 
@@ -465,6 +467,8 @@ def cmd_pushforward(cfg: RunConfig) -> int:
         raise ConfigError("pushforward command needs 'mode' and 'schedule'")
     if cfg.mixture.k != 1:
         raise ConfigError("pushforward command needs a single-Gaussian distribution")
+    if len(cfg.panels) > 1:
+        raise ConfigError(f"pushforward command draws one panel, got {len(cfg.panels)}", cfg.panels_line)
     panel = cfg.panels[0]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK

@@ -16,9 +16,9 @@ once.  :func:`_decomposed` is the one covariance validator (finite, symmetric,
 lambda_min > 1e-12 lambda_max), :func:`_pointwise` the one point-or-batch
 rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 
-:class:`Gaussian` is the one single-Gaussian value: a mean and one
-eigenbasis.  The denoising map, the one-shot and continuous pushforwards
-(themselves ``Gaussian`` values), the continuous map, the closed-form
+:class:`Gaussian`, a mean and one eigenbasis, is the one route to the
+single-Gaussian closed forms.  The DAE map, the one-shot and continuous
+pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
 decomposed covariance.  :func:`_checked_time` is the one check every time,
 noise variance, and layer variance passes where it enters the package, and
@@ -342,15 +342,14 @@ class Gaussian:
 
     Every single-Gaussian object of the transport keeps V and maps the
     eigenvalues: the one-shot pushforward sends lambda to
-    lambda^3 / (lambda + t)^2, the continuous pushforward to lambda - 2 t, and
-    both maps act per axis of V.  Maps return new values and never
-    re-decompose, so a composed flow factorizes once.  :meth:`from_cov` is the
-    validating constructor.  :meth:`one_shot`, :meth:`continuous` and
-    :meth:`denoise` take any t, which lets finite-difference stencils step
-    slightly below 0; :meth:`continuous_map` checks its time, points and
-    horizon.  Entropies are read straight from the eigenvalues, so
-    contractions far below what mixture validation accepts (down to
-    underflow) stay representable.
+    lambda (lambda / (lambda + t))^2 (no overflow at any finite lambda or t),
+    the continuous pushforward to lambda - 2 t.  Maps return new values and
+    never re-decompose, so a composed flow factorizes once.  :meth:`from_cov`
+    is the validating constructor.  :meth:`one_shot` and :meth:`continuous`
+    take any t, which lets finite-difference stencils step slightly below 0;
+    the point maps :meth:`denoise` and :meth:`continuous_map` check their time
+    and points.  Entropies are read straight from the eigenvalues, so
+    contractions far below what mixture validation accepts stay representable.
     """
 
     mean: np.ndarray
@@ -391,7 +390,7 @@ class Gaussian:
         if t == 0.0:
             return self
         lam = self.evals
-        return Gaussian(self.mean, _frozen(lam**3 / (lam + t) ** 2), self.evecs)
+        return Gaussian(self.mean, _frozen(lam * (lam / (lam + t)) ** 2), self.evecs)
 
     def composed(self, taus: Iterable[float]) -> Iterator[tuple[float, "Gaussian"]]:
         """``(cumulative time, pushforward)`` after each layer of a composed one-shot flow."""
@@ -414,8 +413,12 @@ class Gaussian:
         if (t > tc + 5e-13) if closed else (t >= tc):
             raise SingularityError(f"{what} is singular at t = {tc!r} (requested t = {t!r})", critical_time=tc)
 
-    def denoise(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Denoising map on (n, m) points: ``(I + t S^{-1})^{-1} x + (I + S / t)^{-1} mean``."""
+    @_pointwise
+    def denoise(self, x, t: float) -> np.ndarray:
+        """DAE map ``x + t score(N(mean, S + t I), x) = (I + t S^{-1})^{-1} x + (I + S / t)^{-1} mean`` at t >= 0."""
+        t = _checked_time(t, "noise variance")
+        if t == 0.0:
+            return x.copy()
         lam = self.evals
         v = self.evecs
         return (x @ v * (lam / (lam + t)) + self.mean @ v * (t / (lam + t))) @ v.T

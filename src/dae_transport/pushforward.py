@@ -1,10 +1,11 @@
-"""Closed-form Gaussian pushforwards as one-call entry points over :class:`measures.Gaussian`.
+"""Closed-form Gaussian pushforwards as one-call shims over :class:`measures.Gaussian`.
 
-Each function checks its time, decomposes ``N(mean, cov)`` once and returns
-the pushed :class:`Gaussian` (or its covariance).  These three names, like
-``transport.AnalyticGaussian``, stay only because the benchmark's tracer
-(``perfbench/tracing.py``, ``TARGETS``) looks them up by name; new code calls
-``Gaussian.from_cov(cov, mean)`` directly.
+The package exports none of these names and no library code calls them.
+Like ``transport.AnalyticGaussian``, they stay only because the benchmark's
+tracer (``perfbench/tracing.py``, ``TARGETS``) looks them up by name, and
+they go when ``TARGETS`` drops them.  Code calls
+``Gaussian.from_cov(cov, mean)`` and its ``continuous``, ``one_shot`` and
+``check_horizon`` directly.
 """
 
 from __future__ import annotations
@@ -15,18 +16,14 @@ from .measures import Gaussian, _checked_time
 
 
 def push_continuous(mean, cov, t: float) -> Gaussian:
-    """N(mean, cov) under the continuous flow, covariance ``cov - 2 t I``.
-
-    The boundary ``2 t = lambda_min`` gives a zero eigenvalue; any later time
-    raises :class:`SingularityError` carrying the critical time.
-    """
+    """N(mean, cov) under the continuous flow, singular past (not at) ``t = lambda_min / 2``."""
     g, t = Gaussian.from_cov(cov, mean), _checked_time(t)
     g.check_horizon(t, "continuous pushforward", closed=True)
     return g.continuous(t)
 
 
 def push_one_shot(mean, cov, t: float) -> Gaussian:
-    """N(mean, cov) under the one-shot map, covariance ``cov (I + t cov^{-1})^{-2}``, full rank for every t."""
+    """N(mean, cov) under the one-shot map, full rank for every t."""
     return Gaussian.from_cov(cov, mean).one_shot(_checked_time(t))
 
 

@@ -26,10 +26,8 @@ from dae_transport import (
     check_variational_minimizer,
     compose,
     continuous_flow,
-    AnalyticGaussian,
     FlowSchedule,
     probe_lattice,
-    push_continuous,
     sample,
     smooth,
 )
@@ -66,7 +64,7 @@ def test_criterion_1_singular_time(announce):
     # covariance has an almost-vanished eigenvalue
     t = 0.5 - 1e-6
     ANISO_G.continuous_map([1.0, 1.0], t)
-    lam_min = float(np.min(push_continuous([0.0, 0.0], ANISO_COV, t).evals))
+    lam_min = float(np.min(ANISO_G.continuous(t).evals))
     elapsed = time.monotonic() - start
     ok = raised_at_half and critical == pytest.approx(0.5) and lam_min < 4e-6 and elapsed < 1.0
     announce(1, "singular time", ok, f"min eig {lam_min:.2e}, {elapsed * 1000:.0f} ms")
@@ -136,7 +134,7 @@ def test_criterion_5_pushforward_moments(announce):
     start = time.monotonic()
     n = 100_000
     std = GaussianMixture.standard(1)
-    pushed = AnalyticGaussian([0.0], [[1.0]], 1.0).apply(sample(std, n, 0).points)
+    pushed = Gaussian.of(std).denoise(sample(std, n, 0).points, 1.0)
     var = float(np.var(pushed, ddof=1))
     se = 0.25 * math.sqrt(2.0 / (n - 1))
     elapsed = time.monotonic() - start
@@ -149,7 +147,7 @@ def test_criterion_6_entropy_gradient_flow(announce):
     dt = 1e-6
     grad_ok = True
     for t in (0.05, 0.1, 0.15):
-        sig, sig_p, sig_m = (_chart_sigma(push_continuous([0.0, 0.0], ANISO_COV, s).cov) for s in (t, t + dt, t - dt))
+        sig, sig_p, sig_m = (_chart_sigma(ANISO_G.continuous(s).cov) for s in (t, t + dt, t - dt))
         fd = (sig_p - sig_m) / (2.0 * dt)
         rel = np.max(np.abs(fd + 1.0 / sig) / np.abs(1.0 / sig))
         grad_ok = grad_ok and rel < 1e-4
@@ -165,7 +163,7 @@ def test_criterion_6_entropy_gradient_flow(announce):
 def test_criterion_7_time_reversal(announce):
     worst = 0.0
     for t in (0.1, 0.2, 0.4):
-        pf = push_continuous([0.0, 0.0], ANISO_COV, t)
+        pf = ANISO_G.continuous(t)
         recovered = smooth(GaussianMixture.single(pf.mean, pf.cov), 2.0 * t)
         worst = max(worst, float(np.max(np.abs(recovered.covs[0] - ANISO_COV))))
     ok = worst < 1e-12

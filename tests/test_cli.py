@@ -169,8 +169,9 @@ MIXTURE_1D = {
         ("composed", {("schedule",): {"taus": [1e308, 1e308]}}, "taus"),
         ("composed", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
         ("continuous", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
-        # the last one-shot time t_end * steps / steps overflows although t_end is finite
+        # the last one-shot or continuous time t_end * steps / steps overflows although t_end is finite
         ("one_shot", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
+        ("continuous", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
@@ -179,7 +180,7 @@ MIXTURE_1D = {
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
         "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
         "dim_fraction", "nested_panels_key", "taus_stuck", "taus_overflow", "composed_t_end_underflow", "continuous_t_end_underflow",
-        "one_shot_t_end_overflow",
+        "one_shot_t_end_overflow", "continuous_t_end_overflow",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -458,6 +459,24 @@ def test_pushforward_one_dim_densities(tmp_path):
     # pushforward variances 1, 1/1.5^2, 1/4: peaks grow as curves narrow
     assert max(by_time["0.0"]) < max(by_time["0.5"]) < max(by_time["1.0"])
     ET.parse(out / "narrow_densities.svg")
+
+
+def test_pushforward_rejects_a_second_panel_at_the_panels_line(tmp_path, capsys):
+    # pushforward draws one panel; a second one would be left out of its output
+    panels = [{"name": n, "mode": "one_shot", "schedule": {"times": [t]}} for n, t in (("a", 0.5), ("b", 1.0))]
+    doc = {
+        "name": "two",
+        "distribution": {"dim": 1, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]},
+        "panels": panels,
+        "outputs": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path, doc)
+    line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if '"panels"' in ln)
+    assert main(["pushforward", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"config error at line {line}: pushforward command draws one panel, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    doc["panels"] = panels[:1]
+    assert main(["pushforward", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
 
 
 def test_pushforward_peak_matches_closed_form_variances(tmp_path):

@@ -7,20 +7,17 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from dae_transport import (
-    AnalyticGaussian,
     ContractError,
     DomainError,
     Gaussian,
     GaussianMixture,
     ParticleEnsemble,
-    check_time_reversal,
     density,
     density_gradient,
     entropy,
+    kde_log_density,
     laplacian_density,
     log_density,
-    push_continuous,
-    push_one_shot,
     renyi_entropy,
     sample,
     score,
@@ -82,14 +79,13 @@ def test_covariance_must_be_positive_definite():
     "entry",
     [
         lambda cov: Gaussian.from_cov(cov),
-        lambda cov: push_one_shot([0.0, 0.0], cov, 0.0),
-        lambda cov: push_continuous([0.0, 0.0], cov, 0.0),
-        lambda cov: AnalyticGaussian([0.0, 0.0], cov, 0.1),
         lambda cov: GaussianMixture.single([0.0, 0.0], cov),
-        lambda cov: check_time_reversal([0.0, 0.0], cov, 0.0),
+        lambda cov: GaussianMixture.from_json_dict(
+            {"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": cov.tolist()}]}
+        ),
+        lambda cov: kde_log_density(np.zeros((3, 2)), cov, [0.0, 0.0]),
     ],
-    ids=["Gaussian.from_cov", "push_one_shot", "push_continuous", "AnalyticGaussian", "GaussianMixture.single",
-         "check_time_reversal"],
+    ids=["Gaussian.from_cov", "GaussianMixture.single", "GaussianMixture.from_json_dict", "kde_log_density"],
 )
 def test_one_positivity_rule_at_every_entry(entry):
     # lambda_min <= 1e-12 lambda_max is rejected where the covariance enters, so no
@@ -119,7 +115,7 @@ def test_mixture_arrays_are_immutable():
 def test_gaussian_arrays_are_immutable_and_callers_stay_writable():
     mean, cov = np.array([1.0, -1.0]), np.diag([2.0, 1.0])
     g = Gaussian.from_cov(cov, mean)
-    values = (g, g.one_shot(0.3), g.continuous(0.2), push_one_shot(mean, cov, 0.3), push_continuous(mean, cov, 0.2))
+    values = (g, g.one_shot(0.3), g.continuous(0.2), Gaussian.of(g.as_mixture()))
     for h in values:
         for arr in (h.mean, h.evals, h.evecs):
             with pytest.raises(ValueError):

@@ -1,3 +1,9 @@
+"""Closed-form single-Gaussian pushforwards through the one public route, ``Gaussian``.
+
+``pushforward.py`` and ``transport.AnalyticGaussian`` remain as unexported
+shims; the last test pins them to this route bit for bit.
+"""
+
 from __future__ import annotations
 
 import math
@@ -6,14 +12,11 @@ import numpy as np
 import pytest
 
 from dae_transport import (
-    AnalyticGaussian,
     ContractError,
     DomainError,
     Gaussian,
     GaussianMixture,
     SingularityError,
-    push_continuous,
-    push_one_shot,
     sample,
     smooth,
 )
@@ -22,46 +25,46 @@ from dae_transport.measures import _moments
 
 ANISO = np.diag([2.0, 1.0])
 ZERO2 = np.zeros(2)
+G = Gaussian.from_cov(ANISO, ZERO2)
+STD1 = Gaussian.from_cov([[1.0]], [0.0])
 
 
 # -- continuous pushforward -----------------------------------------------------
 
 
-def test_push_continuous_value():
-    pf = push_continuous(ZERO2, ANISO, 0.25)
-    np.testing.assert_allclose(pf.cov, np.diag([1.5, 0.5]))
+def test_continuous_value():
+    np.testing.assert_allclose(G.continuous(0.25).cov, np.diag([1.5, 0.5]))
 
 
-def test_push_continuous_identity_at_zero():
-    pf = push_continuous(ZERO2, ANISO, 0.0)
-    np.testing.assert_array_equal(pf.cov, ANISO)
+def test_continuous_identity_at_zero():
+    np.testing.assert_array_equal(G.continuous(0.0).cov, ANISO)
 
 
-def test_push_continuous_boundary_reports_zero_eigenvalue():
-    pf = push_continuous(ZERO2, ANISO, 0.5)
+def test_continuous_boundary_is_closed_and_reports_zero_eigenvalue():
+    G.check_horizon(0.5, "continuous pushforward", closed=True)  # the boundary itself is admitted
+    pf = G.continuous(0.5)
     np.testing.assert_allclose(pf.cov, np.diag([1.0, 0.0]))
     assert pf.evals[0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_push_continuous_raises_past_singularity():
+def test_continuous_horizon_raises_past_singularity():
     with pytest.raises(SingularityError) as err:
-        push_continuous(ZERO2, ANISO, 0.5 + 1e-6)
+        G.check_horizon(0.5 + 1e-6, "continuous pushforward", closed=True)
     assert err.value.critical_time == pytest.approx(0.5)
+    with pytest.raises(SingularityError):  # the open rule of the flows already rejects the boundary
+        G.check_horizon(0.5, "continuous flow")
 
 
-def test_push_continuous_entropy_strictly_decreasing():
-    values = []
-    for t in (0.0, 0.1, 0.2, 0.3, 0.4):
-        pf = push_continuous(ZERO2, ANISO, t)
-        values.append(pf.entropy())
+def test_continuous_entropy_strictly_decreasing():
+    values = [G.continuous(t).entropy() for t in (0.0, 0.1, 0.2, 0.3, 0.4)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_push_continuous_sigma_gradient_is_reciprocal():
+def test_continuous_sigma_gradient_is_reciprocal():
     # d sigma_i / dt = -1 / sigma_i along the continuous flow
     dt = 1e-6
     for t in (0.05, 0.1, 0.15):
-        sig, sig_p, sig_m = (_chart_sigma(push_continuous(ZERO2, ANISO, s).cov) for s in (t, t + dt, t - dt))
+        sig, sig_p, sig_m = (_chart_sigma(G.continuous(s).cov) for s in (t, t + dt, t - dt))
         fd = (sig_p - sig_m) / (2.0 * dt)
         np.testing.assert_allclose(fd, -1.0 / sig, rtol=1e-6)
 
@@ -69,34 +72,38 @@ def test_push_continuous_sigma_gradient_is_reciprocal():
 # -- one-shot pushforward ----------------------------------------------------------
 
 
-def test_push_one_shot_unit_variance_quarter():
-    pf = push_one_shot([0.0], [[1.0]], 1.0)
-    assert pf.cov[0, 0] == pytest.approx(0.25, rel=1e-12)
+def test_one_shot_unit_variance_quarter():
+    assert STD1.one_shot(1.0).cov[0, 0] == pytest.approx(0.25, rel=1e-12)
 
 
-def test_push_one_shot_identity_at_zero():
-    pf = push_one_shot(ZERO2, ANISO, 0.0)
-    np.testing.assert_array_equal(pf.cov, ANISO)
+def test_one_shot_identity_at_zero():
+    np.testing.assert_array_equal(G.one_shot(0.0).cov, ANISO)
 
 
-def test_push_one_shot_variance_strictly_decreasing():
-    values = [push_one_shot([0.0], [[1.0]], t).cov[0, 0] for t in (0.0, 0.25, 0.5, 1.0, 2.0)]
+def test_one_shot_variance_strictly_decreasing():
+    values = [STD1.one_shot(t).cov[0, 0] for t in (0.0, 0.25, 0.5, 1.0, 2.0)]
     assert values[2] == pytest.approx(1.0 / 1.5**2, rel=1e-12)
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_push_one_shot_spd_up_to_large_times():
+def test_one_shot_spd_up_to_large_times():
     for t in (0.5, 1.0, 10.0, 100.0, 1000.0):
-        pf = push_one_shot(ZERO2, ANISO, t)
+        pf = G.one_shot(t)
         assert np.linalg.eigvalsh(pf.cov)[0] > 0.0 and pf.evals[0] > 0.0
+
+
+def test_one_shot_stays_finite_at_huge_eigenvalues_and_times():
+    # neither a huge eigenvalue nor a huge t may overflow the one-shot eigenvalue map
+    huge = Gaussian.from_cov([[1e200]]).one_shot(1.0)
+    assert math.isfinite(huge.evals[0]) and huge.evals[0] == pytest.approx(1e200, rel=1e-12)
+    assert huge.entropy() == pytest.approx(Gaussian.from_cov([[1e200]]).entropy(), rel=1e-12)
+    assert STD1.one_shot(1e308).evals[0] == 0.0  # the suite raises every RuntimeWarning
 
 
 def test_pushforwards_agree_to_first_order_at_small_t():
     diffs = []
     for t in (1e-3, 1e-4):
-        v_cont = push_continuous([0.0], [[1.0]], t).cov[0, 0]
-        v_shot = push_one_shot([0.0], [[1.0]], t).cov[0, 0]
-        diffs.append(abs(v_cont - v_shot))
+        diffs.append(abs(STD1.continuous(t).cov[0, 0] - STD1.one_shot(t).cov[0, 0]))
         assert diffs[-1] < 4.0 * t * t  # both are 1 - 2t + O(t^2)
     assert diffs[1] < diffs[0] / 50.0  # quadratic shrinkage
 
@@ -104,9 +111,9 @@ def test_pushforwards_agree_to_first_order_at_small_t():
 def test_monte_carlo_pushforward_matches_closed_form():
     n = 100_000
     mix = GaussianMixture.single(ZERO2, ANISO)
-    pushed = AnalyticGaussian(ZERO2, ANISO, 1.0).apply(sample(mix, n, 13).points)
+    pushed = G.denoise(sample(mix, n, 13).points, 1.0)
     emp_cov = np.cov(pushed.T, ddof=1)
-    expect = push_one_shot(ZERO2, ANISO, 1.0).cov
+    expect = G.one_shot(1.0).cov
     se = np.sqrt((np.outer(np.diag(expect), np.diag(expect)) + expect**2) / n)
     assert np.all(np.abs(emp_cov - expect) < 5.0 * se)
 
@@ -133,12 +140,12 @@ def test_abstract_coordinates_definition():
 
 
 def test_abstract_coordinates_of_continuous_push():
-    sigma = _chart_sigma(push_continuous(ZERO2, ANISO, 0.25).cov)
+    sigma = _chart_sigma(G.continuous(0.25).cov)
     np.testing.assert_allclose(sigma, [math.sqrt(1.5), math.sqrt(0.5)])
 
 
 def test_abstract_coordinates_of_one_shot_push():
-    sigma = _chart_sigma(push_one_shot(ZERO2, np.eye(2), 1.0).cov)
+    sigma = _chart_sigma(Gaussian.from_cov(np.eye(2)).one_shot(1.0).cov)
     np.testing.assert_allclose(sigma, [0.5, 0.5], rtol=1e-12)
 
 
@@ -223,15 +230,14 @@ def test_w2_matches_scipy_bures_formula_on_rotated_covariances(dim):
 
 def test_smoothing_reverses_continuous_push_exactly():
     for t in (0.1, 0.2, 0.4):
-        pf = push_continuous(ZERO2, ANISO, t)
+        pf = G.continuous(t)
         recovered = smooth(GaussianMixture.single(pf.mean, pf.cov), 2.0 * t)
         assert np.max(np.abs(recovered.covs[0] - ANISO)) < 1e-12
 
 
-def test_pushforward_invariants_reject_negative_eigenvalues():
-    for push in (push_continuous, push_one_shot):
-        with pytest.raises(ContractError):
-            push(ZERO2, np.diag([1.0, -0.5]), 0.1)
+def test_gaussian_rejects_negative_eigenvalues():
+    with pytest.raises(ContractError):
+        Gaussian.from_cov(np.diag([1.0, -0.5]), ZERO2)
 
 
 @pytest.mark.parametrize(
@@ -239,10 +245,9 @@ def test_pushforward_invariants_reject_negative_eigenvalues():
     [([0.0], [[math.nan]]), ([0.0], [[math.inf]]), ([math.nan], [[1.0]])],
     ids=["nan_cov", "inf_cov", "nan_mean"],
 )
-def test_pushforward_rejects_nonfinite_mean_and_covariance(mean, cov):
-    for push in (push_continuous, push_one_shot):
-        with pytest.raises(ContractError):
-            push(mean, cov, 0.1)
+def test_gaussian_rejects_nonfinite_mean_and_covariance(mean, cov):
+    with pytest.raises(ContractError, match="finite"):
+        Gaussian.from_cov(cov, mean)
 
 
 def test_push_decomposes_once_and_eigenvalues_reuse_it(monkeypatch):
@@ -255,10 +260,39 @@ def test_push_decomposes_once_and_eigenvalues_reuse_it(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for push in (push_continuous, push_one_shot):
+    for push in ("continuous", "one_shot"):
         del calls[:]
-        pf = push(ZERO2, ANISO, 0.25)
-        assert len(calls) == 1, push.__name__
+        pf = getattr(Gaussian.from_cov(ANISO, ZERO2), push)(0.25)
+        assert len(calls) == 1, push
         pf.evals, pf.cov, pf.entropy()
-        assert len(calls) == 1, push.__name__
+        assert len(calls) == 1, push
 
+
+# -- the unexported shims the benchmark's tracer still names ------------------------------
+
+
+def test_tracer_shims_equal_their_gaussian_routes_bit_for_bit():
+    from dae_transport.pushforward import one_shot_covariance, push_continuous, push_one_shot
+    from dae_transport.transport import AnalyticGaussian
+
+    mean, cov = [0.3, -0.2], [[2.0, 0.4], [0.4, 1.0]]
+    g = Gaussian.from_cov(cov, mean)
+    pts = np.random.default_rng(3).standard_normal((7, 2))
+
+    def same(a: Gaussian, b: Gaussian) -> bool:
+        return all(np.array_equal(x, y) for x, y in ((a.mean, b.mean), (a.evals, b.evals), (a.evecs, b.evecs)))
+
+    for t in (0.0, 0.2, g.critical_time):  # the boundary is closed
+        assert same(push_continuous(mean, cov, t), g.continuous(t))
+    for t in (0.0, 0.3, 1e308):
+        assert same(push_one_shot(mean, cov, t), g.one_shot(t))
+        assert np.array_equal(one_shot_covariance(cov, t), Gaussian.from_cov(cov).one_shot(t).cov)
+    for t in (0.0, 0.3):
+        m = AnalyticGaussian(mean, cov, t)
+        assert np.array_equal(m.apply(pts), g.denoise(pts, t))
+        assert np.array_equal(m.apply(pts[0]), g.denoise(pts[0], t))
+    with pytest.raises(SingularityError):
+        push_continuous(mean, cov, g.critical_time + 1e-6)
+    for shim in (lambda t: push_one_shot(mean, cov, t), lambda t: AnalyticGaussian(mean, cov, t)):
+        with pytest.raises(ContractError):
+            shim(math.nan)

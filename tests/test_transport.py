@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from dae_transport import (
-    AnalyticGaussian,
     ContractError,
     DomainError,
     EmpiricalKernel,
@@ -20,6 +19,7 @@ from dae_transport import (
     ParticleEnsemble,
     SingularityError,
     Trajectory,
+    check_time_reversal,
     compose,
     continuous_flow,
     density,
@@ -28,10 +28,8 @@ from dae_transport import (
     kde_log_density,
     laplacian_density,
     log_density,
-    one_shot_covariance,
     one_shot_orbit,
     probe_lattice,
-    push_continuous,
     sample,
     score,
     smooth,
@@ -51,16 +49,14 @@ def aniso() -> GaussianMixture:
 # -- one-shot maps -----------------------------------------------------------------
 
 
-def test_analytic_gaussian_isotropic_halves_points():
-    m = AnalyticGaussian([0.0, 0.0], np.eye(2), 1.0)
+def test_gaussian_denoise_isotropic_halves_points():
     x = np.array([3.0, -2.0])
-    np.testing.assert_allclose(m.apply(x), x / 2.0, rtol=1e-14)
+    np.testing.assert_allclose(Gaussian.from_cov(np.eye(2)).denoise(x, 1.0), x / 2.0, rtol=1e-14)
 
 
-def test_analytic_gaussian_fixes_mean():
+def test_gaussian_denoise_fixes_mean():
     mean = np.array([1.5, -2.5])
-    m = AnalyticGaussian(mean, ANISO_COV, 0.7)
-    np.testing.assert_allclose(m.apply(mean), mean, rtol=1e-12)
+    np.testing.assert_allclose(Gaussian.from_cov(ANISO_COV, mean).denoise(mean, 0.7), mean, rtol=1e-12)
 
 
 def test_mixture_exact_matches_analytic_one_dim():
@@ -69,23 +65,21 @@ def test_mixture_exact_matches_analytic_one_dim():
     exact = MixtureExact(std, t)
     x = np.array([1.7])
     np.testing.assert_allclose(exact.apply(x), x / (1.0 + t), rtol=1e-12)
-    analytic = AnalyticGaussian([0.0], [[1.0]], t)
-    np.testing.assert_allclose(exact.apply(x), analytic.apply(x), atol=1e-12)
+    np.testing.assert_allclose(exact.apply(x), Gaussian.from_cov([[1.0]]).denoise(x, t), atol=1e-12)
 
 
 def test_backend_agreement_200_points():
     t = 0.7
     mean = np.array([0.5, -0.25])
     exact = MixtureExact(GaussianMixture.single(mean, ANISO_COV), t)
-    analytic = AnalyticGaussian(mean, ANISO_COV, t)
     pts = np.random.default_rng(5).normal(size=(200, 2)) * 2.0
-    np.testing.assert_allclose(exact.apply(pts), analytic.apply(pts), atol=1e-9)
+    np.testing.assert_allclose(exact.apply(pts), Gaussian.from_cov(ANISO_COV, mean).denoise(pts, t), atol=1e-9)
 
 
 def test_maps_are_identity_at_time_zero():
     pts = np.random.default_rng(1).normal(size=(10, 2))
     np.testing.assert_array_equal(MixtureExact(aniso(), 0.0).apply(pts), pts)
-    np.testing.assert_array_equal(AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.0).apply(pts), pts)
+    np.testing.assert_array_equal(ANISO_G.denoise(pts, 0.0), pts)
 
 
 def test_empirical_kernel_single_point_posterior():
@@ -126,10 +120,10 @@ def test_empirical_kernel_converges_with_sample_size():
 
 
 def test_map_apply_value_and_dimension_check():
-    m = AnalyticGaussian([0.0, 0.0], np.eye(2), 1.0)
-    np.testing.assert_allclose(m.apply([2.0, 2.0]), [1.0, 1.0])
+    g = Gaussian.from_cov(np.eye(2))
+    np.testing.assert_allclose(g.denoise([2.0, 2.0], 1.0), [1.0, 1.0])
     with pytest.raises(ContractError):
-        m.apply([1.0])
+        g.denoise([1.0], 1.0)
 
 
 # -- denoising shift -----------------------------------------------------------------
@@ -138,9 +132,7 @@ def test_map_apply_value_and_dimension_check():
 def test_shift_vanishes_at_time_zero():
     pts = np.array([[1.0, 2.0]])
     np.testing.assert_array_equal(MixtureExact(aniso(), 0.0).apply(pts) - pts, np.zeros((1, 2)))
-    np.testing.assert_array_equal(
-        AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.0).apply(pts) - pts, np.zeros((1, 2))
-    )
+    np.testing.assert_array_equal(ANISO_G.denoise(pts, 0.0) - pts, np.zeros((1, 2)))
 
 
 def test_shift_standard_normal_value():
@@ -222,9 +214,10 @@ def test_schedule_rejects_a_cumulative_time_that_overflows():
 TIME_ENTRY_POINTS = {
     "FlowSchedule": lambda t: FlowSchedule((t,)),
     "FlowSchedule.uniform": lambda t: FlowSchedule.uniform(t, 3),
-    "AnalyticGaussian": lambda t: AnalyticGaussian([0.0], [[1.0]], t),
-    "one_shot_covariance": lambda t: one_shot_covariance([[1.0]], t),
-    "push_continuous": lambda t: push_continuous([0.0], [[1.0]], t),
+    "Gaussian.denoise": lambda t: Gaussian.from_cov([[1.0]]).denoise([0.5], t),
+    "MixtureExact": lambda t: MixtureExact(GaussianMixture.standard(1), t),
+    "check_time_reversal": lambda t: check_time_reversal(GaussianMixture.standard(1), t),
+    "one_shot_orbit": lambda t: one_shot_orbit(GaussianMixture.standard(1), [t], ParticleEnsemble(np.zeros((1, 1)), 0)),
     "Gaussian.continuous_map": lambda t: Gaussian.from_cov([[1.0]]).continuous_map([0.5], t),
 }
 
@@ -241,7 +234,7 @@ POINT_ENTRY_POINTS = {
     "density": lambda x: density(aniso(), x),
     "laplacian_density": lambda x: laplacian_density(aniso(), x),
     "MixtureExact": lambda x: MixtureExact(aniso(), 0.3).apply(x),
-    "AnalyticGaussian": lambda x: AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.3).apply(x),
+    "Gaussian.denoise": lambda x: ANISO_G.denoise(x, 0.3),
     "EmpiricalKernel": lambda x: EmpiricalKernel(probe_ensemble(), 0.3).apply(x),
     "Gaussian.continuous_map": lambda x: ANISO_G.continuous_map(x, 0.3),
     "stein_residual": lambda x: stein_residual(0.3, x),
@@ -273,7 +266,7 @@ POINTWISE = {
     "density_gradient": (lambda x: density_gradient(_two_mixture(), x), False),
     "Gaussian.continuous_map": (lambda x: Gaussian.from_cov(ROTATED_COV, [0.3, -0.2]).continuous_map(x, 0.3), False),
     "MixtureExact.apply": (lambda x: MixtureExact(_two_mixture(), 0.3).apply(x), False),
-    "AnalyticGaussian.apply": (lambda x: AnalyticGaussian([0.3, -0.2], ROTATED_COV, 0.3).apply(x), False),
+    "Gaussian.denoise": (lambda x: Gaussian.from_cov(ROTATED_COV, [0.3, -0.2]).denoise(x, 0.3), False),
     "EmpiricalKernel.apply": (lambda x: EmpiricalKernel(sample(_two_mixture(), 200, 5), 0.5).apply(x), False),
 }
 
@@ -306,7 +299,7 @@ def probe_ensemble() -> ParticleEnsemble:
 def test_single_layer_equals_one_map_application():
     ens = probe_ensemble()
     traj = compose(aniso(), FlowSchedule((0.3,)), ens, "analytic")
-    expected = AnalyticGaussian([0.0, 0.0], ANISO_COV, 0.3).apply(ens.points)
+    expected = ANISO_G.denoise(ens.points, 0.3)
     np.testing.assert_array_equal(traj.states[-1].points, expected)
     assert traj.times == (0.0, 0.3)
 
@@ -529,7 +522,7 @@ def test_continuous_flow_single_step_is_one_map():
     ens = ParticleEnsemble(np.array([[1.0], [0.2]]), seed=0)
     traj = continuous_flow(std, 0.3, 1, ens)
     np.testing.assert_array_equal(
-        traj.states[-1].points, AnalyticGaussian([0.0], [[1.0]], 0.3).apply(ens.points)
+        traj.states[-1].points, Gaussian.from_cov([[1.0]]).denoise(ens.points, 0.3)
     )
     np.testing.assert_allclose(
         traj.states[-1].points, MixtureExact(std, 0.3).apply(ens.points), atol=1e-12
@@ -639,6 +632,18 @@ def test_one_shot_orbit_never_singular_even_at_large_times():
     ens = probe_ensemble()
     traj = one_shot_orbit(aniso(), [0.5, 1.0, 10.0, 1000.0], ens)
     assert np.all(np.isfinite(traj.states[-1].points))
+
+
+def test_analytic_flows_stay_finite_on_a_huge_covariance():
+    # an overflow in the one-shot eigenvalue map would make the laws, entropies and states non-finite
+    huge = GaussianMixture.single([0.0], [[1e200]])
+    ens = ParticleEnsemble(np.array([[-1e100], [0.0], [2e100]]), seed=0)
+    traj = compose(huge, FlowSchedule((1.0, 2.0)), ens)
+    np.testing.assert_allclose(traj.states[-1].points, ens.points, rtol=1e-12)  # tau << lambda barely moves them
+    h0 = Gaussian.from_cov([[1e200]]).entropy()
+    for traj in (traj, one_shot_orbit(huge, [1.0, 1e300], ens)):
+        assert [d.entropy.value for d in traj.diagnostics[:2]] == pytest.approx([h0, h0], rel=1e-12)
+        assert all(math.isfinite(d.entropy.value) or d.entropy.value == -math.inf for d in traj.diagnostics)
 
 
 def test_one_shot_orbit_validates_times():

@@ -14,6 +14,7 @@ from dae_transport import (
     EXPECTED_FAILURES,
     Estimate,
     FlowDiagnostics,
+    Gaussian,
     GaussianMixture,
     ParticleEnsemble,
     ResidualReport,
@@ -31,8 +32,6 @@ from dae_transport import (
     default_checks,
     entropy,
     probe_lattice,
-    push_continuous,
-    push_one_shot,
     sample,
 )
 
@@ -190,21 +189,36 @@ def test_backward_heat_needs_single_gaussian():
 
 
 def test_time_reversal_exact_covariance_recovery():
-    rep = check_time_reversal([0.0, 0.0], np.diag([2.0, 1.0]), 0.4)
+    rep = check_time_reversal(ANISO, 0.4)
     assert rep.passed
     assert rep.details["density_checked"]
     assert rep.max_abs < 1e-12
 
 
 def test_time_reversal_identity_at_zero():
-    rep = check_time_reversal([0.0, 0.0], np.diag([2.0, 1.0]), 0.0)
+    rep = check_time_reversal(ANISO, 0.0)
     assert rep.passed and rep.max_abs == 0.0
 
 
 def test_time_reversal_density_agreement_on_probes():
-    rep = check_time_reversal([0.5, -0.5], np.diag([2.0, 1.0]), 0.2, n_probe=100, seed=2)
+    shifted = GaussianMixture.single([0.5, -0.5], np.diag([2.0, 1.0]))
+    rep = check_time_reversal(shifted, 0.2, n_probe=100, seed=2)
     assert rep.grid_size == 100
     assert rep.passed
+
+
+def test_time_reversal_horizon_is_closed():
+    # the boundary t = lambda_min / 2 keeps the covariance identity; past it the pushforward is singular
+    rep = check_time_reversal(ANISO, 0.5)
+    assert rep.passed and not rep.details["density_checked"]
+    with pytest.raises(SingularityError) as err:
+        check_time_reversal(ANISO, 0.5 + 1e-6)
+    assert err.value.critical_time == 0.5
+
+
+def test_time_reversal_needs_a_single_gaussian():
+    with pytest.raises(ContractError, match="single-Gaussian"):
+        check_time_reversal(MIX2, 0.1)
 
 
 # -- entropy monotonicity ------------------------------------------------------------------
@@ -221,7 +235,7 @@ def test_entropy_monotone_continuous_flow():
 def test_entropy_decrease_closed_form_value():
     # entropy drop of the continuous pushforward at t = 0.4 from diag[2, 1]
     h0 = entropy(ANISO).value
-    pf = push_continuous([0.0, 0.0], np.diag([2.0, 1.0]), 0.4)
+    pf = Gaussian.of(ANISO).continuous(0.4)
     h1 = entropy(pf.as_mixture()).value
     assert h1 - h0 == pytest.approx(0.5 * math.log((1.2 * 0.2) / (2.0 * 1.0)), rel=1e-12)
     assert h1 - h0 == pytest.approx(-1.0601, abs=2e-4)
@@ -229,7 +243,7 @@ def test_entropy_decrease_closed_form_value():
 
 def test_entropy_decrease_one_shot_value():
     h0 = entropy(GaussianMixture.standard(1)).value
-    pf = push_one_shot([0.0], [[1.0]], 1.0)
+    pf = Gaussian.of(GaussianMixture.standard(1)).one_shot(1.0)
     h1 = entropy(pf.as_mixture()).value
     assert h1 - h0 == pytest.approx(0.5 * math.log(0.25), rel=1e-12)
     assert h1 - h0 == pytest.approx(-0.6931, abs=1e-4)

@@ -33,10 +33,11 @@ the one Monte Carlo mean with its standard error.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
     flipped = np.swapaxes(cov, -1, -2)
     if np.max(np.abs(cov - flipped)) > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
         raise ContractError(f"{what} covariance must be symmetric within 1e-12")
-    cov = 0.5 * (cov + flipped)
+    cov = 0.5 * cov + 0.5 * flipped  # halves first: no overflow near the largest float
     evals, evecs = np.linalg.eigh(cov)
     lam = evals.reshape(-1, m)
     bad = np.flatnonzero(lam[:, 0] <= 1e-12 * lam[:, -1])
@@ -387,17 +388,17 @@ class Gaussian:
 
     def one_shot(self, t: float) -> "Gaussian":
         """Pushforward under the one-shot map: ``S (I + t S^{-1})^{-2}``; t = 0 is exact."""
-        if t == 0.0:
-            return self
-        lam = self.evals
-        return Gaussian(self.mean, _frozen(lam * (lam / (lam + t)) ** 2), self.evecs)
+        return self if t == 0.0 else Gaussian(self.mean, _frozen(_one_shot_evals(self.evals, t)), self.evecs)
 
-    def composed(self, taus: Iterable[float]) -> Iterator[tuple[float, "Gaussian"]]:
-        """``(cumulative time, pushforward)`` after each layer of a composed one-shot flow."""
-        g, t = self, 0.0
-        for tau in taus:
-            g, t = g.one_shot(tau), t + tau
-            yield t, g
+    def composed(self, taus: Iterable[float]) -> np.ndarray:
+        """Eigenvalue path of a composed one-shot flow: row l holds the eigenvalues after l layers, row 0 these.
+
+        An O(L m) float recursion per axis through :func:`_one_shot_evals`, so
+        row l equals l repeated :meth:`one_shot`; no value is built per layer.
+        """
+        taus = list(taus)
+        return np.array([list(itertools.accumulate(taus, _one_shot_evals, initial=lam))
+                         for lam in self.evals.tolist()]).T.copy()
 
     def continuous(self, t: float) -> "Gaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
@@ -459,22 +460,36 @@ class Gaussian:
         diff, dm = r1 - r2 @ (yt.T @ x.T), self.mean - other.mean
         return float(np.sqrt(dm @ dm + np.sum(diff * diff)))
 
-    @functools.cached_property
-    def log_det(self) -> float:
-        """``log det S``, computed once per value; -inf once the smallest eigenvalue reaches 0."""
-        if self.evals[0] <= 0.0:
-            return -math.inf
-        return float(np.log(self.evals).sum())
-
     def entropy(self) -> float:
         """Differential entropy ``(m/2) log(2 pi e) + (1/2) log det S``."""
-        return 0.5 * (self.dim * (_LOG_2PI + 1.0) + self.log_det)
+        return _gaussian_entropy(self.dim, float(_log_dets(self.evals)))
 
     def renyi(self, alpha: float) -> float:
         """Renyi functional ``(int N^alpha - 1) / (alpha - 1)``, infinite past exp overflow."""
-        m = self.dim
-        log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + self.log_det) - 0.5 * m * math.log(alpha)
-        return ((math.exp(log_int) if log_int < 700.0 else math.inf) - 1.0) / (alpha - 1.0)
+        return _gaussian_renyi(self.dim, float(_log_dets(self.evals)), alpha)
+
+
+def _one_shot_evals(lam, t):
+    """The one one-shot eigenvalue map ``lambda (lambda / (lambda + t))^2``, on floats or arrays alike."""
+    q = lam / (lam + t)
+    return lam * (q * q)
+
+
+def _log_dets(evals: np.ndarray) -> np.ndarray:
+    """``log det`` of each row of an ``(..., m)`` eigenvalue stack; -inf where the row's smallest reaches 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.min(evals, axis=-1) <= 0.0, -np.inf, np.log(evals).sum(axis=-1))
+
+
+def _gaussian_entropy(m: int, log_det: float) -> float:
+    """Differential entropy of an m-dimensional Gaussian from its log determinant."""
+    return 0.5 * (m * (_LOG_2PI + 1.0) + log_det)
+
+
+def _gaussian_renyi(m: int, log_det: float, alpha: float) -> float:
+    """Renyi functional of an m-dimensional Gaussian from its log determinant, infinite past exp overflow."""
+    log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + log_det) - 0.5 * m * math.log(alpha)
+    return ((math.exp(log_int) if log_int < 700.0 else math.inf) - 1.0) / (alpha - 1.0)
 
 
 def _component_terms(mix: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -618,8 +633,6 @@ def sample(mix: GaussianMixture, n: int, seed: int) -> ParticleEnsemble:
     pts = np.empty((n, mix.dim))
     for i in range(mix.k):
         mask = idx == i
-        if not np.any(mask):
-            continue
         root = (mix._evecs[i] * np.sqrt(mix._evals[i])) @ mix._evecs[i].T
         pts[mask] = mix.means[i] + z[mask] @ root.T
     return ParticleEnsemble(pts, seed)
@@ -677,6 +690,7 @@ def _kernel_pass(pts: np.ndarray, data: np.ndarray, var: float, log_norm: float,
     rows, step = max(1, _KERNEL_BLOCK_PAIRS // n), max(1, _KERNEL_CHUNK_PAIRS // n)
     d_sq = np.sum(data * data, axis=1)
     buf = np.empty((min(rows, pts.shape[0]), n))
+    norms = np.empty((min(step, buf.shape[0]), n))
     shifts, sums = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mean = np.empty_like(pts) if weighted_mean else None
     for lo in range(0, pts.shape[0], rows):
@@ -684,10 +698,12 @@ def _kernel_pass(pts: np.ndarray, data: np.ndarray, var: float, log_norm: float,
         w = np.matmul(block, data.T, out=buf[: block.shape[0]])
         x_sq = np.sum(block * block, axis=1)
         for c in range(0, block.shape[0], step):
-            # -0.5 * (|x|^2 + |d|^2 - 2 x.d) / var, one operation at a time, in place
+            # -0.5 * (|x|^2 + |d|^2 - 2 x.d) / var, one operation at a time, in place (/ 1.0 moves no bit)
             logk = w[c : c + step]
-            np.subtract(x_sq[c : c + step, None] + d_sq[None, :], np.multiply(logk, 2.0, out=logk), out=logk)
-            np.divide(np.multiply(logk, -0.5, out=logk), var, out=logk)
+            sq = np.add(x_sq[c : c + step, None], d_sq[None, :], out=norms[: logk.shape[0]])
+            np.multiply(np.subtract(sq, np.multiply(logk, 2.0, out=logk), out=logk), -0.5, out=logk)
+            if var != 1.0:
+                np.divide(logk, var, out=logk)
             shift[c : c + step] = _shifted_exp(logk, out=logk)[1]
             wsum[c : c + step] = logk.sum(axis=1)
         if weighted_mean:
@@ -706,6 +722,6 @@ def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:
     data, _ = _as_points(data, kernel.dim)
     pts, single = _as_points(x, kernel.dim)
     whiten = kernel.evecs / np.sqrt(kernel.evals)
-    log_norm = -0.5 * (kernel.dim * _LOG_2PI + kernel.log_det)
+    log_norm = -0.5 * (kernel.dim * _LOG_2PI + float(_log_dets(kernel.evals)))
     out, _ = _kernel_pass(pts @ whiten, data @ whiten, 1.0, log_norm)
     return float(out[0]) if single else out

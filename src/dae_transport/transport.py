@@ -14,18 +14,18 @@ pushforward measure; the continuous flow is the same composition on a uniform
 schedule, which is its broken-line (explicit Euler) approximation, so matching
 schedules produce identical trajectories bit for bit.
 
-Every flow hands its times, states and each state's law (a ``Gaussian`` when
-known in closed form, else None) to one builder, which records each state's
-entropies; the states' sample moments are taken when the JSON is written.
+Every flow hands its times, its states and, when their laws are Gaussians
+known in closed form, their stacked eigenvalues (else None) to one builder,
+which records each state's entropies; the states' sample moments are taken
+when the JSON is written.
 
 Every single-Gaussian formula here (the propagated covariance and its
 entropies) is an eigenvalue map of the one Gaussian value
-``measures.Gaussian``, which also owns the closed-form maps
-``Gaussian.denoise`` and ``Gaussian.continuous_map``.  An analytic flow of L
-layers on n points in R^m decomposes the initial covariance once, then
-costs an O(L m) eigenvalue recursion and one O(n m^2) pass per state
-straight from the initial points (each layer scales the axes of one
-eigenbasis, so L layers are one cumulative per-axis factor).
+``measures.Gaussian``, which also owns the closed-form maps.  An analytic
+flow of L layers on n points in R^m decomposes the initial covariance once
+and builds no per-layer object: an O(L m) float recursion gives the (L+1, m)
+eigenvalue path, the entropies come from it in one pass, and each state costs
+one per-axis scaling of the (m, n) eigen-coordinates and one m x m GEMM.
 """
 
 from __future__ import annotations
@@ -44,8 +44,12 @@ from .measures import (
     GaussianMixture,
     ParticleEnsemble,
     _checked_time,
+    _gaussian_entropy,
+    _gaussian_renyi,
     _kernel_pass,
+    _log_dets,
     _moments,
+    _one_shot_evals,
     _pointwise,
     _renyi_terms,
     kde_log_density,
@@ -184,12 +188,8 @@ class FlowDiagnostics:
     renyi2: Estimate
 
     def to_json_dict(self) -> dict:
-        return {
-            "entropy": self.entropy.value,
-            "entropy_stderr": self.entropy.stderr,
-            "renyi2": self.renyi2.value,
-            "renyi2_stderr": self.renyi2.stderr,
-        }
+        return {"entropy": self.entropy.value, "entropy_stderr": self.entropy.stderr,
+                "renyi2": self.renyi2.value, "renyi2_stderr": self.renyi2.stderr}
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,12 +210,10 @@ class Trajectory:
             raise ContractError("trajectory times must be strictly increasing")
         if len(states) != len(times) or len(diags) != len(times):
             raise ContractError("times, states, and diagnostics must have equal length")
-        shapes = {s.points.shape for s in states}
-        if len(shapes) != 1:
+        if len({s.points.shape for s in states}) != 1:
             raise ContractError("all trajectory states must share n and m")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "diagnostics", diags)
+        for key, value in zip(("times", "states", "diagnostics"), (times, states, diags)):
+            object.__setattr__(self, key, value)
 
     @property
     def n(self) -> int:
@@ -244,16 +242,8 @@ class Trajectory:
 # -- diagnostics helpers -------------------------------------------------------------
 
 
-def _layer_diagnostics(
-    points: np.ndarray, g: Gaussian | None, seed: int, layer: int
-) -> FlowDiagnostics:
-    """Entropies of the layer's measure.
-
-    Closed form when the layer's Gaussian ``g`` is known; otherwise seeded
-    kernel density estimates on capped subsamples of the particles.
-    """
-    if g is not None:
-        return FlowDiagnostics(Estimate(g.entropy(), 0.0), Estimate(g.renyi(2.0), 0.0))
+def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> FlowDiagnostics:
+    """Entropies of a sampled layer: seeded kernel density estimates on capped subsamples of its particles."""
     rng = substream(seed, 100, layer)
     n = points.shape[0]
     data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
@@ -263,12 +253,19 @@ def _layer_diagnostics(
 
 
 def _trajectory(
-    times: Sequence[float], states: Sequence[ParticleEnsemble], laws: Sequence[Gaussian | None]
+    times: Sequence[float], states: Sequence[ParticleEnsemble], evals: np.ndarray | None
 ) -> Trajectory:
-    """The one place states become a :class:`Trajectory`: state l's diagnostics from its law ``laws[l]``."""
+    """The one place states become a :class:`Trajectory`, with entropies read in one pass from ``evals``.
+
+    Row l of ``evals`` holds the eigenvalues of state l's Gaussian law; ``None`` marks sampled states.
+    """
     seed = states[0].seed
-    diags = [_layer_diagnostics(s.points, g, seed, layer)
-             for layer, (s, g) in enumerate(zip(states, laws))]
+    if evals is None:
+        diags = [_layer_diagnostics(s.points, seed, layer) for layer, s in enumerate(states)]
+    else:
+        m = evals.shape[1]
+        diags = [FlowDiagnostics(Estimate(_gaussian_entropy(m, ld), 0.0), Estimate(_gaussian_renyi(m, ld, 2.0), 0.0))
+                 for ld in _log_dets(evals).tolist()]
     return Trajectory(times, states, diags)
 
 
@@ -289,8 +286,9 @@ def compose(
     composed ``Gaussian.denoise`` maps; the ensemble may then be arbitrary
     probe points.  Each map scales the axes of one eigenbasis about
     the mean, so every state comes straight from the initial points through
-    a cumulative per-axis factor.  The cost is an O(L m) eigenvalue
-    recursion and one O(n m^2) pass per state; no moments are derived.
+    a cumulative per-axis factor.  The cost is an O(L m) float recursion for
+    the eigenvalues, then one (m, n) scaling and one m x m GEMM per state; no
+    per-layer object is built and no moments are derived.
     ``retrain='empirical'`` rebuilds an :class:`EmpiricalKernel` map from the
     current particles with bandwidth equal to the layer's own noise variance,
     matching the map's smoothing scale.  The default is analytic for a single
@@ -323,26 +321,29 @@ def compose(
     for tau in schedule.taus:
         points = EmpiricalKernel(states[-1], tau).apply(points)
         states.append(ParticleEnsemble(points, ensemble.seed))
-    return _trajectory(times, states, [None] * len(states))
+    return _trajectory(times, states, None)
 
 
 def _analytic_flow(
     g0: Gaussian, schedule: FlowSchedule, ensemble: ParticleEnsemble
-) -> tuple[list[ParticleEnsemble], list[Gaussian]]:
-    """States and laws of the analytic composed flow, each state straight from the initial points.
+) -> tuple[list[ParticleEnsemble], np.ndarray]:
+    """States and the ``(L+1, m)`` eigenvalue path of the analytic composed flow.
 
     Layer l scales axis j of the fixed eigenbasis V about the mean by
     ``f_lj = lam_j / (lam_j + tau_l)`` at the layer's incoming eigenvalues, so
     after l layers the factor is the cumulative product ``F_l``.  State l is
-    ``((x0 - mean) V F_l) V^T + mean``, the form of ``Gaussian.continuous_map``.
+    ``V (Z0 F_l) + mean`` on the (m, n) eigen-coordinates ``Z0 = ((x0 - mean) V)^T``:
+    one row scaling and one m x m GEMM into two reused (m, n) buffers, bit for
+    bit ``((x0 - mean) V F_l) V^T + mean``, the form of ``Gaussian.continuous_map``.
     """
-    laws = [g0] + [g for _, g in g0.composed(schedule.taus)]
-    lam = np.array([g.evals for g in laws[:-1]])
-    factors = np.cumprod(lam / (lam + np.array(schedule.taus)[:, None]), axis=0)
-    v, mu = g0.evecs, g0.mean
-    z0 = (ensemble.points - mu) @ v
-    states = [ensemble] + [ParticleEnsemble((z0 * f) @ v.T + mu, ensemble.seed) for f in factors]
-    return states, laws
+    lam = g0.composed(schedule.taus)
+    factors = np.cumprod(lam[:-1] / (lam[:-1] + np.array(schedule.taus)[:, None]), axis=0)
+    z0 = ((ensemble.points - g0.mean) @ g0.evecs).T.copy()
+    scaled, moved, states = np.empty_like(z0), np.empty_like(z0), [ensemble]
+    for f in factors:
+        np.matmul(g0.evecs, np.multiply(z0, f[:, None], out=scaled), out=moved)
+        states.append(ParticleEnsemble(np.add(moved, g0.mean[:, None], out=moved).T, ensemble.seed))
+    return states, lam
 
 
 def continuous_flow(
@@ -367,7 +368,7 @@ def continuous_flow(
         try:
             g.check_horizon(t_end, "continuous flow")
         except SingularityError as exc:
-            exc.partial = _trajectory((0.0,), [ensemble], [g])
+            exc.partial = _trajectory((0.0,), [ensemble], g.evals[None])
             raise
     return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, retrain)
 
@@ -386,9 +387,7 @@ def one_shot_orbit(
     if ensemble.dim != mix0.dim:
         raise ContractError("ensemble dimension does not match measure dimension")
 
-    g = Gaussian.of(mix0) if mix0.k == 1 else None
-    states, laws = [ensemble], [g]
-    for t in ts:
-        states.append(ParticleEnsemble(MixtureExact(mix0, t).apply(ensemble.points), ensemble.seed))
-        laws.append(None if g is None else g.one_shot(t))
-    return _trajectory((0.0, *ts), states, laws)
+    states = [ensemble] + [ParticleEnsemble(MixtureExact(mix0, t).apply(ensemble.points), ensemble.seed) for t in ts]
+    lam = Gaussian.of(mix0).evals  # of the first component: a closed-form law only when it is the one (k = 1)
+    evals = np.vstack([lam, _one_shot_evals(lam, np.array(ts)[:, None])]) if mix0.k == 1 else None
+    return _trajectory((0.0, *ts), states, evals)

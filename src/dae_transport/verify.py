@@ -93,15 +93,8 @@ class ResidualReport:
         return 0 if self.grid is None else int(self.grid.shape[0])
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tolerance": self.tolerance,
-            "max_abs": self.max_abs,
-            "passed": self.passed,
-            "grid_size": self.grid_size,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        keys = ("name", "tolerance", "max_abs", "passed", "grid_size", "seed", "details")
+        return {key: getattr(self, key) for key in keys}
 
 
 def probe_lattice(extent: float, per_axis: int, dim: int, center=None) -> np.ndarray:
@@ -188,8 +181,7 @@ def check_variational_minimizer(
     base_err = exact_map.apply(corrupted) - clean.points
     l_gstar = float(np.mean(np.sum(base_err * base_err, axis=1)))
 
-    margins = []
-    cross_se_ratios = []
+    margins, cross_se_ratios = [], []
     for trial in range(n_trials):
         hv = _bump_field(seed, trial, mix0)(corrupted)
         pert_err = base_err + hv

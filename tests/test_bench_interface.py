@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import dae_transport
-from dae_transport import FlowSchedule, GaussianMixture, compose, sample
+from dae_transport import FlowSchedule, GaussianMixture, compose, continuous_flow, sample
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +40,17 @@ def test_tracer_counts_kernel_pairs_of_maps_and_density_estimates(monkeypatch):
     assert tracer.counts["transport.EmpiricalKernel.apply.pairs"] == 2 * n * n
     assert tracer.counts["measures.kde_log_density.calls"] == 4
     assert tracer.counts["measures.kde_log_density.pairs"] == 3 * n * n + 5 * n
+
+
+def test_tracer_counts_one_ensemble_per_analytic_state(monkeypatch):
+    # the analytic flow scales reused buffers, but every state still goes through the ensemble constructor
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    mix = GaussianMixture.single([0.0, 0.0], [[2.0, 0.0], [0.0, 1.0]])
+    ens = sample(mix, 16, 0)
+    with tracing.Tracer() as tracer:
+        traj = continuous_flow(mix, 0.4, 5, ens)
+    assert len(traj.states) == 6 and traj.states[0] is ens
+    assert tracer.counts["measures.ParticleEnsemble.init.calls"] == 5
+    assert tracer.counts["measures.ParticleEnsemble.init.bytes"] == 5 * ens.points.nbytes

@@ -461,6 +461,38 @@ def test_pushforward_one_dim_densities(tmp_path):
     ET.parse(out / "narrow_densities.svg")
 
 
+def _underflow_config(out: Path) -> dict:
+    """fig1 at one time, 1e308, where the one-shot variance underflows to 0."""
+    doc = json.loads((CONFIG_DIR / "fig1.json").read_text())
+    doc["schedule"] = {"times": [1e308]}
+    doc["outputs"]["dir"] = str(out)
+    return doc
+
+
+def test_pushforward_reports_an_underflowed_one_shot_variance_as_such(tmp_path, capsys):
+    # the one-shot map is never singular: a zero variance is an underflow, not the continuous critical time
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, _underflow_config(out))
+    assert main(["pushforward", "--config", str(cfg)]) == EXIT_SINGULAR
+    err = capsys.readouterr().err
+    assert "warning: pushforward variance underflows to 0 at t=1e+308" in err
+    assert "singular" not in err and "critical time" not in err
+    assert {row[0] for row in read_csv_rows(out / "fig1_densities.csv")[1:]} == {"0.0"}  # the curve is left out
+    assert main(["trajectory", "--config", str(cfg)]) == EXIT_OK  # no overflow smoothing by 1e308
+    assert capsys.readouterr().err == ""
+
+
+def test_pushforward_reports_the_continuous_critical_time(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = _underflow_config(out)
+    doc["mode"], doc["schedule"] = "continuous", {"t_end": 0.6, "steps": 6}  # t = 0.5 is the singular time
+    assert main(["pushforward", "--config", str(write_config(tmp_path, doc))]) == EXIT_SINGULAR
+    err = capsys.readouterr().err
+    assert "warning: pushforward singular at t=0.5 (critical time 0.5)" in err
+    assert "warning: pushforward singular at t=0.6 (critical time 0.5)" in err
+    assert len({row[0] for row in read_csv_rows(out / "fig1_densities.csv")[1:]}) == 5  # t = 0 and four curves
+
+
 def test_pushforward_rejects_a_second_panel_at_the_panels_line(tmp_path, capsys):
     # pushforward draws one panel; a second one would be left out of its output
     panels = [{"name": n, "mode": "one_shot", "schedule": {"times": [t]}} for n, t in (("a", 0.5), ("b", 1.0))]

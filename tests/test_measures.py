@@ -276,6 +276,12 @@ def test_smooth_adds_isotropic_variance():
     np.testing.assert_allclose(out.means, mix.means)
 
 
+def test_smooth_up_to_the_largest_float_raises_no_overflow():
+    # the covariance is symmetrized by halves first, so 1 + 1e308 is no overflow (the suite raises RuntimeWarnings)
+    out = smooth(GaussianMixture.single([0.0], [[1.0]]), 1e308)
+    assert out.covs[0, 0, 0] == 1e308
+
+
 def test_smooth_zero_is_identity():
     mix = two_mixture()
     assert smooth(mix, 0.0) is mix

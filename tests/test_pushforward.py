@@ -100,6 +100,20 @@ def test_one_shot_stays_finite_at_huge_eigenvalues_and_times():
     assert STD1.one_shot(1e308).evals[0] == 0.0  # the suite raises every RuntimeWarning
 
 
+@pytest.mark.parametrize("cov", [[[1.0]], ANISO, [[2.0, 0.4], [0.4, 1.0]], np.diag([3.0, 1.0, 0.5, 1e-3, 7.0])])
+def test_composed_rows_equal_repeated_one_shot(cov):
+    g = Gaussian.from_cov(cov)
+    taus = (0.05, 0.3, 1.0, 2.5, 1e200, 0.7)  # the 1e200 layer underflows every eigenvalue to 0
+    path = g.composed(taus)
+    assert path.shape == (len(taus) + 1, g.dim) and path.flags.c_contiguous
+    assert np.array_equal(path[0], g.evals)
+    h, lam = g, g.evals
+    for tau, row in zip(taus, path[1:]):
+        h, lam = h.one_shot(tau), lam * (lam / (lam + tau)) ** 2
+        assert np.array_equal(row, h.evals) and np.array_equal(row, lam)
+    assert np.all(path[-2:] == 0.0)
+
+
 def test_pushforwards_agree_to_first_order_at_small_t():
     diffs = []
     for t in (1e-3, 1e-4):

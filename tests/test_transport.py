@@ -495,6 +495,57 @@ def test_analytic_flow_decomposes_independently_of_depth(monkeypatch):
     assert per_depth[0] == per_depth[1]
 
 
+def _random_gaussian(rng, m: int, spread: float = 1.0) -> GaussianMixture:
+    """N(mean, Q diag(lam) Q^T) with a random rotation Q and eigenvalues from 1 to ``spread``."""
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    cov = (q * np.geomspace(1.0, spread, m)) @ q.T
+    return GaussianMixture.single(rng.standard_normal(m), 0.5 * (cov + cov.T))
+
+
+def _analytic_states_reference(x0: np.ndarray, g0: Gaussian, taus) -> list[np.ndarray]:
+    """The analytic flow's states on (n, m) rows, ``(z0 * F_l) @ V^T + mean``, with the eigenvalue map written out."""
+    lam = [g0.evals]
+    for tau in taus[:-1]:
+        lam.append(lam[-1] * (lam[-1] / (lam[-1] + tau)) ** 2)
+    lam = np.array(lam)
+    factors = np.cumprod(lam / (lam + np.array(taus)[:, None]), axis=0)
+    z0 = (x0 - g0.mean) @ g0.evecs
+    return [x0] + [(z0 * f) @ g0.evecs.T + g0.mean for f in factors]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_analytic_states_equal_the_row_formula_bit_for_bit(m):
+    # the flow scales the (m, n) eigen-coordinates; every state must equal the (n, m) row form exactly
+    rng = np.random.default_rng(m)
+    mix = _random_gaussian(rng, m, 10.0)
+    taus = tuple(rng.uniform(0.01, 0.3, size=5).tolist())
+    for n in (1, 7, 64, 1000, 100_000):
+        ens = ParticleEnsemble(2.0 * rng.standard_normal((n, m)), seed=0)
+        traj = compose(mix, FlowSchedule(taus), ens, "analytic")
+        want = _analytic_states_reference(ens.points, Gaussian.of(mix), taus)
+        assert len(traj.states) == len(want)
+        for state, points in zip(traj.states, want):
+            assert np.array_equal(state.points, points), (m, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_stacked_entropies_equal_each_gaussians_bit_for_bit(m):
+    # eigenvalues 1 .. 1e10: the 1e165 layer underflows the smallest to 0 but (m >= 2) not the largest
+    rng = np.random.default_rng(10 + m)
+    mix = _random_gaussian(rng, m, 1e10)
+    g0 = Gaussian.of(mix)
+    taus = (0.1, 0.5, 1e165, 1e300)
+    traj = compose(mix, FlowSchedule(taus), ParticleEnsemble(rng.standard_normal((3, m)), seed=0), "analytic")
+    lam = g0.composed(taus)
+    assert lam[0, 0] > 0.0 and lam[3, 0] == 0.0 and (m == 1 or lam[3, -1] > 0.0)
+    for row, d in zip(lam, traj.diagnostics):
+        g = Gaussian(g0.mean, row, g0.evecs)
+        assert d.entropy == (g.entropy(), 0.0) and d.renyi2 == (g.renyi(2.0), 0.0)
+        log_det = -math.inf if row[0] <= 0.0 else float(np.log(row).sum())
+        assert d.entropy.value == 0.5 * (m * (math.log(2.0 * math.pi) + 1.0) + log_det)
+    assert traj.diagnostics[3].entropy.value == -math.inf and traj.diagnostics[3].renyi2.value == math.inf
+
+
 # -- continuous flow ----------------------------------------------------------------------
 
 
@@ -594,7 +645,7 @@ def test_layer_diagnostics_and_bump_fields_draw_from_distinct_streams(monkeypatc
     monkeypatch.setattr(transport, "substream", recording)
     monkeypatch.setattr(verify, "substream", recording)
     mix = _two_mixture()
-    transport._layer_diagnostics(sample(mix, 50, 0).points, None, 0, 900)
+    transport._layer_diagnostics(sample(mix, 50, 0).points, 0, 900)
     verify._bump_field(0, 0, mix)
     assert paths == [(100, 900), (1000,)]
     draws = [rand.substream(0, *path).random(8) for path in paths]

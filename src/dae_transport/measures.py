@@ -25,9 +25,10 @@ noise variance, and layer variance passes where it enters the package, and
 :func:`_checked_parameter` the one check of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
-data (kernel regression map and KDE alike), in O(points * data * m) time and
-one block plus one cache-sized chunk of memory, and :meth:`Estimate.mean_of`
-the one Monte Carlo mean with its standard error.
+data (kernel regression map and KDE alike), in O(points * data * m) time: one
+small GEMM per cache-sized chunk of (point, datum) pairs, on coordinates
+centred on the data mean, and memory of one chunk plus O((points + data) m).
+:meth:`Estimate.mean_of` is the one Monte Carlo mean with its standard error.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ _SYMMETRY_TOL = 1e-12
 #: reported standard error.
 MC_DEFAULT_N = 100_000
 
-#: Most (point, datum) pairs one block of a kernel pass holds at once.
-_KERNEL_BLOCK_PAIRS = 8_000_000
-#: Most pairs of a block one cache-sized chunk of the kernel pass's elementwise work touches.
+#: Most (point, datum) pairs one cache-sized chunk of a kernel pass holds at once.
 _KERNEL_CHUNK_PAIRS = 65_536
 
 
@@ -678,37 +677,39 @@ def _kernel_pass(pts: np.ndarray, data: np.ndarray, var: float, log_norm: float,
     """Log mean of the kernels ``exp(log_norm - |x - d_i|^2 / (2 var))`` over the data, per point.
 
     With ``weighted_mean`` also returns the kernel-weighted mean of the data
-    per point.  Time is O(points * data * m).  Points go in row blocks of at
-    most :data:`_KERNEL_BLOCK_PAIRS` (point, datum) pairs; each block's
-    ``block @ data.T`` fills one reused buffer, worked in place in cache-sized
-    chunks of :data:`_KERNEL_CHUNK_PAIRS` pairs, so memory is one block plus one
-    chunk.  That moves no bit: the products (and ``w @ data``) see whole blocks
-    and each elementwise step is row-local.  Rows do not interact, but BLAS may
-    round the products of a small block differently in the last bits.
+    per point.  Both sets are centred on the data mean (``|x - d|`` does not
+    change) and scaled by ``1 / sqrt(var)``, which turns ``|x - d|^2 / var``
+    into ``|x - d|^2``, so ``log k_ij = a_ij - |x_i|^2 / 2`` with
+    ``a_ij = x_i.d_j - |d_j|^2 / 2``.
+    Points go in chunks of at most :data:`_KERNEL_CHUNK_PAIRS` pairs; each
+    chunk's ``a`` is one GEMM of the rows ``[x, 1]`` against the ``(m+1, n)``
+    matrix ``[d ; -|d|^2 / 2]`` into one reused buffer, then exp in place and
+    the row sums (and ``w @ data``).  ``-|x_i|^2 / 2`` is constant along a
+    row, so it cancels in the row-max shift and is added back after the log.
+    Time is O(points * data * m), memory one chunk plus O((points + data) m).
     """
-    n = data.shape[0]
-    rows, step = max(1, _KERNEL_BLOCK_PAIRS // n), max(1, _KERNEL_CHUNK_PAIRS // n)
-    d_sq = np.sum(data * data, axis=1)
-    buf = np.empty((min(rows, pts.shape[0]), n))
-    norms = np.empty((min(step, buf.shape[0]), n))
+    n, m = data.shape
+    step = max(1, _KERNEL_CHUNK_PAIRS // n)
+    centre, scale = np.mean(data, axis=0), 1.0 / math.sqrt(var)
+    rhs = np.empty((m + 1, n))
+    np.multiply(np.subtract(data.T, centre[:, None], out=rhs[:m]), scale, out=rhs[:m])
+    np.multiply(np.einsum("ij,ij->j", rhs[:m], rhs[:m]), -0.5, out=rhs[m])
+    rows = np.ones((pts.shape[0], m + 1))
+    np.multiply(np.subtract(pts, centre, out=rows[:, :m]), scale, out=rows[:, :m])
+    buf = np.empty((min(step, pts.shape[0]), n))
     shifts, sums = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mean = np.empty_like(pts) if weighted_mean else None
-    for lo in range(0, pts.shape[0], rows):
-        block, shift, wsum = pts[lo : lo + rows], shifts[lo : lo + rows], sums[lo : lo + rows]
-        w = np.matmul(block, data.T, out=buf[: block.shape[0]])
-        x_sq = np.sum(block * block, axis=1)
-        for c in range(0, block.shape[0], step):
-            # -0.5 * (|x|^2 + |d|^2 - 2 x.d) / var, one operation at a time, in place (/ 1.0 moves no bit)
-            logk = w[c : c + step]
-            sq = np.add(x_sq[c : c + step, None], d_sq[None, :], out=norms[: logk.shape[0]])
-            np.multiply(np.subtract(sq, np.multiply(logk, 2.0, out=logk), out=logk), -0.5, out=logk)
-            if var != 1.0:
-                np.divide(logk, var, out=logk)
-            shift[c : c + step] = _shifted_exp(logk, out=logk)[1]
-            wsum[c : c + step] = logk.sum(axis=1)
+    for lo in range(0, pts.shape[0], step):
+        chunk = rows[lo : lo + step]
+        w = np.matmul(chunk, rhs, out=buf[: chunk.shape[0]])
+        shifts[lo : lo + step] = _shifted_exp(w, out=w)[1]
+        sums[lo : lo + step] = w.sum(axis=1)
         if weighted_mean:
-            mean[lo : lo + rows] = (w @ data) / wsum[:, None]
-    return np.log(sums) + shifts + log_norm - math.log(n), mean
+            np.matmul(w, data, out=mean[lo : lo + step])
+    if weighted_mean:
+        mean /= sums[:, None]
+    x_sq = np.einsum("ij,ij->i", rows[:, :m], rows[:, :m])
+    return np.log(sums) + shifts - 0.5 * x_sq + log_norm - math.log(n), mean
 
 
 def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:

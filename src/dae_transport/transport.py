@@ -314,10 +314,7 @@ def compose(
     if retrain == "analytic":
         return _trajectory(times, *_analytic_flow(Gaussian.of(mix0), schedule, ensemble))
 
-    # the moved points never share the trained-on state's array: a kernel product of one array with itself rounds
-    # differently (numpy takes it as symmetric), so one copy up front keeps every layer reproducible
-    points = ensemble.points.copy()
-    states = [ensemble]
+    points, states = ensemble.points, [ensemble]
     for tau in schedule.taus:
         points = EmpiricalKernel(states[-1], tau).apply(points)
         states.append(ParticleEnsemble(points, ensemble.seed))

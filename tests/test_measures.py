@@ -510,7 +510,7 @@ def test_kde_log_density_matches_equal_weight_mixture():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_kernel_pass_matches_one_block_when_blocked(monkeypatch, m):
+def test_kernel_pass_matches_one_chunk_when_chunked(monkeypatch, m):
     from dae_transport import EmpiricalKernel, ParticleEnsemble, kde_log_density
     from dae_transport import measures
 
@@ -520,57 +520,39 @@ def test_kernel_pass_matches_one_block_when_blocked(monkeypatch, m):
     cov = 0.3 * np.cov(data.T).reshape(m, m)
     kernel_map = EmpiricalKernel(ParticleEnsemble(data, 0), 0.4)
 
-    def both():
+    def both(chunk_rows):
+        monkeypatch.setattr(measures, "_KERNEL_CHUNK_PAIRS", chunk_rows * data.shape[0])
         return kde_log_density(data, cov, probes), kernel_map.apply(probes)
 
-    one_block = both()
-    # three blocks of 1200 rows: bit for bit
-    monkeypatch.setattr(measures, "_KERNEL_BLOCK_PAIRS", 1200 * data.shape[0])
-    for a, b in zip(one_block, both()):
+    one_chunk = both(probes.shape[0])
+    # three chunks of 1200 rows: bit for bit
+    for a, b in zip(one_chunk, both(1200)):
         np.testing.assert_array_equal(a, b)
-    # blocks of 7 rows are small enough for BLAS to pick other product kernels,
-    # which may round the last bits differently
-    monkeypatch.setattr(measures, "_KERNEL_BLOCK_PAIRS", 7 * data.shape[0])
-    for a, b in zip(one_block, both()):
-        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
-
-
-def _kernel_pass_reference(pts, data, var, log_norm, weighted_mean):
-    """The kernel pass as one whole-block expression per step: the in-place pass must match it bit for bit."""
-    from dae_transport import measures
-
-    n = data.shape[0]
-    rows = max(1, measures._KERNEL_BLOCK_PAIRS // n)
-    d_sq = np.sum(data * data, axis=1)
-    log_mean = np.empty(pts.shape[0])
-    mean = np.empty_like(pts) if weighted_mean else None
-    for lo in range(0, pts.shape[0], rows):
-        block = pts[lo : lo + rows]
-        logk = -0.5 * (np.sum(block * block, axis=1)[:, None] + d_sq[None, :] - 2.0 * (block @ data.T)) / var
-        shift = np.max(logk, axis=1)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        w = np.exp(logk - shift[:, None])
-        wsum = w.sum(axis=1)
-        log_mean[lo : lo + rows] = np.log(wsum) + shift + log_norm - math.log(n)
-        if weighted_mean:
-            mean[lo : lo + rows] = (w @ data) / wsum[:, None]
-    return log_mean, mean
+    # chunks of 7 rows and of 1 row are small enough for BLAS to pick other
+    # product kernels, which may round the last bits differently
+    for rows in (7, 1):
+        for a, b in zip(one_chunk, both(rows)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("weighted_mean", [False, True])
-@pytest.mark.parametrize("var", [1.0, 0.37])
-def test_kernel_pass_is_bit_identical_to_the_whole_block_expression(monkeypatch, m, weighted_mean, var):
+@pytest.mark.parametrize("var", [1.0, 0.37, 0.05])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_kernel_pass_matches_a_long_double_oracle(m, var, offset):
+    # the oracle sums (x - d)^2 directly in long double; data far from the origin
+    # must cost no accuracy, since |x - d|^2 does not change under translation
     from dae_transport import measures
 
-    rng = np.random.default_rng(40 + m)
-    data = rng.normal(size=(1000, m))
-    probes = rng.normal(size=(1330, m)) * 1.5  # 1330 rows: 20 chunks of 65 rows and one of 30
-    for block_pairs, chunk_pairs in ((measures._KERNEL_BLOCK_PAIRS, measures._KERNEL_CHUNK_PAIRS),
-                                     (400 * 1000, 9 * 1000)):  # then blocks of 400 rows and one of 130, in 9-row chunks
-        monkeypatch.setattr(measures, "_KERNEL_BLOCK_PAIRS", block_pairs)
-        monkeypatch.setattr(measures, "_KERNEL_CHUNK_PAIRS", chunk_pairs)
-        got = measures._kernel_pass(probes, data, var, -0.7, weighted_mean)
-        want = _kernel_pass_reference(probes, data, var, -0.7, weighted_mean)
-        assert np.array_equal(got[0], want[0])
-        assert (got[1] is None) if not weighted_mean else np.array_equal(got[1], want[1])
+    rng = np.random.default_rng(60 + m)
+    data = rng.normal(size=(300, m)) + offset
+    probes = rng.normal(size=(70, m)) * 1.5 + offset
+    log_mean, mean = measures._kernel_pass(probes, data, var, -0.7, weighted_mean=True)
+
+    x, d = probes.astype(np.longdouble), data.astype(np.longdouble)
+    logk = -np.sum((x[:, None, :] - d[None, :, :]) ** 2, axis=2) / (2 * np.longdouble(var))
+    shift = np.max(logk, axis=1)
+    w = np.exp(logk - shift[:, None])
+    want_log = np.log(np.sum(w, axis=1)) + shift - 0.7 - np.log(np.longdouble(data.shape[0]))
+    want_mean = (w @ d) / np.sum(w, axis=1)[:, None]
+    assert np.all(np.abs(log_mean - want_log) <= 1e-13 * np.maximum(1.0, np.abs(want_log)))
+    assert np.all(np.abs(mean - want_mean) <= 1e-13 * (1.0 + np.abs(want_mean)))

@@ -370,8 +370,8 @@ def test_compose_empirical_mode_runs_and_contracts():
 
 
 def test_empirical_compose_is_bit_identical_to_a_copy_per_layer():
-    # a kernel product of one array with itself rounds differently (numpy takes it as symmetric), so a
-    # layer may never move the very array it was trained on; this reference copies the points every layer
+    # the kernel pass never multiplies an array by itself, so moving the very array a layer was
+    # trained on rounds like moving a copy; this reference copies the points every layer
     rng = np.random.default_rng(4)
     parts = [rng.normal(size=(3, 3)) for _ in range(3)]
     mix = GaussianMixture.from_components([(1 / 3, 2 * rng.normal(size=3), a @ a.T / 3 + np.eye(3) / 2) for a in parts])
@@ -382,6 +382,8 @@ def test_empirical_compose_is_bit_identical_to_a_copy_per_layer():
     for state, tau in zip(traj.states[1:], schedule.taus):
         points = EmpiricalKernel(ParticleEnsemble(points, ens.seed), tau).apply(points.copy())
         assert np.array_equal(state.points, points)
+    kernel_map = EmpiricalKernel(ens, schedule.taus[0])
+    assert np.array_equal(kernel_map.apply(ens.points), kernel_map.apply(ens.points.copy()))
 
 
 def test_velocity_matches_score_of_current_measure():
@@ -461,18 +463,38 @@ def test_analytic_flow_peak_memory_stays_near_its_states():
     assert peak <= 1.5 * sum(s.points.nbytes for s in traj.states)
 
 
-def test_empirical_kernel_peak_memory_is_one_kernel_block():
-    # the kernel pass fills one (points, data) buffer in place: no full-size temporaries beside it
-    rng = np.random.default_rng(4)
-    kernel_map = EmpiricalKernel(ParticleEnsemble(rng.normal(size=(2000, 2)), seed=0), 0.5)
-    probes = rng.normal(size=(2000, 2))
+def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
-        kernel_map.apply(probes)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * np.empty((2000, 2000)).nbytes
+
+
+def test_empirical_kernel_peak_memory_is_one_kernel_chunk():
+    # the kernel pass works one cache-sized chunk of (point, datum) pairs at a time in one reused
+    # buffer: no (points, data) array, only a few (n, m+1) arrays beside the chunk
+    rng = np.random.default_rng(4)
+    kernel_map = EmpiricalKernel(ParticleEnsemble(rng.normal(size=(2000, 2)), seed=0), 0.5)
+    assert _traced_peak(kernel_map.apply, rng.normal(size=(2000, 2))) <= 2_000_000
+
+
+def test_kde_log_density_peak_memory_is_one_kernel_chunk():
+    # 81 probes over 100k data: one chunk row of the data plus the whitened and centred data
+    rng = np.random.default_rng(5)
+    data, probes = rng.normal(size=(100_000, 2)), rng.normal(size=(81, 2))
+    assert _traced_peak(kde_log_density, data, 0.1 * np.eye(2), probes) <= 8_000_000
+
+
+@pytest.mark.parametrize("t, offset", [(1e-300, 0.0), (1e300, 0.0), (0.05, 30.0), (0.5, 30.0)])
+def test_empirical_kernel_extreme_inputs_raise_domain_error(t, offset):
+    # the kernel weight sum underflows at an extreme bandwidth or far from the data; that is a
+    # DomainError, never an overflow, a NaN or a RuntimeWarning (which the suite turns into errors)
+    rng = np.random.default_rng(6)
+    kernel_map = EmpiricalKernel(ParticleEnsemble(rng.normal(size=(200, 2)), seed=0), t)
+    with pytest.raises(DomainError, match="underflow"):
+        kernel_map.apply(rng.normal(size=(5, 2)) + [offset, 0.0])
 
 
 def test_analytic_flow_decomposes_independently_of_depth(monkeypatch):

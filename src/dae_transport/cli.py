@@ -12,6 +12,9 @@ singularity (with partial output), 4 internal check crash.
 Outputs are deterministic given (config, seed): no timestamps, and every
 file goes through the one writer in :mod:`dae_transport.svg` (shortest
 round-trip floats, sorted JSON keys, ``\n`` line endings).
+
+A rule the library owns (schedules, times, retrain modes, tolerance bounds)
+is asked of its owner by :func:`_library_check`, at the key's line.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 from .errors import ContractError, DomainError, SingularityError
 from .measures import Gaussian, GaussianMixture, ParticleEnsemble, density, sample
 from .svg import ChartFrame, SvgCanvas, write_csv, write_json
-from .transport import _RETRAIN_MODES, FlowSchedule, Trajectory, compose, continuous_flow, one_shot_orbit
-from .verify import EXPECTED_FAILURES, TOLERANCES, default_checks, probe_lattice
+from .transport import FlowSchedule, Trajectory, _orbit_times, _retrain_mode, compose, continuous_flow, one_shot_orbit
+from .verify import EXPECTED_FAILURES, _checked_tolerance, default_checks, probe_lattice
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -145,51 +148,39 @@ class RunConfig:
     panels_line: int = 1  # where a command that draws one panel reports a second
 
 
-def _flow_schedule(spec: _Object, key: str, build, *args) -> FlowSchedule:
-    """The library's ``build(*args)``; a schedule it rejects is a ConfigError at the line of ``spec[key]``."""
+def _library_check(obj: _Object, key: str, check, *args):
+    """The library's ``check(*args)``; a value it rejects is a ConfigError at the line of ``obj[key]``."""
     try:
-        return build(*args)
-    except ContractError as exc:
-        raise ConfigError(str(exc), spec.line(key)) from exc
+        return check(*args)
+    except ValueError as exc:  # a ContractError, or another ValueError from reading the value
+        raise ConfigError(str(exc), obj.line(key)) from exc
 
 
 def _validate_schedule(panel: _Object, mode: str) -> dict:
-    """The checked schedule of ``panel``."""
+    """The checked schedule of ``panel``; valid uniform times imply a valid ``FlowSchedule.uniform``."""
     spec, line = panel.get("schedule", {}), panel.line("schedule")
     if not isinstance(spec, dict):
         raise ConfigError("schedule must be an object", line)
     uniform = "t_end" in spec and "steps" in spec
     if uniform:
-        t_end = _field(spec, "t_end", float, positive=True)
-        steps = _field(spec, "steps", int, positive=True)
-        uniform_times = [t_end * (i + 1) / steps for i in range(steps)]
-        if mode != "composed" and not math.isfinite(uniform_times[-1]):  # composed times come from FlowSchedule
-            raise ConfigError(f"{mode} time t_end * steps = {t_end!r} * {steps} overflows", spec.line("t_end"))
-    if mode == "continuous":
+        t_end, steps = _field(spec, "t_end", float, positive=True), _field(spec, "steps", int, positive=True)
+    if mode == "composed":
+        if "taus" in spec:
+            return {"flow": _library_check(spec, "taus", FlowSchedule, _field(spec, "taus", [float]))}
         if not uniform:
-            raise ConfigError("continuous schedule needs ('t_end','steps')", line)
-        _flow_schedule(spec, "t_end", FlowSchedule.uniform, t_end, steps)
-        return {"t_end": t_end, "steps": steps, "times": uniform_times}
-    if mode == "one_shot":
-        if "t" in spec:
-            times = [_field(spec, "t", float, positive=True)]
-        elif "times" in spec:
-            times = _field(spec, "times", [float], positive=True)
-        elif uniform:
-            times = uniform_times
-        else:
-            raise ConfigError("one_shot schedule needs 't', 'times', or ('t_end','steps')", line)
-        if not times or any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError("one_shot times must be nonempty and strictly increasing", line)
-        return {"times": times}
-    if "taus" in spec:
-        taus = _field(spec, "taus", [float], positive=True)
-        if not taus:
-            raise ConfigError("composed taus must be nonempty", line)
-        return {"flow": _flow_schedule(spec, "taus", FlowSchedule, taus)}
-    if not uniform:
-        raise ConfigError("composed schedule needs 'taus' or ('t_end','steps')", line)
-    return {"flow": _flow_schedule(spec, "t_end", FlowSchedule.uniform, t_end, steps)}
+            raise ConfigError("composed schedule needs 'taus' or ('t_end','steps')", line)
+        return {"flow": _library_check(spec, "t_end", FlowSchedule.uniform, t_end, steps)}
+    if mode == "one_shot" and "t" in spec:
+        key, times = "t", [_field(spec, "t", float)]
+    elif mode == "one_shot" and "times" in spec:
+        key, times = "times", _field(spec, "times", [float])
+    elif uniform:
+        key, times = "t_end", [t_end * (i + 1) / steps for i in range(steps)]
+    else:
+        needs = "'t', 'times', or ('t_end','steps')" if mode == "one_shot" else "('t_end','steps')"
+        raise ConfigError(f"{mode} schedule needs {needs}", line)
+    schedule = {"times": _library_check(spec, key, _orbit_times, times)}
+    return {**schedule, "t_end": t_end, "steps": steps} if mode == "continuous" else schedule
 
 
 def load_config(path: Path, seed_override: int | None, out_override: str | None) -> RunConfig:
@@ -207,11 +198,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         raise ConfigError("config root must be a JSON object")
 
     mixture = None
-    if "distribution" in doc:
-        try:  # the plain decode, so library messages name plain JSON types
-            mixture = GaussianMixture.from_json_dict(plain["distribution"])
-        except ValueError as exc:
-            raise ConfigError(f"bad distribution: {exc}", doc.line("distribution")) from exc
+    if "distribution" in doc:  # the plain decode, so library messages name plain JSON types
+        mixture = _library_check(doc, "distribution", GaussianMixture.from_json_dict, plain["distribution"])
 
     particles = _field(doc, "particles", dict, {})
     n = _field(particles, "n", int, 100, positive=True)
@@ -248,19 +236,11 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         if mode not in _MODES:
             raise ConfigError(f"panel {name!r}: unknown mode {mode!r}", p.line("mode"))
         _checked_name(name, p)
-        allowed = _RETRAIN_MODES if mixture is None or mixture.k == 1 else ("empirical",)
-        if retrain is not None and retrain not in allowed:
-            message = f"panel {name!r}: retrain must be one of {allowed} for this distribution, got {retrain!r}"
-            raise ConfigError(message, p.line("retrain"))
+        _library_check(p, "retrain", _retrain_mode, 1 if mixture is None else mixture.k, retrain)
         panels.append(Panel(name, mode, _validate_schedule(p, mode), retrain))
 
-    bounds, tolerances = _field(doc, "tolerances", dict, {}), {}
-    for key in bounds:
-        if key not in TOLERANCES:
-            raise ConfigError(f"unknown tolerance {key!r}, expected one of {sorted(TOLERANCES)}", bounds.line(key))
-        tolerances[key] = _field(bounds, key, float)
-        if tolerances[key] < 0.0:
-            raise ConfigError(f"tolerance {key} must be >= 0, got {bounds[key]!r}", bounds.line(key))
+    bounds = _field(doc, "tolerances", dict, {})
+    tolerances = {key: _library_check(bounds, key, _checked_tolerance, key, value) for key, value in bounds.items()}
 
     return RunConfig(
         name=run_name,
@@ -307,9 +287,7 @@ def _run_panel(cfg: RunConfig, panel: Panel, ens: ParticleEnsemble) -> tuple[Tra
 
 def _interp_state(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
     """Positions at time ``t``, linear between the recorded ``(T, n, m)`` states."""
-    j = int(np.searchsorted(times, t, side="right"))
-    if j <= 0:
-        return stack[0]
+    j = int(np.searchsorted(times, t, side="right"))  # >= 1: the one caller asks for t > times[0] = 0
     if j >= len(times):
         return stack[-1]
     w = (t - times[j - 1]) / (times[j] - times[j - 1])

@@ -20,7 +20,8 @@ rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 single-Gaussian closed forms.  The DAE map, the one-shot and continuous
 pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
-decomposed covariance.  :func:`_checked_time` is the one check every time,
+decomposed covariance, and :func:`_dae_factor` is the one per-axis DAE factor
+they share.  :func:`_checked_time` is the one check every time,
 noise variance, and layer variance passes where it enters the package, and
 :func:`_checked_parameter` the one check of a verification parameter.
 
@@ -415,13 +416,11 @@ class Gaussian:
 
     @_pointwise
     def denoise(self, x, t: float) -> np.ndarray:
-        """DAE map ``x + t score(N(mean, S + t I), x) = (I + t S^{-1})^{-1} x + (I + S / t)^{-1} mean`` at t >= 0."""
+        """DAE map ``x + t score(N(mean, S + t I), x) = (I + t S^{-1})^{-1} (x - mean) + mean`` at t >= 0."""
         t = _checked_time(t, "noise variance")
         if t == 0.0:
             return x.copy()
-        lam = self.evals
-        v = self.evecs
-        return (x @ v * (lam / (lam + t)) + self.mean @ v * (t / (lam + t))) @ v.T
+        return ((x - self.mean) @ self.evecs * _dae_factor(self.evals, t)) @ self.evecs.T + self.mean
 
     @_pointwise
     def continuous_map(self, x, t: float) -> np.ndarray:
@@ -468,9 +467,18 @@ class Gaussian:
         return _gaussian_renyi(self.dim, float(_log_dets(self.evals)), alpha)
 
 
+def _dae_factor(lam, t):
+    """The DAE map's factor ``lambda / (lambda + t)`` on an eigen-axis, on floats or arrays alike.
+
+    Taken of halves, as :func:`_decomposed` symmetrizes, so no finite lambda or t overflows; bit for
+    bit ``lam / (lam + t)`` wherever that sum is finite and no operand is subnormal.
+    """
+    return (0.5 * lam) / (0.5 * lam + 0.5 * t)
+
+
 def _one_shot_evals(lam, t):
     """The one one-shot eigenvalue map ``lambda (lambda / (lambda + t))^2``, on floats or arrays alike."""
-    q = lam / (lam + t)
+    q = _dae_factor(lam, t)
     return lam * (q * q)
 
 
@@ -572,11 +580,16 @@ def smooth(mix: GaussianMixture, t: float) -> GaussianMixture:
 
 
 def convolve(mix: GaussianMixture, cov) -> GaussianMixture:
-    """Convolve with a centered Gaussian of full covariance ``cov``."""
+    """Convolve with a centered Gaussian of full covariance ``cov``; a sum past the largest float is a ContractError."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if cov.shape != (mix.dim, mix.dim):
         raise ContractError(f"kernel covariance must be {mix.dim}x{mix.dim}")
-    return GaussianMixture(mix.weights, mix.means, mix.covs + cov[np.newaxis])
+    with np.errstate(over="ignore"):  # a sum past the largest float is rejected below
+        covs = mix.covs + cov[np.newaxis]
+    if not np.isfinite(covs).all():
+        raise ContractError(f"the added covariance (largest |entry| {float(np.max(np.abs(cov)))!r}) is not finite "
+                            "or overflows a component covariance")
+    return GaussianMixture(mix.weights, mix.means, covs)
 
 
 # -- entropies -----------------------------------------------------------------

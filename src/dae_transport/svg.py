@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 
+_BACKGROUND = "#ffffff"
+_MARGIN = 45  # pixels between the canvas edge and a chart's plotting area
+
 
 def _fmt(v: float) -> str:
     return f"{float(v):.2f}"
@@ -48,18 +51,17 @@ def write_json(path, doc) -> None:
 
 
 class SvgCanvas:
-    def __init__(self, width: int, height: int, background: str = "#ffffff"):
+    def __init__(self, width: int, height: int):
         self.width = int(width)
         self.height = int(height)
         self._parts: list[str] = [
-            f'<rect x="0" y="0" width="{self.width}" height="{self.height}" fill="{background}"/>'
+            f'<rect x="0" y="0" width="{self.width}" height="{self.height}" fill="{_BACKGROUND}"/>'
         ]
 
-    def line(self, x1, y1, x2, y2, stroke="#000000", width=1.0, opacity=1.0, dash=None):
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, stroke="#000000"):
         self._parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{width:g}" stroke-opacity="{opacity:g}"{dash_attr}/>'
+            f'stroke="{stroke}" stroke-width="1" stroke-opacity="1"/>'
         )
 
     def polyline(self, points, stroke="#000000", width=1.0, opacity=1.0, dash=None):
@@ -99,24 +101,23 @@ class SvgCanvas:
 class ChartFrame:
     """Maps data coordinates to a margined pixel viewport and draws axes."""
 
-    def __init__(self, canvas: SvgCanvas, xlim, ylim, margin: int = 45, title: str | None = None):
+    def __init__(self, canvas: SvgCanvas, xlim, ylim, title: str | None = None):
         self.canvas = canvas
         self.x0, self.x1 = float(xlim[0]), float(xlim[1])
         self.y0, self.y1 = float(ylim[0]), float(ylim[1])
-        self.margin = margin
-        self.px_w = canvas.width - 2 * margin
-        self.px_h = canvas.height - 2 * margin
+        self.px_w = canvas.width - 2 * _MARGIN
+        self.px_h = canvas.height - 2 * _MARGIN
         if title:
-            canvas.text(canvas.width / 2, margin - 14, title, size=13, anchor="middle")
+            canvas.text(canvas.width / 2, _MARGIN - 14, title, size=13, anchor="middle")
 
     def px(self, x: float, y: float) -> tuple[float, float]:
-        u = self.margin + (x - self.x0) / (self.x1 - self.x0) * self.px_w
-        v = self.margin + (self.y1 - y) / (self.y1 - self.y0) * self.px_h
+        u = _MARGIN + (x - self.x0) / (self.x1 - self.x0) * self.px_w
+        v = _MARGIN + (self.y1 - y) / (self.y1 - self.y0) * self.px_h
         return u, v
 
     def draw_axes(self, xticks, yticks, fmt="{:g}"):
         c = self.canvas
-        m = self.margin
+        m = _MARGIN
         c.line(m, m, m, m + self.px_h, stroke="#444444")
         c.line(m, m + self.px_h, m + self.px_w, m + self.px_h, stroke="#444444")
         for xt in xticks:

@@ -21,7 +21,9 @@ when the JSON is written.
 
 Every single-Gaussian formula here (the propagated covariance and its
 entropies) is an eigenvalue map of the one Gaussian value
-``measures.Gaussian``, which also owns the closed-form maps.  An analytic
+``measures.Gaussian``, which also owns the closed-form maps.  The retrain
+rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are
+the ones ``cli.load_config`` also calls.  An analytic
 flow of L layers on n points in R^m decomposes the initial covariance once
 and builds no per-layer object: an O(L m) float recursion gives the (L+1, m)
 eigenvalue path, the entropies come from it in one pass, and each state costs
@@ -44,6 +46,7 @@ from .measures import (
     GaussianMixture,
     ParticleEnsemble,
     _checked_time,
+    _dae_factor,
     _gaussian_entropy,
     _gaussian_renyi,
     _kernel_pass,
@@ -63,7 +66,6 @@ from .svg import write_csv
 _UNDERFLOW_LOG = math.log(1e-300)
 _KDE_DATA_CAP = 2048  # diagnostics subsample sizes
 _KDE_EVAL_CAP = 4096
-_RETRAIN_MODES = ("analytic", "empirical")
 
 
 # -- map backends ----------------------------------------------------------------
@@ -299,14 +301,9 @@ def compose(
     lambda - 2 tau, so there is no singular time here; the horizon check of
     :func:`continuous_flow` is the one singularity rule.
     """
-    if retrain is None:
-        retrain = "analytic" if mix0.k == 1 else "empirical"
-    if retrain not in _RETRAIN_MODES:
-        raise ContractError(f"retrain mode must be 'analytic' or 'empirical', got {retrain!r}")
+    retrain = _retrain_mode(mix0.k, retrain)
     if ensemble.dim != mix0.dim:
         raise ContractError(f"ensemble dimension {ensemble.dim} does not match measure dimension {mix0.dim}")
-    if retrain == "analytic" and mix0.k != 1:
-        raise ContractError("analytic retraining needs a single-Gaussian initial measure")
     if retrain == "empirical" and ensemble.n < 10:
         raise ContractError(f"empirical retraining needs at least 10 particles, got {ensemble.n}")
 
@@ -321,20 +318,29 @@ def compose(
     return _trajectory(times, states, None)
 
 
+def _retrain_mode(k: int, retrain: str | None) -> str:
+    """``retrain``, or its default if None, checked for a flow from a measure of ``k`` components."""
+    mode = retrain if retrain is not None else "analytic" if k == 1 else "empirical"
+    if mode not in ("analytic", "empirical") or (mode == "analytic" and k != 1):
+        raise ContractError(f"retrain mode must be 'empirical', or 'analytic' for a single Gaussian; "
+                            f"got {retrain!r} for k = {k} components")
+    return mode
+
+
 def _analytic_flow(
     g0: Gaussian, schedule: FlowSchedule, ensemble: ParticleEnsemble
 ) -> tuple[list[ParticleEnsemble], np.ndarray]:
     """States and the ``(L+1, m)`` eigenvalue path of the analytic composed flow.
 
     Layer l scales axis j of the fixed eigenbasis V about the mean by
-    ``f_lj = lam_j / (lam_j + tau_l)`` at the layer's incoming eigenvalues, so
+    ``f_lj = _dae_factor(lam_j, tau_l)`` at the layer's incoming eigenvalues, so
     after l layers the factor is the cumulative product ``F_l``.  State l is
     ``V (Z0 F_l) + mean`` on the (m, n) eigen-coordinates ``Z0 = ((x0 - mean) V)^T``:
     one row scaling and one m x m GEMM into two reused (m, n) buffers, bit for
     bit ``((x0 - mean) V F_l) V^T + mean``, the form of ``Gaussian.continuous_map``.
     """
     lam = g0.composed(schedule.taus)
-    factors = np.cumprod(lam[:-1] / (lam[:-1] + np.array(schedule.taus)[:, None]), axis=0)
+    factors = np.cumprod(_dae_factor(lam[:-1], np.array(schedule.taus)[:, None]), axis=0)
     z0 = ((ensemble.points - g0.mean) @ g0.evecs).T.copy()
     scaled, moved, states = np.empty_like(z0), np.empty_like(z0), [ensemble]
     for f in factors:
@@ -378,9 +384,7 @@ def one_shot_orbit(
     Unlike a composed flow, every state is produced by a single map trained on
     the initial measure with noise variance t.
     """
-    ts = [_checked_time(t, "orbit time", positive=True) for t in times]
-    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ContractError("orbit times must be strictly increasing and positive")
+    ts = _orbit_times(times)
     if ensemble.dim != mix0.dim:
         raise ContractError("ensemble dimension does not match measure dimension")
 
@@ -388,3 +392,11 @@ def one_shot_orbit(
     lam = Gaussian.of(mix0).evals  # of the first component: a closed-form law only when it is the one (k = 1)
     evals = np.vstack([lam, _one_shot_evals(lam, np.array(ts)[:, None])]) if mix0.k == 1 else None
     return _trajectory((0.0, *ts), states, evals)
+
+
+def _orbit_times(times: Sequence[float]) -> list[float]:
+    """``times`` as floats: at least one, each finite and positive, strictly increasing."""
+    ts = [_checked_time(t, "orbit time", positive=True) for t in times]
+    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ContractError("orbit times must be nonempty and strictly increasing")
+    return ts

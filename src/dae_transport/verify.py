@@ -7,6 +7,8 @@ table, :data:`TOLERANCES`.  The report is the one owner of the verdict: it
 derives its default tolerance, max absolute residual and ``passed`` itself.
 Check functions take no bound; :func:`default_checks` is the one place a
 config override replaces a default, and the report re-derives its verdict.
+:func:`_checked_tolerance` is the one bound rule, for the report,
+:func:`default_checks` and ``cli.load_config`` alike.
 Covariance validity and point coercion are owned by ``measures._decomposed``
 and ``measures._pointwise``.  The one-shot control in the backward-heat
 check is expected to fail, which is itself asserted by the suite.
@@ -18,6 +20,7 @@ central stencils throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -81,7 +84,8 @@ class ResidualReport:
 
     def __post_init__(self):
         res = np.atleast_1d(np.asarray(self.residuals, dtype=float)).ravel()
-        tol = TOLERANCES[self.name] if self.tolerance is None else float(self.tolerance)
+        explicit = self.tolerance is not None
+        tol = _checked_tolerance(self.name, self.tolerance, known=False) if explicit else TOLERANCES[self.name]
         max_abs = float(np.max(np.abs(res))) if res.size else 0.0
         grid = None if self.grid is None else np.asarray(self.grid, dtype=float)
         for key, value in zip(("grid", "residuals", "tolerance", "details", "max_abs", "passed"),
@@ -95,6 +99,16 @@ class ResidualReport:
     def to_json_dict(self) -> dict:
         keys = ("name", "tolerance", "max_abs", "passed", "grid_size", "seed", "details")
         return {key: getattr(self, key) for key in keys}
+
+
+def _checked_tolerance(name: str, bound, known: bool = True) -> float:
+    """``bound`` as a float: a finite number >= 0, not a bool, for a check ``name`` in TOLERANCES if ``known``."""
+    if known and name not in TOLERANCES:
+        raise ContractError(f"unknown tolerance {name!r}, expected one of {sorted(TOLERANCES)}")
+    number = isinstance(bound, (int, float, np.integer, np.floating)) and not isinstance(bound, bool)
+    if not (number and 0.0 <= bound <= sys.float_info.max):
+        raise ContractError(f"tolerance {name} must be a finite number >= 0, got {bound!r}")
+    return float(bound)
 
 
 def probe_lattice(extent: float, per_axis: int, dim: int, center=None) -> np.ndarray:
@@ -460,12 +474,9 @@ def default_checks(seed: int = 0, tolerances: dict | None = None) -> list[Residu
     """Run the full default verification suite and return all reports in order.
 
     ``tolerances`` maps check names to bounds that replace the defaults of
-    :data:`TOLERANCES`; this is the one place an override applies.
+    :data:`TOLERANCES`, checked by :func:`_checked_tolerance` before any check runs.
     """
-    tolerances = tolerances or {}
-    for name in tolerances:
-        if name not in TOLERANCES:
-            raise ContractError(f"unknown tolerance {name!r}, expected one of {sorted(TOLERANCES)}")
+    tolerances = {name: _checked_tolerance(name, bound) for name, bound in (tolerances or {}).items()}
     std1 = GaussianMixture.standard(1)
     aniso2 = GaussianMixture.single([0.0, 0.0], np.diag([2.0, 1.0]))
     mix2 = GaussianMixture.from_components(

@@ -172,6 +172,8 @@ MIXTURE_1D = {
         # the last one-shot or continuous time t_end * steps / steps overflows although t_end is finite
         ("one_shot", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
         ("continuous", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
+        # one-shot times are judged by the library's orbit-time rule, at the key that holds them
+        ("one_shot", {("schedule",): {"times": [0.5, 0.2]}}, "times"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
@@ -180,7 +182,7 @@ MIXTURE_1D = {
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
         "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
         "dim_fraction", "nested_panels_key", "taus_stuck", "taus_overflow", "composed_t_end_underflow", "continuous_t_end_underflow",
-        "one_shot_t_end_overflow", "continuous_t_end_overflow",
+        "one_shot_t_end_overflow", "continuous_t_end_overflow", "one_shot_times_not_increasing",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):

@@ -282,6 +282,16 @@ def test_smooth_up_to_the_largest_float_raises_no_overflow():
     assert out.covs[0, 0, 0] == 1e308
 
 
+def test_smooth_past_the_largest_float_is_a_contract_error_without_a_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as err:
+            smooth(GaussianMixture.single([0.0], [[1e308]]), 1e308)
+    assert type(err.value) is ContractError and "added covariance" in str(err.value)
+
+
 def test_smooth_zero_is_identity():
     mix = two_mixture()
     assert smooth(mix, 0.0) is mix

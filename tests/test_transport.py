@@ -35,7 +35,7 @@ from dae_transport import (
     smooth,
     stein_residual,
 )
-from dae_transport.measures import _moments
+from dae_transport.measures import _dae_factor, _moments
 from dae_transport.svg import write_json
 
 ANISO_COV = np.diag([2.0, 1.0])
@@ -302,6 +302,38 @@ def test_single_layer_equals_one_map_application():
     expected = ANISO_G.denoise(ens.points, 0.3)
     np.testing.assert_array_equal(traj.states[-1].points, expected)
     assert traj.times == (0.0, 0.3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("tau", [0.05, 0.3, 2.0])
+def test_one_analytic_layer_equals_denoise_bit_for_bit(m, tau):
+    # a rotated covariance and an off-origin mean, so the layer and the map share one arithmetic, not just a value
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    cov, mean = a @ a.T + m * np.eye(m), rng.standard_normal(m)
+    x = 2.0 * rng.standard_normal((40, m))
+    traj = compose(GaussianMixture.single(mean, cov), FlowSchedule((tau,)), ParticleEnsemble(x, 0), "analytic")
+    np.testing.assert_array_equal(traj.states[-1].points, Gaussian.from_cov(cov, mean).denoise(x, tau))
+
+
+def test_dae_factor_equals_the_plain_ratio_where_the_sum_is_finite():
+    rng = np.random.default_rng(5)
+    lam, t = 10.0 ** rng.uniform(-300, 300, (2, 10_000))
+    np.testing.assert_array_equal(_dae_factor(lam, t), lam / (lam + t))
+    assert _dae_factor(3.0, 1.0) == 0.75
+
+
+def test_dae_layer_has_no_overflow_at_the_largest_floats():
+    import warnings
+
+    g = Gaussian.from_cov([[1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.one_shot(1e308).evals[0] == 2.5e307
+        assert g.denoise([1e308], 1e308) == [5e307]
+        traj = compose(g.as_mixture(), FlowSchedule((1e308,)), ParticleEnsemble(np.array([[1e308], [0.0]]), 0))
+    assert np.array_equal(traj.states[-1].points, [[5e307], [0.0]])
+    assert all(math.isfinite(d.entropy.value) for d in traj.diagnostics)
 
 
 def test_compose_halving_tau_roughly_halves_endpoint_error():

@@ -366,6 +366,33 @@ def test_tolerance_overrides_force_failures():
     assert not by_name["variational_minimizer"].passed
 
 
+BAD_BOUNDS = [math.nan, math.inf, -math.inf, -1.0, True]
+
+
+@pytest.mark.parametrize("bound", BAD_BOUNDS, ids=["nan", "inf", "-inf", "negative", "bool"])
+def test_reports_reject_a_bound_that_is_not_a_finite_number_at_least_0(bound):
+    with pytest.raises(ContractError, match="tolerance"):
+        ResidualReport("stein_identity", None, [0.0], bound)
+    with pytest.raises(ContractError, match="tolerance"):
+        ResidualReport("custom_check", None, [0.0], bound)
+    # a custom name takes any valid explicit bound, and 0 is a legal one
+    assert ResidualReport("custom_check", None, [0.5], 1).passed and ResidualReport("custom", None, [0.0], 0.0).passed
+
+
+@pytest.mark.parametrize("bound", BAD_BOUNDS, ids=["nan", "inf", "-inf", "negative", "bool"])
+def test_default_checks_reject_a_bad_bound_before_any_check_runs(bound, monkeypatch):
+    from dae_transport import verify
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(verify, "sample", no_draws)
+    monkeypatch.setattr(verify, "substream", no_draws)
+    with pytest.raises(Exception) as err:
+        default_checks(seed=0, tolerances={"backward_heat": 1e-4, "stein_identity": bound})
+    assert type(err.value) is ContractError and "stein_identity" in str(err.value)
+
+
 def test_unknown_override_name_is_rejected():
     with pytest.raises(ContractError, match="varitional_minimizer"):
         default_checks(seed=0, tolerances={"varitional_minimizer": 1e-12})

@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Compare the bundled figure outputs of the working tree with those of a git revision.
+#
+# Usage: tools/diff_bundled_outputs.sh REV
+#
+# Checks REV out into a temporary `git worktree` (removed on exit) and runs,
+# in both trees, `pushforward fig1`, `trajectory fig2`, `pushforward fig3` and
+# `verify` (on fig2), each at the config's own seed, at --seed 3 and at
+# --seed 11: 12 runs per tree.  Exits non-zero if any output file differs
+# (diff -r) or any exit code changes; else prints the runs' exit codes.
+# Set PYTHON to choose the interpreter (default python3); TMPDIR picks where
+# the worktree and the outputs go.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REV" >&2
+    exit 2
+fi
+rev=$1
+python=${PYTHON:-python3}
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+cleanup() {
+    git -C "$root" worktree remove --force "$work/rev" >/dev/null 2>&1 || true
+    git -C "$root" worktree prune
+    rm -rf "$work"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --detach --quiet "$work/rev" "$rev"
+
+run_tree() {  # run_tree TREE OUT: the 12 runs of TREE, outputs and exit codes under OUT
+    local tree=$1 out=$2 cmd cfg seed dir code
+    for run in "pushforward fig1" "trajectory fig2" "pushforward fig3" "verify fig2"; do
+        read -r cmd cfg <<<"$run"
+        for seed in "" 3 11; do
+            dir="$out/${cmd}_${cfg}_seed_${seed:-config}"
+            mkdir -p "$dir"
+            code=0
+            (cd "$work" && PYTHONPATH="$tree/src" "$python" -m dae_transport "$cmd" \
+                --config "$tree/src/dae_transport/configs/$cfg.json" --out "$dir" ${seed:+--seed "$seed"}) \
+                >/dev/null 2>&1 || code=$?
+            echo "$cmd $cfg seed=${seed:-config} exit=$code" >>"$out/exit_codes.txt"
+        done
+    done
+}
+
+run_tree "$work/rev" "$work/out_rev"
+run_tree "$root" "$work/out_tree"
+if diff -r "$work/out_rev" "$work/out_tree"; then
+    cat "$work/out_tree/exit_codes.txt"
+    echo "identical: 12 runs, every output file and exit code, $rev vs the working tree"
+else
+    echo "different: $rev vs the working tree" >&2
+    exit 1
+fi

@@ -157,7 +157,7 @@ def _library_check(obj: _Object, key: str, check, *args):
 
 
 def _validate_schedule(panel: _Object, mode: str) -> dict:
-    """The checked schedule of ``panel``; valid uniform times imply a valid ``FlowSchedule.uniform``."""
+    """The checked schedule of ``panel``; ``{t_end, steps}`` times are those ``FlowSchedule.uniform`` records."""
     spec, line = panel.get("schedule", {}), panel.line("schedule")
     if not isinstance(spec, dict):
         raise ConfigError("schedule must be an object", line)
@@ -175,7 +175,7 @@ def _validate_schedule(panel: _Object, mode: str) -> dict:
     elif mode == "one_shot" and "times" in spec:
         key, times = "times", _field(spec, "times", [float])
     elif uniform:
-        key, times = "t_end", [t_end * (i + 1) / steps for i in range(steps)]
+        key, times = "t_end", _library_check(spec, "t_end", FlowSchedule.uniform, t_end, steps).times
     else:
         needs = "'t', 'times', or ('t_end','steps')" if mode == "one_shot" else "('t_end','steps')"
         raise ConfigError(f"{mode} schedule needs {needs}", line)

@@ -20,10 +20,11 @@ rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 single-Gaussian closed forms.  The DAE map, the one-shot and continuous
 pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
-decomposed covariance, and :func:`_dae_factor` is the one per-axis DAE factor
-they share.  :func:`_checked_time` is the one check every time,
-noise variance, and layer variance passes where it enters the package, and
-:func:`_checked_parameter` the one check of a verification parameter.
+decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor
+they share, and :meth:`Gaussian._scaled` the one eigen-scaling that every
+single-Gaussian point map runs.  :func:`_checked_time` is the one check every
+time, noise variance, and layer variance passes where it enters the package,
+and :func:`_checked_parameter` the one check of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time: one
@@ -39,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,10 +270,16 @@ class ParticleEnsemble:
 
 
 def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased sample covariance of (n, m) points; zero covariance if n = 1."""
+    """Sample mean and unbiased sample covariance of (n, m) points; zero covariance if n = 1.
+
+    Taken of the points over 2^e, e the exponent of their largest |x|, and scaled back: exact, so
+    bit for bit ``np.cov`` where that neither overflows nor underflows, and finite where the moments are.
+    """
     n, m = points.shape
-    cov = np.atleast_2d(np.cov(points.T, ddof=1)) if n >= 2 else np.zeros((m, m))
-    return points.mean(axis=0), cov
+    e = int(np.frexp(np.max(np.abs(points)))[1])
+    unit = np.ldexp(points, -e)
+    cov = np.atleast_2d(np.cov(unit.T, ddof=1)) if n >= 2 else np.zeros((m, m))
+    return np.ldexp(unit.mean(axis=0), e), np.ldexp(cov, 2 * e)
 
 
 # -- point handling -----------------------------------------------------------
@@ -420,7 +427,7 @@ class Gaussian:
         t = _checked_time(t, "noise variance")
         if t == 0.0:
             return x.copy()
-        return ((x - self.mean) @ self.evecs * _dae_factor(self.evals, t)) @ self.evecs.T + self.mean
+        return next(self._scaled(x, _dae_factor(self.evals, t)[None]))
 
     @_pointwise
     def continuous_map(self, x, t: float) -> np.ndarray:
@@ -434,8 +441,20 @@ class Gaussian:
         if t == 0.0:
             return x.copy()
         self.check_horizon(t, "continuous map")
-        factors = np.sqrt(1.0 - 2.0 * t / self.evals)
-        return ((x - self.mean) @ self.evecs * factors) @ self.evecs.T + self.mean
+        return next(self._scaled(x, np.sqrt(1.0 - 2.0 * t / self.evals)[None]))
+
+    def _scaled(self, x: np.ndarray, factors: np.ndarray) -> Iterator[np.ndarray]:
+        """``V (Z0 F) + mean`` as (n, m) points for each row F of an ``(L, m)`` stack of per-axis factors.
+
+        The one eigen-scaling of every single-Gaussian point map, on the (m, n) eigen-coordinates
+        ``Z0 = ((x - mean) V)^T``: a row scaling and an m x m GEMM into two reused (m, n) buffers,
+        so each yielded array is overwritten by the next.
+        """
+        z0 = ((x - self.mean) @ self.evecs).T.copy()
+        scaled, moved = np.empty_like(z0), np.empty_like(z0)
+        for f in factors:
+            np.matmul(self.evecs, np.multiply(z0, f[:, None], out=scaled), out=moved)
+            yield np.add(moved, self.mean[:, None], out=moved).T
 
     def w2(self, other: "Gaussian") -> float:
         """Quadratic Wasserstein (Bures-Wasserstein) distance to ``other``.

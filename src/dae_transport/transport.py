@@ -7,7 +7,8 @@ Two map backends are provided:
 * :class:`EmpiricalKernel` is the plug-in estimator from data: a
   Nadaraya-Watson weighted mean with Gaussian kernel variance t.
 
-The single-Gaussian closed form of the same map is ``measures.Gaussian.denoise``.
+The single-Gaussian closed form of the same map is ``measures.Gaussian.denoise``;
+the one-shot orbit of a single Gaussian uses it, that of a mixture ``MixtureExact``.
 
 Deep flows are compositions of such maps, each retrained on the current
 pushforward measure; the continuous flow is the same composition on a uniform
@@ -26,8 +27,8 @@ rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are
 the ones ``cli.load_config`` also calls.  An analytic
 flow of L layers on n points in R^m decomposes the initial covariance once
 and builds no per-layer object: an O(L m) float recursion gives the (L+1, m)
-eigenvalue path, the entropies come from it in one pass, and each state costs
-one per-axis scaling of the (m, n) eigen-coordinates and one m x m GEMM.
+eigenvalue path, the entropies come from it in one pass, and each state is one
+``Gaussian._scaled`` row (the code of ``denoise``): a scaling and an m x m GEMM.
 """
 
 from __future__ import annotations
@@ -155,8 +156,11 @@ class FlowSchedule:
         )
         if len(taus) == 0:
             raise ContractError("schedule must contain at least one layer")
-        with np.errstate(over="ignore"):  # a sum past the largest float is rejected below as inf
-            times = np.cumsum(taus)
+        with np.errstate(over="ignore"):  # a sum past the largest float is rejected as inf
+            self._record(taus, np.cumsum(taus))
+
+    def _record(self, taus: tuple[float, ...], times: np.ndarray) -> None:
+        """Keep ``taus`` and the times after each layer, which must strictly increase and stay finite."""
         stuck = np.flatnonzero((times[1:] <= times[:-1]) | np.isinf(times[1:]))
         if stuck.size:
             i = int(stuck[0]) + 1
@@ -167,15 +171,19 @@ class FlowSchedule:
 
     @classmethod
     def uniform(cls, t_end: float, steps: int) -> "FlowSchedule":
+        """``steps`` layers of variance ``t_end / steps``, recorded at the times ``t_end * (i + 1) / steps``."""
         t_end = _checked_time(t_end, "total time", positive=True)
         steps = int(steps)
         if steps < 1:
             raise ContractError(f"steps must be >= 1, got {steps}")
-        return cls((t_end / steps,) * steps)
+        schedule = cls((t_end / steps,) * steps)
+        with np.errstate(over="ignore"):  # a last time past the largest float is rejected as inf
+            schedule._record(schedule.taus, t_end * np.arange(1, steps + 1) / steps)
+        return schedule
 
     @property
     def times(self) -> tuple[float, ...]:
-        """Cumulative times after each layer, summed once at construction."""
+        """Cumulative times after each layer, recorded once at construction."""
         return self._times
 
     def __len__(self) -> int:
@@ -286,11 +294,10 @@ def compose(
     form (mean fixed, eigenvalues through the one-shot pushforward, one
     eigendecomposition for the whole flow) and moves the points by the
     composed ``Gaussian.denoise`` maps; the ensemble may then be arbitrary
-    probe points.  Each map scales the axes of one eigenbasis about
-    the mean, so every state comes straight from the initial points through
-    a cumulative per-axis factor.  The cost is an O(L m) float recursion for
-    the eigenvalues, then one (m, n) scaling and one m x m GEMM per state; no
-    per-layer object is built and no moments are derived.
+    probe points.  State l is ``Gaussian._scaled``, the code of ``denoise``,
+    at the product of the first l layers' ``_dae_factor`` at their incoming
+    eigenvalues: an O(L m) float recursion, then one (m, n) scaling and one
+    m x m GEMM per state; no per-layer object is built, no moment derived.
     ``retrain='empirical'`` rebuilds an :class:`EmpiricalKernel` map from the
     current particles with bandwidth equal to the layer's own noise variance,
     matching the map's smoothing scale.  The default is analytic for a single
@@ -309,7 +316,11 @@ def compose(
 
     times = (0.0, *schedule.times)
     if retrain == "analytic":
-        return _trajectory(times, *_analytic_flow(Gaussian.of(mix0), schedule, ensemble))
+        g0 = Gaussian.of(mix0)
+        lam = g0.composed(schedule.taus)
+        factors = np.cumprod(_dae_factor(lam[:-1], np.array(schedule.taus)[:, None]), axis=0)
+        moved = g0._scaled(ensemble.points, factors)
+        return _trajectory(times, [ensemble] + [ParticleEnsemble(x, ensemble.seed) for x in moved], lam)
 
     points, states = ensemble.points, [ensemble]
     for tau in schedule.taus:
@@ -327,28 +338,6 @@ def _retrain_mode(k: int, retrain: str | None) -> str:
     return mode
 
 
-def _analytic_flow(
-    g0: Gaussian, schedule: FlowSchedule, ensemble: ParticleEnsemble
-) -> tuple[list[ParticleEnsemble], np.ndarray]:
-    """States and the ``(L+1, m)`` eigenvalue path of the analytic composed flow.
-
-    Layer l scales axis j of the fixed eigenbasis V about the mean by
-    ``f_lj = _dae_factor(lam_j, tau_l)`` at the layer's incoming eigenvalues, so
-    after l layers the factor is the cumulative product ``F_l``.  State l is
-    ``V (Z0 F_l) + mean`` on the (m, n) eigen-coordinates ``Z0 = ((x0 - mean) V)^T``:
-    one row scaling and one m x m GEMM into two reused (m, n) buffers, bit for
-    bit ``((x0 - mean) V F_l) V^T + mean``, the form of ``Gaussian.continuous_map``.
-    """
-    lam = g0.composed(schedule.taus)
-    factors = np.cumprod(_dae_factor(lam[:-1], np.array(schedule.taus)[:, None]), axis=0)
-    z0 = ((ensemble.points - g0.mean) @ g0.evecs).T.copy()
-    scaled, moved, states = np.empty_like(z0), np.empty_like(z0), [ensemble]
-    for f in factors:
-        np.matmul(g0.evecs, np.multiply(z0, f[:, None], out=scaled), out=moved)
-        states.append(ParticleEnsemble(np.add(moved, g0.mean[:, None], out=moved).T, ensemble.seed))
-    return states, lam
-
-
 def continuous_flow(
     mix0: GaussianMixture,
     t_end: float,
@@ -360,20 +349,20 @@ def continuous_flow(
 
     Delegates to :func:`compose` with ``tau = t_end / steps``, so matching
     uniform schedules and modes yield bit-identical trajectories; the retrain
-    mode defaults as in :func:`compose`.  For a single Gaussian the total time
-    must stay strictly below the singular time (half the smallest covariance
-    eigenvalue); past it the :class:`SingularityError` carries the initial
-    state as a one-time trajectory in ``partial``.
+    mode defaults as in :func:`compose`.  For a single Gaussian the last
+    recorded time must stay strictly below the singular time (half the smallest
+    covariance eigenvalue); past it the :class:`SingularityError` carries the
+    initial state as a one-time trajectory in ``partial``.
     """
-    t_end = _checked_time(t_end, "total time", positive=True)
+    schedule = FlowSchedule.uniform(t_end, steps)
     if mix0.k == 1:
         g = Gaussian.of(mix0)
         try:
-            g.check_horizon(t_end, "continuous flow")
+            g.check_horizon(schedule.times[-1], "continuous flow")
         except SingularityError as exc:
             exc.partial = _trajectory((0.0,), [ensemble], g.evals[None])
             raise
-    return compose(mix0, FlowSchedule.uniform(t_end, steps), ensemble, retrain)
+    return compose(mix0, schedule, ensemble, retrain)
 
 
 def one_shot_orbit(
@@ -382,16 +371,19 @@ def one_shot_orbit(
     """Orbit of the one-shot map: each time t maps the original points once.
 
     Unlike a composed flow, every state is produced by a single map trained on
-    the initial measure with noise variance t.
+    the initial measure with noise variance t: ``Gaussian.denoise`` for k = 1, else :class:`MixtureExact`.
     """
     ts = _orbit_times(times)
     if ensemble.dim != mix0.dim:
         raise ContractError("ensemble dimension does not match measure dimension")
 
-    states = [ensemble] + [ParticleEnsemble(MixtureExact(mix0, t).apply(ensemble.points), ensemble.seed) for t in ts]
-    lam = Gaussian.of(mix0).evals  # of the first component: a closed-form law only when it is the one (k = 1)
-    evals = np.vstack([lam, _one_shot_evals(lam, np.array(ts)[:, None])]) if mix0.k == 1 else None
-    return _trajectory((0.0, *ts), states, evals)
+    if mix0.k == 1:
+        g, t_col = Gaussian.of(mix0), np.array(ts)[:, None]
+        moved = g._scaled(ensemble.points, _dae_factor(g.evals, t_col))
+        evals = np.vstack([g.evals, _one_shot_evals(g.evals, t_col)])
+    else:
+        moved, evals = (MixtureExact(mix0, t).apply(ensemble.points) for t in ts), None
+    return _trajectory((0.0, *ts), [ensemble] + [ParticleEnsemble(x, ensemble.seed) for x in moved], evals)
 
 
 def _orbit_times(times: Sequence[float]) -> list[float]:

@@ -169,9 +169,10 @@ MIXTURE_1D = {
         ("composed", {("schedule",): {"taus": [1e308, 1e308]}}, "taus"),
         ("composed", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
         ("continuous", {("schedule",): {"t_end": 5e-324, "steps": 3}}, "t_end"),
-        # the last one-shot or continuous time t_end * steps / steps overflows although t_end is finite
+        # the last time t_end * steps / steps of FlowSchedule.uniform overflows although t_end is finite
         ("one_shot", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
         ("continuous", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
+        ("composed", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
         # one-shot times are judged by the library's orbit-time rule, at the key that holds them
         ("one_shot", {("schedule",): {"times": [0.5, 0.2]}}, "times"),
     ],
@@ -182,7 +183,8 @@ MIXTURE_1D = {
         "second_panel_name_escapes", "panel_name_dot", "tolerance_unknown_name", "tolerance_negative",
         "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
         "dim_fraction", "nested_panels_key", "taus_stuck", "taus_overflow", "composed_t_end_underflow", "continuous_t_end_underflow",
-        "one_shot_t_end_overflow", "continuous_t_end_overflow", "one_shot_times_not_increasing",
+        "one_shot_t_end_overflow", "continuous_t_end_overflow", "composed_t_end_overflow",
+        "one_shot_times_not_increasing",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -220,6 +222,32 @@ def test_trajectory_svg_midpoints_stay_bounded(tmp_path, taus):
     marks = [el for el in svg.iter() if el.tag.endswith("circle")]
     assert 0 < len(marks) <= 51 * 14  # 14 particles: 3 x 3 grid and 5 samples
     assert (tmp_path / "out" / "run_composed.svg").stat().st_size < 100_000
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in the JSON output")
+
+
+@pytest.mark.parametrize(
+    "mode, schedule", [("composed", {"taus": [1.0]}), ("one_shot", {"times": [1e308]})], ids=["composed", "one_shot"]
+)
+def test_huge_covariance_runs_write_finite_moments_without_warnings(tmp_path, mode, schedule):
+    # N(0, 1e308): the particles' sum of squares overflows, their covariance (about 1e308) does not; smoothing
+    # the measure by t = 1e308 would overflow, the closed-form one-shot map does not
+    doc = base_trajectory_config(tmp_path / "out")
+    doc["distribution"] = {"dim": 1, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1e308]]}]}
+    doc.update(mode=mode, schedule=schedule, grid={"per_axis": 3, "extent": 3.0})
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dae_transport", "trajectory",
+         "--config", str(write_config(tmp_path, doc))],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    records = json.loads((tmp_path / "out" / f"run_{mode}_diagnostics.json").read_text(),
+                         parse_constant=_reject_constant)["records"]
+    assert len(records) == 2 and records[0]["cov"][0][0] > 1e307
 
 
 CONFIG_KEYS = (

@@ -192,6 +192,23 @@ def test_schedule_uniform():
     assert all(t == 0.05 for t in s.taus)
 
 
+def test_uniform_schedule_records_one_time_grid():
+    # the times are t_end * (i + 1) / steps, the grid the CLI reads, not the running sum of t_end / steps
+    s = FlowSchedule.uniform(0.45, 90)
+    assert s.times == tuple(0.45 * (i + 1) / 90 for i in range(90))
+    assert s.times[-1] == 0.45 and FlowSchedule(s.taus).times[-1] == 0.4500000000000003
+    ens = ParticleEnsemble(np.zeros((1, 1)), 0)
+    assert continuous_flow(GaussianMixture.single([0.0], [[2.0]]), 0.45, 90, ens).times[-1] == 0.45
+    # the horizon is checked at the last recorded time, here one ulp past t_end and exactly the critical time
+    last = FlowSchedule.uniform(0.1, 3).times[-1]
+    assert last == 0.10000000000000002
+    with pytest.raises(SingularityError) as info:
+        continuous_flow(GaussianMixture.single([0.0], [[2.0 * last]]), 0.1, 3, ens)
+    assert info.value.critical_time == last
+    with pytest.raises(ContractError, match="to inf"):
+        FlowSchedule.uniform(1e308, 2)  # t_end * 2 / 2 overflows, although every layer's variance is finite
+
+
 def test_schedule_rejects_empty_and_nonpositive():
     with pytest.raises(ContractError):
         FlowSchedule(())
@@ -304,14 +321,18 @@ def test_single_layer_equals_one_map_application():
     assert traj.times == (0.0, 0.3)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
+LAYER_SHAPES = [(m, n) for m in (1, 2, 3, 5, 16, 32, 64) for n in (3, 7, 13, 40, 257)]
+
+
+@pytest.mark.parametrize("m, n", LAYER_SHAPES, ids=[f"{m}" if n == 40 else f"{m}x{n}" for m, n in LAYER_SHAPES])
 @pytest.mark.parametrize("tau", [0.05, 0.3, 2.0])
-def test_one_analytic_layer_equals_denoise_bit_for_bit(m, tau):
-    # a rotated covariance and an off-origin mean, so the layer and the map share one arithmetic, not just a value
+def test_one_analytic_layer_equals_denoise_bit_for_bit(m, n, tau):
+    # a rotated covariance and an off-origin mean, so the layer and the map share one arithmetic, not just a value;
+    # wide and odd shapes, where BLAS would round a row-form and a column-form product differently
     rng = np.random.default_rng(m)
     a = rng.standard_normal((m, m))
     cov, mean = a @ a.T + m * np.eye(m), rng.standard_normal(m)
-    x = 2.0 * rng.standard_normal((40, m))
+    x = 2.0 * rng.standard_normal((n, m))
     traj = compose(GaussianMixture.single(mean, cov), FlowSchedule((tau,)), ParticleEnsemble(x, 0), "analytic")
     np.testing.assert_array_equal(traj.states[-1].points, Gaussian.from_cov(cov, mean).denoise(x, tau))
 
@@ -481,6 +502,24 @@ def test_diagnostics_json_moments_are_the_states_moments(n):
             assert record["mean"] == mean.tolist() and record["cov"] == cov.tolist()
             if n == 1:
                 assert record["cov"] == np.zeros((3, 3)).tolist()
+
+
+def test_moments_equal_np_cov_bit_for_bit():
+    # the moments are taken of the points over a power of two, which is exact on ordinary data
+    rng = np.random.default_rng(11)
+    for n, m, scale, shift in [(2, 1, 1.0, 0.0), (40, 3, 1e-3, 5.0), (257, 2, 1e5, -3e4), (9, 5, 0.7, 1e-8)]:
+        x = scale * rng.standard_normal((n, m)) + shift
+        mean, cov = _moments(x)
+        np.testing.assert_array_equal(mean, x.mean(axis=0))
+        np.testing.assert_array_equal(cov, np.atleast_2d(np.cov(x.T, ddof=1)))
+
+
+def test_moments_stay_finite_where_the_sum_of_squares_overflows():
+    x = np.random.default_rng(2).standard_normal((200, 2)) * 1e154
+    mean, cov = _moments(x)
+    assert np.all(np.isfinite(cov)) and cov[0, 0] > 1e307
+    np.testing.assert_allclose(cov, 1e308 * np.cov(x.T / 1e154), rtol=1e-14)
+    np.testing.assert_array_equal(mean, x.mean(axis=0))
 
 
 def test_analytic_flow_peak_memory_stays_near_its_states():
@@ -726,11 +765,47 @@ def test_empirical_diagnostics_subsample_large_ensembles():
 
 
 def test_one_shot_orbit_states_are_independent_maps():
-    ens = probe_ensemble()
-    traj = one_shot_orbit(aniso(), [0.5, 1.0], ens)
+    # a single Gaussian's states are its closed-form map bit for bit, and the independent mixture route to 1e-12
+    rng = np.random.default_rng(4)
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    mix = Gaussian.from_cov((basis * [0.5, 1.0, 3.0]) @ basis.T, [0.5, -1.0, 2.0]).as_mixture()
+    g, ens = Gaussian.of(mix), ParticleEnsemble(3.0 * rng.standard_normal((50, 3)), 0)
+    traj = one_shot_orbit(mix, [0.05, 0.5, 1.0, 7.0], ens)
     for t, state in zip(traj.times[1:], traj.states[1:]):
-        expected = MixtureExact(aniso(), t).apply(ens.points)
-        np.testing.assert_array_equal(state.points, expected)
+        np.testing.assert_array_equal(state.points, g.denoise(ens.points, t))
+        np.testing.assert_allclose(state.points, MixtureExact(mix, t).apply(ens.points), rtol=1e-12, atol=1e-12)
+    # two components: the states are the exact mixture map, bit for bit
+    mix2 = _two_mixture()
+    ens2 = probe_ensemble()
+    traj = one_shot_orbit(mix2, [0.5, 1.0], ens2)
+    for t, state in zip(traj.times[1:], traj.states[1:]):
+        np.testing.assert_array_equal(state.points, MixtureExact(mix2, t).apply(ens2.points))
+
+
+def test_one_shot_orbit_of_a_huge_gaussian_is_its_closed_form():
+    # smoothing N(0, 1e308) by t = 1e308 overflows a covariance, the closed-form map does not
+    huge, g = GaussianMixture.single([0.0], [[1e308]]), Gaussian.from_cov([[1e308]])
+    ens = ParticleEnsemble(np.array([[-1e154], [0.0], [1e308]]), seed=0)
+    traj = one_shot_orbit(huge, [1e308], ens)
+    assert np.all(np.isfinite(traj.states[-1].points))
+    np.testing.assert_array_equal(traj.states[-1].points, g.denoise(ens.points, 1e308))
+    assert traj.states[-1].points[-1, 0] == 5e307
+
+
+def test_single_gaussian_orbit_never_smooths_convolves_or_scores(monkeypatch):
+    import dae_transport.measures as measures
+    import dae_transport.transport as transport
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-Gaussian orbit took the mixture route")
+
+    monkeypatch.setattr(transport.MixtureExact, "apply", refuse)
+    for module in (measures, transport):
+        for name in ("smooth", "convolve", "score"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    traj = one_shot_orbit(aniso(), [0.5, 1.0], probe_ensemble())
+    np.testing.assert_array_equal(traj.states[-1].points, ANISO_G.denoise(probe_ensemble().points, 1.0))
 
 
 def test_one_shot_orbit_never_singular_even_at_large_times():

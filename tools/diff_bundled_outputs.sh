@@ -3,13 +3,14 @@
 #
 # Usage: tools/diff_bundled_outputs.sh REV
 #
-# Checks REV out into a temporary `git worktree` (removed on exit) and runs,
-# in both trees, `pushforward fig1`, `trajectory fig2`, `pushforward fig3` and
-# `verify` (on fig2), each at the config's own seed, at --seed 3 and at
-# --seed 11: 12 runs per tree.  Exits non-zero if any output file differs
-# (diff -r) or any exit code changes; else prints the runs' exit codes.
-# Set PYTHON to choose the interpreter (default python3); TMPDIR picks where
-# the worktree and the outputs go.
+# Extracts REV into a temporary directory (`git archive`, removed on exit) and
+# runs, in both trees, `pushforward fig1`, `trajectory fig2`, `pushforward
+# fig3` and `verify` (on fig2), each at the config's own seed, at --seed 3 and
+# at --seed 11: 12 runs per tree.  Exits non-zero if any output file differs
+# or any exit code changes, and then prints, for each differing file, the
+# largest absolute difference of its numbers (tools/diff_sizes.py); else
+# prints the runs' exit codes.  Set PYTHON to choose the interpreter (default
+# python3); TMPDIR picks where the extracted tree and the outputs go.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -20,13 +21,9 @@ rev=$1
 python=${PYTHON:-python3}
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$work/rev" >/dev/null 2>&1 || true
-    git -C "$root" worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$work/rev" "$rev"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/rev"
+git -C "$root" archive "$rev" | tar -x -C "$work/rev"
 
 run_tree() {  # run_tree TREE OUT: the 12 runs of TREE, outputs and exit codes under OUT
     local tree=$1 out=$2 cmd cfg seed dir code
@@ -46,10 +43,11 @@ run_tree() {  # run_tree TREE OUT: the 12 runs of TREE, outputs and exit codes u
 
 run_tree "$work/rev" "$work/out_rev"
 run_tree "$root" "$work/out_tree"
-if diff -r "$work/out_rev" "$work/out_tree"; then
+if "$python" "$root/tools/diff_sizes.py" "$work/out_rev" "$work/out_tree"; then
     cat "$work/out_tree/exit_codes.txt"
     echo "identical: 12 runs, every output file and exit code, $rev vs the working tree"
 else
+    diff "$work/out_rev/exit_codes.txt" "$work/out_tree/exit_codes.txt" || true
     echo "different: $rev vs the working tree" >&2
     exit 1
 fi

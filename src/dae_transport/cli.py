@@ -13,8 +13,8 @@ Outputs are deterministic given (config, seed): no timestamps, and every
 file goes through the one writer in :mod:`dae_transport.svg` (shortest
 round-trip floats, sorted JSON keys, ``\n`` line endings).
 
-A rule the library owns (schedules, times, retrain modes, tolerance bounds)
-is asked of its owner by :func:`_library_check`, at the key's line.
+A rule the library owns (schedules, times, retrain modes, tolerance bounds,
+lattices) is asked of its owner by :func:`_library_check`, at the key's line.
 """
 
 from __future__ import annotations
@@ -212,6 +212,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     grid_extent = _field(grid, "extent", float, 3.0, positive=True)
     curve_points = _field(grid, "points", int, 401, positive=True)
     curve_extent = _field(grid, "curve_extent", float, 4.0, positive=True)
+    _library_check(grid, "extent", probe_lattice, grid_extent, grid_per_axis, 1 if mixture is None else mixture.dim)
+    _library_check(grid, "curve_extent", probe_lattice, curve_extent, curve_points, 1)
 
     outputs = _field(doc, "outputs", dict, {})
     out_dir = Path(out_override) if out_override is not None else Path(str(outputs.get("dir", "out")))
@@ -355,8 +357,9 @@ def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tupl
     """The x-grid and (time, densities on it) for a 1-D measure; bool flags a curve lost to a zero variance."""
     mix = cfg.mixture
     g = Gaussian.of(mix)
-    xs = np.linspace(-cfg.curve_extent, cfg.curve_extent, cfg.curve_points)
-    curves = [(0.0, np.asarray(density(mix, xs[:, None])))]
+    grid = probe_lattice(cfg.curve_extent, cfg.curve_points, 1)
+    xs = grid[:, 0]
+    curves = [(0.0, np.asarray(density(mix, grid)))]
     if panel.mode == "composed":
         flow = panel.schedule["flow"]
         pairs = zip(flow.times, (Gaussian(g.mean, lam, g.evecs) for lam in g.composed(flow.taus)[1:]))
@@ -371,7 +374,7 @@ def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tupl
             print(f"warning: pushforward {what}", file=sys.stderr)
             singular = True
         else:
-            curves.append((float(t), np.asarray(density(h.as_mixture(), xs[:, None]))))
+            curves.append((float(t), np.asarray(density(h.as_mixture(), grid))))
     return xs, curves, singular
 
 

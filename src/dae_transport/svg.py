@@ -2,9 +2,10 @@
 
 Hand-rolled on purpose: output bytes depend only on the data, so result
 files are reproducible and diffable.  Every file is UTF-8 with ``\n`` line
-endings on every platform.  CSV cells are ``repr(float(v))`` for floats
-(the shortest text that round-trips) and ``str(v)`` otherwise; JSON has
-sorted keys and a two-space indent.
+endings on every platform.  CSV cells are ``str(v)``, for a float the
+shortest text that round-trips (``str`` equals ``repr`` for Python floats,
+and NumPy's float64 ``str`` gives the same text); JSON has sorted keys and
+a two-space indent.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _cell(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def _open(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
@@ -42,7 +39,7 @@ def write_csv(path, header, rows, seed: int | None = None) -> None:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_json(path, doc) -> None:

@@ -13,8 +13,12 @@ Covariance validity and point coercion are owned by ``measures._decomposed``
 and ``measures._pointwise``.  The one-shot control in the backward-heat
 check is expected to fail, which is itself asserted by the suite.
 
-Finite-difference conventions: dt = 1e-4 in time and dx = 1e-3 in space,
-central stencils throughout.
+A check's method is fixed with its bound: each tolerance holds for the check's
+inline probe grid, the central steps ``_DT`` = 1e-4 (time) and ``_DX`` = 1e-3
+(space) and the Monte Carlo counts beside :data:`TOLERANCES`.  A check takes
+only what picks its instance of the identity (measure, times, ``source``,
+``alpha``, seed); the sample size ``n`` and the continuity ``dt`` stay
+because ``perfbench/env.py`` passes them by keyword.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .measures import (
     _checked_alpha,
     _checked_parameter,
     _checked_time,
+    _moments,
     convolve,
     density,
     density_gradient,
@@ -61,8 +66,12 @@ TOLERANCES = {
     "renyi_gradient_identity": 1e-4,
 }
 
-_DT = 1e-4
-_DX = 1e-3
+# The method each bound above was derived for, with each check's inline probe grid.
+_DT = 1e-4  # central time step
+_DX = 1e-3  # central space step
+_N_TRIALS = 20  # bump perturbations of the variational minimizer
+_N_PAIRS = 100  # (t, eps) pairs of the noise identity
+_N_PROBE = 100  # seeded density probes of the time reversal
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +120,19 @@ def _checked_tolerance(name: str, bound, known: bool = True) -> float:
     return float(bound)
 
 
-def probe_lattice(extent: float, per_axis: int, dim: int, center=None) -> np.ndarray:
-    """Regular lattice over [-extent, extent]^dim (optionally shifted)."""
-    axes = [np.linspace(-extent, extent, per_axis)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+def probe_lattice(extent: float, per_axis: int, dim: int) -> np.ndarray:
+    """Regular lattice over [-extent, extent]^dim, ``per_axis`` points an axis.
 
-
-def _probe_grid(grid, extent: float, per_axis: int, dim: int) -> np.ndarray:
-    """``grid`` as a float array, or the default :func:`probe_lattice` when it is None; it must hold a point."""
-    pts = probe_lattice(extent, per_axis, dim) if grid is None else np.asarray(grid, dtype=float)
-    if pts.size == 0:
-        raise ContractError("probe grid must hold at least one point")
+    The lattice rule: its step (so its points) and its sample covariance must be
+    finite, else ContractError, raised without a RuntimeWarning on the way.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mesh = np.meshgrid(*[np.linspace(-extent, extent, per_axis)] * dim, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        finite = np.all(np.isfinite(pts)) and np.all(np.isfinite(_moments(pts)[1]))
+    if not finite:
+        raise ContractError(f"a lattice of extent {extent!r} with {per_axis} points an axis has a step, "
+                            "point or sample covariance that is not finite")
     return pts
 
 
@@ -153,14 +160,7 @@ def _bump_field(seed: int, trial: int, mix0: GaussianMixture) -> Callable[[np.nd
     return h
 
 
-def check_variational_minimizer(
-    mix0: GaussianMixture,
-    t: float,
-    n: int = 100_000,
-    seed: int = 0,
-    grid: np.ndarray | None = None,
-    n_trials: int = 20,
-) -> ResidualReport:
+def check_variational_minimizer(mix0: GaussianMixture, t: float, n: int = 100_000, seed: int = 0) -> ResidualReport:
     """Check that the exact map is both the regression limit and a global minimum.
 
     Draws pairs (x, x + e), fits the kernel-weighted conditional-mean
@@ -175,12 +175,10 @@ def check_variational_minimizer(
     ``details`` carries the raw margins.
     """
     t = _checked_parameter(t, "noise variance")
-    n, n_trials = int(n), int(n_trials)
+    n = int(n)
     if n < 1000:
         raise ContractError(f"need at least 1000 sample pairs, got {n}")
-    if n_trials < 1:
-        raise ContractError(f"need at least 1 perturbation trial, got {n_trials}")
-    grid = _probe_grid(grid, 2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
+    grid = probe_lattice(2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
 
     clean = sample(mix0, n, seed)
     eps = substream(seed, 2).standard_normal((n, mix0.dim)) * math.sqrt(t)
@@ -196,7 +194,7 @@ def check_variational_minimizer(
     l_gstar = float(np.mean(np.sum(base_err * base_err, axis=1)))
 
     margins, cross_se_ratios = [], []
-    for trial in range(n_trials):
+    for trial in range(_N_TRIALS):
         hv = _bump_field(seed, trial, mix0)(corrupted)
         pert_err = base_err + hv
         l_pert = float(np.mean(np.sum(pert_err * pert_err, axis=1)))
@@ -221,7 +219,7 @@ def check_variational_minimizer(
             "l_gstar": l_gstar,
             "min_margin": float(min(margins)),
             "max_cross_se_ratio": float(max(cross_se_ratios)),
-            "n_trials": n_trials,
+            "n_trials": _N_TRIALS,
             "max_grid_deviation": float(np.max(deviations)),
         },
     )
@@ -241,13 +239,7 @@ def _heat_residual(mix0: GaussianMixture, push, t: float, dt: float, grid: np.nd
     return fd + laplacian_density(push(t).as_mixture() if t > 0.0 else mix0, grid)
 
 
-def check_continuity_t0(
-    mix0: GaussianMixture,
-    dt: float = _DT,
-    grid: np.ndarray | None = None,
-    n: int = 100_000,
-    seed: int = 0,
-) -> ResidualReport:
+def check_continuity_t0(mix0: GaussianMixture, dt: float = _DT, n: int = 100_000, seed: int = 0) -> ResidualReport:
     """Check the initial-time continuity equation: d/dt mu_t at 0 equals -div(mu0 grad log mu0).
 
     The divergence side reduces to the negative density Laplacian and is
@@ -262,8 +254,7 @@ def check_continuity_t0(
     dt = _checked_parameter(dt, "dt", 1e-3)
     gaussian_mode = mix0.k == 1
     name = "continuity_t0_gaussian" if gaussian_mode else "continuity_t0_mixture"
-
-    grid = _probe_grid(grid, 2.0, 17 if mix0.dim == 1 else 9, mix0.dim)
+    grid = probe_lattice(2.0, 17 if mix0.dim == 1 else 9, mix0.dim)
 
     if gaussian_mode:
         g = Gaussian.of(mix0)
@@ -292,13 +283,7 @@ def check_continuity_t0(
 # -- backward heat equation ---------------------------------------------------------
 
 
-def check_backward_heat(
-    mix0: GaussianMixture,
-    t_grid: Sequence[float],
-    grid: np.ndarray | None = None,
-    dt: float = _DT,
-    source: str = "continuous",
-) -> ResidualReport:
+def check_backward_heat(mix0: GaussianMixture, t_grid: Sequence[float], source: str = "continuous") -> ResidualReport:
     """Residual of ``d/dt mu_t + lap mu_t = 0`` along a closed-form pushforward.
 
     ``source='continuous'`` follows the continuous-flow pushforward, which
@@ -311,10 +296,9 @@ def check_backward_heat(
         raise ContractError("backward-heat check needs a single-Gaussian measure")
     if source not in ("continuous", "one_shot"):
         raise ContractError(f"source must be 'continuous' or 'one_shot', got {source!r}")
-    dt = _checked_parameter(dt, "dt", 1e-3)
     if len(t_grid) == 0:
         raise ContractError("backward-heat check needs at least one time in t_grid")
-    grid = _probe_grid(grid, 3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
+    grid = probe_lattice(3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
 
     g = Gaussian.of(mix0)
     # the one-shot map is also valid for the slightly negative time the
@@ -324,21 +308,21 @@ def check_backward_heat(
     residuals = []
     for t in (_checked_time(v, "t_grid time") for v in t_grid):
         if source == "continuous":
-            g.check_horizon(t + dt, "continuous pushforward on the t_grid stencil")
-        residuals.append(_heat_residual(mix0, push, t, dt, grid))
+            g.check_horizon(t + _DT, "continuous pushforward on the t_grid stencil")
+        residuals.append(_heat_residual(mix0, push, t, _DT, grid))
 
     return ResidualReport(
         "backward_heat" if source == "continuous" else "backward_heat_one_shot_negative_control",
         grid,
         np.concatenate(residuals),
-        details={"t_grid": [float(v) for v in t_grid], "dt": dt, "source": source},
+        details={"t_grid": [float(v) for v in t_grid], "dt": _DT, "source": source},
     )
 
 
 # -- heat-flow time reversal -----------------------------------------------------------
 
 
-def check_time_reversal(mix0: GaussianMixture, t: float, n_probe: int = 100, seed: int = 0) -> ResidualReport:
+def check_time_reversal(mix0: GaussianMixture, t: float, seed: int = 0) -> ResidualReport:
     """Smoothing the continuous pushforward of a single Gaussian by 2t must restore it.
 
     Checks ``(S - 2 t I) + 2 t I = S`` entrywise up to the singular time itself
@@ -352,7 +336,7 @@ def check_time_reversal(mix0: GaussianMixture, t: float, n_probe: int = 100, see
     pushed = g.continuous(t).cov
     residuals = [np.abs(pushed + 2.0 * t * np.eye(g.dim) - mix0.covs[0]).ravel()]
 
-    probes = sample(mix0, int(n_probe), seed).points
+    probes = sample(mix0, _N_PROBE, seed).points
     density_checked = t < g.critical_time
     if density_checked:
         recovered = smooth(GaussianMixture.single(g.mean, pushed), 2.0 * t)
@@ -406,30 +390,22 @@ def check_entropy_monotone(traj: Trajectory) -> ResidualReport:
 # -- Gaussian noise identity ----------------------------------------------------------
 
 
-def check_stein_identity(n_pairs: int = 100, seed: int = 0) -> ResidualReport:
+def check_stein_identity(seed: int = 0) -> ResidualReport:
     """Residual of the Gaussian identity over seeded (t, eps) pairs in dims 1..3."""
-    n_pairs = int(n_pairs)
-    if n_pairs < 1:
-        raise ContractError(f"need at least 1 (t, eps) pair, got {n_pairs}")
     rng = substream(seed, 4)
     residuals = []
-    for i in range(n_pairs):
+    for i in range(_N_PAIRS):
         dim = 1 + (i % 3)
         t = float(rng.uniform(0.1, 2.0))
         eps = rng.standard_normal(dim) * math.sqrt(2.0)
         residuals.append(float(np.max(np.abs(stein_residual(t, eps)))))
-    return ResidualReport("stein_identity", None, residuals, seed=seed, details={"n_pairs": n_pairs})
+    return ResidualReport("stein_identity", None, residuals, seed=seed, details={"n_pairs": _N_PAIRS})
 
 
 # -- Renyi flow gradient identity -------------------------------------------------------
 
 
-def check_renyi_gradient_identity(
-    mix0: GaussianMixture,
-    alpha: float = 2.0,
-    grid: np.ndarray | None = None,
-    dx: float = _DX,
-) -> ResidualReport:
+def check_renyi_gradient_identity(mix0: GaussianMixture, alpha: float = 2.0) -> ResidualReport:
     """Check ``div(mu grad dF/dmu) = lap(mu^alpha)`` for the Renyi functional.
 
     The left side is a central-difference divergence of the analytic field
@@ -437,8 +413,7 @@ def check_renyi_gradient_identity(
     ``alpha ((alpha-1) mu^(alpha-2) |grad mu|^2 + mu^(alpha-1) lap mu)``.
     """
     alpha = _checked_alpha(alpha)
-    dx = _checked_parameter(dx, "dx")
-    grid = _probe_grid(grid, 3.0, 9 if mix0.dim > 1 else 25, mix0.dim)
+    grid = probe_lattice(3.0, 9 if mix0.dim > 1 else 25, mix0.dim)
 
     def flux(pts: np.ndarray) -> np.ndarray:
         mu = np.asarray(density(mix0, pts)).reshape(-1, 1)
@@ -447,8 +422,8 @@ def check_renyi_gradient_identity(
     div = np.zeros(grid.shape[0])
     for j in range(mix0.dim):
         step = np.zeros(mix0.dim)
-        step[j] = dx
-        div += (flux(grid + step)[:, j] - flux(grid - step)[:, j]) / (2.0 * dx)
+        step[j] = _DX
+        div += (flux(grid + step)[:, j] - flux(grid - step)[:, j]) / (2.0 * _DX)
 
     mu = np.asarray(density(mix0, grid))
     grad = density_gradient(mix0, grid)
@@ -459,7 +434,7 @@ def check_renyi_gradient_identity(
     )
 
     return ResidualReport(
-        "renyi_gradient_identity", grid, div - analytic, details={"alpha": alpha, "dx": dx}
+        "renyi_gradient_identity", grid, div - analytic, details={"alpha": alpha, "dx": _DX}
     )
 
 
@@ -484,9 +459,9 @@ def default_checks(seed: int = 0, tolerances: dict | None = None) -> list[Residu
     )
 
     reports = [
-        check_variational_minimizer(std1, t=0.5, n=100_000, seed=seed),
-        check_continuity_t0(std1, dt=_DT),
-        check_continuity_t0(mix2, dt=_DT, n=100_000, seed=seed),
+        check_variational_minimizer(std1, t=0.5, seed=seed),
+        check_continuity_t0(std1),
+        check_continuity_t0(mix2, seed=seed),
         check_backward_heat(aniso2, (0.0, 0.1, 0.2, 0.3)),
         check_backward_heat(aniso2, (0.3,), source="one_shot"),
         check_time_reversal(aniso2, 0.4, seed=seed),
@@ -495,6 +470,6 @@ def default_checks(seed: int = 0, tolerances: dict | None = None) -> list[Residu
     ensemble = sample(aniso2, 64, seed)
     traj = continuous_flow(aniso2, 0.4, 8, ensemble)
     reports.append(check_entropy_monotone(traj))
-    reports.append(check_stein_identity(100, seed=seed))
+    reports.append(check_stein_identity(seed=seed))
     reports.append(check_renyi_gradient_identity(aniso2))
     return [replace(r, tolerance=tolerances[r.name]) if r.name in tolerances else r for r in reports]

@@ -250,6 +250,108 @@ def test_huge_covariance_runs_write_finite_moments_without_warnings(tmp_path, mo
     assert len(records) == 2 and records[0]["cov"][0][0] > 1e307
 
 
+def _config_with(extent_key: str, value: float, out: Path) -> dict:
+    """A 1-D N(0, 1) run whose ``grid`` holds ``extent_key`` = ``value`` and 3 points an axis."""
+    doc = base_trajectory_config(out)
+    doc["distribution"] = {"dim": 1, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}
+    doc["grid"] = {"per_axis": 3, "points": 401, extent_key: value}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("trajectory", "extent", 1e308), ("trajectory", "extent", 5e307),
+     ("pushforward", "curve_extent", 1e308), ("pushforward", "curve_extent", 1e200)],
+    ids=["extent_step_overflows", "extent_covariance_overflows", "curve_step_overflows", "curve_covariance_overflows"],
+)
+def test_lattice_that_is_not_finite_is_config_error_at_its_key_without_warnings(tmp_path, command, key, value):
+    cfg = write_config(tmp_path, _config_with(key, value, tmp_path / "out"))
+    line = next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in ln)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dae_transport", command, "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(f"config error at line {line}: a lattice of extent {value!r}"), proc.stderr
+    assert "not finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_lattice_at_the_edge_of_a_finite_covariance_runs_without_warnings(tmp_path):
+    # [-1e154, 0, 1e154] has sample variance 1e308, just below the largest float
+    cfg = write_config(tmp_path, _config_with("extent", 1e154, tmp_path / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dae_transport", "trajectory", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    json.loads((tmp_path / "out" / "run_composed_diagnostics.json").read_text(), parse_constant=_reject_constant)
+
+
+GAUSSIAN_3D = {"dim": 3, "components": [{"weight": 1.0, "mean": [0.0] * 3, "cov": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}]}
+
+
+def _changed(**changes):
+    """An edit of the base config that sets each key of ``changes``, or drops it where the value is None."""
+    def edit(doc: dict) -> dict:
+        for key, value in changes.items():
+            doc.pop(key) if value is None else doc.update({key: value})
+        return doc
+    return edit
+
+
+# command, edit of the base config, key whose line is reported (None: line 1), message
+TYPED_CONFIG_ERRORS = {
+    "pushforward_no_distribution": (
+        "pushforward", _changed(distribution=None), None, "pushforward command needs a 'distribution'"),
+    "pushforward_no_mode": (
+        "pushforward", _changed(mode=None, schedule=None), None, "pushforward command needs 'mode' and 'schedule'"),
+    "pushforward_mixture": (
+        "pushforward", _changed(distribution=MIXTURE_1D), None, "pushforward command needs a single-Gaussian distribution"),
+    "pushforward_3d": (
+        "pushforward", _changed(distribution=GAUSSIAN_3D), None,
+        "pushforward command supports 1-D densities and 2-D diagonal charts"),
+    "pushforward_2d_one_shot": (
+        "pushforward", _changed(mode="one_shot", schedule={"t": 0.5}), None,
+        "the 2-D abstract chart needs a composed schedule for the overlay"),
+    "trajectory_no_distribution": (
+        "trajectory", _changed(distribution=None), None, "trajectory command needs a 'distribution'"),
+    "trajectory_no_mode": (
+        "trajectory", _changed(mode=None, schedule=None), None, "trajectory command needs 'mode' or 'panels'"),
+    "schedule_string": ("trajectory", _changed(schedule="x"), "schedule", "schedule must be an object"),
+    "composed_schedule_without_times": (
+        "trajectory", _changed(schedule={"steps": 2}), "schedule", "composed schedule needs 'taus' or ('t_end','steps')"),
+    "panels_empty": ("trajectory", _changed(mode=None, schedule=None, panels=[]), "panels", "panels must be a nonempty list"),
+    "root_array": ("trajectory", lambda doc: [doc], None, "config root must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_CONFIG_ERRORS))
+def test_config_a_command_cannot_run_is_config_error(tmp_path, capsys, case):
+    command, edit, key, message = TYPED_CONFIG_ERRORS[case]
+    cfg = write_config(tmp_path, edit(base_trajectory_config(tmp_path / "out")))
+    line = 1 if key is None else next(i for i, ln in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in ln)
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at line {line}: {message}\n"
+
+
+def test_output_directory_that_is_a_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("x")
+    cfg = write_config(tmp_path, base_trajectory_config(tmp_path / "taken"))
+    assert main(["trajectory", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error at line 1: cannot write outputs: ")
+
+
+def test_one_shot_orbit_at_a_single_time_runs(tmp_path):
+    doc = _changed(mode="one_shot", schedule={"t": 0.5})(base_trajectory_config(tmp_path / "out"))
+    assert main(["trajectory", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    rows = read_csv_rows(tmp_path / "out" / "run_one_shot.csv")[1:]
+    assert sorted({row[0] for row in rows}) == ["0.0", "0.5"]
+
+
 CONFIG_KEYS = (
     "name", "distribution", "dim", "components", "weight", "mean", "cov", "mode", "schedule", "t", "times",
     "taus", "t_end", "steps", "retrain", "particles", "n", "seed", "grid", "per_axis", "extent", "points",

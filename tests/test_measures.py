@@ -12,6 +12,7 @@ from dae_transport import (
     Gaussian,
     GaussianMixture,
     ParticleEnsemble,
+    convolve,
     density,
     density_gradient,
     entropy,
@@ -21,6 +22,7 @@ from dae_transport import (
     renyi_entropy,
     sample,
     score,
+    silverman_covariance,
     smooth,
     stein_residual,
 )
@@ -63,6 +65,27 @@ def test_weights_must_be_finite(bad):
 def test_ensemble_rejects_nonfinite_or_empty_points(points, message):
     with pytest.raises(ContractError, match=message):
         ParticleEnsemble(points, seed=0)
+
+
+MALFORMED = {
+    "mixture_without_components": (lambda: GaussianMixture.from_components([]), "at least one component"),
+    "from_cov_shape_mismatch": (lambda: Gaussian.from_cov(np.eye(2), [0.0]), "does not match mean shape"),
+    "declared_dim_differs": (
+        lambda: GaussianMixture.from_json_dict({"dim": 2, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}),
+        "declared dim 2 does not match component dim 1",
+    ),
+    "points_3d": (lambda: score(GaussianMixture.standard(1), np.zeros((2, 1, 1))), "scalar, a vector or an \\(n, m\\)"),
+    "convolve_kernel_shape": (lambda: convolve(GaussianMixture.standard(2), np.eye(3)), "must be 2x2"),
+    "silverman_one_point": (lambda: silverman_covariance(np.zeros((1, 2))), "at least two points"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_argument_is_a_contract_error(case):
+    call, message = MALFORMED[case]
+    with pytest.raises(Exception, match=message) as err:
+        call()
+    assert type(err.value) is ContractError
 
 
 def test_covariance_must_be_symmetric():

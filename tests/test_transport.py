@@ -36,7 +36,7 @@ from dae_transport import (
     stein_residual,
 )
 from dae_transport.measures import _dae_factor, _moments
-from dae_transport.svg import write_json
+from dae_transport.svg import write_csv, write_json
 
 ANISO_COV = np.diag([2.0, 1.0])
 ANISO_G = Gaussian.from_cov(ANISO_COV)
@@ -214,6 +214,12 @@ def test_schedule_rejects_empty_and_nonpositive():
         FlowSchedule(())
     with pytest.raises(ContractError):
         FlowSchedule((0.1, 0.0))
+
+
+def test_uniform_schedule_needs_a_step():
+    with pytest.raises(Exception) as err:
+        FlowSchedule.uniform(1.0, 0)
+    assert type(err.value) is ContractError and "steps must be >= 1" in str(err.value)
 
 
 def test_schedule_rejects_a_layer_that_does_not_move_time():
@@ -467,7 +473,7 @@ def test_compose_rotated_gaussian_matches_eigenbasis_recursion():
     # about the mean and sends lam_j to lam_j^3 / (lam_j + tau)^2; the deep
     # uniform schedule lets rounding build up over many layers
     mean = ROT_MEAN
-    ens = ParticleEnsemble(probe_lattice(3.0, 7, 2, center=mean), seed=0)
+    ens = ParticleEnsemble(probe_lattice(3.0, 7, 2) + mean, seed=0)
     for taus in ((0.05, 0.1, 0.02, 0.2, 0.07), (0.25 / 2000,) * 2000):
         traj = compose(rotated(), FlowSchedule(taus), ens, "analytic")
         lam, z = ROT_LAM, (ens.points - mean) @ ROT
@@ -883,6 +889,15 @@ def test_trajectory_csv_and_json_outputs(tmp_path):
     assert len(doc["records"]) == 3
     ents = [r["entropy"] for r in doc["records"]]
     assert ents[0] > ents[1] > ents[2]
+
+
+def test_csv_cells_are_the_shortest_round_trip_text(tmp_path):
+    # a Python float, NumPy float64 values from the smallest subnormal to near the largest float, an int and a str
+    row = [0.1, *np.array([5e-324, -0.0, 1e-5, 1e16, 1e308]), 7, "one_shot"]
+    write_csv(tmp_path / "row.csv", ["a"], [row])
+    want = "a\n0.1,5e-324,-0.0,1e-05,1e+16,1e+308,7,one_shot\n"
+    assert (tmp_path / "row.csv").read_bytes() == want.encode()
+    assert want.splitlines()[1] == ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
 
 
 def test_trajectory_deterministic_export(tmp_path):

@@ -6,7 +6,8 @@
 # Extracts REV into a temporary directory (`git archive`, removed on exit) and
 # runs, in both trees, `pushforward fig1`, `trajectory fig2`, `pushforward
 # fig3` and `verify` (on fig2), each at the config's own seed, at --seed 3 and
-# at --seed 11: 12 runs per tree.  Exits non-zero if any output file differs
+# at --seed 11: 12 runs per tree, each under `-W error::RuntimeWarning`, so a
+# run that warns exits non-zero.  Exits non-zero if any output file differs
 # or any exit code changes, and then prints, for each differing file, the
 # largest absolute difference of its numbers (tools/diff_sizes.py); else
 # prints the runs' exit codes.  Set PYTHON to choose the interpreter (default
@@ -33,7 +34,7 @@ run_tree() {  # run_tree TREE OUT: the 12 runs of TREE, outputs and exit codes u
             dir="$out/${cmd}_${cfg}_seed_${seed:-config}"
             mkdir -p "$dir"
             code=0
-            (cd "$work" && PYTHONPATH="$tree/src" "$python" -m dae_transport "$cmd" \
+            (cd "$work" && PYTHONPATH="$tree/src" "$python" -W error::RuntimeWarning -m dae_transport "$cmd" \
                 --config "$tree/src/dae_transport/configs/$cfg.json" --out "$dir" ${seed:+--seed "$seed"}) \
                 >/dev/null 2>&1 || code=$?
             echo "$cmd $cfg seed=${seed:-config} exit=$code" >>"$out/exit_codes.txt"

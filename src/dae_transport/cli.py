@@ -13,8 +13,10 @@ Outputs are deterministic given (config, seed): no timestamps, and every
 file goes through the one writer in :mod:`dae_transport.svg` (shortest
 round-trip floats, sorted JSON keys, ``\n`` line endings).
 
-A rule the library owns (schedules, times, retrain modes, tolerance bounds,
-lattices) is asked of its owner by :func:`_library_check`, at the key's line.
+A rule the library owns (schedules, times, retrain modes, lattices) is
+asked of its owner by :func:`_library_check`, at the key's line.  A key the
+config format does not know is a config error at its line (:func:`_known`);
+a ``distribution``'s own keys are the library's to judge.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import ContractError, DomainError, SingularityError
 from .measures import Gaussian, GaussianMixture, ParticleEnsemble, density, sample
 from .svg import ChartFrame, SvgCanvas, write_csv, write_json
 from .transport import FlowSchedule, Trajectory, _orbit_times, _retrain_mode, compose, continuous_flow, one_shot_orbit
-from .verify import EXPECTED_FAILURES, _checked_tolerance, default_checks, probe_lattice
+from .verify import EXPECTED_FAILURES, default_checks, probe_lattice
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,6 +44,9 @@ EXIT_SINGULAR = 3
 EXIT_CRASH = 4
 
 _MODES = ("one_shot", "composed", "continuous")
+_PANEL_KEYS = ("name", "mode", "schedule", "retrain")
+_SCHEDULE_KEYS = {"one_shot": ("t", "times", "t_end", "steps"), "composed": ("taus", "t_end", "steps"),
+                  "continuous": ("t_end", "steps")}
 _FORMATS = ("csv", "json", "svg")
 
 _SAMPLE_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b")
@@ -116,6 +121,14 @@ def _checked_value(obj: _Object, key: str, value, kind, positive: bool):
     raise ConfigError(f"{key} must be {expected}, got {value!r}", obj.line(key))
 
 
+def _known(obj: _Object, *keys: str) -> _Object:
+    """``obj``, whose keys must all be among ``keys``: the first that is not is a ConfigError at its line."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}, expected one of {sorted(keys)}", obj.line(key))
+    return obj
+
+
 def _checked_name(name: str, obj: _Object) -> str:
     """A run or panel name, which prefixes output files, so it may not leave the output directory."""
     if name in ("", ".", "..") or "/" in name or "\\" in name:
@@ -144,7 +157,6 @@ class RunConfig:
     curve_extent: float
     out_dir: Path
     formats: tuple[str, ...]
-    tolerances: dict
     panels_line: int = 1  # where a command that draws one panel reports a second
 
 
@@ -161,6 +173,7 @@ def _validate_schedule(panel: _Object, mode: str) -> dict:
     spec, line = panel.get("schedule", {}), panel.line("schedule")
     if not isinstance(spec, dict):
         raise ConfigError("schedule must be an object", line)
+    _known(spec, *_SCHEDULE_KEYS[mode])
     uniform = "t_end" in spec and "steps" in spec
     if uniform:
         t_end, steps = _field(spec, "t_end", float, positive=True), _field(spec, "steps", int, positive=True)
@@ -196,18 +209,19 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         raise ConfigError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", 1)) from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _known(doc, "distribution", "particles", "grid", "outputs", "panels", *_PANEL_KEYS)
 
     mixture = None
     if "distribution" in doc:  # the plain decode, so library messages name plain JSON types
         mixture = _library_check(doc, "distribution", GaussianMixture.from_json_dict, plain["distribution"])
 
-    particles = _field(doc, "particles", dict, {})
+    particles = _known(_field(doc, "particles", dict, {}), "n", "seed")
     n = _field(particles, "n", int, 100, positive=True)
     seed = _field(particles, "seed", int, 0)
     if seed_override is not None:
         seed = int(seed_override)
 
-    grid = _field(doc, "grid", dict, {})
+    grid = _known(_field(doc, "grid", dict, {}), "per_axis", "extent", "points", "curve_extent")
     grid_per_axis = _field(grid, "per_axis", int, 9, positive=True)
     grid_extent = _field(grid, "extent", float, 3.0, positive=True)
     curve_points = _field(grid, "points", int, 401, positive=True)
@@ -215,7 +229,7 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     _library_check(grid, "extent", probe_lattice, grid_extent, grid_per_axis, 1 if mixture is None else mixture.dim)
     _library_check(grid, "curve_extent", probe_lattice, curve_extent, curve_points, 1)
 
-    outputs = _field(doc, "outputs", dict, {})
+    outputs = _known(_field(doc, "outputs", dict, {}), "dir", "formats")
     out_dir = Path(out_override) if out_override is not None else Path(str(outputs.get("dir", "out")))
     formats = tuple(_field(outputs, "formats", list, list(_FORMATS)))
     for fmt in formats:
@@ -224,7 +238,7 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
 
     # a root mode/schedule/retrain makes the root itself the one panel, named after its mode
     if "panels" in doc:
-        panel_docs = _field(doc, "panels", [dict])
+        panel_docs = [_known(p, *_PANEL_KEYS) for p in _field(doc, "panels", [dict])]
         if not panel_docs:
             raise ConfigError("panels must be a nonempty list", doc.line("panels"))
     else:
@@ -241,9 +255,6 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         _library_check(p, "retrain", _retrain_mode, 1 if mixture is None else mixture.k, retrain)
         panels.append(Panel(name, mode, _validate_schedule(p, mode), retrain))
 
-    bounds = _field(doc, "tolerances", dict, {})
-    tolerances = {key: _library_check(bounds, key, _checked_tolerance, key, value) for key, value in bounds.items()}
-
     return RunConfig(
         name=run_name,
         mixture=mixture,
@@ -256,7 +267,6 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         curve_extent=curve_extent,
         out_dir=out_dir,
         formats=formats,
-        tolerances=tolerances,
         panels_line=doc.line("panels"),
     )
 
@@ -485,7 +495,7 @@ def cmd_pushforward(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        reports = default_checks(seed=cfg.seed, tolerances=cfg.tolerances)
+        reports = default_checks(seed=cfg.seed)
     except Exception as exc:  # a crashed check is distinct from a failed one
         print(f"error: verification crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CRASH

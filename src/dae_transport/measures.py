@@ -39,14 +39,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
 from .rand import substream
-from .svg import write_csv
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -254,19 +252,6 @@ class ParticleEnsemble:
 
     def __repr__(self) -> str:
         return f"ParticleEnsemble(n={self.n}, dim={self.dim}, seed={self.seed})"
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write points as CSV with header x1..xm and a seed comment line."""
-        write_csv(path, [f"x{j + 1}" for j in range(self.dim)], self.points.tolist(), self.seed)
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "ParticleEnsemble":
-        """Read :meth:`to_csv` output: ``#`` lines (the last ``seed=N`` is the seed), column names, rows."""
-        lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-        seeds = [int(ln.split("seed=", 1)[1]) for ln in lines if ln.startswith("#") and "seed=" in ln]
-        data = [ln for ln in lines if not ln.startswith("#")][1:]  # after the column names
-        rows = [[float(v) for v in ln.split(",")] for ln in data]
-        return cls(np.array(rows, dtype=float), seeds[-1] if seeds else 0)
 
 
 def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

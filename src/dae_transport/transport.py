@@ -216,8 +216,9 @@ class Trajectory:
         diags = tuple(self.diagnostics)
         if not times or times[0] != 0.0:
             raise ContractError("trajectory times must start at 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ContractError("trajectory times must be strictly increasing")
+        # a NaN fails every comparison, and an infinity is either last or followed by a time not above it
+        if not (math.isfinite(times[-1]) and all(a < b for a, b in zip(times, times[1:]))):
+            raise ContractError("trajectory times must be finite and strictly increasing")
         if len(states) != len(times) or len(diags) != len(times):
             raise ContractError("times, states, and diagnostics must have equal length")
         if len({s.points.shape for s in states}) != 1:
@@ -354,6 +355,8 @@ def continuous_flow(
     covariance eigenvalue); past it the :class:`SingularityError` carries the
     initial state as a one-time trajectory in ``partial``.
     """
+    if ensemble.dim != mix0.dim:
+        raise ContractError(f"ensemble dimension {ensemble.dim} does not match measure dimension {mix0.dim}")
     schedule = FlowSchedule.uniform(t_end, steps)
     if mix0.k == 1:
         g = Gaussian.of(mix0)

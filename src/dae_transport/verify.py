@@ -3,12 +3,9 @@
 Each check evaluates an identity on a probe grid by two independent routes
 (finite differences vs. closed forms, Monte Carlo vs. analytic maps) and
 reports the residuals in a :class:`ResidualReport`.  Tolerances live in one
-table, :data:`TOLERANCES`.  The report is the one owner of the verdict: it
-derives its default tolerance, max absolute residual and ``passed`` itself.
-Check functions take no bound; :func:`default_checks` is the one place a
-config override replaces a default, and the report re-derives its verdict.
-:func:`_checked_tolerance` is the one bound rule, for the report,
-:func:`default_checks` and ``cli.load_config`` alike.
+table, :data:`TOLERANCES`, the only source of a bound: no check, suite run or
+config replaces one.  The report is the one owner of the verdict: it derives
+its tolerance (``TOLERANCES[name]``), max absolute residual and ``passed``.
 Covariance validity and point coercion are owned by ``measures._decomposed``
 and ``measures._pointwise``.  The one-shot control in the backward-heat
 check is expected to fail, which is itself asserted by the suite.
@@ -24,8 +21,7 @@ because ``perfbench/env.py`` passes them by keyword.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,23 +74,25 @@ _N_PROBE = 100  # seeded density probes of the time reversal
 class ResidualReport:
     """Residuals of one identity on a probe grid, with the pass/fail verdict it derives.
 
-    ``tolerance=None`` takes the bound from :data:`TOLERANCES`; ``max_abs``
-    and ``passed`` (``max_abs <= tolerance``) are computed here, never given.
+    ``tolerance`` (``TOLERANCES[name]``, so ``name`` must be a check there),
+    ``max_abs`` and ``passed`` (``max_abs <= tolerance``) are computed here, never given.
     """
 
     name: str
     grid: np.ndarray | None
     residuals: np.ndarray
-    tolerance: float | None = None
+    _: KW_ONLY
     seed: int | None = None
     details: dict = field(default_factory=dict)
+    tolerance: float = field(init=False)
     max_abs: float = field(init=False)
     passed: bool = field(init=False)
 
     def __post_init__(self):
+        if self.name not in TOLERANCES:
+            raise ContractError(f"unknown check {self.name!r}, expected one of {sorted(TOLERANCES)}")
         res = np.atleast_1d(np.asarray(self.residuals, dtype=float)).ravel()
-        explicit = self.tolerance is not None
-        tol = _checked_tolerance(self.name, self.tolerance, known=False) if explicit else TOLERANCES[self.name]
+        tol = TOLERANCES[self.name]
         max_abs = float(np.max(np.abs(res))) if res.size else 0.0
         grid = None if self.grid is None else np.asarray(self.grid, dtype=float)
         for key, value in zip(("grid", "residuals", "tolerance", "details", "max_abs", "passed"),
@@ -108,16 +106,6 @@ class ResidualReport:
     def to_json_dict(self) -> dict:
         keys = ("name", "tolerance", "max_abs", "passed", "grid_size", "seed", "details")
         return {key: getattr(self, key) for key in keys}
-
-
-def _checked_tolerance(name: str, bound, known: bool = True) -> float:
-    """``bound`` as a float: a finite number >= 0, not a bool, for a check ``name`` in TOLERANCES if ``known``."""
-    if known and name not in TOLERANCES:
-        raise ContractError(f"unknown tolerance {name!r}, expected one of {sorted(TOLERANCES)}")
-    number = isinstance(bound, (int, float, np.integer, np.floating)) and not isinstance(bound, bool)
-    if not (number and 0.0 <= bound <= sys.float_info.max):
-        raise ContractError(f"tolerance {name} must be a finite number >= 0, got {bound!r}")
-    return float(bound)
 
 
 def probe_lattice(extent: float, per_axis: int, dim: int) -> np.ndarray:
@@ -445,13 +433,8 @@ def check_renyi_gradient_identity(mix0: GaussianMixture, alpha: float = 2.0) -> 
 EXPECTED_FAILURES = ("backward_heat_one_shot_negative_control",)
 
 
-def default_checks(seed: int = 0, tolerances: dict | None = None) -> list[ResidualReport]:
-    """Run the full default verification suite and return all reports in order.
-
-    ``tolerances`` maps check names to bounds that replace the defaults of
-    :data:`TOLERANCES`, checked by :func:`_checked_tolerance` before any check runs.
-    """
-    tolerances = {name: _checked_tolerance(name, bound) for name, bound in (tolerances or {}).items()}
+def default_checks(seed: int = 0) -> list[ResidualReport]:
+    """Run the full default verification suite and return all reports in order."""
     std1 = GaussianMixture.standard(1)
     aniso2 = GaussianMixture.single([0.0, 0.0], np.diag([2.0, 1.0]))
     mix2 = GaussianMixture.from_components(
@@ -472,4 +455,4 @@ def default_checks(seed: int = 0, tolerances: dict | None = None) -> list[Residu
     reports.append(check_entropy_monotone(traj))
     reports.append(check_stein_identity(seed=seed))
     reports.append(check_renyi_gradient_identity(aniso2))
-    return [replace(r, tolerance=tolerances[r.name]) if r.name in tolerances else r for r in reports]
+    return reports

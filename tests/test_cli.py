@@ -148,8 +148,9 @@ MIXTURE_1D = {
         ("composed", {("name",): ".."}, "name"),
         ("composed", {("panels",): [_panel("a", "analytic", [0.1]), _panel("../b", "analytic", [0.1])]}, "name"),
         ("composed", {("panels",): [_panel(".", "analytic", [0.1])]}, "name"),
-        ("composed", {("tolerances",): {"backward_haet": 1.0}}, "backward_haet"),
-        ("composed", {("tolerances",): {"backward_heat": 1e-4, "time_reversal": -1.0}}, "time_reversal"),
+        # a check's bound is fixed: a tolerance table, well or badly formed, is an unknown key
+        ("composed", {("tolerances",): {"backward_haet": 1.0}}, "tolerances"),
+        ("composed", {("tolerances",): {"backward_heat": 1e-4, "time_reversal": -1.0}}, "tolerances"),
         # a one-panel config is named after its mode: a bad mode is reported at the mode, not as a name
         ("a/b", {}, "mode"),
         # a string value equal to the key is not the key
@@ -161,8 +162,10 @@ MIXTURE_1D = {
         ("composed", {("distribution", "dim"): math.inf}, "distribution"),
         ("composed", {("distribution", "dim"): 2.5}, "distribution"),
         # a nested "panels" key, with a brace in its string value, is not the root's panel list
+        # (a distribution component's extra keys are the library's, which ignores them)
         ("composed",
-         {("grid", "panels"): "a{", ("panels",): [_panel("a", "analytic", [0.1]), _panel("b", "bogus", [0.1])]},
+         {("distribution", "components", 0, "panels"): "a{",
+          ("panels",): [_panel("a", "analytic", [0.1]), _panel("b", "bogus", [0.1])]},
          "retrain"),
         # a schedule whose layers do not move the cumulative time is rejected by the library's FlowSchedule
         ("composed", {("schedule",): {"taus": [0.05, 1e-67]}}, "taus"),
@@ -175,6 +178,15 @@ MIXTURE_1D = {
         ("composed", {("schedule",): {"t_end": 1e308, "steps": 2}}, "t_end"),
         # one-shot times are judged by the library's orbit-time rule, at the key that holds them
         ("one_shot", {("schedule",): {"times": [0.5, 0.2]}}, "times"),
+        # a key the config format does not know is an error, not silently ignored
+        ("composed", {("particels",): {"n": 5}}, "particels"),
+        ("composed", {("particles", "seeds"): 3}, "seeds"),
+        ("composed", {("grid", "extnt"): 3.0}, "extnt"),
+        ("composed", {("outputs", "format"): ["csv"]}, "format"),
+        ("composed", {("schedule", "tau"): 0.1}, "tau"),
+        ("continuous", {("schedule",): {"t_end": 0.4, "steps": 4, "times": [0.1]}}, "times"),
+        ("composed", {("panels",): [_panel("a", "analytic", [0.1]), {**_panel("b", "analytic", [0.1]), "retrian": 1}]},
+         "retrian"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
@@ -184,7 +196,8 @@ MIXTURE_1D = {
         "mode_with_slash", "name_value_is_steps", "name_value_is_n", "n_in_an_earlier_object", "dim_overflow",
         "dim_fraction", "nested_panels_key", "taus_stuck", "taus_overflow", "composed_t_end_underflow", "continuous_t_end_underflow",
         "one_shot_t_end_overflow", "continuous_t_end_overflow", "composed_t_end_overflow",
-        "one_shot_times_not_increasing",
+        "one_shot_times_not_increasing", "unknown_root_key", "unknown_particles_key", "unknown_grid_key",
+        "unknown_outputs_key", "unknown_schedule_key", "key_of_another_modes_schedule", "unknown_panel_key",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
@@ -468,12 +481,6 @@ def test_bad_run_name_after_the_panels_is_reported_at_its_own_line(tmp_path, cap
     assert main(["trajectory", "--config", str(cfg)]) == EXIT_CONFIG
     assert f"config error at line {line}:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
-
-def test_zero_tolerance_is_legal(tmp_path):
-    doc = {"name": "v", "tolerances": {"entropy_monotone": 0, "time_reversal": 0.0}}
-    cfg = load_config(write_config(tmp_path, doc), None, None)
-    assert cfg.tolerances == {"entropy_monotone": 0.0, "time_reversal": 0.0}
 
 
 def test_one_shot_schedule_needs_single_t(tmp_path):
@@ -779,10 +786,13 @@ def test_verify_other_seed_same_verdicts_different_residuals(verify_runs):
     assert changed
 
 
-def test_verify_tightened_tolerance_fails(tmp_path):
+def test_verify_tightened_tolerance_fails(tmp_path, monkeypatch):
+    from dae_transport import verify
+
+    monkeypatch.setitem(verify.TOLERANCES, "variational_minimizer", 1e-12)
+    monkeypatch.setitem(verify.TOLERANCES, "continuity_t0_mixture", 1e-12)
     doc = {
         "name": "strict",
-        "tolerances": {"variational_minimizer": 1e-12, "continuity_t0_mixture": 1e-12},
         "outputs": {"dir": str(tmp_path / "out"), "formats": ["json"]},
     }
     cfg = write_config(tmp_path, doc)
@@ -792,6 +802,16 @@ def test_verify_tightened_tolerance_fails(tmp_path):
 
 
 # -- bundled figure configs -------------------------------------------------------------------
+
+
+def test_readme_example_config_loads_and_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Config is a single JSON document:")[1].split("```json\n")[1].split("```")[0]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(example)
+    assert load_config(cfg, None, None).name == "run"
+    assert main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (tmp_path / "out" / "run_composed.csv").is_file()
 
 
 def test_bundled_configs_exist():
@@ -810,7 +830,7 @@ def test_fig2_config_produces_four_panels_of_outputs(tmp_path):
 def test_verify_crash_maps_to_exit_4(tmp_path, monkeypatch):
     import dae_transport.cli as cli_mod
 
-    def boom(seed=0, tolerances=None):
+    def boom(seed=0):
         raise RuntimeError("synthetic crash")
 
     monkeypatch.setattr(cli_mod, "default_checks", boom)

@@ -465,17 +465,6 @@ def test_sample_rejects_zero():
         sample(GaussianMixture.standard(1), 0, 0)
 
 
-def test_ensemble_csv_round_trip(tmp_path):
-    ens = sample(two_mixture(), 50, 31)
-    path = tmp_path / "ens.csv"
-    ens.to_csv(path)
-    first = path.read_text().splitlines()[0]
-    assert first == "# seed=31"
-    back = ParticleEnsemble.from_csv(path)
-    assert back.seed == 31
-    np.testing.assert_array_equal(back.points, ens.points)
-
-
 # -- noise identity -----------------------------------------------------------------------
 
 

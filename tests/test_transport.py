@@ -846,6 +846,14 @@ def test_one_shot_orbit_rejects_wrong_dimension():
         one_shot_orbit(aniso(), [0.5], ens_1d)
 
 
+def test_continuous_flow_checks_the_dimension_before_the_horizon():
+    # t_end = 5 is past the horizon of N(0, I_2); the 3-D ensemble is the first fault, as in compose
+    ens_3d = ParticleEnsemble(np.zeros((4, 3)), seed=0)
+    with pytest.raises(ContractError, match="dimension") as err:
+        continuous_flow(GaussianMixture.standard(2), 5.0, 2, ens_3d)
+    assert type(err.value) is ContractError
+
+
 # -- trajectory container -------------------------------------------------------------------
 
 
@@ -854,6 +862,15 @@ def test_trajectory_requires_increasing_times():
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), ens, "analytic")
     with pytest.raises(ContractError):
         Trajectory((0.0, 0.2, 0.1), traj.states, traj.diagnostics)
+
+
+@pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, math.inf), (0.0, 1.0, math.nan)],
+                         ids=["nan", "inf", "nan_after_increase"])
+def test_trajectory_rejects_times_that_are_not_finite(times):
+    traj = compose(aniso(), FlowSchedule((0.1, 0.1)), probe_ensemble(), "analytic")
+    k = len(times)
+    with pytest.raises(ContractError, match="finite and strictly increasing"):
+        Trajectory(times, traj.states[:k], traj.diagnostics[:k])
 
 
 def test_trajectory_rejects_bad_start_lengths_and_shapes():

@@ -174,6 +174,9 @@ def _validate_schedule(panel: _Object, mode: str) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("schedule must be an object", line)
     _known(spec, *_SCHEDULE_KEYS[mode])
+    sources = ["t_end" if key == "steps" else key for key in spec]  # ('t_end', 'steps') is one time source
+    if (key := next((k for k, source in zip(spec, sources) if source != sources[0]), None)) is not None:
+        raise ConfigError(f"{mode} schedule takes one time source, got {[*spec][0]!r} and {key!r}", spec.line(key))
     uniform = "t_end" in spec and "steps" in spec
     if uniform:
         t_end, steps = _field(spec, "t_end", float, positive=True), _field(spec, "steps", int, positive=True)
@@ -254,6 +257,9 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         _checked_name(name, p)
         _library_check(p, "retrain", _retrain_mode, 1 if mixture is None else mixture.k, retrain)
         panels.append(Panel(name, mode, _validate_schedule(p, mode), retrain))
+    stray = [key for key in doc if key in ("mode", "schedule", "retrain")] if "panels" in doc else []
+    if stray:  # beside a panel list the root is no panel, so its panel keys would go unread
+        raise ConfigError(f"root {stray[0]!r} beside 'panels': give it in each panel", doc.line(stray[0]))
 
     return RunConfig(
         name=run_name,

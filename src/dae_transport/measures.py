@@ -58,6 +58,7 @@ MC_DEFAULT_N = 100_000
 
 #: Most (point, datum) pairs one cache-sized chunk of a kernel pass holds at once.
 _KERNEL_CHUNK_PAIRS = 65_536
+_SCALED_CHUNK_ELEMENTS = 8192  # most elements in each of the two chunk buffers of :meth:`Gaussian._scaled`
 
 
 class Estimate(NamedTuple):
@@ -242,6 +243,16 @@ class ParticleEnsemble:
         object.__setattr__(self, "points", _frozen(pts.copy()))
         object.__setattr__(self, "seed", int(self.seed))
 
+    @classmethod
+    def _of_chunks(cls, chunks: Iterable[np.ndarray], seed: int) -> list["ParticleEnsemble"]:
+        """Read-only ensembles over the (n, m) rows of (c, n, m) chunks, one constructor call per chunk."""
+        blocks = [b for c in chunks for b in cls(c.reshape(-1, c.shape[2]), seed).points.reshape(c.shape)]
+        states = [object.__new__(cls) for _ in blocks]
+        for state, block in zip(states, blocks):  # set as the constructor does, so no instance dict is made
+            object.__setattr__(state, "points", block)
+            object.__setattr__(state, "seed", int(seed))
+        return states
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -412,7 +423,7 @@ class Gaussian:
         t = _checked_time(t, "noise variance")
         if t == 0.0:
             return x.copy()
-        return next(self._scaled(x, _dae_factor(self.evals, t)[None]))
+        return next(self._scaled(x, _dae_factor(self.evals, t)[None]))[0]
 
     @_pointwise
     def continuous_map(self, x, t: float) -> np.ndarray:
@@ -426,20 +437,24 @@ class Gaussian:
         if t == 0.0:
             return x.copy()
         self.check_horizon(t, "continuous map")
-        return next(self._scaled(x, np.sqrt(1.0 - 2.0 * t / self.evals)[None]))
+        return next(self._scaled(x, np.sqrt(1.0 - 2.0 * t / self.evals)[None]))[0]
 
     def _scaled(self, x: np.ndarray, factors: np.ndarray) -> Iterator[np.ndarray]:
         """``V (Z0 F) + mean`` as (n, m) points for each row F of an ``(L, m)`` stack of per-axis factors.
 
         The one eigen-scaling of every single-Gaussian point map, on the (m, n) eigen-coordinates
-        ``Z0 = ((x - mean) V)^T``: a row scaling and an m x m GEMM into two reused (m, n) buffers,
-        so each yielded array is overwritten by the next.
+        ``Z0 = ((x - mean) V)^T``, c >= 1 layers at a time: a row scaling and one batched m x m GEMM into
+        two reused (c, m, n) buffers of at most :data:`_SCALED_CHUNK_ELEMENTS` elements; each chunk is
+        yielded as C-ordered (c, n, m) points in the first buffer, which the next chunk overwrites.
         """
         z0 = ((x - self.mean) @ self.evecs).T.copy()
-        scaled, moved = np.empty_like(z0), np.empty_like(z0)
-        for f in factors:
-            np.matmul(self.evecs, np.multiply(z0, f[:, None], out=scaled), out=moved)
-            yield np.add(moved, self.mean[:, None], out=moved).T
+        (m, n), c = z0.shape, max(1, min(len(factors), _SCALED_CHUNK_ELEMENTS // z0.size))
+        scaled, moved = np.empty((c, m, n)), np.empty((c, m, n))
+        for f in np.split(factors[:, :, None], range(c, len(factors), c)):
+            out = np.matmul(self.evecs, np.multiply(z0, f, out=scaled[:len(f)]), out=moved[:len(f)])
+            points = scaled[:len(f)].reshape(len(f), n, m)  # the spent scaled coordinates' memory
+            np.add(out, self.mean[:, None], out=points.transpose(0, 2, 1))
+            yield points
 
     def w2(self, other: "Gaussian") -> float:
         """Quadratic Wasserstein (Bures-Wasserstein) distance to ``other``.
@@ -492,8 +507,8 @@ def _log_dets(evals: np.ndarray) -> np.ndarray:
         return np.where(np.min(evals, axis=-1) <= 0.0, -np.inf, np.log(evals).sum(axis=-1))
 
 
-def _gaussian_entropy(m: int, log_det: float) -> float:
-    """Differential entropy of an m-dimensional Gaussian from its log determinant."""
+def _gaussian_entropy(m: int, log_det):
+    """Differential entropy of an m-dimensional Gaussian from its log determinant, on floats or arrays alike."""
     return 0.5 * (m * (_LOG_2PI + 1.0) + log_det)
 
 

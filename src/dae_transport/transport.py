@@ -25,10 +25,10 @@ entropies) is an eigenvalue map of the one Gaussian value
 ``measures.Gaussian``, which also owns the closed-form maps.  The retrain
 rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are
 the ones ``cli.load_config`` also calls.  An analytic
-flow of L layers on n points in R^m decomposes the initial covariance once
-and builds no per-layer object: an O(L m) float recursion gives the (L+1, m)
-eigenvalue path, the entropies come from it in one pass, and each state is one
-``Gaussian._scaled`` row (the code of ``denoise``): a scaling and an m x m GEMM.
+flow of L layers on n points in R^m decomposes the initial covariance once;
+its (L+1, m) eigenvalue path gives the entropies in one array pass, and
+``Gaussian._scaled`` (the code of ``denoise``) moves the states a chunk of
+layers at a time, each chunk checked by one ensemble.
 """
 
 from __future__ import annotations
@@ -150,14 +150,14 @@ class FlowSchedule:
     taus: tuple[float, ...]
 
     def __post_init__(self):
-        taus = tuple(
-            _checked_time(t, "layer variance", positive=True)
-            for t in np.atleast_1d(np.asarray(self.taus, dtype=float))
-        )
-        if len(taus) == 0:
-            raise ContractError("schedule must contain at least one layer")
+        taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
+        if taus.ndim != 1 or taus.size == 0:
+            raise ContractError(f"schedule must contain at least one layer, in a flat sequence; got shape {taus.shape}")
+        bad = np.flatnonzero(~(np.isfinite(taus) & (taus > 0.0)))
+        if bad.size:  # all layers in one pass; the first bad one raises the time check's own error
+            _checked_time(taus[bad[0]], "layer variance", positive=True)
         with np.errstate(over="ignore"):  # a sum past the largest float is rejected as inf
-            self._record(taus, np.cumsum(taus))
+            self._record(tuple(taus.tolist()), np.cumsum(taus))
 
     def _record(self, taus: tuple[float, ...], times: np.ndarray) -> None:
         """Keep ``taus`` and the times after each layer, which must strictly increase and stay finite."""
@@ -274,9 +274,9 @@ def _trajectory(
     if evals is None:
         diags = [_layer_diagnostics(s.points, seed, layer) for layer, s in enumerate(states)]
     else:
-        m = evals.shape[1]
-        diags = [FlowDiagnostics(Estimate(_gaussian_entropy(m, ld), 0.0), Estimate(_gaussian_renyi(m, ld, 2.0), 0.0))
-                 for ld in _log_dets(evals).tolist()]
+        m, log_dets = evals.shape[1], _log_dets(evals)
+        diags = [FlowDiagnostics(Estimate(h, 0.0), Estimate(_gaussian_renyi(m, ld, 2.0), 0.0))
+                 for h, ld in zip(_gaussian_entropy(m, log_dets).tolist(), log_dets.tolist())]
     return Trajectory(times, states, diags)
 
 
@@ -297,8 +297,8 @@ def compose(
     composed ``Gaussian.denoise`` maps; the ensemble may then be arbitrary
     probe points.  State l is ``Gaussian._scaled``, the code of ``denoise``,
     at the product of the first l layers' ``_dae_factor`` at their incoming
-    eigenvalues: an O(L m) float recursion, then one (m, n) scaling and one
-    m x m GEMM per state; no per-layer object is built, no moment derived.
+    eigenvalues: an O(L m) float recursion, then one scaling, one batched m x m
+    GEMM and one ensemble check per chunk of max(1, 8192 // (m n)) states.
     ``retrain='empirical'`` rebuilds an :class:`EmpiricalKernel` map from the
     current particles with bandwidth equal to the layer's own noise variance,
     matching the map's smoothing scale.  The default is analytic for a single
@@ -320,8 +320,8 @@ def compose(
         g0 = Gaussian.of(mix0)
         lam = g0.composed(schedule.taus)
         factors = np.cumprod(_dae_factor(lam[:-1], np.array(schedule.taus)[:, None]), axis=0)
-        moved = g0._scaled(ensemble.points, factors)
-        return _trajectory(times, [ensemble] + [ParticleEnsemble(x, ensemble.seed) for x in moved], lam)
+        states = ParticleEnsemble._of_chunks(g0._scaled(ensemble.points, factors), ensemble.seed)
+        return _trajectory(times, [ensemble, *states], lam)
 
     points, states = ensemble.points, [ensemble]
     for tau in schedule.taus:
@@ -380,13 +380,12 @@ def one_shot_orbit(
     if ensemble.dim != mix0.dim:
         raise ContractError("ensemble dimension does not match measure dimension")
 
-    if mix0.k == 1:
-        g, t_col = Gaussian.of(mix0), np.array(ts)[:, None]
-        moved = g._scaled(ensemble.points, _dae_factor(g.evals, t_col))
-        evals = np.vstack([g.evals, _one_shot_evals(g.evals, t_col)])
-    else:
-        moved, evals = (MixtureExact(mix0, t).apply(ensemble.points) for t in ts), None
-    return _trajectory((0.0, *ts), [ensemble] + [ParticleEnsemble(x, ensemble.seed) for x in moved], evals)
+    if mix0.k > 1:
+        states = [ParticleEnsemble(MixtureExact(mix0, t).apply(ensemble.points), ensemble.seed) for t in ts]
+        return _trajectory((0.0, *ts), [ensemble, *states], None)
+    g, t_col = Gaussian.of(mix0), np.array(ts)[:, None]
+    states = ParticleEnsemble._of_chunks(g._scaled(ensemble.points, _dae_factor(g.evals, t_col)), ensemble.seed)
+    return _trajectory((0.0, *ts), [ensemble, *states], np.vstack([g.evals, _one_shot_evals(g.evals, t_col)]))
 
 
 def _orbit_times(times: Sequence[float]) -> list[float]:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import dae_transport
 from dae_transport import FlowSchedule, GaussianMixture, compose, continuous_flow, sample
+from dae_transport.measures import _SCALED_CHUNK_ELEMENTS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,15 +44,18 @@ def test_tracer_counts_kernel_pairs_of_maps_and_density_estimates(monkeypatch):
     assert tracer.counts["measures.kde_log_density.pairs"] == 3 * n * n + 5 * n
 
 
-def test_tracer_counts_one_ensemble_per_analytic_state(monkeypatch):
-    # the analytic flow scales reused buffers, but every state still goes through the ensemble constructor
+def test_tracer_counts_one_ensemble_per_chunk_of_analytic_states(monkeypatch):
+    # the analytic flow scales and checks its states a chunk of layers at a time: one constructor call per
+    # chunk, at least one per flow, so a traced flow of any shape still times the constructor
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
     mix = GaussianMixture.single([0.0, 0.0], [[2.0, 0.0], [0.0, 1.0]])
-    ens = sample(mix, 16, 0)
-    with tracing.Tracer() as tracer:
-        traj = continuous_flow(mix, 0.4, 5, ens)
-    assert len(traj.states) == 6 and traj.states[0] is ens
-    assert tracer.counts["measures.ParticleEnsemble.init.calls"] == 5
-    assert tracer.counts["measures.ParticleEnsemble.init.bytes"] == 5 * ens.points.nbytes
+    for n, steps in ((16, 5), (16, 600), (5000, 3)):
+        ens = sample(mix, n, 0)
+        per_chunk = max(1, _SCALED_CHUNK_ELEMENTS // ens.points.size)
+        with tracing.Tracer() as tracer:
+            traj = continuous_flow(mix, 0.4, steps, ens)
+        assert len(traj.states) == steps + 1 and traj.states[0] is ens
+        assert tracer.counts["measures.ParticleEnsemble.init.calls"] == max(1, math.ceil(steps / per_chunk))
+        assert tracer.counts["measures.ParticleEnsemble.init.bytes"] == steps * ens.points.nbytes

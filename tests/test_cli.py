@@ -187,6 +187,17 @@ MIXTURE_1D = {
         ("continuous", {("schedule",): {"t_end": 0.4, "steps": 4, "times": [0.1]}}, "times"),
         ("composed", {("panels",): [_panel("a", "analytic", [0.1]), {**_panel("b", "analytic", [0.1]), "retrian": 1}]},
          "retrian"),
+        # beside a panel list, a root panel key would be ignored
+        (None, {("panels",): [_panel("a", "analytic", [0.1])], ("mode",): "continuous"}, "mode"),
+        (None, {("panels",): [_panel("a", "analytic", [0.1])], ("schedule",): {"t_end": 0.2, "steps": 2}}, "schedule"),
+        (None, {("panels",): [_panel("a", "analytic", [0.1])], ("retrain",): "empirical"}, "retrain"),
+        # a schedule gives its times one way; a second time source would be ignored
+        ("one_shot", {("schedule",): {"t": 0.5, "times": [0.1, 0.2, 0.3]}}, "times"),
+        ("one_shot", {("schedule",): {"times": [0.1], "t_end": 0.4, "steps": 4}}, "t_end"),
+        ("one_shot", {("schedule",): {"steps": 4, "t": 0.5, "t_end": 0.4}}, "t"),
+        ("composed", {("schedule",): {"taus": [0.1], "t_end": 0.4, "steps": 4}}, "t_end"),
+        ("composed", {("schedule",): {"t_end": 0.4, "steps": 4, "taus": [0.1]}}, "taus"),
+        ("composed", {("schedule",): {"taus": [0.1], "steps": 4}}, "steps"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
@@ -198,10 +209,17 @@ MIXTURE_1D = {
         "one_shot_t_end_overflow", "continuous_t_end_overflow", "composed_t_end_overflow",
         "one_shot_times_not_increasing", "unknown_root_key", "unknown_particles_key", "unknown_grid_key",
         "unknown_outputs_key", "unknown_schedule_key", "key_of_another_modes_schedule", "unknown_panel_key",
+        "root_mode_beside_panels", "root_schedule_beside_panels", "root_retrain_beside_panels",
+        "one_shot_t_and_times", "one_shot_times_and_t_end", "one_shot_t_end_and_t", "composed_taus_and_t_end",
+        "composed_t_end_and_taus", "composed_taus_and_steps",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):
-    doc = _set(base_trajectory_config(tmp_path / "out"), ("mode",), mode)
+    doc = base_trajectory_config(tmp_path / "out")
+    if mode is None:  # no root panel; a row may give a root panel key after its panel list
+        del doc["mode"], doc["schedule"]
+    else:
+        _set(doc, ("mode",), mode)
     for path, value in edits.items():
         _set(doc, path, value)
     cfg = write_config(tmp_path, doc)

@@ -35,7 +35,7 @@ from dae_transport import (
     smooth,
     stein_residual,
 )
-from dae_transport.measures import _dae_factor, _moments
+from dae_transport.measures import _SCALED_CHUNK_ELEMENTS, _dae_factor, _moments
 from dae_transport.svg import write_csv, write_json
 
 ANISO_COV = np.diag([2.0, 1.0])
@@ -643,6 +643,39 @@ def test_stacked_entropies_equal_each_gaussians_bit_for_bit(m):
         log_det = -math.inf if row[0] <= 0.0 else float(np.log(row).sum())
         assert d.entropy.value == 0.5 * (m * (math.log(2.0 * math.pi) + 1.0) + log_det)
     assert traj.diagnostics[3].entropy.value == -math.inf and traj.diagnostics[3].renyi2.value == math.inf
+
+
+@pytest.mark.parametrize("n", [3, 64, 257])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 16])
+def test_analytic_states_do_not_depend_on_the_chunk_edges(m, n):
+    # the analytic flows scale c layers per chunk; a state is the same at every position in its chunk
+    c = max(1, _SCALED_CHUNK_ELEMENTS // (n * m))
+    rng = np.random.default_rng(100 * m + n)
+    mix = _random_gaussian(rng, m, 10.0)
+    g, ens = Gaussian.of(mix), ParticleEnsemble(2.0 * rng.standard_normal((n, m)), seed=0)
+    taus = tuple(rng.uniform(1e-4, 1e-3, size=2 * c + 3).tolist())
+    traj = compose(mix, FlowSchedule(taus), ens, "analytic")
+    assert all(not s.points.flags.writeable for s in traj.states)
+    for layers in sorted({1, c - 1, c, c + 1, 2 * c, len(taus)} - {0}):
+        alone = compose(mix, FlowSchedule(taus[:layers]), ens, "analytic").states[-1]
+        assert np.array_equal(traj.states[layers].points, alone.points), (layers, c)
+    times = np.cumsum(rng.uniform(1e-3, 1.0, size=c + 2)).tolist()
+    orbit = one_shot_orbit(mix, times, ens)
+    assert all(not s.points.flags.writeable for s in orbit.states)
+    for t, state in zip(times, orbit.states[1:]):
+        assert np.array_equal(state.points, g.denoise(ens.points, t)), t
+
+
+def test_a_chunk_of_analytic_states_holding_an_inf_is_rejected():
+    # x - mean overflows to -inf for the particle at -1e308, so every state of every chunk of c layers holds it
+    mix, ens = GaussianMixture.single([1e308], [[1.0]]), ParticleEnsemble(np.array([[-1e308], [0.0]]), seed=0)
+    c = _SCALED_CHUNK_ELEMENTS // ens.points.size
+    flows = (lambda: compose(mix, FlowSchedule((1e-6,) * (2 * c + 3)), ens, "analytic"),
+             lambda: one_shot_orbit(mix, [0.1, 0.2], ens))
+    for flow in flows:
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+            with pytest.raises(ContractError, match="ensemble points must be finite"):
+                flow()
 
 
 # -- continuous flow ----------------------------------------------------------------------

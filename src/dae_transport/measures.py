@@ -13,7 +13,7 @@ underflow.  Each component covariance is stored with a cached spectral
 factorization that the mixture's own solves, log determinants, and square
 roots reuse; the density and its derivatives evaluate all components at
 once.  :func:`_decomposed` is the one covariance validator (finite, symmetric,
-lambda_min > 1e-12 lambda_max), :func:`_pointwise` the one point-or-batch
+not flat by :func:`_spectrum`'s rule), :func:`_pointwise` the one point-or-batch
 rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 
 :class:`Gaussian`, a mean and one eigenbasis, is the one route to the
@@ -86,13 +86,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
-    """``(cov, evals, evecs)`` of valid covariances, one ``(m, m)`` or a ``(k, m, m)`` stack.
+def _spectrum(mean: np.ndarray, cov: np.ndarray, what: str):
+    """``(cov, evals, evecs, flat)`` of finite (m, m) or (k, m, m) covariances symmetric to 1e-12 * max(1, max |cov|).
 
-    Valid means finite, symmetric to ``1e-12 * max(1, max |cov|)`` (the
-    returned ``cov`` is symmetrized) and positive definite with every
-    smallest eigenvalue above ``1e-12`` times the largest, so a covariance one
-    caller accepts no other caller rejects.
+    ``cov`` comes back symmetrized; ``flat``, the positivity rule, marks each smallest eigenvalue <= 1e-12 x largest.
     """
     m = mean.shape[-1]
     if cov.shape != mean.shape + (m,):
@@ -104,11 +101,16 @@ def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
         raise ContractError(f"{what} covariance must be symmetric within 1e-12")
     cov = 0.5 * cov + 0.5 * flipped  # halves first: no overflow near the largest float
     evals, evecs = np.linalg.eigh(cov)
-    lam = evals.reshape(-1, m)
-    bad = np.flatnonzero(lam[:, 0] <= 1e-12 * lam[:, -1])
+    return cov, evals, evecs, evals[..., 0] <= 1e-12 * evals[..., -1]
+
+
+def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
+    """``(cov, evals, evecs)`` of :func:`_spectrum`, none flat, so a covariance one caller accepts no other rejects."""
+    cov, evals, evecs, flat = _spectrum(mean, cov, what)
+    bad = np.flatnonzero(flat)
     if bad.size:
         label = what if cov.ndim == 2 else f"{what} {bad[0]}"
-        raise ContractError(f"{label} covariance is not positive definite (eigenvalues {lam[bad[0]]})")
+        raise ContractError(f"{label} covariance is not positive definite (eigenvalues {np.atleast_2d(evals)[bad[0]]})")
     return cov, evals, evecs
 
 

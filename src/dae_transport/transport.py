@@ -17,8 +17,8 @@ schedules produce identical trajectories bit for bit.
 
 Every flow hands its times, its states and, when their laws are Gaussians
 known in closed form, their stacked eigenvalues (else None) to one builder,
-which records each state's entropies; the states' sample moments are taken
-when the JSON is written.
+which records each state's entropy and Renyi-2 as (value, stderr) rows of two
+``(T, 2)`` arrays; the states' sample moments are taken when the JSON is written.
 
 Every single-Gaussian formula here (the propagated covariance and its
 entropies) is an eigenvalue map of the one Gaussian value
@@ -26,7 +26,7 @@ entropies) is an eigenvalue map of the one Gaussian value
 rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are
 the ones ``cli.load_config`` also calls.  An analytic
 flow of L layers on n points in R^m decomposes the initial covariance once;
-its (L+1, m) eigenvalue path gives the entropies in one array pass, and
+its (L+1, m) eigenvalue path gives the entropy column in one array pass, and
 ``Gaussian._scaled`` (the code of ``denoise``) moves the states a chunk of
 layers at a time, each chunk checked by one ensemble.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .measures import (
     ParticleEnsemble,
     _checked_time,
     _dae_factor,
+    _frozen,
     _gaussian_entropy,
     _gaussian_renyi,
     _kernel_pass,
@@ -56,6 +57,7 @@ from .measures import (
     _one_shot_evals,
     _pointwise,
     _renyi_terms,
+    _spectrum,
     kde_log_density,
     score,
     silverman_covariance,
@@ -190,40 +192,36 @@ class FlowSchedule:
         return len(self.taus)
 
 
-@dataclass(frozen=True, eq=False)
-class FlowDiagnostics:
-    """Per-time summary: entropy and quadratic Renyi estimates."""
+class FlowDiagnostics(NamedTuple):
+    """One time's entropy and Renyi-2 estimates: :attr:`Trajectory.diagnostics` builds them on each read."""
 
     entropy: Estimate
     renyi2: Estimate
 
-    def to_json_dict(self) -> dict:
-        return {"entropy": self.entropy.value, "entropy_stderr": self.entropy.stderr,
-                "renyi2": self.renyi2.value, "renyi2_stderr": self.renyi2.stderr}
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-stamped particle states with per-time diagnostics."""
+    """Time-stamped particle states; ``entropy`` and ``renyi2`` are read-only ``(T, 2)`` (value, stderr) rows."""
 
     times: tuple[float, ...]
     states: tuple[ParticleEnsemble, ...]
-    diagnostics: tuple[FlowDiagnostics, ...]
+    entropy: np.ndarray
+    renyi2: np.ndarray
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         states = tuple(self.states)
-        diags = tuple(self.diagnostics)
+        ent, ren = (_frozen(np.array(a, dtype=float)) for a in (self.entropy, self.renyi2))
         if not times or times[0] != 0.0:
             raise ContractError("trajectory times must start at 0")
         # a NaN fails every comparison, and an infinity is either last or followed by a time not above it
         if not (math.isfinite(times[-1]) and all(a < b for a, b in zip(times, times[1:]))):
             raise ContractError("trajectory times must be finite and strictly increasing")
-        if len(states) != len(times) or len(diags) != len(times):
-            raise ContractError("times, states, and diagnostics must have equal length")
+        if len(states) != len(times) or ent.shape != (len(times), 2) or ren.shape != ent.shape:
+            raise ContractError("times, states, and (value, stderr) rows of entropy and renyi2 must have equal length")
         if len({s.points.shape for s in states}) != 1:
             raise ContractError("all trajectory states must share n and m")
-        for key, value in zip(("times", "states", "diagnostics"), (times, states, diags)):
+        for key, value in zip(("times", "states", "entropy", "renyi2"), (times, states, ent, ren)):
             object.__setattr__(self, key, value)
 
     @property
@@ -234,6 +232,11 @@ class Trajectory:
     def dim(self) -> int:
         return self.states[0].dim
 
+    @property
+    def diagnostics(self) -> tuple[FlowDiagnostics, ...]:
+        return tuple(FlowDiagnostics(Estimate(*h), Estimate(*r))
+                     for h, r in zip(self.entropy.tolist(), self.renyi2.tolist()))
+
     def to_csv(self, path: str | Path) -> None:
         """Long-format CSV: one row per (time, particle) with columns x1..xm."""
         header = ["time", "particle_id"] + [f"x{j + 1}" for j in range(self.dim)]
@@ -242,42 +245,45 @@ class Trajectory:
         write_csv(path, header, rows, self.states[0].seed)
 
     def diagnostics_json(self) -> dict:
-        """Per-time records: the diagnostics plus the particles' sample moments, taken here from the states."""
+        """Per-time records: the entropy rows plus the particles' sample moments, taken here from the states."""
         records = []
-        for t, s, d in zip(self.times, self.states, self.diagnostics):
+        for t, s, (h, dh), (r, dr) in zip(self.times, self.states, self.entropy.tolist(), self.renyi2.tolist()):
             mean, cov = _moments(s.points)
-            records.append({"time": t, **d.to_json_dict(), "mean": mean.tolist(), "cov": cov.tolist()})
+            records.append({"time": t, "entropy": h, "entropy_stderr": dh, "renyi2": r, "renyi2_stderr": dr,
+                            "mean": mean.tolist(), "cov": cov.tolist()})
         return {"seed": self.states[0].seed, "records": records}
 
 
 # -- diagnostics helpers -------------------------------------------------------------
 
 
-def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> FlowDiagnostics:
-    """Entropies of a sampled layer: seeded kernel density estimates on capped subsamples of its particles."""
+def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> tuple[float, float, float, float]:
+    """``(h, dh, r, dr)`` of a state, by seeded KDEs on capped subsamples; ``(-inf, 0, inf, 0)`` for a flat kernel."""
     rng = substream(seed, 100, layer)
     n = points.shape[0]
     data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
                     for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
-    lp = kde_log_density(data, silverman_covariance(data), probes)
-    return FlowDiagnostics(Estimate.mean_of(-lp), Estimate.mean_of(_renyi_terms(lp, 2.0)))
+    cov = silverman_covariance(data)
+    if _spectrum(np.zeros(len(cov)), cov, "Silverman kernel")[3]:
+        return -math.inf, 0.0, math.inf, 0.0
+    lp = kde_log_density(data, cov, probes)
+    return (*Estimate.mean_of(-lp), *Estimate.mean_of(_renyi_terms(lp, 2.0)))
 
 
 def _trajectory(
     times: Sequence[float], states: Sequence[ParticleEnsemble], evals: np.ndarray | None
 ) -> Trajectory:
-    """The one place states become a :class:`Trajectory`, with entropies read in one pass from ``evals``.
+    """The one place states become a :class:`Trajectory`, with one ``(h, dh, r, dr)`` row per state.
 
-    Row l of ``evals`` holds the eigenvalues of state l's Gaussian law; ``None`` marks sampled states.
+    Row l of ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None`` marks sampled states.
     """
-    seed = states[0].seed
     if evals is None:
-        diags = [_layer_diagnostics(s.points, seed, layer) for layer, s in enumerate(states)]
+        rows = np.array([_layer_diagnostics(s.points, states[0].seed, layer) for layer, s in enumerate(states)])
     else:
         m, log_dets = evals.shape[1], _log_dets(evals)
-        diags = [FlowDiagnostics(Estimate(h, 0.0), Estimate(_gaussian_renyi(m, ld, 2.0), 0.0))
-                 for h, ld in zip(_gaussian_entropy(m, log_dets).tolist(), log_dets.tolist())]
-    return Trajectory(times, states, diags)
+        renyi = [_gaussian_renyi(m, ld, 2.0) for ld in log_dets.tolist()]  # math.exp: NumPy's exp moves last bits
+        rows = np.stack([_gaussian_entropy(m, log_dets), np.zeros(len(renyi)), renyi, np.zeros(len(renyi))], axis=1)
+    return Trajectory(times, states, rows[:, :2], rows[:, 2:])
 
 
 # -- flows -------------------------------------------------------------------------

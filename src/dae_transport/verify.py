@@ -347,19 +347,19 @@ def check_entropy_monotone(traj: Trajectory) -> ResidualReport:
 
     Residuals are per-step violations ``max(0, H_{k+1} - H_k - allowance)``:
     zero allowance (and strictly negative steps required) for analytic
-    trajectories, three combined standard errors for Monte Carlo ones.  The
-    raw entropy sequence is kept in ``details``.
+    trajectories, three combined standard errors for Monte Carlo ones.  A
+    collapsed state (-inf) staying collapsed is no violation, one leaving it
+    an infinite one.  The raw entropy sequence is kept in ``details``.
     """
     if len(traj.times) < 3:
         raise ContractError("entropy monotonicity needs at least 3 recorded times")
-    ents = [d.entropy for d in traj.diagnostics]
-    strict = all(e.stderr == 0.0 for e in ents)
-
-    deltas = [cur.value - prev.value for prev, cur in zip(ents, ents[1:])]
-    if strict:  # every step must decrease
-        violations = [max(d, np.finfo(float).tiny) if d >= 0.0 else 0.0 for d in deltas]
-    else:  # an increase within three combined standard errors is Monte Carlo noise
-        violations = [max(0.0, d - 3.0 * (a.stderr + b.stderr)) for d, a, b in zip(deltas, ents, ents[1:])]
+    h, se = traj.entropy.T
+    strict = not se.any()
+    with np.errstate(invalid="ignore"):  # a step from -inf to -inf is NaN, which neither rule counts
+        deltas = np.diff(h)
+        excess = deltas - 3.0 * (se[:-1] + se[1:])  # deltas itself when strict
+    floor = np.finfo(float).tiny if strict else 0.0  # a strict flow must decrease at every step
+    violations = np.where(excess >= 0.0, np.maximum(excess, floor), 0.0)
 
     return ResidualReport(
         "entropy_monotone",
@@ -367,9 +367,9 @@ def check_entropy_monotone(traj: Trajectory) -> ResidualReport:
         violations,
         details={
             "strict": strict,
-            "entropies": [e.value for e in ents],
-            "stderrs": [e.stderr for e in ents],
-            "deltas": deltas,
+            "entropies": h.tolist(),
+            "stderrs": se.tolist(),
+            "deltas": deltas.tolist(),
             "times": list(traj.times),
         },
     )

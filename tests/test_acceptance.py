@@ -145,7 +145,7 @@ def test_criterion_6_entropy_gradient_flow(announce):
         grad_ok = grad_ok and rel < 1e-4
     ens = sample(ANISO, 64, 0)
     traj = continuous_flow(ANISO, 0.4, 8, ens)
-    ents = [d.entropy.value for d in traj.diagnostics]
+    ents = traj.entropy[:, 0].tolist()
     strictly_decreasing = all(b < a for a, b in zip(ents, ents[1:]))
     elapsed = time.monotonic() - start
     ok = grad_ok and strictly_decreasing

@@ -281,6 +281,27 @@ def test_huge_covariance_runs_write_finite_moments_without_warnings(tmp_path, mo
     assert len(records) == 2 and records[0]["cov"][0][0] > 1e307
 
 
+def test_collapsing_empirical_flow_writes_the_collapsed_rows_without_warnings(tmp_path):
+    # 8 layers of 0.25, past the horizon 0.25, collapse each basin to a point: its Silverman covariance is flat
+    doc = base_trajectory_config(tmp_path / "out")
+    cov = [[0.5, 0.0], [0.0, 0.5]]
+    doc["distribution"] = {"dim": 2, "components": [{"weight": 0.5, "mean": [-2.0, 0.0], "cov": cov},
+                                                    {"weight": 0.5, "mean": [2.0, 0.5], "cov": cov}]}
+    doc.update(schedule={"taus": [0.25] * 8}, retrain="empirical", particles={"n": 200, "seed": 0},
+               grid={"per_axis": 1, "extent": 1e-9})
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dae_transport", "trajectory",
+         "--config", str(write_config(tmp_path, doc))],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    records = json.loads((tmp_path / "out" / "run_composed_diagnostics.json").read_text())["records"]
+    rows = [[r["entropy"], r["entropy_stderr"], r["renyi2"], r["renyi2_stderr"]] for r in records]
+    assert len(rows) == 9 and all(map(math.isfinite, rows[0])) and rows[-1] == [-math.inf, 0.0, math.inf, 0.0]
+
+
 def _config_with(extent_key: str, value: float, out: Path) -> dict:
     """A 1-D N(0, 1) run whose ``grid`` holds ``extent_key`` = ``value`` and 3 points an axis."""
     doc = base_trajectory_config(out)

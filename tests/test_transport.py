@@ -19,6 +19,7 @@ from dae_transport import (
     ParticleEnsemble,
     SingularityError,
     Trajectory,
+    check_entropy_monotone,
     check_time_reversal,
     compose,
     continuous_flow,
@@ -360,7 +361,7 @@ def test_dae_layer_has_no_overflow_at_the_largest_floats():
         assert g.denoise([1e308], 1e308) == [5e307]
         traj = compose(g.as_mixture(), FlowSchedule((1e308,)), ParticleEnsemble(np.array([[1e308], [0.0]]), 0))
     assert np.array_equal(traj.states[-1].points, [[5e307], [0.0]])
-    assert all(math.isfinite(d.entropy.value) for d in traj.diagnostics)
+    assert np.all(np.isfinite(traj.entropy[:, 0]))
 
 
 def test_compose_halving_tau_roughly_halves_endpoint_error():
@@ -484,7 +485,7 @@ def test_compose_rotated_gaussian_matches_eigenbasis_recursion():
             got = traj.states[layer].points
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
             want_h = math.log(2.0 * math.pi * math.e) + 0.5 * float(np.log(lam).sum())
-            got_h = traj.diagnostics[layer].entropy.value
+            got_h = traj.entropy[layer, 0]
             assert abs(got_h - want_h) <= 1e-12 * max(1.0, abs(want_h))
 
 
@@ -637,12 +638,12 @@ def test_stacked_entropies_equal_each_gaussians_bit_for_bit(m):
     traj = compose(mix, FlowSchedule(taus), ParticleEnsemble(rng.standard_normal((3, m)), seed=0), "analytic")
     lam = g0.composed(taus)
     assert lam[0, 0] > 0.0 and lam[3, 0] == 0.0 and (m == 1 or lam[3, -1] > 0.0)
-    for row, d in zip(lam, traj.diagnostics):
+    for row, h, r in zip(lam, traj.entropy.tolist(), traj.renyi2.tolist()):
         g = Gaussian(g0.mean, row, g0.evecs)
-        assert d.entropy == (g.entropy(), 0.0) and d.renyi2 == (g.renyi(2.0), 0.0)
+        assert h == [g.entropy(), 0.0] and r == [g.renyi(2.0), 0.0]
         log_det = -math.inf if row[0] <= 0.0 else float(np.log(row).sum())
-        assert d.entropy.value == 0.5 * (m * (math.log(2.0 * math.pi) + 1.0) + log_det)
-    assert traj.diagnostics[3].entropy.value == -math.inf and traj.diagnostics[3].renyi2.value == math.inf
+        assert h[0] == 0.5 * (m * (math.log(2.0 * math.pi) + 1.0) + log_det)
+    assert traj.entropy[3].tolist() == [-math.inf, 0.0] and traj.renyi2[3].tolist() == [math.inf, 0.0]
 
 
 @pytest.mark.parametrize("n", [3, 64, 257])
@@ -688,8 +689,7 @@ def test_continuous_flow_is_compose_bit_for_bit():
     assert a.times == b.times
     for sa, sb in zip(a.states, b.states):
         np.testing.assert_array_equal(sa.points, sb.points)
-    for da, db in zip(a.diagnostics, b.diagnostics):
-        assert da.entropy == db.entropy
+    assert np.array_equal(a.entropy, b.entropy) and np.array_equal(a.renyi2, b.renyi2)
 
 
 def test_continuous_flow_standard_normal_one_dim_endpoint():
@@ -733,8 +733,8 @@ def test_continuous_flow_rejects_singular_horizon():
     partial = err.value.partial
     assert partial.times == (0.0,)
     assert partial.states[0] is ens
-    assert partial.diagnostics[0].entropy.value == pytest.approx(entropy(aniso()).value, abs=1e-12)
-    assert partial.diagnostics[0].renyi2.stderr == 0.0
+    assert partial.entropy[0, 0] == pytest.approx(entropy(aniso()).value, abs=1e-12)
+    assert partial.renyi2[0, 1] == 0.0
 
 
 def test_continuous_flow_is_scale_covariant_at_tiny_scales():
@@ -752,8 +752,7 @@ def test_continuous_flow_is_scale_covariant_at_tiny_scales():
     scale = np.max(np.abs(ens.points))
     for a, b in zip(small.states, unit.states):
         np.testing.assert_allclose(a.points / math.sqrt(s), b.points, rtol=1e-12, atol=1e-12 * scale)
-    for a, b in zip(small.diagnostics, unit.diagnostics):
-        assert a.entropy.value == pytest.approx(b.entropy.value + math.log(s), rel=1e-12)
+    np.testing.assert_allclose(small.entropy[:, 0], unit.entropy[:, 0] + math.log(s), rtol=1e-12)
 
 
 def test_continuous_flow_infers_empirical_mode_for_mixtures():
@@ -761,7 +760,7 @@ def test_continuous_flow_infers_empirical_mode_for_mixtures():
     ens = sample(mix, 200, 3)
     traj = continuous_flow(mix, 0.2, 2, ens)
     assert len(traj.times) == 3
-    assert traj.diagnostics[0].entropy.stderr > 0.0
+    assert traj.entropy[0, 1] > 0.0
 
 
 def test_layer_diagnostics_and_bump_fields_draw_from_distinct_streams(monkeypatch):
@@ -789,15 +788,46 @@ def test_empirical_diagnostics_subsample_large_ensembles():
     mix = GaussianMixture.from_components([(0.5, [-1.5], [[0.5]]), (0.5, [1.5], [[0.5]])])
     ens = sample(mix, 5_000, 4)
     traj = compose(mix, FlowSchedule((0.1,)), ens, "empirical")
-    a, b = traj.diagnostics
-    assert a.entropy.stderr > 0.0 and b.entropy.stderr > 0.0
-    assert np.isfinite(a.entropy.value) and np.isfinite(b.entropy.value)
+    (h0, dh0), (h1, dh1) = traj.entropy.tolist()
+    assert dh0 > 0.0 and dh1 > 0.0
+    assert np.isfinite(h0) and np.isfinite(h1)
     # entropy of the true mixture is ~1.72; the resubstitution estimate of the
     # start state should land nearby
-    assert abs(a.entropy.value - 1.72) < 0.15
+    assert abs(h0 - 1.72) < 0.15
     # rerun is bit-identical (subsampling is seeded from the ensemble)
     again = compose(mix, FlowSchedule((0.1,)), ens, "empirical")
-    assert again.diagnostics[1].entropy == b.entropy
+    assert again.entropy[1].tolist() == [h1, dh1]
+
+
+def test_a_collapsing_empirical_flow_ends_in_the_collapsed_rows():
+    # past the horizon 0.25 the retrained flow is blurring mean shift: each basin collapses to a point, so the
+    # particles' Silverman covariance is flat, and the state gets the rows of a zero-eigenvalue analytic state
+    cov = 0.5 * np.eye(2)
+    mix = GaussianMixture.from_components([(0.5, [-2.0, 0.0], cov), (0.5, [2.0, 0.5], cov)])
+    traj = compose(mix, FlowSchedule((0.25,) * 8), sample(mix, 1000, 0), retrain="empirical")
+    assert traj.entropy[-1].tolist() == [-math.inf, 0.0] and traj.renyi2[-1].tolist() == [math.inf, 0.0]
+    assert np.all(np.isfinite(traj.entropy[0])) and traj.entropy[0, 1] > 0.0
+    rep = check_entropy_monotone(traj)
+    assert rep.passed and not rep.details["strict"]
+
+
+def test_layer_diagnostics_collapse_by_the_positivity_rule_alone():
+    from dae_transport import transport
+
+    rng = np.random.default_rng(5)
+    collapsed = (-math.inf, 0.0, math.inf, 0.0)
+    line = np.column_stack([rng.standard_normal(200), np.zeros(200)])
+    assert transport._layer_diagnostics(line, 0, 0) == collapsed
+    # lifted off the line: lambda_min / lambda_max about 1e-14 is still flat, about 1e-10 is a KDE
+    for spread, flat in ((1e-7, True), (1e-5, False)):
+        lifted = line + np.column_stack([np.zeros(200), spread * rng.standard_normal(200)])
+        row = transport._layer_diagnostics(lifted, 0, 0)
+        assert row == collapsed if flat else all(map(math.isfinite, row))
+    # a covariance that is not finite is no collapse: it is still rejected
+    huge = np.array([[-1e200, 0.0], [1e200, 1.0]] * 10)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
+        with pytest.raises(ContractError, match="must be finite"):
+            transport._layer_diagnostics(huge, 0, 0)
 
 
 # -- one-shot orbit ------------------------------------------------------------------------
@@ -861,8 +891,8 @@ def test_analytic_flows_stay_finite_on_a_huge_covariance():
     np.testing.assert_allclose(traj.states[-1].points, ens.points, rtol=1e-12)  # tau << lambda barely moves them
     h0 = Gaussian.from_cov([[1e200]]).entropy()
     for traj in (traj, one_shot_orbit(huge, [1.0, 1e300], ens)):
-        assert [d.entropy.value for d in traj.diagnostics[:2]] == pytest.approx([h0, h0], rel=1e-12)
-        assert all(math.isfinite(d.entropy.value) or d.entropy.value == -math.inf for d in traj.diagnostics)
+        assert traj.entropy[:2, 0].tolist() == pytest.approx([h0, h0], rel=1e-12)
+        assert all(math.isfinite(h) or h == -math.inf for h in traj.entropy[:, 0].tolist())
 
 
 def test_one_shot_orbit_validates_times():
@@ -894,7 +924,7 @@ def test_trajectory_requires_increasing_times():
     ens = probe_ensemble()
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), ens, "analytic")
     with pytest.raises(ContractError):
-        Trajectory((0.0, 0.2, 0.1), traj.states, traj.diagnostics)
+        Trajectory((0.0, 0.2, 0.1), traj.states, traj.entropy, traj.renyi2)
 
 
 @pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, math.inf), (0.0, 1.0, math.nan)],
@@ -903,20 +933,54 @@ def test_trajectory_rejects_times_that_are_not_finite(times):
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), probe_ensemble(), "analytic")
     k = len(times)
     with pytest.raises(ContractError, match="finite and strictly increasing"):
-        Trajectory(times, traj.states[:k], traj.diagnostics[:k])
+        Trajectory(times, traj.states[:k], traj.entropy[:k], traj.renyi2[:k])
 
 
 def test_trajectory_rejects_bad_start_lengths_and_shapes():
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), probe_ensemble(), "analytic")
     with pytest.raises(ContractError, match="start at 0"):
-        Trajectory((0.1, 0.2, 0.3), traj.states, traj.diagnostics)
-    with pytest.raises(ContractError, match="equal length"):
-        Trajectory(traj.times, traj.states[:2], traj.diagnostics)
-    with pytest.raises(ContractError, match="equal length"):
-        Trajectory(traj.times, traj.states, traj.diagnostics[:2])
+        Trajectory((0.1, 0.2, 0.3), traj.states, traj.entropy, traj.renyi2)
+    # a row missing, or rows that are not (value, stderr) pairs
+    for states, h, r in [(traj.states[:2], traj.entropy, traj.renyi2), (traj.states, traj.entropy[:2], traj.renyi2),
+                         (traj.states, traj.entropy, traj.renyi2[:2]), (traj.states, traj.entropy[:, 0], traj.renyi2),
+                         (traj.states, traj.entropy, np.hstack([traj.renyi2, traj.renyi2]))]:
+        with pytest.raises(ContractError, match="equal length"):
+            Trajectory(traj.times, states, h, r)
     fewer = ParticleEnsemble(traj.states[2].points[:-1], seed=0)
     with pytest.raises(ContractError, match="share n and m"):
-        Trajectory(traj.times, (*traj.states[:2], fewer), traj.diagnostics)
+        Trajectory(traj.times, (*traj.states[:2], fewer), traj.entropy, traj.renyi2)
+
+
+def test_entropy_rows_are_read_only_arrays_that_the_view_and_the_json_read(monkeypatch):
+    from dae_transport import Estimate, FlowDiagnostics, transport
+
+    def refuse(*args):
+        raise AssertionError("a flow built a per-time record")
+
+    n, m = 64, 2
+    c = _SCALED_CHUNK_ELEMENTS // (n * m)
+    ens = ParticleEnsemble(np.random.default_rng(3).standard_normal((n, m)), seed=0)
+    monkeypatch.setattr(transport, "FlowDiagnostics", refuse)
+    flows = [compose(aniso(), FlowSchedule((1e-3,) * (2 * c + 3)), ens, "analytic"),
+             compose(_two_mixture(), FlowSchedule((0.1, 0.2)), ens, "empirical")]
+    monkeypatch.undo()
+    for traj in flows:
+        both = np.hstack([traj.entropy, traj.renyi2])
+        for rows in (traj.entropy, traj.renyi2):
+            assert rows.shape == (len(traj.times), 2) and rows.dtype == np.float64 and not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.0
+        view = traj.diagnostics
+        assert all(type(d) is FlowDiagnostics and type(d.entropy) is type(d.renyi2) is Estimate for d in view)
+        assert np.array([[*d.entropy, *d.renyi2] for d in view]).tobytes() == both.tobytes()
+        records = traj.diagnostics_json()["records"]
+        keys = ("entropy", "entropy_stderr", "renyi2", "renyi2_stderr")
+        assert np.array([[rec[k] for k in keys] for rec in records]).tobytes() == both.tobytes()
+    # the trajectory keeps its own copy of the rows it is given
+    rows = np.zeros((1, 2))
+    traj = Trajectory((0.0,), (ens,), rows, rows)
+    rows[0, 0] = 5.0
+    assert traj.entropy[0, 0] == 0.0 and rows.flags.writeable
 
 
 def test_trajectory_csv_and_json_outputs(tmp_path):

@@ -27,9 +27,9 @@ time, noise variance, and layer variance passes where it enters the package,
 and :func:`_checked_parameter` the one check of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
-data (kernel regression map and KDE alike), in O(points * data * m) time: one
-small GEMM per cache-sized chunk of (point, datum) pairs, on coordinates
-centred on the data mean, and memory of one chunk plus O((points + data) m).
+data (kernel regression map and KDE alike), in O(points * data * m) time, half
+that at the data themselves: one small GEMM per cache-sized chunk of pairs, on
+coordinates centred on the data mean, and memory of one chunk plus O((points + data) m).
 :meth:`Estimate.mean_of` is the one Monte Carlo mean with its standard error.
 """
 
@@ -485,7 +485,7 @@ class Gaussian:
 
     def renyi(self, alpha: float) -> float:
         """Renyi functional ``(int N^alpha - 1) / (alpha - 1)``, infinite past exp overflow."""
-        return _gaussian_renyi(self.dim, float(_log_dets(self.evals)), alpha)
+        return float(_gaussian_renyi(self.dim, _log_dets(self.evals), alpha))
 
 
 def _dae_factor(lam, t):
@@ -514,10 +514,11 @@ def _gaussian_entropy(m: int, log_det):
     return 0.5 * (m * (_LOG_2PI + 1.0) + log_det)
 
 
-def _gaussian_renyi(m: int, log_det: float, alpha: float) -> float:
-    """Renyi functional of an m-dimensional Gaussian from its log determinant, infinite past exp overflow."""
-    log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + log_det) - 0.5 * m * math.log(alpha)
-    return ((math.exp(log_int) if log_int < 700.0 else math.inf) - 1.0) / (alpha - 1.0)
+def _gaussian_renyi(m: int, log_det, alpha: float):
+    """Renyi functional of an m-dimensional Gaussian from its log determinant(s), infinite past exp overflow."""
+    log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + np.asarray(log_det)) - 0.5 * m * math.log(alpha)
+    ints = [math.exp(v) if v < 700.0 else math.inf for v in log_int.ravel().tolist()]  # NumPy's exp moves last bits
+    return (np.reshape(ints, log_int.shape) - 1.0) / (alpha - 1.0)
 
 
 def _component_terms(mix: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -702,9 +703,12 @@ def silverman_covariance(points: np.ndarray, factor: float = 1.0) -> np.ndarray:
     n, m = pts.shape
     if n < 2:
         raise ContractError("bandwidth selection needs at least two points")
-    cov = _moments(pts)[1]
     beta = (4.0 / (m + 2.0)) ** (2.0 / (m + 4.0)) * n ** (-2.0 / (m + 4.0))
-    return (factor * factor) * beta * cov
+    with np.errstate(over="ignore"):  # an overflow is the ContractError below, not a RuntimeWarning
+        cov = (factor * factor) * beta * _moments(pts)[1]
+    if not np.all(np.isfinite(cov)):
+        raise ContractError("Silverman kernel covariance must be finite")
+    return cov
 
 
 def _kernel_pass(pts: np.ndarray, data: np.ndarray, var: float, log_norm: float, weighted_mean: bool = False):
@@ -721,28 +725,44 @@ def _kernel_pass(pts: np.ndarray, data: np.ndarray, var: float, log_norm: float,
     the row sums (and ``w @ data``).  ``-|x_i|^2 / 2`` is constant along a
     row, so it cancels in the row-max shift and is added back after the log.
     Time is O(points * data * m), memory one chunk plus O((points + data) m).
+    Points equal in value to the data take the symmetric route, each pair once,
+    in O(n^2 m / 2): the rows ``[d, 1, -|d|^2 / 2]`` against the columns of
+    ``[d ; -|d|^2 / 2 ; 1]`` from the chunk's first row on give the log kernel
+    itself.  Self terms are set to exactly 1, row sums go to the chunk's rows and
+    column sums to the later rows; every sum is at least 1, so there is no shift.
     """
     n, m = data.shape
     step = max(1, _KERNEL_CHUNK_PAIRS // n)
     centre, scale = np.mean(data, axis=0), 1.0 / math.sqrt(var)
-    rhs = np.empty((m + 1, n))
+    rhs = np.ones((m + 2, n))
     np.multiply(np.subtract(data.T, centre[:, None], out=rhs[:m]), scale, out=rhs[:m])
     np.multiply(np.einsum("ij,ij->j", rhs[:m], rhs[:m]), -0.5, out=rhs[m])
-    rows = np.ones((pts.shape[0], m + 1))
-    np.multiply(np.subtract(pts, centre, out=rows[:, :m]), scale, out=rows[:, :m])
-    buf = np.empty((min(step, pts.shape[0]), n))
-    shifts, sums = np.empty(pts.shape[0]), np.empty(pts.shape[0])
-    mean = np.empty_like(pts) if weighted_mean else None
+    symmetric = pts.shape == data.shape and np.array_equal(pts, data)
+    if symmetric:
+        rows, x_sq = rhs[[*range(m), m + 1, m]].T, 0.0
+    else:
+        rhs, rows = rhs[: m + 1], np.ones((pts.shape[0], m + 1))
+        np.multiply(np.subtract(pts, centre, out=rows[:, :m]), scale, out=rows[:, :m])
+        x_sq = np.einsum("ij,ij->i", rows[:, :m], rows[:, :m])
+    buf = np.empty(min(step, pts.shape[0]) * n)
+    shifts, sums = np.zeros(pts.shape[0]), np.zeros(pts.shape[0])
+    mean = np.zeros_like(pts) if weighted_mean else None
     for lo in range(0, pts.shape[0], step):
         chunk = rows[lo : lo + step]
-        w = np.matmul(chunk, rhs, out=buf[: chunk.shape[0]])
-        shifts[lo : lo + step] = _shifted_exp(w, out=w)[1]
-        sums[lo : lo + step] = w.sum(axis=1)
+        r, first = chunk.shape[0], lo if symmetric else 0
+        w = np.matmul(chunk, rhs[:, first:], out=buf[: r * (n - first)].reshape(r, n - first))
+        if symmetric:
+            np.fill_diagonal(np.exp(w, out=w), 1.0)
+            sums[lo + r :] += w[:, r:].sum(axis=0)
+            if weighted_mean:
+                mean[lo + r :] += w[:, r:].T @ data[lo : lo + r]
+        else:
+            shifts[lo : lo + r] = _shifted_exp(w, out=w)[1]
+        sums[lo : lo + r] += w.sum(axis=1)
         if weighted_mean:
-            np.matmul(w, data, out=mean[lo : lo + step])
+            mean[lo : lo + r] += w @ data[first:]
     if weighted_mean:
         mean /= sums[:, None]
-    x_sq = np.einsum("ij,ij->i", rows[:, :m], rows[:, :m])
     return np.log(sums) + shifts - 0.5 * x_sq + log_norm - math.log(n), mean
 
 

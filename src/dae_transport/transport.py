@@ -115,7 +115,8 @@ class EmpiricalKernel:
 
     ``g(x) = sum_i d_i N(x; d_i, t I) / sum_i N(x; d_i, t I)``.  Degenerate at
     t = 0 and wherever the kernel weight sum underflows; both raise
-    :class:`DomainError` rather than guessing a value.
+    :class:`DomainError` rather than guessing a value.  At points equal to its
+    data the kernel pass takes its symmetric route, each pair once.
     """
 
     data: ParticleEnsemble
@@ -281,8 +282,8 @@ def _trajectory(
         rows = np.array([_layer_diagnostics(s.points, states[0].seed, layer) for layer, s in enumerate(states)])
     else:
         m, log_dets = evals.shape[1], _log_dets(evals)
-        renyi = [_gaussian_renyi(m, ld, 2.0) for ld in log_dets.tolist()]  # math.exp: NumPy's exp moves last bits
-        rows = np.stack([_gaussian_entropy(m, log_dets), np.zeros(len(renyi)), renyi, np.zeros(len(renyi))], axis=1)
+        zeros = np.zeros_like(log_dets)
+        rows = np.stack([_gaussian_entropy(m, log_dets), zeros, _gaussian_renyi(m, log_dets, 2.0), zeros], axis=1)
     return Trajectory(times, states, rows[:, :2], rows[:, 2:])
 
 
@@ -307,8 +308,9 @@ def compose(
     GEMM and one ensemble check per chunk of max(1, 8192 // (m n)) states.
     ``retrain='empirical'`` rebuilds an :class:`EmpiricalKernel` map from the
     current particles with bandwidth equal to the layer's own noise variance,
-    matching the map's smoothing scale.  The default is analytic for a single
-    Gaussian and empirical otherwise.
+    matching the map's smoothing scale, and moves those same particles: Gaussian
+    blurring mean shift, one symmetric kernel pass per layer.  The default is
+    analytic for a single Gaussian and empirical otherwise.
 
     A finite composition contracts the measure but never loses rank: a layer
     maps each eigenvalue lambda to lambda^3 / (lambda + tau)^2, which exceeds

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -557,24 +558,99 @@ def test_kernel_pass_matches_one_chunk_when_chunked(monkeypatch, m):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("var", [1.0, 0.37, 0.05])
-@pytest.mark.parametrize("offset", [0.0, 1e3])
-def test_kernel_pass_matches_a_long_double_oracle(m, var, offset):
-    # the oracle sums (x - d)^2 directly in long double; data far from the origin
-    # must cost no accuracy, since |x - d|^2 does not change under translation
+def _assert_kernel_pass_matches_a_long_double_oracle(probes, data, var, near_pairs=False):
+    # the oracle sums (x - d)^2 directly in long double; with ``near_pairs`` the log mean may also
+    # carry each near pair's rounding of the GEMM expansion, about eps |z|^2 at the scaled coordinates z,
+    # weighted by the pair's share of its row's kernel mass
     from dae_transport import measures
 
-    rng = np.random.default_rng(60 + m)
-    data = rng.normal(size=(300, m)) + offset
-    probes = rng.normal(size=(70, m)) * 1.5 + offset
     log_mean, mean = measures._kernel_pass(probes, data, var, -0.7, weighted_mean=True)
-
     x, d = probes.astype(np.longdouble), data.astype(np.longdouble)
     logk = -np.sum((x[:, None, :] - d[None, :, :]) ** 2, axis=2) / (2 * np.longdouble(var))
     shift = np.max(logk, axis=1)
     w = np.exp(logk - shift[:, None])
     want_log = np.log(np.sum(w, axis=1)) + shift - 0.7 - np.log(np.longdouble(data.shape[0]))
     want_mean = (w @ d) / np.sum(w, axis=1)[:, None]
-    assert np.all(np.abs(log_mean - want_log) <= 1e-13 * np.maximum(1.0, np.abs(want_log)))
+    bound = 1e-13 * np.maximum(1.0, np.abs(want_log))
+    if near_pairs:
+        z_sq = np.max(np.sum((data - data.mean(axis=0)) ** 2, axis=1)) / var
+        bound += np.finfo(float).eps * z_sq * (1.0 - np.max(w, axis=1) / np.sum(w, axis=1))
+    assert np.all(np.abs(log_mean - want_log) <= bound)
     assert np.all(np.abs(mean - want_mean) <= 1e-13 * (1.0 + np.abs(want_mean)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("var", [1.0, 0.37, 0.05])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_kernel_pass_matches_a_long_double_oracle(m, var, offset):
+    # data far from the origin must cost no accuracy, since |x - d|^2 does not change under
+    # translation; probes on the data take the symmetric route
+    rng = np.random.default_rng(60 + m)
+    data = rng.normal(size=(300, m)) + offset
+    _assert_kernel_pass_matches_a_long_double_oracle(rng.normal(size=(70, m)) * 1.5 + offset, data, var)
+    _assert_kernel_pass_matches_a_long_double_oracle(data, data, var)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("var", [1e-6, 1e-12])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_symmetric_kernel_pass_matches_a_long_double_oracle_at_tiny_bandwidth(m, var, offset):
+    # the self terms are exactly 1, not exp(|z|^2 - |z|^2 / 2 - |z|^2 / 2) at |z|^2 up to 1e13, which
+    # puts the general route 1e-4 off at var 1e-12; only at m = 1 and var 1e-6 are there near pairs,
+    # and their rounding puts the log mean up to 2e-11 off
+    data = np.random.default_rng(60 + m).normal(size=(300, m)) + offset
+    _assert_kernel_pass_matches_a_long_double_oracle(data, data, var, near_pairs=True)
+
+
+def test_a_collapsed_ensemble_maps_to_itself_exactly():
+    # every kernel is exp(0) = 1: the sums are n and the log mean is log_norm, with no rounding
+    from dae_transport import measures
+
+    data = np.tile([0.375, -1.25, 3.0], (64, 1))
+    for log_norm in (0.0, -0.5):
+        log_mean, mean = measures._kernel_pass(data, data, 0.3, log_norm, weighted_mean=True)
+        assert np.array_equal(mean, data) and np.all(log_mean == log_norm)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_symmetric_kernel_pass_matches_one_chunk_when_chunked(monkeypatch, m):
+    from dae_transport import EmpiricalKernel, ParticleEnsemble
+    from dae_transport import measures
+
+    data = np.random.default_rng(30 + m).normal(size=(700, m))
+    cov = 0.3 * np.cov(data.T).reshape(m, m)
+    kernel_map = EmpiricalKernel(ParticleEnsemble(data, 0), 0.4)
+
+    def both(chunk_rows):
+        monkeypatch.setattr(measures, "_KERNEL_CHUNK_PAIRS", chunk_rows * data.shape[0])
+        return kde_log_density(data, cov, data), kernel_map.apply(data)
+
+    one_chunk = both(data.shape[0])
+    for rows in (7, 1):
+        for a, b in zip(one_chunk, both(rows)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+def test_probes_off_the_data_by_one_ulp_take_the_general_route(monkeypatch):
+    # the general route shifts each chunk by its row maxima; the symmetric route needs no shift
+    from dae_transport import measures
+
+    calls = []
+    shifted_exp = measures._shifted_exp
+    monkeypatch.setattr(measures, "_shifted_exp", lambda *a, **k: calls.append(1) or shifted_exp(*a, **k))
+    data = np.random.default_rng(7).normal(size=(200, 2))
+    on_data = measures._kernel_pass(data.copy(), data, 0.2, 0.0, weighted_mean=True)
+    assert not calls
+    nudged = data.copy()
+    nudged[123, 1] = np.nextafter(nudged[123, 1], np.inf)
+    off_data = measures._kernel_pass(nudged, data, 0.2, 0.0, weighted_mean=True)
+    assert calls
+    for a, b in zip(on_data, off_data):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+def test_silverman_covariance_overflow_is_a_contract_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="Silverman kernel covariance must be finite"):
+            silverman_covariance(np.array([[-1e200, 0.0], [1e200, 1.0]] * 10))

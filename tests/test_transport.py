@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +559,13 @@ def test_empirical_kernel_peak_memory_is_one_kernel_chunk():
     assert _traced_peak(kernel_map.apply, rng.normal(size=(2000, 2))) <= 2_000_000
 
 
+def test_empirical_kernel_on_its_own_data_peak_memory_is_one_kernel_chunk():
+    # the symmetric route: the same chunk buffer, rows of the upper triangle, no (data, data) array
+    data = np.random.default_rng(4).normal(size=(2000, 2))
+    kernel_map = EmpiricalKernel(ParticleEnsemble(data, seed=0), 0.5)
+    assert _traced_peak(kernel_map.apply, data) <= 2_000_000
+
+
 def test_kde_log_density_peak_memory_is_one_kernel_chunk():
     # 81 probes over 100k data: one chunk row of the data plus the whitened and centred data
     rng = np.random.default_rng(5)
@@ -644,6 +652,22 @@ def test_stacked_entropies_equal_each_gaussians_bit_for_bit(m):
         log_det = -math.inf if row[0] <= 0.0 else float(np.log(row).sum())
         assert h[0] == 0.5 * (m * (math.log(2.0 * math.pi) + 1.0) + log_det)
     assert traj.entropy[3].tolist() == [-math.inf, 0.0] and traj.renyi2[3].tolist() == [math.inf, 0.0]
+
+
+def test_analytic_renyi_column_is_the_scalar_formula_bit_for_bit():
+    # one math.exp per value, as the scalar _gaussian_renyi takes it: past the horizon the
+    # eigenvalues fall through the exp-overflow rule (log_int >= 700) to 0 (log det -inf)
+    from dae_transport.measures import _gaussian_renyi
+
+    mix, schedule = GaussianMixture.single(np.zeros(3), 1e-200 * np.eye(3)), FlowSchedule.uniform(2e-200, 2000)
+    traj = compose(mix, schedule, ParticleEnsemble(np.zeros((2, 3)), seed=0), "analytic")
+    lam = Gaussian.of(mix).composed(schedule.taus)
+    log_dets = [-math.inf if row[0] <= 0.0 else float(np.log(row).sum()) for row in lam]
+    log_ints = [-0.5 * (3 * math.log(2.0 * math.pi) + ld) - 1.5 * math.log(2.0) for ld in log_dets]
+    want = [(math.exp(v) if v < 700.0 else math.inf) - 1.0 for v in log_ints]
+    assert traj.renyi2[:, 0].tolist() == want == [float(_gaussian_renyi(3, ld, 2.0)) for ld in log_dets]
+    assert min(log_ints) < 700.0 and any(v >= 700.0 and ld > -math.inf for v, ld in zip(log_ints, log_dets))
+    assert log_dets[-1] == -math.inf
 
 
 @pytest.mark.parametrize("n", [3, 64, 257])
@@ -823,9 +847,10 @@ def test_layer_diagnostics_collapse_by_the_positivity_rule_alone():
         lifted = line + np.column_stack([np.zeros(200), spread * rng.standard_normal(200)])
         row = transport._layer_diagnostics(lifted, 0, 0)
         assert row == collapsed if flat else all(map(math.isfinite, row))
-    # a covariance that is not finite is no collapse: it is still rejected
+    # a covariance that is not finite is no collapse: it is still rejected, by a ContractError alone
     huge = np.array([[-1e200, 0.0], [1e200, 1.0]] * 10)
-    with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ContractError, match="must be finite"):
             transport._layer_diagnostics(huge, 0, 0)
 

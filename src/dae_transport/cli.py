@@ -6,8 +6,9 @@ Three subcommands, one JSON config format::
     dae-transport pushforward --config FILE [--seed N] [--out DIR]
     dae-transport verify      --config FILE [--seed N] [--out DIR]
 
-Exit codes: 0 success, 1 config error, 2 check failure, 3 runtime
-singularity (with partial output), 4 internal check crash.
+Exit codes: 0 success, 1 config error or run error, 2 check failure, 3 runtime
+singularity (with partial output), 4 internal check crash.  A run error is a ``ContractError``
+or ``DomainError`` raised once the config has loaded: ``run error: <type>: <message>``, no line.
 
 Outputs are deterministic given (config, seed): no timestamps, and every
 file goes through the one writer in :mod:`dae_transport.svg` (shortest
@@ -545,13 +546,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error at line 1: no such config file: {config_path}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
+    try:  # load_config reports what it rejects as a ConfigError, so a library error here is the run's
         return commands[args.command](load_config(config_path, args.seed, args.out))
     except ConfigError as exc:
         print(f"config error at line {exc.line}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ContractError, DomainError) as exc:
-        print(f"config error at line 1: {exc}", file=sys.stderr)
+        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"config error at line 1: cannot write outputs: {exc}", file=sys.stderr)

@@ -20,11 +20,11 @@ rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 single-Gaussian closed forms.  The DAE map, the one-shot and continuous
 pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
-decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor
-they share, and :meth:`Gaussian._scaled` the one eigen-scaling that every
-single-Gaussian point map runs.  :func:`_checked_time` is the one check every
-time, noise variance, and layer variance passes where it enters the package,
-and :func:`_checked_parameter` the one check of a verification parameter.
+decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they share, and
+:meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map runs,
+into one (L, n, m) stack that one :class:`ParticleEnsemble` checks.  :func:`_checked_time`
+is the one check every time, noise variance, and layer variance passes where it enters the
+package, and :func:`_checked_parameter` the one check of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ MC_DEFAULT_N = 100_000
 
 #: Most (point, datum) pairs one cache-sized chunk of a kernel pass holds at once.
 _KERNEL_CHUNK_PAIRS = 65_536
-_SCALED_CHUNK_ELEMENTS = 8192  # most elements in each of the two chunk buffers of :meth:`Gaussian._scaled`
+_SCALED_CHUNK_ELEMENTS = 8192  # layers per chunk of :meth:`Gaussian._scaled`: max(1, this // (m n))
 
 
 class Estimate(NamedTuple):
@@ -229,26 +229,27 @@ class GaussianMixture:
 
 @dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
-    """n points in R^m together with the seed that produced them."""
+    """n points in R^m and their seed, read-only: points frozen with their memory's owner are adopted, else copied."""
 
     points: np.ndarray
     seed: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, np.newaxis]
+        pts = pts[:, np.newaxis] if pts.ndim == 1 else pts
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ContractError("ensemble points must form a nonempty (n, m) array")
-        if not np.isfinite(pts).all():
+        if pts.size and not (math.isfinite(pts.min()) and math.isfinite(pts.max())):  # no temporary of pts' size
             raise ContractError("ensemble points must be finite")
-        object.__setattr__(self, "points", _frozen(pts.copy()))
+        owner = pts if pts.base is None else pts.base  # NumPy sets a view's base to the array owning its memory
+        frozen = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+        object.__setattr__(self, "points", pts if frozen and not pts.flags.writeable else _frozen(pts.copy()))
         object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
-    def _of_chunks(cls, chunks: Iterable[np.ndarray], seed: int) -> list["ParticleEnsemble"]:
-        """Read-only ensembles over the (n, m) rows of (c, n, m) chunks, one constructor call per chunk."""
-        blocks = [b for c in chunks for b in cls(c.reshape(-1, c.shape[2]), seed).points.reshape(c.shape)]
+    def _of_stack(cls, stack: np.ndarray, seed: int) -> list["ParticleEnsemble"]:
+        """Read-only ensembles over the (n, m) rows of an (L, n, m) stack, which one constructor call checks."""
+        blocks = cls(_frozen(stack).reshape(-1, stack.shape[2]), seed).points.reshape(stack.shape)
         states = [object.__new__(cls) for _ in blocks]
         for state, block in zip(states, blocks):  # set as the constructor does, so no instance dict is made
             object.__setattr__(state, "points", block)
@@ -425,7 +426,7 @@ class Gaussian:
         t = _checked_time(t, "noise variance")
         if t == 0.0:
             return x.copy()
-        return next(self._scaled(x, _dae_factor(self.evals, t)[None]))[0]
+        return self._scaled(x, _dae_factor(self.evals, t)[None])[0]
 
     @_pointwise
     def continuous_map(self, x, t: float) -> np.ndarray:
@@ -439,24 +440,23 @@ class Gaussian:
         if t == 0.0:
             return x.copy()
         self.check_horizon(t, "continuous map")
-        return next(self._scaled(x, np.sqrt(1.0 - 2.0 * t / self.evals)[None]))[0]
+        return self._scaled(x, np.sqrt(1.0 - 2.0 * t / self.evals)[None])[0]
 
-    def _scaled(self, x: np.ndarray, factors: np.ndarray) -> Iterator[np.ndarray]:
-        """``V (Z0 F) + mean`` as (n, m) points for each row F of an ``(L, m)`` stack of per-axis factors.
+    def _scaled(self, x: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """The (L, n, m) stack whose row l is ``V (Z0 F) + mean``, F row l of an ``(L, m)`` stack of per-axis factors.
 
-        The one eigen-scaling of every single-Gaussian point map, on the (m, n) eigen-coordinates
-        ``Z0 = ((x - mean) V)^T``, c >= 1 layers at a time: a row scaling and one batched m x m GEMM into
-        two reused (c, m, n) buffers of at most :data:`_SCALED_CHUNK_ELEMENTS` elements; each chunk is
-        yielded as C-ordered (c, n, m) points in the first buffer, which the next chunk overwrites.
+        The one eigen-scaling of every single-Gaussian point map, on the (m, n) eigen-coordinates ``Z0 = ((x - mean)
+        V)^T``, c = max(1, :data:`_SCALED_CHUNK_ELEMENTS` // (m n)) layers at a time: scaled into the chunk's rows,
+        one batched m x m GEMM into one (c, m, n) buffer of max(8192, m n) elements, then ``+ mean`` back into the rows.
         """
         z0 = ((x - self.mean) @ self.evecs).T.copy()
         (m, n), c = z0.shape, max(1, min(len(factors), _SCALED_CHUNK_ELEMENTS // z0.size))
-        scaled, moved = np.empty((c, m, n)), np.empty((c, m, n))
-        for f in np.split(factors[:, :, None], range(c, len(factors), c)):
-            out = np.matmul(self.evecs, np.multiply(z0, f, out=scaled[:len(f)]), out=moved[:len(f)])
-            points = scaled[:len(f)].reshape(len(f), n, m)  # the spent scaled coordinates' memory
-            np.add(out, self.mean[:, None], out=points.transpose(0, 2, 1))
-            yield points
+        stack, moved = np.empty((len(factors), n, m)), np.empty((c, m, n))
+        for start in range(0, len(factors), c):
+            f, rows = factors[start:start + c, :, None], stack[start:start + c]
+            out = np.matmul(self.evecs, np.multiply(z0, f, out=rows.reshape(len(f), m, n)), out=moved[:len(f)])
+            np.add(out, self.mean[:, None], out=rows.transpose(0, 2, 1))  # over the spent scaled coordinates
+        return stack
 
     def w2(self, other: "Gaussian") -> float:
         """Quadratic Wasserstein (Bures-Wasserstein) distance to ``other``.

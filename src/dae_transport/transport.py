@@ -24,11 +24,10 @@ Every single-Gaussian formula here (the propagated covariance and its
 entropies) is an eigenvalue map of the one Gaussian value
 ``measures.Gaussian``, which also owns the closed-form maps.  The retrain
 rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are
-the ones ``cli.load_config`` also calls.  An analytic
-flow of L layers on n points in R^m decomposes the initial covariance once;
-its (L+1, m) eigenvalue path gives the entropy column in one array pass, and
-``Gaussian._scaled`` (the code of ``denoise``) moves the states a chunk of
-layers at a time, each chunk checked by one ensemble.
+the ones ``cli.load_config`` also calls.  An analytic flow of L layers on n points in
+R^m decomposes the initial covariance once; its (L+1, m) eigenvalue path gives the
+entropy column in one array pass, and ``Gaussian._scaled`` (the code of ``denoise``)
+writes the states into one (L, n, m) stack that one ensemble checks: they are its rows.
 """
 
 from __future__ import annotations
@@ -304,8 +303,8 @@ def compose(
     composed ``Gaussian.denoise`` maps; the ensemble may then be arbitrary
     probe points.  State l is ``Gaussian._scaled``, the code of ``denoise``,
     at the product of the first l layers' ``_dae_factor`` at their incoming
-    eigenvalues: an O(L m) float recursion, then one scaling, one batched m x m
-    GEMM and one ensemble check per chunk of max(1, 8192 // (m n)) states.
+    eigenvalues: an O(L m) float recursion, then one scaling and one batched m x m
+    GEMM per chunk of max(1, 8192 // (m n)) states into one checked (L, n, m) stack.
     ``retrain='empirical'`` rebuilds an :class:`EmpiricalKernel` map from the
     current particles with bandwidth equal to the layer's own noise variance,
     matching the map's smoothing scale, and moves those same particles: Gaussian
@@ -328,7 +327,7 @@ def compose(
         g0 = Gaussian.of(mix0)
         lam = g0.composed(schedule.taus)
         factors = np.cumprod(_dae_factor(lam[:-1], np.array(schedule.taus)[:, None]), axis=0)
-        states = ParticleEnsemble._of_chunks(g0._scaled(ensemble.points, factors), ensemble.seed)
+        states = ParticleEnsemble._of_stack(g0._scaled(ensemble.points, factors), ensemble.seed)
         return _trajectory(times, [ensemble, *states], lam)
 
     points, states = ensemble.points, [ensemble]
@@ -392,7 +391,7 @@ def one_shot_orbit(
         states = [ParticleEnsemble(MixtureExact(mix0, t).apply(ensemble.points), ensemble.seed) for t in ts]
         return _trajectory((0.0, *ts), [ensemble, *states], None)
     g, t_col = Gaussian.of(mix0), np.array(ts)[:, None]
-    states = ParticleEnsemble._of_chunks(g._scaled(ensemble.points, _dae_factor(g.evals, t_col)), ensemble.seed)
+    states = ParticleEnsemble._of_stack(g._scaled(ensemble.points, _dae_factor(g.evals, t_col)), ensemble.seed)
     return _trajectory((0.0, *ts), [ensemble, *states], np.vstack([g.evals, _one_shot_evals(g.evals, t_col)]))
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import math
+import json
 from pathlib import Path
 
+import pytest
+
 import dae_transport
-from dae_transport import FlowSchedule, GaussianMixture, compose, continuous_flow, sample
-from dae_transport.measures import _SCALED_CHUNK_ELEMENTS
+from dae_transport import FlowSchedule, GaussianMixture, compose, continuous_flow, one_shot_orbit, sample
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,18 +45,37 @@ def test_tracer_counts_kernel_pairs_of_maps_and_density_estimates(monkeypatch):
     assert tracer.counts["measures.kde_log_density.pairs"] == 3 * n * n + 5 * n
 
 
-def test_tracer_counts_one_ensemble_per_chunk_of_analytic_states(monkeypatch):
-    # the analytic flow scales and checks its states a chunk of layers at a time: one constructor call per
-    # chunk, at least one per flow, so a traced flow of any shape still times the constructor
+def test_tracer_counts_one_ensemble_per_analytic_flow(monkeypatch):
+    # an analytic flow writes its states into one stack that one constructor call checks and adopts, so a
+    # traced flow of any shape times the constructor exactly once
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
     mix = GaussianMixture.single([0.0, 0.0], [[2.0, 0.0], [0.0, 1.0]])
     for n, steps in ((16, 5), (16, 600), (5000, 3)):
         ens = sample(mix, n, 0)
-        per_chunk = max(1, _SCALED_CHUNK_ELEMENTS // ens.points.size)
-        with tracing.Tracer() as tracer:
-            traj = continuous_flow(mix, 0.4, steps, ens)
-        assert len(traj.states) == steps + 1 and traj.states[0] is ens
-        assert tracer.counts["measures.ParticleEnsemble.init.calls"] == max(1, math.ceil(steps / per_chunk))
-        assert tracer.counts["measures.ParticleEnsemble.init.bytes"] == steps * ens.points.nbytes
+        for flow in (lambda: continuous_flow(mix, 0.4, steps, ens),
+                     lambda: one_shot_orbit(mix, [0.1 * (i + 1) for i in range(steps)], ens)):
+            with tracing.Tracer() as tracer:
+                traj = flow()
+            assert len(traj.states) == steps + 1 and traj.states[0] is ens
+            assert tracer.counts["measures.ParticleEnsemble.init.calls"] == 1
+            assert tracer.counts["measures.ParticleEnsemble.init.bytes"] == steps * ens.points.nbytes
+
+
+@pytest.mark.parametrize("name", ["deep_flow", "wide_flow", "mixture_flow"])
+def test_a_traced_op_measures_every_declared_time_metric(monkeypatch, name):
+    # a declared time metric that an op never measures makes the traced benchmark run exit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    declared = [m["name"] for m in spec["per_layer"]
+                if m["unit"] == "s" and not m["name"].startswith(("import.", "trace."))]
+    wl = workloads.WORKLOADS[name]
+    inp = wl.build(1)
+    with tracing.Tracer() as tracer:
+        wl.op_inprocess(inp)
+    measured = tracer.per_op(1)
+    assert declared and [key for key in declared if key not in measured] == []

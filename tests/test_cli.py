@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dae_transport import ContractError, DomainError
 from dae_transport.cli import (
     ConfigError,
     EXIT_CHECK,
@@ -395,6 +396,19 @@ def test_output_directory_that_is_a_file_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, base_trajectory_config(tmp_path / "taken"))
     assert main(["trajectory", "--config", str(cfg)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error at line 1: cannot write outputs: ")
+
+
+@pytest.mark.parametrize("error", [ContractError, DomainError])
+def test_a_library_error_raised_mid_run_is_a_run_error_without_a_line(tmp_path, capsys, monkeypatch, error):
+    import dae_transport.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli_mod, "compose", boom)
+    cfg = write_config(tmp_path, base_trajectory_config(tmp_path / "out"))
+    assert main(["trajectory", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"run error: {error.__name__}: synthetic failure\n"
 
 
 def test_one_shot_orbit_at_a_single_time_runs(tmp_path):

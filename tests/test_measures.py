@@ -68,6 +68,36 @@ def test_ensemble_rejects_nonfinite_or_empty_points(points, message):
         ParticleEnsemble(points, seed=0)
 
 
+def _frozen_array(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def test_ensemble_copies_writeable_points_and_adopts_frozen_ones():
+    # a writeable input, or a read-only view of writeable memory, is copied: the caller can change neither
+    caller = np.arange(6.0).reshape(3, 2)
+    view = _frozen_array(caller[1:].view())
+    for points, rows in ((caller, caller.copy()), (view, view.copy())):
+        ens = ParticleEnsemble(points, seed=0)
+        assert not np.shares_memory(ens.points, caller) and not ens.points.flags.writeable
+        caller[...] = -1.0
+        np.testing.assert_array_equal(ens.points, rows)
+        caller[...] = np.arange(6.0).reshape(3, 2)
+    # memory that no ndarray owns (here the bytes behind np.frombuffer) is copied too
+    raw = np.frombuffer(np.arange(6.0).tobytes())
+    for points in (raw, raw.reshape(3, 2)):
+        ens = ParticleEnsemble(points, seed=0)
+        assert not np.shares_memory(ens.points, raw) and not ens.points.flags.writeable
+        np.testing.assert_array_equal(ens.points.ravel(), np.arange(6.0))
+    # a frozen owner, or a frozen view of one, is adopted as given; a frozen owner is still checked
+    owner = _frozen_array(np.arange(6.0).reshape(3, 2).copy())
+    assert ParticleEnsemble(owner, seed=0).points is owner
+    assert np.shares_memory(ParticleEnsemble(owner[1:], seed=0).points, owner)
+    assert np.shares_memory(ParticleEnsemble(owner[:, 0], seed=0).points, owner)  # a column is an (n, 1) view
+    with pytest.raises(ContractError, match="finite"):
+        ParticleEnsemble(_frozen_array(np.array([[0.0], [math.nan]])), seed=0)
+
+
 MALFORMED = {
     "mixture_without_components": (lambda: GaussianMixture.from_components([]), "at least one component"),
     "from_cov_shape_mismatch": (lambda: Gaussian.from_cov(np.eye(2), [0.0]), "does not match mean shape"),

@@ -703,6 +703,18 @@ def test_a_chunk_of_analytic_states_holding_an_inf_is_rejected():
                 flow()
 
 
+def test_analytic_states_are_row_views_of_one_frozen_stack():
+    # at n m > 8192 a chunk is one layer, yet the states are rows of one (L, n, m) array, not per-chunk copies
+    mix = GaussianMixture.single([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])
+    ens = ParticleEnsemble(np.random.default_rng(4).standard_normal((100_000, 2)), seed=3)
+    for traj in (continuous_flow(mix, 0.45, 16, ens), one_shot_orbit(mix, [0.1 * (i + 1) for i in range(16)], ens)):
+        stack = traj.states[1].points.base
+        assert stack.shape == (16, 100_000, 2) and not stack.flags.writeable
+        for layer, state in enumerate(traj.states[1:]):
+            assert state.points.base is stack and np.shares_memory(state.points, stack[layer])
+            assert state.seed == 3 and np.array_equal(state.points, stack[layer])
+
+
 # -- continuous flow ----------------------------------------------------------------------
 
 

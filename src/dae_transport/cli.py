@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
 from .measures import Gaussian, GaussianMixture, ParticleEnsemble, density, sample
-from .svg import ChartFrame, SvgCanvas, write_csv, write_json
+from .svg import SvgCanvas, write_csv, write_json
 from .transport import FlowSchedule, Trajectory, _orbit_times, _retrain_mode, compose, continuous_flow, one_shot_orbit
 from .verify import EXPECTED_FAILURES, default_checks, probe_lattice
 
@@ -314,29 +314,28 @@ def _interp_state(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
 
 
 def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) -> SvgCanvas:
-    canvas = SvgCanvas(480, 480)
     lim = 1.1 * extent
-    frame = ChartFrame(canvas, (-lim, lim), (-lim, lim), title=title)
+    chart = SvgCanvas(480, 480, (-lim, lim), (-lim, lim), title)
     ticks = [-extent, -extent / 2, 0.0, extent / 2, extent]
-    frame.draw_axes(ticks, ticks)
+    chart.draw_axes(ticks, ticks)
     times = np.asarray(traj.times)
     stack = np.stack([s.points for s in traj.states])  # (T, n, 2)
     for pid in range(stack.shape[1]):
         xs, ys = stack[:, pid, 0], stack[:, pid, 1]
         if pid < n_grid:
-            frame.polyline(xs, ys, stroke="#999999", width=0.8, opacity=0.7)
+            chart.polyline(xs, ys, stroke="#999999", width=0.8, opacity=0.7)
         else:
             color = _SAMPLE_COLORS[(pid - n_grid) % len(_SAMPLE_COLORS)]
-            frame.polyline(xs, ys, stroke=color, width=1.2)
+            chart.polyline(xs, ys, stroke=color, width=1.2)
     # midpoints every max(0.2, T / 50) time units along the orbit, so at most about 50 of them
     t_mark = spacing = max(0.2, traj.times[-1] / 50)
     while t_mark < traj.times[-1] + 1e-12:
         pts = _interp_state(times, stack, t_mark)
         for pid in range(pts.shape[0]):
             fill = "#666666" if pid < n_grid else "#222222"
-            frame.point(pts[pid, 0], pts[pid, 1], r=1.4, fill=fill, opacity=0.8)
+            chart.point(pts[pid, 0], pts[pid, 1], r=1.4, fill=fill, opacity=0.8)
         t_mark += spacing
-    return canvas
+    return chart
 
 
 def cmd_trajectory(cfg: RunConfig) -> int:
@@ -397,14 +396,13 @@ def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tupl
 
 def _density_svg(cfg: RunConfig, xs: np.ndarray, curves) -> SvgCanvas:
     ymax = max(float(np.max(d)) for _, d in curves) * 1.1
-    canvas = SvgCanvas(520, 360)
-    frame = ChartFrame(canvas, (-cfg.curve_extent, cfg.curve_extent), (0.0, ymax), title=cfg.name)
-    frame.draw_axes(np.linspace(-cfg.curve_extent, cfg.curve_extent, 5), [0.0, ymax / 2, ymax])
+    chart = SvgCanvas(520, 360, (-cfg.curve_extent, cfg.curve_extent), (0.0, ymax), cfg.name)
+    chart.draw_axes(np.linspace(-cfg.curve_extent, cfg.curve_extent, 5), [0.0, ymax / 2, ymax])
     for i, (t, dens) in enumerate(curves):
         color = _SAMPLE_COLORS[i % len(_SAMPLE_COLORS)]
-        frame.polyline(xs, dens, stroke=color, width=1.5)
-        canvas.text(70, 60 + 14 * i, f"t={t:g}", size=10, fill=color)
-    return canvas
+        chart.polyline(xs, dens, stroke=color, width=1.5)
+        chart.text(70, 60 + 14 * i, f"t={t:g}", size=10, fill=color)
+    return chart
 
 
 def _chart_sigma(cov: np.ndarray) -> np.ndarray:
@@ -433,29 +431,27 @@ def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, flo
 
 def _abstract_svg(cfg: RunConfig, rows) -> SvgCanvas:
     smax = max(max(r[1], r[2]) for r in rows) * 1.15
-    canvas = SvgCanvas(480, 480)
-    frame = ChartFrame(canvas, (0.0, smax), (0.0, smax), title=f"{cfg.name} (sigma chart)")
+    chart = SvgCanvas(480, 480, (0.0, smax), (0.0, smax), f"{cfg.name} (sigma chart)")
     ticks = np.round(np.linspace(0.0, smax, 5), 2)
-    frame.draw_axes(ticks, ticks, fmt="{:.2f}")
+    chart.draw_axes(ticks, ticks, fmt="{:.2f}")
     # entropy level sets log s1 + log s2 = c are hyperbolas
     for level in (-1.5, -1.0, -0.5, 0.0, 0.35):
         s1 = np.linspace(0.05, smax, 120)
         s2 = np.exp(level) / s1
         mask = s2 <= smax
-        frame.polyline(s1[mask], s2[mask], stroke="#cccccc", width=0.8)
+        chart.polyline(s1[mask], s2[mask], stroke="#cccccc", width=0.8)
     styles = {
         "continuous": {"stroke": "#1f77b4", "width": 2.0},
         "one_shot": {"stroke": "#2ca02c", "width": 1.5, "dash": "5,4"},
         "composed": {"stroke": "#2ca02c", "width": 1.5},
     }
     for source, style in styles.items():
-        pts = [(r[1], r[2]) for r in rows if r[4] == source]
-        frame.polyline([p[0] for p in pts], [p[1] for p in pts], **style)
-    canvas.text(70, 58, "continuous", size=10, fill="#1f77b4")
-    canvas.text(70, 72, "one-shot (dashed) / composed", size=10, fill="#2ca02c")
-    canvas.text(canvas.width / 2, canvas.height - 8, "sigma1", size=10, anchor="middle")
-    canvas.text(14, canvas.height / 2, "sigma2", size=10, anchor="middle")
-    return canvas
+        chart.polyline([r[1] for r in rows if r[4] == source], [r[2] for r in rows if r[4] == source], **style)
+    chart.text(70, 58, "continuous", size=10, fill="#1f77b4")
+    chart.text(70, 72, "one-shot (dashed) / composed", size=10, fill="#2ca02c")
+    chart.text(chart.width / 2, chart.height - 8, "sigma1", size=10, anchor="middle")
+    chart.text(14, chart.height / 2, "sigma2", size=10, anchor="middle")
+    return chart
 
 
 def cmd_pushforward(cfg: RunConfig) -> int:

@@ -113,9 +113,9 @@ class EmpiricalKernel:
     """Plug-in denoising map: Gaussian-kernel weighted mean of the data.
 
     ``g(x) = sum_i d_i N(x; d_i, t I) / sum_i N(x; d_i, t I)``.  Degenerate at
-    t = 0 and wherever the kernel weight sum underflows; both raise
-    :class:`DomainError` rather than guessing a value.  At points equal to its
-    data the kernel pass takes its symmetric route, each pair once.
+    t = 0 and wherever the mean of ``exp(-|x - d_i|^2 / (2t))`` underflows; both
+    raise :class:`DomainError` rather than guessing a value.  At points equal to
+    its data the kernel pass takes its symmetric route, each pair once.
     """
 
     data: ParticleEnsemble
@@ -132,8 +132,7 @@ class EmpiricalKernel:
     def apply(self, x) -> np.ndarray:
         if self.t == 0.0:
             raise DomainError("empirical kernel map is degenerate at t = 0")
-        log_norm = -0.5 * self.dim * math.log(2.0 * math.pi * self.t)
-        log_weight, out = _kernel_pass(x, self.data.points, self.t, log_norm, weighted_mean=True)
+        log_weight, out = _kernel_pass(x, self.data.points, self.t, 0.0, weighted_mean=True)
         if np.any(log_weight < _UNDERFLOW_LOG):
             raise DomainError(
                 f"kernel weight sum underflow (log sum {float(np.min(log_weight)):.1f} < log 1e-300); "

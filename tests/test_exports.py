@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 
 import dae_transport
-from dae_transport import measures, pushforward, transport
+from dae_transport import measures, pushforward, svg, transport
 
-# names folded into ``Gaussian`` (one value, one validator, one W2), and ``denoising_shift``, which is ``apply(x) - x``
+# names folded into ``Gaussian`` (one value, one validator, one W2), ``denoising_shift``, which is ``apply(x) - x``,
+# and ``ChartFrame``, folded into ``SvgCanvas`` (one chart class)
 REMOVED = (
     "AbstractPoint",
+    "ChartFrame",
     "GaussianPushforward",
     "SOURCE_CONTINUOUS",
     "SOURCE_ONE_SHOT",
@@ -37,7 +39,7 @@ def test_export_list_resolves_without_duplicates():
 
 
 def test_removed_names_are_gone_from_package_and_modules():
-    for owner in (dae_transport, measures, pushforward, transport):
+    for owner in (dae_transport, measures, pushforward, svg, transport):
         assert [n for n in REMOVED if hasattr(owner, n)] == [], owner.__name__
     assert not set(REMOVED) & set(dae_transport.__all__)
 
@@ -51,6 +53,16 @@ def test_pushforward_defines_only_the_three_entry_points():
 def test_tracer_shims_are_neither_exported_nor_loaded_by_the_cli():
     assert [n for n in SHIMS if hasattr(dae_transport, n) or n in dae_transport.__all__] == []
     code = "import sys, dae_transport.cli; print(sorted(m for m in sys.modules if m.endswith('pushforward')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_cli_import_loads_no_xml_http_or_scipy_module():
+    # ``svg._escape`` stands in for ``xml.sax.saxutils.escape``, whose import pulls in ``urllib.request``
+    # and ``http``; every command's start-up pays for what ``import dae_transport.cli`` loads.
+    # ``urllib.parse`` is left out: ``pathlib`` loads it.
+    code = ("import sys, dae_transport.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('xml', 'http', 'scipy') or m.startswith('urllib.request')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 

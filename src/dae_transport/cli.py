@@ -319,7 +319,7 @@ def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) ->
     ticks = [-extent, -extent / 2, 0.0, extent / 2, extent]
     chart.draw_axes(ticks, ticks)
     times = np.asarray(traj.times)
-    stack = np.stack([s.points for s in traj.states])  # (T, n, 2)
+    stack = np.concatenate([traj.initial.points[None], traj.layers])  # (T, n, 2)
     for pid in range(stack.shape[1]):
         xs, ys = stack[:, pid, 0], stack[:, pid, 1]
         if pid < n_grid:

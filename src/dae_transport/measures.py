@@ -21,8 +21,8 @@ single-Gaussian closed forms.  The DAE map, the one-shot and continuous
 pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
 decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they share, and
-:meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map runs,
-into one (L, n, m) stack that one :class:`ParticleEnsemble` checks.  :func:`_checked_time`
+:meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map runs, into one
+(L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  :func:`_checked_time`
 is the one check every time, noise variance, and layer variance passes where it enters the
 package, and :func:`_checked_parameter` the one check of a verification parameter.
 
@@ -245,16 +245,6 @@ class ParticleEnsemble:
         frozen = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
         object.__setattr__(self, "points", pts if frozen and not pts.flags.writeable else _frozen(pts.copy()))
         object.__setattr__(self, "seed", int(self.seed))
-
-    @classmethod
-    def _of_stack(cls, stack: np.ndarray, seed: int) -> list["ParticleEnsemble"]:
-        """Read-only ensembles over the (n, m) rows of an (L, n, m) stack, which one constructor call checks."""
-        blocks = cls(_frozen(stack).reshape(-1, stack.shape[2]), seed).points.reshape(stack.shape)
-        states = [object.__new__(cls) for _ in blocks]
-        for state, block in zip(states, blocks):  # set as the constructor does, so no instance dict is made
-            object.__setattr__(state, "points", block)
-            object.__setattr__(state, "seed", int(seed))
-        return states
 
     @property
     def n(self) -> int:

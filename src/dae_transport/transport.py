@@ -15,10 +15,10 @@ pushforward measure; the continuous flow is the same composition on a uniform
 schedule, which is its broken-line (explicit Euler) approximation, so matching
 schedules produce identical trajectories bit for bit.
 
-Every flow hands its times, its states and, when their laws are Gaussians
-known in closed form, their stacked eigenvalues (else None) to one builder,
-which records each state's entropy and Renyi-2 as (value, stderr) rows of two
-``(T, 2)`` arrays; the states' sample moments are taken when the JSON is written.
+Every flow writes its L later states into one (L, n, m) stack and hands its times, its input
+ensemble, the stack and, for Gaussian laws known in closed form, their eigenvalues (else None) to one
+builder, which records each state's entropy and Renyi-2 as (value, stderr) rows of two ``(T, 2)``
+arrays.  A :class:`Trajectory` keeps the ensemble beside the frozen stack and makes ``states`` on read.
 
 Every single-Gaussian formula here (the propagated covariance and its
 entropies) is an eigenvalue map of the one Gaussian value
@@ -27,11 +27,12 @@ rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are
 the ones ``cli.load_config`` also calls.  An analytic flow of L layers on n points in
 R^m decomposes the initial covariance once; its (L+1, m) eigenvalue path gives the
 entropy column in one array pass, and ``Gaussian._scaled`` (the code of ``denoise``)
-writes the states into one (L, n, m) stack that one ensemble checks: they are its rows.
+writes the stack, which one ensemble constructor call checks and adopts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,7 +136,7 @@ class EmpiricalKernel:
         log_weight, out = _kernel_pass(x, self.data.points, self.t, 0.0, weighted_mean=True)
         if np.any(log_weight < _UNDERFLOW_LOG):
             raise DomainError(
-                f"kernel weight sum underflow (log sum {float(np.min(log_weight)):.1f} < log 1e-300); "
+                f"kernel weight sum underflow (log mean {float(np.min(log_weight)):.4g} < log 1e-300); "
                 "the probe point is too far from the data for bandwidth t"
             )
         return out
@@ -200,36 +201,48 @@ class FlowDiagnostics(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-stamped particle states; ``entropy`` and ``renyi2`` are read-only ``(T, 2)`` (value, stderr) rows."""
+    """``initial``, the read-only ``(L, n, m)`` stack ``layers`` after it, and ``(T, 2)`` (value, stderr) rows."""
 
     times: tuple[float, ...]
-    states: tuple[ParticleEnsemble, ...]
+    initial: ParticleEnsemble
+    layers: np.ndarray
     entropy: np.ndarray
     renyi2: np.ndarray
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
-        states = tuple(self.states)
+        stack = np.asarray(self.layers, dtype=float)
         ent, ren = (_frozen(np.array(a, dtype=float)) for a in (self.entropy, self.renyi2))
         if not times or times[0] != 0.0:
             raise ContractError("trajectory times must start at 0")
         # a NaN fails every comparison, and an infinity is either last or followed by a time not above it
         if not (math.isfinite(times[-1]) and all(a < b for a, b in zip(times, times[1:]))):
             raise ContractError("trajectory times must be finite and strictly increasing")
-        if len(states) != len(times) or ent.shape != (len(times), 2) or ren.shape != ent.shape:
-            raise ContractError("times, states, and (value, stderr) rows of entropy and renyi2 must have equal length")
-        if len({s.points.shape for s in states}) != 1:
+        if stack.shape[1:] != self.initial.points.shape:
             raise ContractError("all trajectory states must share n and m")
-        for key, value in zip(("times", "states", "entropy", "renyi2"), (times, states, ent, ren)):
+        if len(stack) + 1 != len(times) or ent.shape != (len(times), 2) or ren.shape != ent.shape:
+            raise ContractError("times, states, and (value, stderr) rows of entropy and renyi2 must have equal length")
+        if stack.size:  # one constructor call checks the values; it adopts a frozen stack, else freezes a copy
+            stack = ParticleEnsemble(stack.reshape(-1, stack.shape[2]), self.initial.seed).points.reshape(stack.shape)
+        for key, value in zip(("times", "layers", "entropy", "renyi2"), (times, stack, ent, ren)):
             object.__setattr__(self, key, value)
+
+    @functools.cached_property
+    def states(self) -> tuple[ParticleEnsemble, ...]:
+        """``initial``, then one ensemble over each row of ``layers``, made on first read."""
+        states = [object.__new__(ParticleEnsemble) for _ in self.layers]
+        for state, block in zip(states, self.layers):  # the rows are checked already: set as the constructor does
+            object.__setattr__(state, "points", block)
+            object.__setattr__(state, "seed", self.initial.seed)
+        return (self.initial, *states)
 
     @property
     def n(self) -> int:
-        return self.states[0].n
+        return self.initial.n
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.initial.dim
 
     @property
     def diagnostics(self) -> tuple[FlowDiagnostics, ...]:
@@ -241,7 +254,7 @@ class Trajectory:
         header = ["time", "particle_id"] + [f"x{j + 1}" for j in range(self.dim)]
         rows = ([t, pid, *row] for t, s in zip(self.times, self.states)
                 for pid, row in enumerate(s.points.tolist()))
-        write_csv(path, header, rows, self.states[0].seed)
+        write_csv(path, header, rows, self.initial.seed)
 
     def diagnostics_json(self) -> dict:
         """Per-time records: the entropy rows plus the particles' sample moments, taken here from the states."""
@@ -250,7 +263,7 @@ class Trajectory:
             mean, cov = _moments(s.points)
             records.append({"time": t, "entropy": h, "entropy_stderr": dh, "renyi2": r, "renyi2_stderr": dr,
                             "mean": mean.tolist(), "cov": cov.tolist()})
-        return {"seed": self.states[0].seed, "records": records}
+        return {"seed": self.initial.seed, "records": records}
 
 
 # -- diagnostics helpers -------------------------------------------------------------
@@ -269,20 +282,18 @@ def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> tuple[float
     return (*Estimate.mean_of(-lp), *Estimate.mean_of(_renyi_terms(lp, 2.0)))
 
 
-def _trajectory(
-    times: Sequence[float], states: Sequence[ParticleEnsemble], evals: np.ndarray | None
-) -> Trajectory:
-    """The one place states become a :class:`Trajectory`, with one ``(h, dh, r, dr)`` row per state.
-
-    Row l of ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None`` marks sampled states.
-    """
-    if evals is None:
-        rows = np.array([_layer_diagnostics(s.points, states[0].seed, layer) for layer, s in enumerate(states)])
+def _trajectory(times: Sequence[float], ensemble: ParticleEnsemble, layers: np.ndarray,
+                evals: np.ndarray | None) -> Trajectory:
+    """The one place ``ensemble`` and the ``(L, n, m)`` stack after it become a :class:`Trajectory`: row l of
+    ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None`` marks sampled states."""
+    if evals is None:  # one constructor call checks the sampled states before the diagnostics read them
+        ParticleEnsemble(_frozen(layers).reshape(-1, ensemble.dim), ensemble.seed)
+        rows = np.array([_layer_diagnostics(x, ensemble.seed, i) for i, x in enumerate((ensemble.points, *layers))])
     else:
         m, log_dets = evals.shape[1], _log_dets(evals)
         zeros = np.zeros_like(log_dets)
         rows = np.stack([_gaussian_entropy(m, log_dets), zeros, _gaussian_renyi(m, log_dets, 2.0), zeros], axis=1)
-    return Trajectory(times, states, rows[:, :2], rows[:, 2:])
+    return Trajectory(times, ensemble, _frozen(layers), rows[:, :2], rows[:, 2:])
 
 
 # -- flows -------------------------------------------------------------------------
@@ -326,14 +337,13 @@ def compose(
         g0 = Gaussian.of(mix0)
         lam = g0.composed(schedule.taus)
         factors = np.cumprod(_dae_factor(lam[:-1], np.array(schedule.taus)[:, None]), axis=0)
-        states = ParticleEnsemble._of_stack(g0._scaled(ensemble.points, factors), ensemble.seed)
-        return _trajectory(times, [ensemble, *states], lam)
+        return _trajectory(times, ensemble, g0._scaled(ensemble.points, factors), lam)
 
-    points, states = ensemble.points, [ensemble]
-    for tau in schedule.taus:
-        points = EmpiricalKernel(states[-1], tau).apply(points)
-        states.append(ParticleEnsemble(points, ensemble.seed))
-    return _trajectory(times, states, None)
+    layers = np.empty((len(schedule), ensemble.n, ensemble.dim))
+    for layer, tau in enumerate(schedule.taus):  # each layer trains on the state before it, checked
+        data = ParticleEnsemble(layers[layer - 1], ensemble.seed) if layer else ensemble
+        layers[layer] = EmpiricalKernel(data, tau).apply(data.points)
+    return _trajectory(times, ensemble, layers, None)
 
 
 def _retrain_mode(k: int, retrain: str | None) -> str:
@@ -369,7 +379,7 @@ def continuous_flow(
         try:
             g.check_horizon(schedule.times[-1], "continuous flow")
         except SingularityError as exc:
-            exc.partial = _trajectory((0.0,), [ensemble], g.evals[None])
+            exc.partial = _trajectory((0.0,), ensemble, np.empty((0, ensemble.n, ensemble.dim)), g.evals[None])
             raise
     return compose(mix0, schedule, ensemble, retrain)
 
@@ -387,11 +397,11 @@ def one_shot_orbit(
         raise ContractError("ensemble dimension does not match measure dimension")
 
     if mix0.k > 1:
-        states = [ParticleEnsemble(MixtureExact(mix0, t).apply(ensemble.points), ensemble.seed) for t in ts]
-        return _trajectory((0.0, *ts), [ensemble, *states], None)
+        layers = np.stack([MixtureExact(mix0, t).apply(ensemble.points) for t in ts])
+        return _trajectory((0.0, *ts), ensemble, layers, None)
     g, t_col = Gaussian.of(mix0), np.array(ts)[:, None]
-    states = ParticleEnsemble._of_stack(g._scaled(ensemble.points, _dae_factor(g.evals, t_col)), ensemble.seed)
-    return _trajectory((0.0, *ts), [ensemble, *states], np.vstack([g.evals, _one_shot_evals(g.evals, t_col)]))
+    layers = g._scaled(ensemble.points, _dae_factor(g.evals, t_col))
+    return _trajectory((0.0, *ts), ensemble, layers, np.vstack([g.evals, _one_shot_evals(g.evals, t_col)]))
 
 
 def _orbit_times(times: Sequence[float]) -> list[float]:

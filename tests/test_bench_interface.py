@@ -39,7 +39,8 @@ def test_tracer_counts_kernel_pairs_of_maps_and_density_estimates(monkeypatch):
     n = ens.n
     # two layers, each an n x n map apply; three n x n KDE diagnostics plus the 5 x n call
     assert tracer.counts["transport.EmpiricalKernel.apply.calls"] == 2
-    assert tracer.counts["measures.ParticleEnsemble.init.calls"] == 2  # one state per layer, no training copy
+    # a checked training copy for each layer after the first, the stack's check and the trajectory's: at most L + 1
+    assert tracer.counts["measures.ParticleEnsemble.init.calls"] <= 3
     assert tracer.counts["transport.EmpiricalKernel.apply.pairs"] == 2 * n * n
     assert tracer.counts["measures.kde_log_density.calls"] == 4
     assert tracer.counts["measures.kde_log_density.pairs"] == 3 * n * n + 5 * n
@@ -79,3 +80,19 @@ def test_a_traced_op_measures_every_declared_time_metric(monkeypatch, name):
         wl.op_inprocess(inp)
     measured = tracer.per_op(1)
     assert declared and [key for key in declared if key not in measured] == []
+
+
+@pytest.mark.parametrize("name", ["deep_flow", "wide_flow", "mixture_flow"])
+def test_a_workload_s_checks_pass_one_op_and_reject_every_control(monkeypatch, name):
+    # the benchmark's checks and controls read the trajectory's states and diagnostics; no other test runs them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    wl = workloads.WORKLOADS[name]
+    inp = wl.build(1)
+    out = wl.op(inp)
+    assert wl.check(inp, out, None) == [] and wl.check(inp, out, wl.reference(out)) == []
+    if hasattr(wl, "oracle"):
+        assert wl.oracle(inp, out) == []
+    controls = wl.controls(inp, out, None)
+    assert controls and [key for key, errs in controls.items() if not errs] == []

@@ -579,8 +579,10 @@ def test_empirical_kernel_extreme_inputs_raise_domain_error(t, offset):
     # DomainError, never an overflow, a NaN or a RuntimeWarning (which the suite turns into errors)
     rng = np.random.default_rng(6)
     kernel_map = EmpiricalKernel(ParticleEnsemble(rng.normal(size=(200, 2)), seed=0), t)
-    with pytest.raises(DomainError, match="underflow"):
+    with pytest.raises(DomainError, match="underflow") as err:
         kernel_map.apply(rng.normal(size=(5, 2)) + [offset, 0.0])
+    # the log mean is printed in short form: at t = 1e-300 it has 300 digits before the point
+    assert "log mean" in str(err.value) and len(str(err.value)) < 200
 
 
 @pytest.mark.parametrize("t", [1e300, 1e308])
@@ -713,15 +715,44 @@ def test_a_chunk_of_analytic_states_holding_an_inf_is_rejected():
 
 
 def test_analytic_states_are_row_views_of_one_frozen_stack():
-    # at n m > 8192 a chunk is one layer, yet the states are rows of one (L, n, m) array, not per-chunk copies
+    # at n m > 8192 a chunk is one layer, yet the states are rows of one (L, n, m) array, not per-chunk copies;
+    # the sampled flows and a singularity's one-time partial hold their states the same way, made only when read
     mix = GaussianMixture.single([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])
     ens = ParticleEnsemble(np.random.default_rng(4).standard_normal((100_000, 2)), seed=3)
-    for traj in (continuous_flow(mix, 0.45, 16, ens), one_shot_orbit(mix, [0.1 * (i + 1) for i in range(16)], ens)):
-        stack = traj.states[1].points.base
-        assert stack.shape == (16, 100_000, 2) and not stack.flags.writeable
-        for layer, state in enumerate(traj.states[1:]):
-            assert state.points.base is stack and np.shares_memory(state.points, stack[layer])
-            assert state.seed == 3 and np.array_equal(state.points, stack[layer])
+    small = ParticleEnsemble(ens.points[:40], seed=3)
+    with pytest.raises(SingularityError) as err:
+        continuous_flow(mix, 5.0, 4, small)
+    flows = [(continuous_flow(mix, 0.45, 16, ens), ens),
+             (one_shot_orbit(mix, [0.1 * (i + 1) for i in range(16)], ens), ens),
+             (compose(_two_mixture(), FlowSchedule((0.1, 0.2, 0.1)), small, "empirical"), small),
+             (one_shot_orbit(_two_mixture(), [0.1, 0.3], small), small),
+             (err.value.partial, small)]
+    for traj, start in flows:
+        layers = traj.layers
+        assert "states" not in vars(traj)
+        assert layers.shape == (len(traj.times) - 1, *start.points.shape) and not layers.flags.writeable
+        owner = layers if layers.base is None else layers.base
+        assert owner.shape == layers.shape and not owner.flags.writeable
+        states = traj.states
+        assert states is traj.states and states[0] is start and len(states) == len(traj.times)
+        for layer, state in enumerate(states[1:]):
+            assert np.shares_memory(state.points, layers[layer]) and not state.points.flags.writeable
+            assert state.seed == 3 and np.array_equal(state.points, layers[layer])
+    assert len(flows[0][0].layers) == 16 and len(flows[-1][0].layers) == 0
+
+
+@pytest.mark.parametrize("flow", ["compose_1_layer", "compose_2_layers", "mixture_orbit"])
+def test_sampled_states_are_checked_before_their_diagnostics_read_them(flow):
+    # the kernel GEMM of data near (+-1e200, 0) and the mixture score at 1e155 overflow to non-finite points; the
+    # stack's finiteness check must reject them before a KDE of those states raises an error of its own
+    far = GaussianMixture.from_components([(0.5, [-1e200, 0.0], np.eye(2)), (0.5, [1e200, 0.0], np.eye(2))])
+    runs = {"compose_1_layer": lambda: compose(far, FlowSchedule((0.1,)), sample(far, 50, 0), "empirical"),
+            "compose_2_layers": lambda: compose(far, FlowSchedule((0.1, 0.1)), sample(far, 50, 0), "empirical"),
+            "mixture_orbit": lambda: one_shot_orbit(_two_mixture(), [0.1, 0.2],
+                                                    ParticleEnsemble(np.array([[1e155, 1e155]]), seed=0))}
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ContractError, match="ensemble points must be finite"):
+            runs[flow]()
 
 
 # -- continuous flow ----------------------------------------------------------------------
@@ -970,7 +1001,7 @@ def test_trajectory_requires_increasing_times():
     ens = probe_ensemble()
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), ens, "analytic")
     with pytest.raises(ContractError):
-        Trajectory((0.0, 0.2, 0.1), traj.states, traj.entropy, traj.renyi2)
+        Trajectory((0.0, 0.2, 0.1), traj.initial, traj.layers, traj.entropy, traj.renyi2)
 
 
 @pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, math.inf), (0.0, 1.0, math.nan)],
@@ -979,22 +1010,21 @@ def test_trajectory_rejects_times_that_are_not_finite(times):
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), probe_ensemble(), "analytic")
     k = len(times)
     with pytest.raises(ContractError, match="finite and strictly increasing"):
-        Trajectory(times, traj.states[:k], traj.entropy[:k], traj.renyi2[:k])
+        Trajectory(times, traj.initial, traj.layers[:k - 1], traj.entropy[:k], traj.renyi2[:k])
 
 
 def test_trajectory_rejects_bad_start_lengths_and_shapes():
     traj = compose(aniso(), FlowSchedule((0.1, 0.1)), probe_ensemble(), "analytic")
     with pytest.raises(ContractError, match="start at 0"):
-        Trajectory((0.1, 0.2, 0.3), traj.states, traj.entropy, traj.renyi2)
+        Trajectory((0.1, 0.2, 0.3), traj.initial, traj.layers, traj.entropy, traj.renyi2)
     # a row missing, or rows that are not (value, stderr) pairs
-    for states, h, r in [(traj.states[:2], traj.entropy, traj.renyi2), (traj.states, traj.entropy[:2], traj.renyi2),
-                         (traj.states, traj.entropy, traj.renyi2[:2]), (traj.states, traj.entropy[:, 0], traj.renyi2),
-                         (traj.states, traj.entropy, np.hstack([traj.renyi2, traj.renyi2]))]:
+    for layers, h, r in [(traj.layers[:1], traj.entropy, traj.renyi2), (traj.layers, traj.entropy[:2], traj.renyi2),
+                         (traj.layers, traj.entropy, traj.renyi2[:2]), (traj.layers, traj.entropy[:, 0], traj.renyi2),
+                         (traj.layers, traj.entropy, np.hstack([traj.renyi2, traj.renyi2]))]:
         with pytest.raises(ContractError, match="equal length"):
-            Trajectory(traj.times, states, h, r)
-    fewer = ParticleEnsemble(traj.states[2].points[:-1], seed=0)
+            Trajectory(traj.times, traj.initial, layers, h, r)
     with pytest.raises(ContractError, match="share n and m"):
-        Trajectory(traj.times, (*traj.states[:2], fewer), traj.entropy, traj.renyi2)
+        Trajectory(traj.times, traj.initial, traj.layers[:, :-1], traj.entropy, traj.renyi2)
 
 
 def test_entropy_rows_are_read_only_arrays_that_the_view_and_the_json_read(monkeypatch):
@@ -1024,7 +1054,7 @@ def test_entropy_rows_are_read_only_arrays_that_the_view_and_the_json_read(monke
         assert np.array([[rec[k] for k in keys] for rec in records]).tobytes() == both.tobytes()
     # the trajectory keeps its own copy of the rows it is given
     rows = np.zeros((1, 2))
-    traj = Trajectory((0.0,), (ens,), rows, rows)
+    traj = Trajectory((0.0,), ens, np.empty((0, n, m)), rows, rows)
     rows[0, 0] = 5.0
     assert traj.entropy[0, 0] == 0.0 and rows.flags.writeable
 

@@ -295,7 +295,8 @@ def _entropy_trajectory(values, stderr: float = 0.0) -> Trajectory:
     """A trajectory whose entropy rows are ``(value, stderr)``, with stderr 0 where a value is -inf (collapsed)."""
     ens = ParticleEnsemble(np.linspace(-1, 1, 12)[:, None], seed=0)
     rows = [(v, 0.0 if v == -math.inf else stderr) for v in values]
-    return Trajectory(range(len(values)), (ens,) * len(values), rows, np.zeros((len(values), 2)))
+    layers = np.repeat(ens.points[None], len(values) - 1, axis=0)
+    return Trajectory(range(len(values)), ens, layers, rows, np.zeros((len(values), 2)))
 
 
 def test_entropy_monotone_constant_trajectory_is_flat():

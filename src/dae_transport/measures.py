@@ -13,8 +13,8 @@ underflow.  Each component covariance is stored with a cached spectral
 factorization that the mixture's own solves, log determinants, and square
 roots reuse; the density and its derivatives evaluate all components at
 once.  :func:`_decomposed` is the one covariance validator (finite, symmetric,
-not flat by :func:`_spectrum`'s rule), :func:`_pointwise` the one point-or-batch
-rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
+not flat), :func:`_pointwise` the one point-or-batch rule, and
+``verify.ResidualReport`` the one owner of a check's verdict.
 
 :class:`Gaussian`, a mean and one eigenbasis, is the one route to the
 single-Gaussian closed forms.  The DAE map, the one-shot and continuous
@@ -22,9 +22,10 @@ pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
 decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they share, and
 :meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map runs, into one
-(L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  :func:`_checked_time`
-is the one check every time, noise variance, and layer variance passes where it enters the
-package, and :func:`_checked_parameter` the one check of a verification parameter.
+(L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
+of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their entropy rows :func:`_path_rows`.
+:func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it
+enters the package, and :func:`_checked_parameter` the one check of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -69,7 +70,9 @@ class Estimate(NamedTuple):
 
     @classmethod
     def mean_of(cls, samples: np.ndarray) -> "Estimate":
-        """Monte Carlo mean of per-sample terms with its standard error."""
+        """Monte Carlo mean of per-sample terms with its standard error; fewer than two samples have none."""
+        if samples.shape[0] < 2:
+            raise ContractError(f"a Monte Carlo estimate needs at least two samples, got {samples.shape[0]}")
         return cls(float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(samples.shape[0])))
 
 
@@ -86,10 +89,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _spectrum(mean: np.ndarray, cov: np.ndarray, what: str):
-    """``(cov, evals, evecs, flat)`` of finite (m, m) or (k, m, m) covariances symmetric to 1e-12 * max(1, max |cov|).
+def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
+    """``(cov, evals, evecs)`` of finite (m, m) or (k, m, m) covariances symmetric to 1e-12 * max(1, max |cov|).
 
-    ``cov`` comes back symmetrized; ``flat``, the positivity rule, marks each smallest eigenvalue <= 1e-12 x largest.
+    ``cov`` comes back symmetrized; the positivity rule rejects each smallest eigenvalue <= 1e-12 x largest.
     """
     m = mean.shape[-1]
     if cov.shape != mean.shape + (m,):
@@ -101,13 +104,7 @@ def _spectrum(mean: np.ndarray, cov: np.ndarray, what: str):
         raise ContractError(f"{what} covariance must be symmetric within 1e-12")
     cov = 0.5 * cov + 0.5 * flipped  # halves first: no overflow near the largest float
     evals, evecs = np.linalg.eigh(cov)
-    return cov, evals, evecs, evals[..., 0] <= 1e-12 * evals[..., -1]
-
-
-def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
-    """``(cov, evals, evecs)`` of :func:`_spectrum`, none flat, so a covariance one caller accepts no other rejects."""
-    cov, evals, evecs, flat = _spectrum(mean, cov, what)
-    bad = np.flatnonzero(flat)
+    bad = np.flatnonzero(evals[..., 0] <= 1e-12 * evals[..., -1])
     if bad.size:
         label = what if cov.ndim == 2 else f"{what} {bad[0]}"
         raise ContractError(f"{label} covariance is not positive definite (eigenvalues {np.atleast_2d(evals)[bad[0]]})")
@@ -396,6 +393,19 @@ class Gaussian:
         return np.array([list(itertools.accumulate(taus, _one_shot_evals, initial=lam))
                          for lam in self.evals.tolist()]).T.copy()
 
+    def _flow(self, x: np.ndarray, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``(states, path)`` of the composed flow on (n, m) points ``x``: ``path`` is :meth:`composed`, state l
+        :meth:`_scaled` at the product of the first l layers' :func:`_dae_factor`; no layers give (0, n, m) states."""
+        path = self.composed(taus)
+        factors = np.cumprod(_dae_factor(path[:-1], np.array(taus)[:, None]), axis=0)
+        return self._scaled(x, factors), path
+
+    def _orbit(self, x: np.ndarray, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``(states, path)`` of the one-shot orbit: state i is :meth:`denoise` at ``ts[i]``, path row i + 1 its law."""
+        t_col = np.array(ts)[:, None]
+        path = np.vstack([self.evals, _one_shot_evals(self.evals, t_col)])
+        return self._scaled(x, _dae_factor(self.evals, t_col)), path
+
     def continuous(self, t: float) -> "Gaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
         return Gaussian(self.mean, _frozen(self.evals - 2.0 * t), self.evecs)
@@ -475,7 +485,7 @@ class Gaussian:
 
     def renyi(self, alpha: float) -> float:
         """Renyi functional ``(int N^alpha - 1) / (alpha - 1)``, infinite past exp overflow."""
-        return float(_gaussian_renyi(self.dim, _log_dets(self.evals), alpha))
+        return float(_gaussian_renyi(self.dim, _log_dets(self.evals), _checked_alpha(alpha)))
 
 
 def _dae_factor(lam, t):
@@ -509,6 +519,12 @@ def _gaussian_renyi(m: int, log_det, alpha: float):
     log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + np.asarray(log_det)) - 0.5 * m * math.log(alpha)
     ints = [math.exp(v) if v < 700.0 else math.inf for v in log_int.ravel().tolist()]  # NumPy's exp moves last bits
     return (np.reshape(ints, log_int.shape) - 1.0) / (alpha - 1.0)
+
+
+def _path_rows(path: np.ndarray) -> np.ndarray:
+    """Closed-form ``(T, 4)`` rows (entropy, 0, Renyi-2, 0) of the Gaussians with the eigenvalue rows ``path``."""
+    m, log_dets, zeros = path.shape[1], _log_dets(path), np.zeros(len(path))
+    return np.stack([_gaussian_entropy(m, log_dets), zeros, _gaussian_renyi(m, log_dets, 2.0), zeros], axis=1)
 
 
 def _component_terms(mix: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,14 +20,10 @@ ensemble, the stack and, for Gaussian laws known in closed form, their eigenvalu
 builder, which records each state's entropy and Renyi-2 as (value, stderr) rows of two ``(T, 2)``
 arrays.  A :class:`Trajectory` keeps the ensemble beside the frozen stack and makes ``states`` on read.
 
-Every single-Gaussian formula here (the propagated covariance and its
-entropies) is an eigenvalue map of the one Gaussian value
-``measures.Gaussian``, which also owns the closed-form maps.  The retrain
-rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are
-the ones ``cli.load_config`` also calls.  An analytic flow of L layers on n points in
-R^m decomposes the initial covariance once; its (L+1, m) eigenvalue path gives the
-entropy column in one array pass, and ``Gaussian._scaled`` (the code of ``denoise``)
-writes the stack, which one ensemble constructor call checks and adopts.
+No single-Gaussian formula lives here: ``measures.Gaussian._flow`` and ``Gaussian._orbit`` return an
+analytic flow's stack and eigenvalue path, and ``measures._path_rows`` that path's entropy rows.  The
+retrain rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` are the ones
+``cli.load_config`` also calls.
 """
 
 from __future__ import annotations
@@ -47,17 +43,12 @@ from .measures import (
     GaussianMixture,
     ParticleEnsemble,
     _checked_time,
-    _dae_factor,
     _frozen,
-    _gaussian_entropy,
-    _gaussian_renyi,
     _kernel_pass,
-    _log_dets,
     _moments,
-    _one_shot_evals,
+    _path_rows,
     _pointwise,
     _renyi_terms,
-    _spectrum,
     kde_log_density,
     score,
     silverman_covariance,
@@ -252,15 +243,16 @@ class Trajectory:
     def to_csv(self, path: str | Path) -> None:
         """Long-format CSV: one row per (time, particle) with columns x1..xm."""
         header = ["time", "particle_id"] + [f"x{j + 1}" for j in range(self.dim)]
-        rows = ([t, pid, *row] for t, s in zip(self.times, self.states)
-                for pid, row in enumerate(s.points.tolist()))
+        rows = ([t, pid, *row] for t, x in zip(self.times, (self.initial.points, *self.layers))
+                for pid, row in enumerate(x.tolist()))
         write_csv(path, header, rows, self.initial.seed)
 
     def diagnostics_json(self) -> dict:
-        """Per-time records: the entropy rows plus the particles' sample moments, taken here from the states."""
+        """Per-time records: the entropy rows plus the particles' sample moments, taken here from the stack."""
         records = []
-        for t, s, (h, dh), (r, dr) in zip(self.times, self.states, self.entropy.tolist(), self.renyi2.tolist()):
-            mean, cov = _moments(s.points)
+        points = (self.initial.points, *self.layers)
+        for t, x, (h, dh), (r, dr) in zip(self.times, points, self.entropy.tolist(), self.renyi2.tolist()):
+            mean, cov = _moments(x)
             records.append({"time": t, "entropy": h, "entropy_stderr": dh, "renyi2": r, "renyi2_stderr": dr,
                             "mean": mean.tolist(), "cov": cov.tolist()})
         return {"seed": self.initial.seed, "records": records}
@@ -276,9 +268,10 @@ def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> tuple[float
     data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
                     for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
     cov = silverman_covariance(data)
-    if _spectrum(np.zeros(len(cov)), cov, "Silverman kernel")[3]:
+    try:  # the points are checked and the kernel finite and symmetric: only the positivity rule can fail here
+        lp = kde_log_density(data, cov, probes)
+    except ContractError:
         return -math.inf, 0.0, math.inf, 0.0
-    lp = kde_log_density(data, cov, probes)
     return (*Estimate.mean_of(-lp), *Estimate.mean_of(_renyi_terms(lp, 2.0)))
 
 
@@ -290,9 +283,7 @@ def _trajectory(times: Sequence[float], ensemble: ParticleEnsemble, layers: np.n
         ParticleEnsemble(_frozen(layers).reshape(-1, ensemble.dim), ensemble.seed)
         rows = np.array([_layer_diagnostics(x, ensemble.seed, i) for i, x in enumerate((ensemble.points, *layers))])
     else:
-        m, log_dets = evals.shape[1], _log_dets(evals)
-        zeros = np.zeros_like(log_dets)
-        rows = np.stack([_gaussian_entropy(m, log_dets), zeros, _gaussian_renyi(m, log_dets, 2.0), zeros], axis=1)
+        rows = _path_rows(evals)
     return Trajectory(times, ensemble, _frozen(layers), rows[:, :2], rows[:, 2:])
 
 
@@ -307,24 +298,19 @@ def compose(
 ) -> Trajectory:
     """Compose per-layer denoising maps, retraining each layer on the current measure.
 
-    ``retrain='analytic'`` propagates the single-Gaussian measure in closed
-    form (mean fixed, eigenvalues through the one-shot pushforward, one
-    eigendecomposition for the whole flow) and moves the points by the
-    composed ``Gaussian.denoise`` maps; the ensemble may then be arbitrary
-    probe points.  State l is ``Gaussian._scaled``, the code of ``denoise``,
-    at the product of the first l layers' ``_dae_factor`` at their incoming
-    eigenvalues: an O(L m) float recursion, then one scaling and one batched m x m
-    GEMM per chunk of max(1, 8192 // (m n)) states into one checked (L, n, m) stack.
+    ``retrain='analytic'`` retrains on the single-Gaussian measure in closed
+    form and moves the points by the composed ``Gaussian.denoise`` maps, all
+    from one eigendecomposition (``Gaussian._flow``); the ensemble may then be
+    arbitrary probe points.
     ``retrain='empirical'`` rebuilds an :class:`EmpiricalKernel` map from the
     current particles with bandwidth equal to the layer's own noise variance,
     matching the map's smoothing scale, and moves those same particles: Gaussian
     blurring mean shift, one symmetric kernel pass per layer.  The default is
     analytic for a single Gaussian and empirical otherwise.
 
-    A finite composition contracts the measure but never loses rank: a layer
-    maps each eigenvalue lambda to lambda^3 / (lambda + tau)^2, which exceeds
-    lambda - 2 tau, so there is no singular time here; the horizon check of
-    :func:`continuous_flow` is the one singularity rule.
+    A finite composition contracts the measure but never loses rank, so there
+    is no singular time here; the horizon check of :func:`continuous_flow` is
+    the one singularity rule.
     """
     retrain = _retrain_mode(mix0.k, retrain)
     if ensemble.dim != mix0.dim:
@@ -334,10 +320,7 @@ def compose(
 
     times = (0.0, *schedule.times)
     if retrain == "analytic":
-        g0 = Gaussian.of(mix0)
-        lam = g0.composed(schedule.taus)
-        factors = np.cumprod(_dae_factor(lam[:-1], np.array(schedule.taus)[:, None]), axis=0)
-        return _trajectory(times, ensemble, g0._scaled(ensemble.points, factors), lam)
+        return _trajectory(times, ensemble, *Gaussian.of(mix0)._flow(ensemble.points, schedule.taus))
 
     layers = np.empty((len(schedule), ensemble.n, ensemble.dim))
     for layer, tau in enumerate(schedule.taus):  # each layer trains on the state before it, checked
@@ -379,7 +362,7 @@ def continuous_flow(
         try:
             g.check_horizon(schedule.times[-1], "continuous flow")
         except SingularityError as exc:
-            exc.partial = _trajectory((0.0,), ensemble, np.empty((0, ensemble.n, ensemble.dim)), g.evals[None])
+            exc.partial = _trajectory((0.0,), ensemble, *g._flow(ensemble.points, ()))
             raise
     return compose(mix0, schedule, ensemble, retrain)
 
@@ -399,9 +382,7 @@ def one_shot_orbit(
     if mix0.k > 1:
         layers = np.stack([MixtureExact(mix0, t).apply(ensemble.points) for t in ts])
         return _trajectory((0.0, *ts), ensemble, layers, None)
-    g, t_col = Gaussian.of(mix0), np.array(ts)[:, None]
-    layers = g._scaled(ensemble.points, _dae_factor(g.evals, t_col))
-    return _trajectory((0.0, *ts), ensemble, layers, np.vstack([g.evals, _one_shot_evals(g.evals, t_col)]))
+    return _trajectory((0.0, *ts), ensemble, *Gaussian.of(mix0)._orbit(ensemble.points, ts))
 
 
 def _orbit_times(times: Sequence[float]) -> list[float]:

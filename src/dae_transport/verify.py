@@ -112,8 +112,10 @@ def probe_lattice(extent: float, per_axis: int, dim: int) -> np.ndarray:
     """Regular lattice over [-extent, extent]^dim, ``per_axis`` points an axis.
 
     The lattice rule: its step (so its points) and its sample covariance must be
-    finite, else ContractError, raised without a RuntimeWarning on the way.
+    finite, else ContractError, raised without a RuntimeWarning on the way; so must be ``per_axis`` and ``dim`` >= 1.
     """
+    if per_axis < 1 or dim < 1:
+        raise ContractError(f"a lattice needs per_axis >= 1 and dim >= 1, got {per_axis} and {dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         mesh = np.meshgrid(*[np.linspace(-extent, extent, per_axis)] * dim, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)

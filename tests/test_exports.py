@@ -7,10 +7,10 @@ import sys
 from pathlib import Path
 
 import dae_transport
-from dae_transport import measures, pushforward, svg, transport
+from dae_transport import cli, measures, pushforward, svg, transport, verify
 
 # names folded into ``Gaussian`` (one value, one validator, one W2), ``denoising_shift``, which is ``apply(x) - x``,
-# and ``ChartFrame``, folded into ``SvgCanvas`` (one chart class)
+# ``ChartFrame``, folded into ``SvgCanvas`` (one chart class), and ``_spectrum``, folded into ``_decomposed``
 REMOVED = (
     "AbstractPoint",
     "ChartFrame",
@@ -18,6 +18,7 @@ REMOVED = (
     "SOURCE_CONTINUOUS",
     "SOURCE_ONE_SHOT",
     "_SpectralGaussian",
+    "_spectrum",
     "abstract_coordinates",
     "analytic_continuous_map",
     "denoising_shift",
@@ -42,6 +43,14 @@ def test_removed_names_are_gone_from_package_and_modules():
     for owner in (dae_transport, measures, pushforward, svg, transport):
         assert [n for n in REMOVED if hasattr(owner, n)] == [], owner.__name__
     assert not set(REMOVED) & set(dae_transport.__all__)
+
+
+def test_only_measures_binds_the_single_gaussian_algebra():
+    # the flows, the checks and the CLI reach the eigenvalue formulas only through ``Gaussian`` and ``_path_rows``
+    algebra = ("_dae_factor", "_one_shot_evals", "_log_dets", "_gaussian_entropy", "_gaussian_renyi", "_decomposed")
+    assert all(hasattr(measures, name) for name in algebra)
+    for module in (transport, verify, cli):
+        assert [name for name in algebra if hasattr(module, name)] == [], module.__name__
 
 
 def test_pushforward_defines_only_the_three_entry_points():

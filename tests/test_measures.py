@@ -451,6 +451,21 @@ def test_renyi_rejects_bad_alpha():
                 renyi_entropy(mix, alpha, n=100)
 
 
+def test_gaussian_renyi_checks_its_order_as_renyi_entropy_does():
+    g = Gaussian.of(GaussianMixture.standard(2))
+    for alpha in (1.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="alpha"):
+            g.renyi(alpha)
+    assert g.renyi(2.0) == renyi_entropy(GaussianMixture.standard(2), 2.0).value
+
+
+def test_monte_carlo_estimates_need_two_samples():
+    for estimate in (lambda n: entropy(two_mixture(), n=n), lambda n: renyi_entropy(two_mixture(), 2.0, n=n)):
+        with pytest.raises(ContractError, match="at least two samples"):
+            estimate(1)
+        assert math.isfinite(estimate(2).stderr)
+
+
 def test_renyi_mixture_mc_matches_quadrature():
     mix = GaussianMixture.from_components([(0.5, [-1.0], [[1.0]]), (0.5, [1.0], [[1.0]])])
     xs = np.linspace(-12, 12, 20001)[:, None]

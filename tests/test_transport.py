@@ -1081,6 +1081,21 @@ def test_trajectory_csv_and_json_outputs(tmp_path):
     assert ents[0] > ents[1] > ents[2]
 
 
+def test_writers_read_the_stack_and_build_no_states(tmp_path):
+    # both writers take each time's points from ``initial`` and ``layers``, so writing makes no state object
+    ens = probe_ensemble()
+    for traj in (compose(aniso(), FlowSchedule.uniform(0.2, 4), ens, "analytic"),
+                 compose(_two_mixture(), FlowSchedule((0.1, 0.2)), ens, "empirical")):
+        traj.to_csv(tmp_path / "traj.csv")
+        records = traj.diagnostics_json()["records"]
+        assert "states" not in vars(traj)
+        points = [ens.points, *traj.layers]
+        body = [r for r in csv.reader(tmp_path.joinpath("traj.csv").read_text().splitlines()[2:])]
+        assert body == [[repr(t), str(i), *map(repr, row)] for t, x in zip(traj.times, points)
+                        for i, row in enumerate(x.tolist())]
+        assert [r["mean"] for r in records] == [_moments(x)[0].tolist() for x in points]
+
+
 def test_csv_cells_are_the_shortest_round_trip_text(tmp_path):
     # a Python float, NumPy float64 values from the smallest subnormal to near the largest float, an int and a str
     row = [0.1, *np.array([5e-324, -0.0, 1e-5, 1e16, 1e308]), 7, "one_shot"]

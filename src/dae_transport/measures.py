@@ -25,7 +25,7 @@ decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they s
 (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
 of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their entropy rows :func:`_path_rows`.
 :func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it
-enters the package, and :func:`_checked_parameter` the one check of a verification parameter.
+enters the package, :func:`_checked_count` of a count, and :func:`_checked_parameter` of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -59,7 +59,7 @@ MC_DEFAULT_N = 100_000
 
 #: Most (point, datum) pairs one cache-sized chunk of a kernel pass holds at once.
 _KERNEL_CHUNK_PAIRS = 65_536
-_SCALED_CHUNK_ELEMENTS = 8192  # layers per chunk of :meth:`Gaussian._scaled`: max(1, this // (m n))
+_SCALED_CHUNK_ELEMENTS = 32768  # most elements of one (layers x particles) tile of :meth:`Gaussian._scaled`
 
 
 class Estimate(NamedTuple):
@@ -236,8 +236,9 @@ class ParticleEnsemble:
         pts = pts[:, np.newaxis] if pts.ndim == 1 else pts
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ContractError("ensemble points must form a nonempty (n, m) array")
-        if pts.size and not (math.isfinite(pts.min()) and math.isfinite(pts.max())):  # no temporary of pts' size
-            raise ContractError("ensemble points must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # one pass; min and max only if the sum is not finite
+            if not (math.isfinite(pts.sum()) or (math.isfinite(pts.min()) and math.isfinite(pts.max()))):
+                raise ContractError("ensemble points must be finite")
         owner = pts if pts.base is None else pts.base  # NumPy sets a view's base to the array owning its memory
         frozen = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
         object.__setattr__(self, "points", pts if frozen and not pts.flags.writeable else _frozen(pts.copy()))
@@ -305,13 +306,20 @@ def _pointwise(body):
 # -- single-Gaussian spectral core ----------------------------------------------
 
 
-def _checked_time(t, what: str = "time", positive: bool = False) -> float:
-    """``t`` as a float that is finite and nonnegative (positive if asked)."""
+def _checked_time(t, what: str = "time", positive: bool = False, signed: bool = False) -> float:
+    """``t`` as a float that is finite and nonnegative (positive if asked, of any sign if ``signed``)."""
     t = float(t)
-    if not math.isfinite(t) or t < 0.0 or (positive and t == 0.0):
-        kind = "positive" if positive else "nonnegative"
-        raise ContractError(f"{what} must be finite and {kind}, got {t}")
+    if not math.isfinite(t) or (t < 0.0 and not signed) or (positive and t == 0.0):
+        kind = "" if signed else " and positive" if positive else " and nonnegative"
+        raise ContractError(f"{what} must be finite{kind}, got {t}")
     return t
+
+
+def _checked_count(value, what: str) -> int:
+    """A count as an int >= 1: whole floats such as 3.0 pass, fractions, NaN and inf raise :class:`ContractError`."""
+    if not (float(value) >= 1.0 and float(value).is_integer()):
+        raise ContractError(f"{what} must be >= 1 and whole, got {value}")
+    return int(value)
 
 
 def _checked_parameter(value, what: str, upper: float = math.inf) -> float:
@@ -340,7 +348,7 @@ class Gaussian:
     the continuous pushforward to lambda - 2 t.  Maps return new values and
     never re-decompose, so a composed flow factorizes once.  :meth:`from_cov`
     is the validating constructor.  :meth:`one_shot` and :meth:`continuous`
-    take any t, which lets finite-difference stencils step slightly below 0;
+    take any finite t, which lets finite-difference stencils step slightly below 0;
     the point maps :meth:`denoise` and :meth:`continuous_map` check their time
     and points.  Entropies are read straight from the eigenvalues, so
     contractions far below what mixture validation accepts stay representable.
@@ -381,23 +389,27 @@ class Gaussian:
 
     def one_shot(self, t: float) -> "Gaussian":
         """Pushforward under the one-shot map: ``S (I + t S^{-1})^{-2}``; t = 0 is exact."""
+        t = _checked_time(t, signed=True)
         return self if t == 0.0 else Gaussian(self.mean, _frozen(_one_shot_evals(self.evals, t)), self.evecs)
 
-    def composed(self, taus: Iterable[float]) -> np.ndarray:
+    def composed(self, taus: Sequence[float]) -> np.ndarray:
         """Eigenvalue path of a composed one-shot flow: row l holds the eigenvalues after l layers, row 0 these.
 
-        An O(L m) float recursion per axis through :func:`_one_shot_evals`, so
-        row l equals l repeated :meth:`one_shot`; no value is built per layer.
+        An O(L m) float recursion per axis through :func:`_one_shot_evals` over finite, nonnegative taus,
+        so row l equals l repeated :meth:`one_shot`; no value is built per layer.
         """
-        taus = list(taus)
-        return np.array([list(itertools.accumulate(taus, _one_shot_evals, initial=lam))
+        taus = np.asarray(taus, dtype=float)
+        bad = np.flatnonzero(~((taus >= 0.0) & (taus < math.inf)))  # one vector check; NaN fails both
+        if bad.size:
+            _checked_time(taus[bad[0]], "layer variance")
+        return np.array([list(itertools.accumulate(taus.tolist(), _one_shot_evals, initial=lam))
                          for lam in self.evals.tolist()]).T.copy()
 
     def _flow(self, x: np.ndarray, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """``(states, path)`` of the composed flow on (n, m) points ``x``: ``path`` is :meth:`composed`, state l
         :meth:`_scaled` at the product of the first l layers' :func:`_dae_factor`; no layers give (0, n, m) states."""
-        path = self.composed(taus)
-        factors = np.cumprod(_dae_factor(path[:-1], np.array(taus)[:, None]), axis=0)
+        path = self.composed(taus := np.asarray(taus, dtype=float))
+        factors = np.cumprod(_dae_factor(path[:-1], taus[:, None]), axis=0)
         return self._scaled(x, factors), path
 
     def _orbit(self, x: np.ndarray, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -408,6 +420,7 @@ class Gaussian:
 
     def continuous(self, t: float) -> "Gaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
+        t = _checked_time(t, signed=True)
         return Gaussian(self.mean, _frozen(self.evals - 2.0 * t), self.evecs)
 
     def check_horizon(self, t: float, what: str, closed: bool = False) -> None:
@@ -445,17 +458,25 @@ class Gaussian:
     def _scaled(self, x: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """The (L, n, m) stack whose row l is ``V (Z0 F) + mean``, F row l of an ``(L, m)`` stack of per-axis factors.
 
-        The one eigen-scaling of every single-Gaussian point map, on the (m, n) eigen-coordinates ``Z0 = ((x - mean)
-        V)^T``, c = max(1, :data:`_SCALED_CHUNK_ELEMENTS` // (m n)) layers at a time: scaled into the chunk's rows,
-        one batched m x m GEMM into one (c, m, n) buffer of max(8192, m n) elements, then ``+ mean`` back into the rows.
+        The one eigen-scaling of every single-Gaussian point map, on the (m, n) eigen-coordinates ``Z0 = V^T (x -
+        mean)^T``, in cache-sized tiles: ``ceil(m n / cap)`` balanced tiles of b or b - 1 particles (cap =
+        :data:`_SCALED_CHUNK_ELEMENTS`), c = max(1, cap // (m b)) layers at a time.  A tile is scaled into one reused
+        buffer, one batched m x m GEMM into a second, then ``+ mean`` into its rows.  A state depends on n, not on L;
+        up to m = 8 it is bit for bit the untiled ``V (Z0 F) + mean``, past that BLAS edge kernels may move last bits.
         """
-        z0 = ((x - self.mean) @ self.evecs).T.copy()
-        (m, n), c = z0.shape, max(1, min(len(factors), _SCALED_CHUNK_ELEMENTS // z0.size))
-        stack, moved = np.empty((len(factors), n, m)), np.empty((c, m, n))
-        for start in range(0, len(factors), c):
-            f, rows = factors[start:start + c, :, None], stack[start:start + c]
-            out = np.matmul(self.evecs, np.multiply(z0, f, out=rows.reshape(len(f), m, n)), out=moved[:len(f)])
-            np.add(out, self.mean[:, None], out=rows.transpose(0, 2, 1))  # over the spent scaled coordinates
+        z0 = self.evecs.T @ (x - self.mean).T
+        (m, n), cap = z0.shape, _SCALED_CHUNK_ELEMENTS
+        tiles = min(n, -(-z0.size // cap))
+        b = -(-n // tiles)
+        c = max(1, min(len(factors), cap // (m * b)))
+        stack, scaled, moved = np.empty((len(factors), n, m)), np.empty(c * m * b), np.empty(c * m * b)
+        for lo, hi in ((n * i // tiles, n * (i + 1) // tiles) for i in range(tiles)):
+            for start in range(0, len(factors), c):
+                f = factors[start:start + c, :, None]
+                size, shape = len(f) * m * (hi - lo), (len(f), m, hi - lo)
+                out = np.matmul(self.evecs, np.multiply(z0[:, lo:hi], f, out=scaled[:size].reshape(shape)),
+                                out=moved[:size].reshape(shape))
+                np.add(out, self.mean[:, None], out=stack[start:start + c, lo:hi].transpose(0, 2, 1))
         return stack
 
     def w2(self, other: "Gaussian") -> float:
@@ -663,9 +684,7 @@ def sample(mix: GaussianMixture, n: int, seed: int) -> ParticleEnsemble:
     from fixed substreams, and the draw layout does not depend on which
     components get selected.
     """
-    n = int(n)
-    if n < 1:
-        raise ContractError(f"sample size must be >= 1, got {n}")
+    n = _checked_count(n, "sample size")
     u = substream(seed, 0).random(n)
     z = substream(seed, 1).standard_normal((n, mix.dim))
     cum = np.cumsum(mix.weights)
@@ -691,6 +710,8 @@ def stein_residual(t: float, eps) -> np.ndarray:
     """
     t = _checked_parameter(t, "noise variance")
     arr = np.asarray(eps, dtype=float)
+    if arr.size == 0:
+        raise ContractError("stein_residual needs at least one noise value eps")
     pts, single = _as_points(arr, 1 if arr.ndim == 0 else arr.shape[-1])
     noise = GaussianMixture.single(np.zeros(pts.shape[1]), t * np.eye(pts.shape[1]))
     res = -t * density_gradient(noise, pts) - pts * density(noise, pts)[:, np.newaxis]

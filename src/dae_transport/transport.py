@@ -42,6 +42,7 @@ from .measures import (
     Gaussian,
     GaussianMixture,
     ParticleEnsemble,
+    _checked_count,
     _checked_time,
     _frozen,
     _kernel_pass,
@@ -166,9 +167,7 @@ class FlowSchedule:
     def uniform(cls, t_end: float, steps: int) -> "FlowSchedule":
         """``steps`` layers of variance ``t_end / steps``, recorded at the times ``t_end * (i + 1) / steps``."""
         t_end = _checked_time(t_end, "total time", positive=True)
-        steps = int(steps)
-        if steps < 1:
-            raise ContractError(f"steps must be >= 1, got {steps}")
+        steps = _checked_count(steps, "steps")
         schedule = cls((t_end / steps,) * steps)
         with np.errstate(over="ignore"):  # a last time past the largest float is rejected as inf
             schedule._record(schedule.taus, t_end * np.arange(1, steps + 1) / steps)

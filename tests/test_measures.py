@@ -68,6 +68,34 @@ def test_ensemble_rejects_nonfinite_or_empty_points(points, message):
         ParticleEnsemble(points, seed=0)
 
 
+def test_ensemble_accepts_finite_points_whose_sum_overflows_without_a_warning():
+    # the scan sums first; an overflowing sum of finite values falls back to min and max, which accept it
+    points = np.full((100_000, 2), 1.7e308)
+    points[::2, 1] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = ParticleEnsemble(points, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(points.sum()) and math.isinf(points[:, 0].sum())
+    assert np.array_equal(ens.points, points)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "+inf/-inf"])
+def test_ensemble_scan_rejects_a_nonfinite_value_anywhere_in_a_stack(bad, where):
+    # +inf/-inf: a pair whose sum is NaN, not inf; the scan must reject it as it rejects one NaN
+    points = np.random.default_rng(5).standard_normal((100_000, 2))
+    i = {"first": 0, "middle": points.size // 2, "last": points.size - 1}[where]
+    flat = points.reshape(-1)
+    flat[i] = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "+inf/-inf": math.inf}[bad]
+    if bad == "+inf/-inf":
+        flat[i - 1 if i else 1] = -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="ensemble points must be finite"):
+            ParticleEnsemble(points, seed=0)
+
+
 def _frozen_array(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -511,6 +539,18 @@ def test_sample_rejects_zero():
         sample(GaussianMixture.standard(1), 0, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -1])
+def test_sample_size_must_be_a_whole_count(n):
+    with pytest.raises(Exception, match="sample size must be >= 1 and whole") as err:
+        sample(GaussianMixture.standard(1), n, 0)
+    assert type(err.value) is ContractError
+
+
+def test_sample_takes_a_whole_float_as_its_count():
+    mix = GaussianMixture.standard(2)
+    assert np.array_equal(sample(mix, 3.0, 4).points, sample(mix, 3, 4).points)
+
+
 # -- noise identity -----------------------------------------------------------------------
 
 
@@ -531,6 +571,13 @@ def test_stein_residual_property_100_draws():
         eps = rng.normal(scale=1.5, size=dim)
         worst = max(worst, float(np.max(np.abs(stein_residual(t, eps)))))
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("eps", [[], np.empty((0, 2))], ids=["empty_list", "no_rows"])
+def test_stein_residual_needs_a_noise_value(eps):
+    with pytest.raises(Exception, match="at least one noise value eps") as err:
+        stein_residual(1.0, eps)
+    assert type(err.value) is ContractError
 
 
 def test_stein_rejects_zero_variance():

@@ -114,6 +114,25 @@ def test_composed_rows_equal_repeated_one_shot(cov):
     assert np.all(path[-2:] == 0.0)
 
 
+@pytest.mark.parametrize("taus", [[-1.0], [math.nan], [0.1, math.inf], [0.1, 0.2, -1e-300]])
+def test_composed_rejects_a_negative_or_nonfinite_tau(taus):
+    with pytest.raises(Exception, match="layer variance must be finite and nonnegative") as err:
+        G.composed(taus)
+    assert type(err.value) is ContractError
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_eigenvalue_maps_reject_a_nonfinite_time(t):
+    for push in (G.one_shot, G.continuous):
+        with pytest.raises(Exception, match="time must be finite") as err:
+            push(t)
+        assert type(err.value) is ContractError
+    # finite-difference stencils may still step below 0, and a zero layer leaves the eigenvalues
+    assert np.all(G.one_shot(-1e-6).evals > G.evals)
+    assert G.continuous(-1e-6).evals.tolist() == (G.evals + 2e-6).tolist()
+    assert G.composed([0.0]).tolist() == [G.evals.tolist()] * 2
+
+
 def test_pushforwards_agree_to_first_order_at_small_t():
     diffs = []
     for t in (1e-3, 1e-4):

@@ -224,6 +224,18 @@ def test_uniform_schedule_needs_a_step():
     assert type(err.value) is ContractError and "steps must be >= 1" in str(err.value)
 
 
+@pytest.mark.parametrize("steps", [math.nan, math.inf, 2.7])
+def test_uniform_schedule_steps_must_be_a_whole_count(steps):
+    with pytest.raises(Exception, match="steps must be >= 1 and whole") as err:
+        FlowSchedule.uniform(1.0, steps)
+    assert type(err.value) is ContractError
+
+
+def test_uniform_schedule_takes_a_whole_float_as_its_step_count():
+    whole, count = FlowSchedule.uniform(1.0, 3.0), FlowSchedule.uniform(1.0, 3)
+    assert len(whole) == 3 and (whole.taus, whole.times) == (count.taus, count.times)
+
+
 def test_schedule_rejects_a_layer_that_does_not_move_time():
     with pytest.raises(ContractError, match="layer 1 variance 1e-67"):
         FlowSchedule((0.05, 1e-67))
@@ -702,6 +714,55 @@ def test_analytic_states_do_not_depend_on_the_chunk_edges(m, n):
         assert np.array_equal(state.points, g.denoise(ens.points, t)), t
 
 
+def _tiling(n, m):
+    """The particle tile count, the widest tile and the layers per tile of ``Gaussian._scaled``."""
+    tiles = min(n, -(-n * m // _SCALED_CHUNK_ELEMENTS))
+    width = -(-n // tiles)
+    return tiles, width, max(1, _SCALED_CHUNK_ELEMENTS // (m * width))
+
+
+def _tile_edge_counts(m):
+    cap = _SCALED_CHUNK_ELEMENTS
+    # n m = cap - m, cap, cap + m (or the nearest n at m not dividing cap), two tiles' worth and one more particle,
+    # and three tiles' worth and one more: an unbalanced tiling would leave a 1-particle tail at the last two
+    return sorted({1, 7, cap // m - 1, cap // m, cap // m + 1, 2 * cap // m + 1, 3 * (cap // m) + 1})
+
+
+def _untiled(g, x, factors):
+    """The reference: ``V (Z0 F_l) + mean`` one layer at a time over the whole (m, n) array."""
+    z0 = g.evecs.T @ (x - g.mean).T
+    return np.stack([(g.evecs @ (z0 * f[:, None]) + g.mean[:, None]).T for f in factors])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_scaled_tiles_equal_the_untiled_scaling_bit_for_bit(m):
+    rng = np.random.default_rng(7 + m)
+    g = Gaussian.of(_random_gaussian(rng, m, 10.0))
+    for n in _tile_edge_counts(m):
+        tiles, width, c = _tiling(n, m)
+        assert width * m <= _SCALED_CHUNK_ELEMENTS + m and (tiles == 1) == (n * m <= _SCALED_CHUNK_ELEMENTS)
+        x = 2.0 * rng.standard_normal((n, m))
+        for layers in sorted({1, c, c + 1}):
+            factors = rng.uniform(0.2, 1.0, size=(layers, m))
+            got, want = g._scaled(x, factors), _untiled(g, x, factors)
+            assert got.tobytes() == want.tobytes(), (n, layers, tiles, c)
+
+
+def test_scaled_tiles_stay_within_the_dot_product_bound_at_m_16():
+    # from m = 16 OpenBLAS's edge kernels depend on the column count, so a tile's columns may round differently
+    # from the whole array's, by about 1e-15 on unit-scale data.  Both are m-term dot products plus a mean,
+    # so they differ by at most 2 gamma_m |V| |Z0 F| + 2 u |result|, below (2 m + 2) eps (|V| |Z0 F| + |result|).
+    m, rng = 16, np.random.default_rng(16)
+    g = Gaussian.of(_random_gaussian(rng, m, 1.0))
+    for n in _tile_edge_counts(m):
+        x = rng.standard_normal((n, m)) + g.mean
+        factors = rng.uniform(0.2, 1.0, size=(_tiling(n, m)[2] + 1, m))
+        got, want = g._scaled(x, factors), _untiled(g, x, factors)
+        z0 = np.abs(g.evecs.T @ (x - g.mean).T)
+        scale = np.stack([(np.abs(g.evecs) @ (z0 * f[:, None])).T for f in factors]) + np.abs(want)
+        assert np.all(np.abs(got - want) <= (2 * m + 2) * np.finfo(float).eps * scale), n
+
+
 def test_a_chunk_of_analytic_states_holding_an_inf_is_rejected():
     # x - mean overflows to -inf for the particle at -1e308, so every state of every chunk of c layers holds it
     mix, ens = GaussianMixture.single([1e308], [[1.0]]), ParticleEnsemble(np.array([[-1e308], [0.0]]), seed=0)
@@ -715,7 +776,8 @@ def test_a_chunk_of_analytic_states_holding_an_inf_is_rejected():
 
 
 def test_analytic_states_are_row_views_of_one_frozen_stack():
-    # at n m > 8192 a chunk is one layer, yet the states are rows of one (L, n, m) array, not per-chunk copies;
+    # at n m > _SCALED_CHUNK_ELEMENTS the particles are tiled and a tile's chunk is one layer, yet the states are
+    # rows of one (L, n, m) array, not per-tile copies;
     # the sampled flows and a singularity's one-time partial hold their states the same way, made only when read
     mix = GaussianMixture.single([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])
     ens = ParticleEnsemble(np.random.default_rng(4).standard_normal((100_000, 2)), seed=3)

@@ -23,6 +23,7 @@ a ``distribution``'s own keys are the library's to judge.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -378,7 +379,7 @@ def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tupl
     curves = [(0.0, np.asarray(density(mix, grid)))]
     if panel.mode == "composed":
         flow = panel.schedule["flow"]
-        pairs = zip(flow.times, (Gaussian(g.mean, lam, g.evecs) for lam in g.composed(flow.taus)[1:]))
+        pairs = zip(flow.times, list(itertools.accumulate(flow.taus, Gaussian.one_shot, initial=g))[1:])
     else:
         push = g.one_shot if panel.mode == "one_shot" else g.continuous
         pairs = [(t, push(t)) for t in panel.schedule["times"]]
@@ -424,8 +425,8 @@ def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, flo
     laws = [(t, g.continuous(t), "continuous") for t in np.linspace(0.0, g.critical_time, 81)]
     laws += [(t, g.one_shot(float(t)), "one_shot") for t in np.linspace(0.0, 3.0, 61)]
     flow = panel.schedule["flow"]
-    laws += [(t, Gaussian(g.mean, lam, g.evecs), "composed")
-             for t, lam in zip((0.0, *flow.times), g.composed(flow.taus))]
+    composed = itertools.accumulate(flow.taus, Gaussian.one_shot, initial=g)
+    laws += [(t, h, "composed") for t, h in zip((0.0, *flow.times), composed)]
     return [(float(t), *map(float, _chart_sigma(h.cov)), h.entropy(), source) for t, h, source in laws]
 
 

@@ -12,9 +12,9 @@ exponential in :func:`_shifted_exp`) so heavily smoothed mixtures do not
 underflow.  Each component covariance is stored with a cached spectral
 factorization that the mixture's own solves, log determinants, and square
 roots reuse; the density and its derivatives evaluate all components at
-once.  :func:`_decomposed` is the one covariance validator (finite, symmetric,
-not flat), :func:`_pointwise` the one point-or-batch rule, and
-``verify.ResidualReport`` the one owner of a check's verdict.
+once.  :func:`_log_normaliser` is the one log normalising constant, :func:`_spectral` the one ``V diag(values) V^T``
+(covariance and square roots alike), :func:`_decomposed` the one covariance validator (finite, symmetric, not
+flat), :func:`_pointwise` the one point-or-batch rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 
 :class:`Gaussian`, a mean and one eigenbasis, is the one route to the
 single-Gaussian closed forms.  The DAE map, the one-shot and continuous
@@ -151,9 +151,7 @@ class GaussianMixture:
         object.__setattr__(self, "covs", _frozen(cov))
         object.__setattr__(self, "_evals", _frozen(evals))
         object.__setattr__(self, "_evecs", _frozen(evecs))
-        # log of the Gaussian normalization constant per component
-        log_norm = -0.5 * (mu.shape[1] * _LOG_2PI + np.log(evals).sum(axis=1))
-        object.__setattr__(self, "_log_norm", _frozen(log_norm))
+        object.__setattr__(self, "_log_norm", _frozen(_log_normaliser(evals)))
 
     # -- construction helpers -------------------------------------------------
 
@@ -190,27 +188,14 @@ class GaussianMixture:
     def k(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def components(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        return [(float(self.weights[i]), self.means[i], self.covs[i]) for i in range(self.k)]
-
     def __repr__(self) -> str:  # keep array dumps out of tracebacks
         return f"GaussianMixture(k={self.k}, dim={self.dim})"
 
     # -- JSON interchange ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "components": [
-                {"weight": float(w), "mean": m.tolist(), "cov": c.tolist()}
-                for w, m, c in self.components
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GaussianMixture":
-        """Inverse of :meth:`to_json_dict`; ``dim`` must be a finite integral number, not a bool."""
+        """The mixture of ``{"dim", "components": [{"weight", "mean", "cov"}, ...]}``; ``dim`` finite, whole, not a bool."""
         try:
             dim = doc["dim"]
             comps = doc["components"]
@@ -377,7 +362,7 @@ class Gaussian:
 
     @property
     def cov(self) -> np.ndarray:
-        return (self.evecs * self.evals) @ self.evecs.T
+        return _spectral(self.evals, self.evecs)
 
     @property
     def critical_time(self) -> float:
@@ -466,8 +451,8 @@ class Gaussian:
         """
         z0 = self.evecs.T @ (x - self.mean).T
         (m, n), cap = z0.shape, _SCALED_CHUNK_ELEMENTS
-        tiles = min(n, -(-z0.size // cap))
-        b = -(-n // tiles)
+        tiles = max(1, min(n, -(-z0.size // cap)))  # one empty tile at n = 0
+        b = max(1, -(-n // tiles))
         c = max(1, min(len(factors), cap // (m * b)))
         stack, scaled, moved = np.empty((len(factors), n, m)), np.empty(c * m * b), np.empty(c * m * b)
         for lo, hi in ((n * i // tiles, n * (i + 1) // tiles) for i in range(tiles)):
@@ -495,7 +480,7 @@ class Gaussian:
         for g in (self, other):
             if float(g.evals[0]) < -1e-12 * max(1.0, float(np.max(np.abs(g.evals)))):
                 raise ContractError(f"w2 needs a positive semidefinite covariance, eigenvalue {g.evals[0]:.3e}")
-        r1, r2 = ((g.evecs * np.sqrt(np.clip(g.evals, 0.0, None))) @ g.evecs.T for g in (self, other))
+        r1, r2 = (_spectral(np.sqrt(np.clip(g.evals, 0.0, None)), g.evecs) for g in (self, other))
         x, _, yt = np.linalg.svd(r1 @ r2)
         diff, dm = r1 - r2 @ (yt.T @ x.T), self.mean - other.mean
         return float(np.sqrt(dm @ dm + np.sum(diff * diff)))
@@ -528,6 +513,16 @@ def _log_dets(evals: np.ndarray) -> np.ndarray:
     """``log det`` of each row of an ``(..., m)`` eigenvalue stack; -inf where the row's smallest reaches 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.min(evals, axis=-1) <= 0.0, -np.inf, np.log(evals).sum(axis=-1))
+
+
+def _log_normaliser(evals: np.ndarray) -> np.ndarray:
+    """Log normalising constant ``-(m log 2 pi + log det S) / 2`` of each row of an ``(..., m)`` eigenvalue stack."""
+    return -0.5 * (evals.shape[-1] * _LOG_2PI + _log_dets(evals))
+
+
+def _spectral(values: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """The symmetric matrix ``V diag(values) V^T`` of per-axis ``values`` in the eigenbasis ``V``."""
+    return (evecs * values) @ evecs.T
 
 
 def _gaussian_entropy(m: int, log_det):
@@ -692,8 +687,7 @@ def sample(mix: GaussianMixture, n: int, seed: int) -> ParticleEnsemble:
     pts = np.empty((n, mix.dim))
     for i in range(mix.k):
         mask = idx == i
-        root = (mix._evecs[i] * np.sqrt(mix._evals[i])) @ mix._evecs[i].T
-        pts[mask] = mix.means[i] + z[mask] @ root.T
+        pts[mask] = mix.means[i] + z[mask] @ _spectral(np.sqrt(mix._evals[i]), mix._evecs[i]).T
     return ParticleEnsemble(pts, seed)
 
 
@@ -804,6 +798,5 @@ def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:
     data, _ = _as_points(data, kernel.dim)
     pts, single = _as_points(x, kernel.dim)
     whiten = kernel.evecs / np.sqrt(kernel.evals)
-    log_norm = -0.5 * (kernel.dim * _LOG_2PI + float(_log_dets(kernel.evals)))
-    out, _ = _kernel_pass(pts @ whiten, data @ whiten, 1.0, log_norm)
+    out, _ = _kernel_pass(pts @ whiten, data @ whiten, 1.0, _log_normaliser(kernel.evals))
     return float(out[0]) if single else out

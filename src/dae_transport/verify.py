@@ -323,13 +323,13 @@ def check_time_reversal(mix0: GaussianMixture, t: float, seed: int = 0) -> Resid
         raise ContractError("time-reversal check needs a single-Gaussian measure")
     g, t = Gaussian.of(mix0), _checked_time(t)
     g.check_horizon(t, "continuous pushforward", closed=True)
-    pushed = g.continuous(t).cov
-    residuals = [np.abs(pushed + 2.0 * t * np.eye(g.dim) - mix0.covs[0]).ravel()]
+    pushed = g.continuous(t)
+    residuals = [np.abs(pushed.cov + 2.0 * t * np.eye(g.dim) - mix0.covs[0]).ravel()]
 
     probes = sample(mix0, _N_PROBE, seed).points
     density_checked = t < g.critical_time
     if density_checked:
-        recovered = smooth(GaussianMixture.single(g.mean, pushed), 2.0 * t)
+        recovered = smooth(pushed.as_mixture(), 2.0 * t)
         residuals.append(np.abs(density(recovered, probes) - density(mix0, probes)))
 
     return ResidualReport(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -43,14 +44,26 @@ def test_removed_names_are_gone_from_package_and_modules():
     for owner in (dae_transport, measures, pushforward, svg, transport):
         assert [n for n in REMOVED if hasattr(owner, n)] == [], owner.__name__
     assert not set(REMOVED) & set(dae_transport.__all__)
+    # the mixture's unused serializer and component list; ``from_json_dict`` reads configs
+    assert [n for n in ("components", "to_json_dict") if hasattr(measures.GaussianMixture, n)] == []
 
 
 def test_only_measures_binds_the_single_gaussian_algebra():
     # the flows, the checks and the CLI reach the eigenvalue formulas only through ``Gaussian`` and ``_path_rows``
-    algebra = ("_dae_factor", "_one_shot_evals", "_log_dets", "_gaussian_entropy", "_gaussian_renyi", "_decomposed")
+    algebra = ("_dae_factor", "_one_shot_evals", "_log_dets", "_gaussian_entropy", "_gaussian_renyi", "_decomposed",
+               "_log_normaliser", "_spectral")
     assert all(hasattr(measures, name) for name in algebra)
     for module in (transport, verify, cli):
         assert [name for name in algebra if hasattr(module, name)] == [], module.__name__
+
+
+def test_only_measures_calls_the_gaussian_constructor():
+    # other modules reach a law through ``Gaussian``'s methods (from_cov, of, one_shot, continuous), never by parts
+    for module in (cli, transport, verify):
+        tree = ast.parse(Path(module.__file__).read_text())
+        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Gaussian"]
+        assert calls == [], module.__name__
 
 
 def test_pushforward_defines_only_the_three_entry_points():

@@ -205,13 +205,16 @@ def test_gaussian_arrays_are_immutable_and_callers_stay_writable():
     assert mean.flags.writeable and cov.flags.writeable
 
 
-def test_json_round_trip():
-    mix = two_mixture()
-    doc = mix.to_json_dict()
-    back = GaussianMixture.from_json_dict(doc)
-    np.testing.assert_allclose(back.weights, mix.weights)
-    np.testing.assert_allclose(back.means, mix.means)
-    np.testing.assert_allclose(back.covs, mix.covs)
+def test_from_json_dict_reads_a_literal_document():
+    doc = {"dim": 2.0, "components": [
+        {"weight": 0.25, "mean": [1.0, -2.0], "cov": [[2.0, 0.5], [0.5, 1.0]]},
+        {"weight": 0.75, "mean": [0.0, 3.0], "cov": [[1.0, 0.0], [0.0, 4.0]]},
+    ]}
+    mix = GaussianMixture.from_json_dict(doc)
+    assert (mix.k, mix.dim) == (2, 2)
+    np.testing.assert_array_equal(mix.weights, [0.25, 0.75])
+    np.testing.assert_array_equal(mix.means, [[1.0, -2.0], [0.0, 3.0]])
+    np.testing.assert_array_equal(mix.covs, [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 4.0]]])
 
 
 # -- density ----------------------------------------------------------------------
@@ -238,7 +241,7 @@ def test_density_against_scipy_oracle():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(50, 2)) * 1.5
     expected = sum(
-        w * multivariate_normal.pdf(pts, mean=m, cov=c) for w, m, c in mix.components
+        w * multivariate_normal.pdf(pts, mean=m, cov=c) for w, m, c in zip(mix.weights, mix.means, mix.covs)
     )
     np.testing.assert_allclose(density(mix, pts), expected, rtol=1e-12)
 
@@ -336,7 +339,7 @@ def test_component_pass_matches_per_component_closed_forms():
     dens = np.zeros(40)
     grad = np.zeros((40, 3))
     lap = np.zeros(40)
-    for w, m, c in mix.components:
+    for w, m, c in zip(mix.weights, mix.means, mix.covs):
         n_i = w * multivariate_normal.pdf(pts, mean=m, cov=c)
         solve = np.linalg.solve(c, (pts - m).T).T
         dens += n_i
@@ -408,7 +411,7 @@ def test_smooth_matches_monte_carlo_convolution():
     # mixture covariance = sum_i w_i (S_i + mu_i mu_i^T) - mbar mbar^T
     mbar = np.average(expect.means, axis=0, weights=expect.weights)
     full = sum(
-        w * (c + np.outer(m, m)) for w, m, c in expect.components
+        w * (c + np.outer(m, m)) for w, m, c in zip(expect.weights, expect.means, expect.covs)
     ) - np.outer(mbar, mbar)
     se = np.sqrt((np.outer(np.diag(full), np.diag(full)) + full**2) / n)
     assert np.all(np.abs(emp_cov - full) < 6.0 * se)

@@ -323,6 +323,8 @@ def test_one_point_is_row_zero_of_its_batch(entry):
         assert np.array_equal(one, f(x[np.newaxis])[0])  # bit for bit
         # a larger batch may round in the last bits: BLAS picks its kernel by shape
         np.testing.assert_allclose(one, batch[i], rtol=1e-12, atol=1e-15)
+    empty = f(np.empty((0, 2)))  # an empty batch gives an empty result
+    assert isinstance(empty, np.ndarray) and empty.shape == ((0,) if scalar else (0, 2))
     assert type(log_density(GaussianMixture.standard(1), 0.5)) is float  # a scalar is a point in one dimension
 
 

@@ -153,9 +153,9 @@ class RunConfig:
     panels: list[Panel]
     n: int
     seed: int
-    grid_per_axis: int
+    grid: np.ndarray  # the trajectory starts' probe lattice, before the sampled starts
     grid_extent: float
-    curve_points: int
+    curve: np.ndarray  # the (points, 1) lattice the 1-D densities are drawn on
     curve_extent: float
     out_dir: Path
     formats: tuple[str, ...]
@@ -226,13 +226,13 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     if seed_override is not None:
         seed = int(seed_override)
 
-    grid = _known(_field(doc, "grid", dict, {}), "per_axis", "extent", "points", "curve_extent")
-    grid_per_axis = _field(grid, "per_axis", int, 9, positive=True)
-    grid_extent = _field(grid, "extent", float, 3.0, positive=True)
-    curve_points = _field(grid, "points", int, 401, positive=True)
-    curve_extent = _field(grid, "curve_extent", float, 4.0, positive=True)
-    _library_check(grid, "extent", probe_lattice, grid_extent, grid_per_axis, 1 if mixture is None else mixture.dim)
-    _library_check(grid, "curve_extent", probe_lattice, curve_extent, curve_points, 1)
+    lattices = _known(_field(doc, "grid", dict, {}), "per_axis", "extent", "points", "curve_extent")
+    per_axis = _field(lattices, "per_axis", int, 9, positive=True)
+    grid_extent = _field(lattices, "extent", float, 3.0, positive=True)
+    points = _field(lattices, "points", int, 401, positive=True)
+    curve_extent = _field(lattices, "curve_extent", float, 4.0, positive=True)
+    grid = _library_check(lattices, "extent", probe_lattice, grid_extent, per_axis, 1 if mixture is None else mixture.dim)
+    curve = _library_check(lattices, "curve_extent", probe_lattice, curve_extent, points, 1)
 
     outputs = _known(_field(doc, "outputs", dict, {}), "dir", "formats")
     out_dir = Path(out_override) if out_override is not None else Path(str(outputs.get("dir", "out")))
@@ -269,9 +269,9 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         panels=panels,
         n=n,
         seed=seed,
-        grid_per_axis=grid_per_axis,
+        grid=grid,
         grid_extent=grid_extent,
-        curve_points=curve_points,
+        curve=curve,
         curve_extent=curve_extent,
         out_dir=out_dir,
         formats=formats,
@@ -280,13 +280,6 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
 
 
 # -- trajectory command ---------------------------------------------------------
-
-
-def _start_points(cfg: RunConfig) -> tuple[np.ndarray, int]:
-    """Grid starts followed by sampled starts; returns (points, n_grid)."""
-    grid = probe_lattice(cfg.grid_extent, cfg.grid_per_axis, cfg.mixture.dim)
-    samples = sample(cfg.mixture, cfg.n, cfg.seed).points
-    return np.vstack([grid, samples]), grid.shape[0]
 
 
 def _run_panel(cfg: RunConfig, panel: Panel, ens: ParticleEnsemble) -> tuple[Trajectory, bool]:
@@ -321,20 +314,16 @@ def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) ->
     chart.draw_axes(ticks, ticks)
     times = np.asarray(traj.times)
     stack = np.concatenate([traj.initial.points[None], traj.layers])  # (T, n, 2)
-    for pid in range(stack.shape[1]):
-        xs, ys = stack[:, pid, 0], stack[:, pid, 1]
-        if pid < n_grid:
-            chart.polyline(xs, ys, stroke="#999999", width=0.8, opacity=0.7)
-        else:
-            color = _SAMPLE_COLORS[(pid - n_grid) % len(_SAMPLE_COLORS)]
-            chart.polyline(xs, ys, stroke=color, width=1.2)
+    for xs, ys in stack[:, :n_grid].transpose(1, 2, 0):  # each grid particle's x and y columns over time
+        chart.polyline(xs, ys, stroke="#999999", width=0.8, opacity=0.7)
+    for i, (xs, ys) in enumerate(stack[:, n_grid:].transpose(1, 2, 0)):
+        chart.polyline(xs, ys, stroke=_SAMPLE_COLORS[i % len(_SAMPLE_COLORS)], width=1.2)
     # midpoints every max(0.2, T / 50) time units along the orbit, so at most about 50 of them
     t_mark = spacing = max(0.2, traj.times[-1] / 50)
     while t_mark < traj.times[-1] + 1e-12:
         pts = _interp_state(times, stack, t_mark)
-        for pid in range(pts.shape[0]):
-            fill = "#666666" if pid < n_grid else "#222222"
-            chart.point(pts[pid, 0], pts[pid, 1], r=1.4, fill=fill, opacity=0.8)
+        chart.points(pts[:n_grid, 0], pts[:n_grid, 1], r=1.4, fill="#666666", opacity=0.8)
+        chart.points(pts[n_grid:, 0], pts[n_grid:, 1], r=1.4, fill="#222222", opacity=0.8)
         t_mark += spacing
     return chart
 
@@ -345,8 +334,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     if not cfg.panels:
         raise ConfigError("trajectory command needs 'mode' or 'panels'")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    points, n_grid = _start_points(cfg)
-    ens = ParticleEnsemble(points, cfg.seed)
+    ens = ParticleEnsemble(np.vstack([cfg.grid, sample(cfg.mixture, cfg.n, cfg.seed).points]), cfg.seed)
 
     status = EXIT_OK
     for panel in cfg.panels:
@@ -358,11 +346,11 @@ def cmd_trajectory(cfg: RunConfig) -> int:
             traj.to_csv(cfg.out_dir / f"{prefix}.csv")
         if "json" in cfg.formats:
             doc = traj.diagnostics_json()
-            doc["particles"] = {"grid": n_grid, "samples": cfg.n}
+            doc["particles"] = {"grid": len(cfg.grid), "samples": cfg.n}
             doc["panel"] = {"name": panel.name, "mode": panel.mode}
             write_json(cfg.out_dir / f"{prefix}_diagnostics.json", doc)
         if "svg" in cfg.formats and traj.dim == 2:
-            _trajectory_svg(traj, n_grid, cfg.grid_extent, panel.name).write(cfg.out_dir / f"{prefix}.svg")
+            _trajectory_svg(traj, len(cfg.grid), cfg.grid_extent, panel.name).write(cfg.out_dir / f"{prefix}.svg")
         print(f"trajectory panel {panel.name}: {len(traj.times)} times, {traj.n} particles")
     return status
 
@@ -374,9 +362,7 @@ def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tupl
     """The x-grid and (time, densities on it) for a 1-D measure; bool flags a curve lost to a zero variance."""
     mix = cfg.mixture
     g = Gaussian.of(mix)
-    grid = probe_lattice(cfg.curve_extent, cfg.curve_points, 1)
-    xs = grid[:, 0]
-    curves = [(0.0, np.asarray(density(mix, grid)))]
+    curves = [(0.0, np.asarray(density(mix, cfg.curve)))]
     if panel.mode == "composed":
         flow = panel.schedule["flow"]
         pairs = zip(flow.times, list(itertools.accumulate(flow.taus, Gaussian.one_shot, initial=g))[1:])
@@ -391,8 +377,8 @@ def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tupl
             print(f"warning: pushforward {what}", file=sys.stderr)
             singular = True
         else:
-            curves.append((float(t), np.asarray(density(h.as_mixture(), grid))))
-    return xs, curves, singular
+            curves.append((float(t), np.asarray(density(h.as_mixture(), cfg.curve))))
+    return cfg.curve[:, 0], curves, singular
 
 
 def _density_svg(cfg: RunConfig, xs: np.ndarray, curves) -> SvgCanvas:

@@ -25,7 +25,8 @@ decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they s
 (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
 of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their entropy rows :func:`_path_rows`.
 :func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it
-enters the package, :func:`_checked_count` of a count, and :func:`_checked_parameter` of a verification parameter.
+enters the package, :func:`_checked_times` the one rule for a sequence of them, :func:`_checked_count` of
+a count, and :func:`_checked_parameter` of a verification parameter.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -300,6 +301,17 @@ def _checked_time(t, what: str = "time", positive: bool = False, signed: bool = 
     return t
 
 
+def _checked_times(values, what: str, positive: bool = False) -> np.ndarray:
+    """A flat float array of ``values``, a bare number as one; the first bad entry raises :func:`_checked_time`'s error."""
+    ts = np.atleast_1d(np.asarray(values, dtype=float))
+    if ts.ndim != 1:
+        raise ContractError(f"{what}s must form a flat sequence, got shape {ts.shape}")
+    bad = np.flatnonzero(~((ts > 0.0 if positive else ts >= 0.0) & (ts < math.inf)))  # NaN fails both
+    if bad.size:
+        _checked_time(ts[bad[0]], what, positive)
+    return ts
+
+
 def _checked_count(value, what: str) -> int:
     """A count as an int >= 1: whole floats such as 3.0 pass, fractions, NaN and inf raise :class:`ContractError`."""
     if not (float(value) >= 1.0 and float(value).is_integer()):
@@ -383,10 +395,7 @@ class Gaussian:
         An O(L m) float recursion per axis through :func:`_one_shot_evals` over finite, nonnegative taus,
         so row l equals l repeated :meth:`one_shot`; no value is built per layer.
         """
-        taus = np.asarray(taus, dtype=float)
-        bad = np.flatnonzero(~((taus >= 0.0) & (taus < math.inf)))  # one vector check; NaN fails both
-        if bad.size:
-            _checked_time(taus[bad[0]], "layer variance")
+        taus = _checked_times(taus, "layer variance")
         return np.array([list(itertools.accumulate(taus.tolist(), _one_shot_evals, initial=lam))
                          for lam in self.evals.tolist()]).T.copy()
 

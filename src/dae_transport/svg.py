@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 _BACKGROUND = "#ffffff"
 _MARGIN = 45  # pixels between the canvas edge and a chart's plotting area
 
@@ -65,6 +67,11 @@ class SvgCanvas:
         v = _MARGIN + (self.y1 - y) / (self.y1 - self.y0) * self.px_h
         return u, v
 
+    def _mapped(self, xs, ys, fmt: str) -> list[str]:
+        """``fmt % (u, v)`` per row of the data columns ``xs``, ``ys``, mapped by :meth:`px` as one array per axis."""
+        us, vs = self.px(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        return [fmt % uv for uv in zip(us.tolist(), vs.tolist())]
+
     def draw_axes(self, xticks, yticks, fmt="{:g}"):
         m = _MARGIN
         self.line(m, m, m, m + self.px_h, stroke="#444444")
@@ -85,21 +92,19 @@ class SvgCanvas:
         )
 
     def polyline(self, xs, ys, stroke="#000000", width=1.0, opacity=1.0, dash=None):
-        points = [self.px(x, y) for x, y in zip(xs, ys)]
-        if len(points) < 2:
+        coords = self._mapped(xs, ys, "%.2f,%.2f")
+        if len(coords) < 2:
             return
-        coords = " ".join(f"{_fmt(u)},{_fmt(v)}" for u, v in points)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self._parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
+            f'<polyline points="{" ".join(coords)}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width:g}" stroke-opacity="{opacity:g}"{dash_attr}/>'
         )
 
-    def point(self, x, y, r, fill="#000000", opacity=1.0):
-        u, v = self.px(x, y)
-        self._parts.append(
-            f'<circle cx="{_fmt(u)}" cy="{_fmt(v)}" r="{r:g}" fill="{fill}" fill-opacity="{opacity:g}"/>'
-        )
+    def points(self, xs, ys, r, fill="#000000", opacity=1.0):
+        """One circle of radius ``r`` pixels per row of the data columns ``xs``, ``ys``, in row order."""
+        circle = f'<circle cx="%.2f" cy="%.2f" r="{r:g}" fill="{fill}" fill-opacity="{opacity:g}"/>'
+        self._parts += self._mapped(xs, ys, circle)
 
     def text(self, x, y, content, size=11, fill="#333333", anchor="start"):
         self._parts.append(

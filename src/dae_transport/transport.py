@@ -44,6 +44,7 @@ from .measures import (
     ParticleEnsemble,
     _checked_count,
     _checked_time,
+    _checked_times,
     _frozen,
     _kernel_pass,
     _moments,
@@ -144,12 +145,9 @@ class FlowSchedule:
     taus: tuple[float, ...]
 
     def __post_init__(self):
-        taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
-        if taus.ndim != 1 or taus.size == 0:
+        taus = _checked_times(self.taus, "layer variance", positive=True)
+        if taus.size == 0:
             raise ContractError(f"schedule must contain at least one layer, in a flat sequence; got shape {taus.shape}")
-        bad = np.flatnonzero(~(np.isfinite(taus) & (taus > 0.0)))
-        if bad.size:  # all layers in one pass; the first bad one raises the time check's own error
-            _checked_time(taus[bad[0]], "layer variance", positive=True)
         with np.errstate(over="ignore"):  # a sum past the largest float is rejected as inf
             self._record(tuple(taus.tolist()), np.cumsum(taus))
 
@@ -386,7 +384,7 @@ def one_shot_orbit(
 
 def _orbit_times(times: Sequence[float]) -> list[float]:
     """``times`` as floats: at least one, each finite and positive, strictly increasing."""
-    ts = [_checked_time(t, "orbit time", positive=True) for t in times]
+    ts = _checked_times(times, "orbit time", positive=True).tolist()
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ContractError("orbit times must be nonempty and strictly increasing")
     return ts

@@ -34,6 +34,7 @@ from .measures import (
     _checked_alpha,
     _checked_parameter,
     _checked_time,
+    _checked_times,
     _moments,
     convolve,
     density,
@@ -286,7 +287,8 @@ def check_backward_heat(mix0: GaussianMixture, t_grid: Sequence[float], source: 
         raise ContractError("backward-heat check needs a single-Gaussian measure")
     if source not in ("continuous", "one_shot"):
         raise ContractError(f"source must be 'continuous' or 'one_shot', got {source!r}")
-    if len(t_grid) == 0:
+    t_grid = _checked_times(t_grid, "t_grid time").tolist()
+    if not t_grid:
         raise ContractError("backward-heat check needs at least one time in t_grid")
     grid = probe_lattice(3.0, 13 if mix0.dim <= 2 else 7, mix0.dim)
 
@@ -296,7 +298,7 @@ def check_backward_heat(mix0: GaussianMixture, t_grid: Sequence[float], source: 
     push = g.continuous if source == "continuous" else g.one_shot
 
     residuals = []
-    for t in (_checked_time(v, "t_grid time") for v in t_grid):
+    for t in t_grid:
         if source == "continuous":
             g.check_horizon(t + _DT, "continuous pushforward on the t_grid stencil")
         residuals.append(_heat_residual(mix0, push, t, _DT, grid))
@@ -305,7 +307,7 @@ def check_backward_heat(mix0: GaussianMixture, t_grid: Sequence[float], source: 
         "backward_heat" if source == "continuous" else "backward_heat_one_shot_negative_control",
         grid,
         np.concatenate(residuals),
-        details={"t_grid": [float(v) for v in t_grid], "dt": _DT, "source": source},
+        details={"t_grid": t_grid, "dt": _DT, "source": source},
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from dae_transport.svg import SvgCanvas
@@ -48,7 +49,7 @@ def test_draw_axes_writes_one_label_per_tick(tmp_path):
 
 def test_a_written_chart_is_one_svg_document_with_escaped_text(tmp_path):
     chart = SvgCanvas(120, 100, (0.0, 1.0), (0.0, 1.0), "a < b & c > d")
-    chart.point(0.5, 0.5, 1.4)
+    chart.points([0.5], [0.5], 1.4)
     text, root = _written(chart, tmp_path)
     assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>\n')
     assert text.endswith("</svg>\n")
@@ -57,3 +58,43 @@ def test_a_written_chart_is_one_svg_document_with_escaped_text(tmp_path):
     assert [el.text for el in root.findall(f"{NS}text")] == ["a < b & c > d"]
     [mark] = root.findall(f"{NS}circle")
     assert (mark.get("cx"), mark.get("cy"), mark.get("r")) == ("60.00", "50.00", "1.4")
+
+
+def _column_data(seed: int, n: int = 400) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded data for a 500-pixel chart over (-2, 2)^2, 102.5 pixels a unit, with edge cases first.
+
+    Rows 0-2 hold data -0.0; rows 3-12 land near pixel k + 0.005 and k + 0.125, which round at the
+    third decimal; rows 13-14 land just left of and above the canvas, where ``%.2f`` writes "-0.00".
+    """
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+    xs[:3], ys[:3] = -0.0, (0.0, -0.0, -0.0)
+    xs[3:13] = (np.arange(50.0, 60.0) + 0.005 - 45.0) / 102.5 - 2.0
+    ys[3:13] = 2.0 - (np.arange(50.0, 60.0) + 0.125 - 45.0) / 102.5
+    xs[13:15], ys[13:15] = (-45.001 / 102.5 - 2.0, 0.0), (0.0, 2.0 + 45.001 / 102.5)
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_column_pixel_maps_equal_the_scalar_map_bit_for_bit(tmp_path, seed):
+    chart = SvgCanvas(500, 500, (-2.0, 2.0), (-2.0, 2.0), "columns")
+    xs, ys = _column_data(seed)
+    scalar = [chart.px(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert (f"{scalar[13][0]:.2f}", f"{scalar[14][1]:.2f}") == ("-0.00", "-0.00")
+    chart.polyline(xs, ys)
+    chart.points(xs, ys, 1.4)
+    _, root = _written(chart, tmp_path)
+    [line] = root.findall(f"{NS}polyline")
+    assert line.get("points") == " ".join(f"{float(u):.2f},{float(v):.2f}" for u, v in scalar)
+    marks = root.findall(f"{NS}circle")
+    assert [(m.get("cx"), m.get("cy")) for m in marks] == [(f"{float(u):.2f}", f"{float(v):.2f}") for u, v in scalar]
+
+
+def test_points_writes_one_circle_per_row_in_row_order(tmp_path):
+    chart = SvgCanvas(120, 100, (0.0, 1.0), (0.0, 1.0), "marks")
+    chart.points([0.0, 1.0, 0.5], [0.0, 1.0, 0.25], 2.5, fill="#123456", opacity=0.8)
+    chart.points([], [], 1.0)
+    _, root = _written(chart, tmp_path)
+    marks = root.findall(f"{NS}circle")
+    assert [(m.get("cx"), m.get("cy")) for m in marks] == [("45.00", "55.00"), ("75.00", "45.00"), ("60.00", "52.50")]
+    assert {(m.get("r"), m.get("fill"), m.get("fill-opacity")) for m in marks} == {("2.5", "#123456", "0.8")}

@@ -20,6 +20,7 @@ from dae_transport import (
     ParticleEnsemble,
     SingularityError,
     Trajectory,
+    check_backward_heat,
     check_entropy_monotone,
     check_time_reversal,
     compose,
@@ -264,6 +265,27 @@ TIME_ENTRY_POINTS = {
 def test_time_entry_points_reject_nonfinite_and_negative_times(entry, t):
     with pytest.raises(ContractError):
         TIME_ENTRY_POINTS[entry](t)
+
+
+SEQUENCE_ENTRY_POINTS = {
+    "FlowSchedule": lambda ts: FlowSchedule(ts).taus,
+    "Gaussian.composed": lambda ts: Gaussian.from_cov([[1.0]]).composed(ts),
+    "one_shot_orbit": lambda ts: one_shot_orbit(GaussianMixture.standard(1), ts, ParticleEnsemble([[0.7]], 0)).layers,
+    "check_backward_heat": lambda ts: check_backward_heat(GaussianMixture.standard(1), ts).residuals,
+}
+
+
+@pytest.mark.parametrize("times", [0.1, [[0.1]], None, [math.nan], [-1.0]],
+                         ids=["bare_number", "nested", "none", "nan", "negative"])
+@pytest.mark.parametrize("entry", sorted(SEQUENCE_ENTRY_POINTS))
+def test_sequence_time_entries_share_one_rule(entry, times):
+    """A bare number is a one-element sequence of times; every other bad input is a ContractError."""
+    run = SEQUENCE_ENTRY_POINTS[entry]
+    if isinstance(times, float):
+        np.testing.assert_array_equal(run(times), run([times]))
+    else:
+        with pytest.raises(ContractError):
+            run(times)
 
 
 POINT_ENTRY_POINTS = {

@@ -159,7 +159,7 @@ class RunConfig:
     curve_extent: float
     out_dir: Path
     formats: tuple[str, ...]
-    panels_line: int = 1  # where a command that draws one panel reports a second
+    root: _Object  # the located config, for the lines of what a command rejects
 
 
 def _library_check(obj: _Object, key: str, check, *args):
@@ -275,7 +275,7 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         curve_extent=curve_extent,
         out_dir=out_dir,
         formats=formats,
-        panels_line=doc.line("panels"),
+        root=doc,
     )
 
 
@@ -298,15 +298,6 @@ def _run_panel(cfg: RunConfig, panel: Panel, ens: ParticleEnsemble) -> tuple[Tra
         return exc.partial, True
 
 
-def _interp_state(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
-    """Positions at time ``t``, linear between the recorded ``(T, n, m)`` states."""
-    j = int(np.searchsorted(times, t, side="right"))  # >= 1: the one caller asks for t > times[0] = 0
-    if j >= len(times):
-        return stack[-1]
-    w = (t - times[j - 1]) / (times[j] - times[j - 1])
-    return (1.0 - w) * stack[j - 1] + w * stack[j]
-
-
 def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) -> SvgCanvas:
     lim = 1.1 * extent
     chart = SvgCanvas(480, 480, (-lim, lim), (-lim, lim), title)
@@ -318,13 +309,18 @@ def _trajectory_svg(traj: Trajectory, n_grid: int, extent: float, title: str) ->
         chart.polyline(xs, ys, stroke="#999999", width=0.8, opacity=0.7)
     for i, (xs, ys) in enumerate(stack[:, n_grid:].transpose(1, 2, 0)):
         chart.polyline(xs, ys, stroke=_SAMPLE_COLORS[i % len(_SAMPLE_COLORS)], width=1.2)
-    # midpoints every max(0.2, T / 50) time units along the orbit, so at most about 50 of them
-    t_mark = spacing = max(0.2, traj.times[-1] / 50)
-    while t_mark < traj.times[-1] + 1e-12:
-        pts = _interp_state(times, stack, t_mark)
-        chart.points(pts[:n_grid, 0], pts[:n_grid, 1], r=1.4, fill="#666666", opacity=0.8)
-        chart.points(pts[n_grid:, 0], pts[n_grid:, 1], r=1.4, fill="#222222", opacity=0.8)
-        t_mark += spacing
+    # midpoints every max(0.2, T / 50) time units along the orbit, so at most about 50, linear between states;
+    # one at or past the last time is the last state (its weight, capped at 1, keeps the unused blend finite)
+    spacing = max(0.2, times[-1] / 50)
+    with np.errstate(over="ignore"):  # a running sum past the largest float is inf, past the end
+        marks = np.add.accumulate(np.full(int((times[-1] + 1e-12) / spacing) + 1, spacing))
+    marks = marks[marks < times[-1] + 1e-12]
+    j = np.minimum(np.searchsorted(times, marks, side="right"), len(times) - 1)  # >= 1, as marks > times[0] = 0
+    w = np.minimum((marks - times[j - 1]) / (times[j] - times[j - 1]), 1.0)[:, None, None]
+    pts = np.where((marks >= times[-1])[:, None, None], stack[-1], (1.0 - w) * stack[j - 1] + w * stack[j])
+    for p in pts:
+        chart.points(p[:n_grid, 0], p[:n_grid, 1], r=1.4, fill="#666666", opacity=0.8)
+        chart.points(p[n_grid:, 0], p[n_grid:, 1], r=1.4, fill="#222222", opacity=0.8)
     return chart
 
 
@@ -400,8 +396,8 @@ def _chart_sigma(cov: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, float, float, str]]:
-    """(time, sigma1, sigma2, entropy, source) rows for the diagonal 2-D chart.
+def _abstract_columns(cfg: RunConfig, panel: Panel) -> list[tuple]:
+    """The time, sigma1, sigma2, entropy and source columns of the diagonal 2-D chart.
 
     The continuous flow runs straight to the singular boundary.  Deep
     compositions contract the variance toward (and numerically onto) zero,
@@ -413,11 +409,12 @@ def _abstract_rows(cfg: RunConfig, panel: Panel) -> list[tuple[float, float, flo
     flow = panel.schedule["flow"]
     composed = itertools.accumulate(flow.taus, Gaussian.one_shot, initial=g)
     laws += [(t, h, "composed") for t, h in zip((0.0, *flow.times), composed)]
-    return [(float(t), *map(float, _chart_sigma(h.cov)), h.entropy(), source) for t, h, source in laws]
+    return list(zip(*[(float(t), *map(float, _chart_sigma(h.cov)), h.entropy(), source) for t, h, source in laws]))
 
 
-def _abstract_svg(cfg: RunConfig, rows) -> SvgCanvas:
-    smax = max(max(r[1], r[2]) for r in rows) * 1.15
+def _abstract_svg(cfg: RunConfig, columns) -> SvgCanvas:
+    _, sigma1, sigma2, _, sources = map(np.array, columns)
+    smax = max(sigma1.max(), sigma2.max()) * 1.15
     chart = SvgCanvas(480, 480, (0.0, smax), (0.0, smax), f"{cfg.name} (sigma chart)")
     ticks = np.round(np.linspace(0.0, smax, 5), 2)
     chart.draw_axes(ticks, ticks, fmt="{:.2f}")
@@ -433,7 +430,7 @@ def _abstract_svg(cfg: RunConfig, rows) -> SvgCanvas:
         "composed": {"stroke": "#2ca02c", "width": 1.5},
     }
     for source, style in styles.items():
-        chart.polyline([r[1] for r in rows if r[4] == source], [r[2] for r in rows if r[4] == source], **style)
+        chart.polyline(sigma1[sources == source], sigma2[sources == source], **style)
     chart.text(70, 58, "continuous", size=10, fill="#1f77b4")
     chart.text(70, 72, "one-shot (dashed) / composed", size=10, fill="#2ca02c")
     chart.text(chart.width / 2, chart.height - 8, "sigma1", size=10, anchor="middle")
@@ -446,11 +443,17 @@ def cmd_pushforward(cfg: RunConfig) -> int:
         raise ConfigError("pushforward command needs a 'distribution'")
     if not cfg.panels:
         raise ConfigError("pushforward command needs 'mode' and 'schedule'")
-    if cfg.mixture.k != 1:
-        raise ConfigError("pushforward command needs a single-Gaussian distribution")
+    root = cfg.root
+    if cfg.mixture.k != 1 or cfg.mixture.dim > 2:
+        need = ("needs a single-Gaussian distribution" if cfg.mixture.k != 1
+                else "supports 1-D densities and 2-D diagonal charts")
+        raise ConfigError(f"pushforward command {need}", root.line("distribution"))
     if len(cfg.panels) > 1:
-        raise ConfigError(f"pushforward command draws one panel, got {len(cfg.panels)}", cfg.panels_line)
+        raise ConfigError(f"pushforward command draws one panel, got {len(cfg.panels)}", root.line("panels"))
     panel = cfg.panels[0]
+    if cfg.mixture.dim == 2 and panel.mode != "composed":
+        line = (root["panels"][0] if "panels" in root else root).line("mode")
+        raise ConfigError("the 2-D abstract chart needs a composed schedule for the overlay", line)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
 
@@ -459,23 +462,19 @@ def cmd_pushforward(cfg: RunConfig) -> int:
         if singular:
             status = EXIT_SINGULAR
         if "csv" in cfg.formats:
-            rows = ((t, x, d) for t, dens in curves for x, d in zip(xs.tolist(), dens.tolist()))
-            write_csv(cfg.out_dir / f"{cfg.name}_densities.csv", ["time", "x", "density"], rows)
+            blocks = ([itertools.repeat(t, len(xs)), xs.tolist(), dens.tolist()] for t, dens in curves)
+            write_csv(cfg.out_dir / f"{cfg.name}_densities.csv", ["time", "x", "density"], blocks)
         if "svg" in cfg.formats:
             _density_svg(cfg, xs, curves).write(cfg.out_dir / f"{cfg.name}_densities.svg")
         print(f"pushforward densities: {len(curves)} curves")
-    elif cfg.mixture.dim == 2:
-        if panel.mode != "composed":
-            raise ConfigError("the 2-D abstract chart needs a composed schedule for the overlay")
-        rows = _abstract_rows(cfg, panel)
+    else:
+        columns = _abstract_columns(cfg, panel)
         if "csv" in cfg.formats:
             header = ["time", "sigma1", "sigma2", "entropy", "source"]
-            write_csv(cfg.out_dir / f"{cfg.name}_abstract.csv", header, rows)
+            write_csv(cfg.out_dir / f"{cfg.name}_abstract.csv", header, [columns])
         if "svg" in cfg.formats:
-            _abstract_svg(cfg, rows).write(cfg.out_dir / f"{cfg.name}_abstract.svg")
-        print(f"pushforward abstract chart: {len(rows)} rows")
-    else:
-        raise ConfigError("pushforward command supports 1-D densities and 2-D diagonal charts")
+            _abstract_svg(cfg, columns).write(cfg.out_dir / f"{cfg.name}_abstract.svg")
+        print(f"pushforward abstract chart: {len(columns[0])} rows")
     return status
 
 

@@ -25,8 +25,8 @@ decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they s
 (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
 of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their entropy rows :func:`_path_rows`.
 :func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it
-enters the package, :func:`_checked_times` the one rule for a sequence of them, :func:`_checked_count` of
-a count, and :func:`_checked_parameter` of a verification parameter.
+enters the package, :func:`_checked_times` the one rule for a sequence of them, :func:`_checked_count` of a
+count, and :func:`_checked_parameter` of a verification parameter, each scalar read by :func:`_number`.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -292,9 +292,19 @@ def _pointwise(body):
 # -- single-Gaussian spectral core ----------------------------------------------
 
 
+def _number(value, what: str, error: type = ContractError) -> float:
+    """``value`` as one float; a sequence, ``None``, text or an array of one or more dimensions raises ``error``."""
+    try:  # float alone would read the text "0.5", and an older NumPy's one-element array with a warning
+        if not isinstance(value, (str, bytes)) and getattr(value, "ndim", 0) == 0:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{what} must be one number, got {value!r}")
+
+
 def _checked_time(t, what: str = "time", positive: bool = False, signed: bool = False) -> float:
     """``t`` as a float that is finite and nonnegative (positive if asked, of any sign if ``signed``)."""
-    t = float(t)
+    t = _number(t, what)
     if not math.isfinite(t) or (t < 0.0 and not signed) or (positive and t == 0.0):
         kind = "" if signed else " and positive" if positive else " and nonnegative"
         raise ContractError(f"{what} must be finite{kind}, got {t}")
@@ -314,14 +324,14 @@ def _checked_times(values, what: str, positive: bool = False) -> np.ndarray:
 
 def _checked_count(value, what: str) -> int:
     """A count as an int >= 1: whole floats such as 3.0 pass, fractions, NaN and inf raise :class:`ContractError`."""
-    if not (float(value) >= 1.0 and float(value).is_integer()):
+    if not ((count := _number(value, what)) >= 1.0 and count.is_integer()):
         raise ContractError(f"{what} must be >= 1 and whole, got {value}")
-    return int(value)
+    return int(count)
 
 
 def _checked_parameter(value, what: str, upper: float = math.inf) -> float:
     """A check's numeric parameter as a finite float in ``(0, upper]``, else :class:`DomainError`."""
-    value = float(value)
+    value = _number(value, what, DomainError)
     if not (0.0 < value <= upper and math.isfinite(value)):
         bound = "positive" if upper == math.inf else f"in (0, {upper:g}]"
         raise DomainError(f"{what} must be finite and {bound}, got {value}")
@@ -330,9 +340,9 @@ def _checked_parameter(value, what: str, upper: float = math.inf) -> float:
 
 def _checked_alpha(alpha) -> float:
     """A Renyi order: finite, positive and != 1 (the limit alpha -> 1 is :func:`entropy`)."""
-    if _checked_parameter(alpha, "alpha") == 1.0:
+    if (alpha := _checked_parameter(alpha, "alpha")) == 1.0:
         raise DomainError("alpha must be != 1; use entropy() for the alpha -> 1 limit")
-    return float(alpha)
+    return alpha
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@
 Hand-rolled on purpose: output bytes depend only on the data, so result
 files are reproducible and diffable.  :class:`SvgCanvas` is the one chart
 class.  Every file is UTF-8 with ``\n`` line endings on every platform.
-CSV cells are ``str(v)``, for a float the shortest text that round-trips
-(``str`` equals ``repr`` for Python floats, and NumPy's float64 ``str``
-gives the same text); JSON has sorted keys and a two-space indent.
+:func:`write_csv` writes blocks of columns one at a time through one ``%s`` row template made from the
+header, so a cell is ``str(v)``, for a float the shortest text that round-trips (``str`` equals ``repr``
+for Python floats, as does NumPy's float64 ``str``); JSON has sorted keys and a two-space indent.
 """
 
 from __future__ import annotations
@@ -32,16 +32,17 @@ def _open(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_csv(path, header, rows, seed: int | None = None) -> None:
-    """CSV of ``rows`` under ``header``, after a ``# seed=N`` line when ``seed`` is given.
+def write_csv(path, header, blocks, seed: int | None = None) -> None:
+    """CSV under ``header`` of ``blocks``, each one iterable column per header entry, read a block at a time.
 
-    Cells are never quoted, so no cell may contain a comma.
+    A ``# seed=N`` line comes first when ``seed`` is given.  Cells are never quoted, so no cell may hold a comma.
     """
+    row = ",".join(["%s"] * len(header)) + "\n"
     with _open(path) as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(row % cells for block in blocks for cells in zip(*block))
 
 
 def write_json(path, doc) -> None:

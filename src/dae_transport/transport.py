@@ -29,6 +29,7 @@ retrain rule :func:`_retrain_mode` and the orbit-time rule :func:`_orbit_times` 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -238,11 +239,11 @@ class Trajectory:
                      for h, r in zip(self.entropy.tolist(), self.renyi2.tolist()))
 
     def to_csv(self, path: str | Path) -> None:
-        """Long-format CSV: one row per (time, particle) with columns x1..xm."""
+        """Long-format CSV: one row per (time, particle) with columns x1..xm, one block of columns per state."""
         header = ["time", "particle_id"] + [f"x{j + 1}" for j in range(self.dim)]
-        rows = ([t, pid, *row] for t, x in zip(self.times, (self.initial.points, *self.layers))
-                for pid, row in enumerate(x.tolist()))
-        write_csv(path, header, rows, self.initial.seed)
+        blocks = ([itertools.repeat(t, self.n), range(self.n), *x.T.tolist()]
+                  for t, x in zip(self.times, (self.initial.points, *self.layers)))
+        write_csv(path, header, blocks, self.initial.seed)
 
     def diagnostics_json(self) -> dict:
         """Per-time records: the entropy rows plus the particles' sample moments, taken here from the stack."""

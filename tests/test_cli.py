@@ -10,11 +10,12 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dae_transport import ContractError, DomainError
+from dae_transport import ContractError, DomainError, ParticleEnsemble, Trajectory
 from dae_transport.cli import (
     ConfigError,
     EXIT_CHECK,
@@ -22,9 +23,11 @@ from dae_transport.cli import (
     EXIT_OK,
     EXIT_SINGULAR,
     _located,
+    _trajectory_svg,
     load_config,
     main,
 )
+from dae_transport.svg import SvgCanvas
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "dae_transport" / "configs"
 
@@ -256,6 +259,44 @@ def test_trajectory_svg_midpoints_stay_bounded(tmp_path, taus):
     assert (tmp_path / "out" / "run_composed.svg").stat().st_size < 100_000
 
 
+def _marks_one_at_a_time(traj: Trajectory) -> tuple[list[float], list[np.ndarray]]:
+    """The orbit chart's mark times and midpoints as a loop over marks made them, each mark alone."""
+    times, stack = np.asarray(traj.times), np.concatenate([traj.initial.points[None], traj.layers])
+    mark_times, marks = [], []
+    t_mark = spacing = max(0.2, traj.times[-1] / 50)
+    while t_mark < traj.times[-1] + 1e-12:
+        j = int(np.searchsorted(times, t_mark, side="right"))
+        if j >= len(times):
+            marks.append(stack[-1])
+        else:
+            w = (t_mark - times[j - 1]) / (times[j] - times[j - 1])
+            marks.append((1.0 - w) * stack[j - 1] + w * stack[j])
+        mark_times.append(t_mark)
+        t_mark += spacing
+    return mark_times, marks
+
+
+def test_trajectory_svg_marks_equal_the_per_mark_loop_bit_for_bit(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(SvgCanvas, "points", lambda self, xs, ys, **style: drawn.append(np.stack([xs, ys], 1)))
+    rng = np.random.default_rng(31)
+    # a one-time (partial) trajectory; a last mark 5e-13 past the last time; marks on the recorded times
+    schedules = [[], [0.3, 0.3 - 5e-13], [0.2] * 5]
+    schedules += [rng.exponential(10.0 ** rng.uniform(-2, 3), rng.integers(1, 8)).tolist() for _ in range(200)]
+    n_grid, seen = 3, set()
+    for taus in schedules:
+        times = (0.0, *np.cumsum(taus).tolist())
+        stack = rng.normal(size=(len(times), 8, 2))
+        rows = np.zeros((len(times), 2))
+        traj = Trajectory(times, ParticleEnsemble(stack[0], 0), stack[1:], rows, rows)
+        drawn.clear()
+        _trajectory_svg(traj, n_grid, 3.0, "orbit")
+        mark_times, marks = _marks_one_at_a_time(traj)
+        assert [d.tobytes() for d in drawn] == [half.tobytes() for p in marks for half in (p[:n_grid], p[n_grid:])]
+        seen.add("none" if not marks else "past the end" if mark_times[-1] > times[-1] else "within")
+    assert seen == {"none", "past the end", "within"}
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in the JSON output")
 
@@ -363,13 +404,17 @@ TYPED_CONFIG_ERRORS = {
     "pushforward_no_mode": (
         "pushforward", _changed(mode=None, schedule=None), None, "pushforward command needs 'mode' and 'schedule'"),
     "pushforward_mixture": (
-        "pushforward", _changed(distribution=MIXTURE_1D), None, "pushforward command needs a single-Gaussian distribution"),
+        "pushforward", _changed(distribution=MIXTURE_1D), "distribution",
+        "pushforward command needs a single-Gaussian distribution"),
     "pushforward_3d": (
-        "pushforward", _changed(distribution=GAUSSIAN_3D), None,
+        "pushforward", _changed(distribution=GAUSSIAN_3D), "distribution",
         "pushforward command supports 1-D densities and 2-D diagonal charts"),
     "pushforward_2d_one_shot": (
-        "pushforward", _changed(mode="one_shot", schedule={"t": 0.5}), None,
+        "pushforward", _changed(mode="one_shot", schedule={"t": 0.5}), "mode",
         "the 2-D abstract chart needs a composed schedule for the overlay"),
+    "pushforward_2d_one_shot_panel": (
+        "pushforward", _changed(mode=None, schedule=None, panels=[{"mode": "one_shot", "schedule": {"t": 0.5}}]),
+        "mode", "the 2-D abstract chart needs a composed schedule for the overlay"),
     "trajectory_no_distribution": (
         "trajectory", _changed(distribution=None), None, "trajectory command needs a 'distribution'"),
     "trajectory_no_mode": (

@@ -23,6 +23,7 @@ from dae_transport import (
     check_backward_heat,
     check_entropy_monotone,
     check_time_reversal,
+    check_variational_minimizer,
     compose,
     continuous_flow,
     density,
@@ -33,6 +34,7 @@ from dae_transport import (
     log_density,
     one_shot_orbit,
     probe_lattice,
+    renyi_entropy,
     sample,
     score,
     smooth,
@@ -286,6 +288,32 @@ def test_sequence_time_entries_share_one_rule(entry, times):
     else:
         with pytest.raises(ContractError):
             run(times)
+
+
+SCALAR_ENTRIES = {  # where one number belongs: (the error a wrong type raises, the call)
+    "MixtureExact_list": (ContractError, lambda: MixtureExact(GaussianMixture.standard(1), [0.1])),
+    "MixtureExact_array": (ContractError, lambda: MixtureExact(GaussianMixture.standard(1), np.array([0.1]))),
+    "FlowSchedule.uniform_time": (ContractError, lambda: FlowSchedule.uniform([1.0], 2)),
+    "FlowSchedule.uniform_steps": (ContractError, lambda: FlowSchedule.uniform(1.0, [2])),
+    "smooth": (ContractError, lambda: smooth(GaussianMixture.standard(1), None)),
+    "Gaussian.one_shot": (ContractError, lambda: Gaussian.from_cov([[1.0]]).one_shot("ab")),
+    "Gaussian.denoise": (ContractError, lambda: Gaussian.from_cov([[1.0]]).denoise([0.5], [0.1])),
+    "EmpiricalKernel": (ContractError, lambda: EmpiricalKernel(ParticleEnsemble(np.zeros((3, 1)), 0), None)),
+    "sample": (ContractError, lambda: sample(GaussianMixture.standard(1), "x", 0)),
+    "check_time_reversal": (ContractError, lambda: check_time_reversal(GaussianMixture.standard(1), None)),
+    "check_variational_minimizer": (DomainError,
+                                    lambda: check_variational_minimizer(GaussianMixture.standard(1), [0.5])),
+    "renyi_entropy": (DomainError, lambda: renyi_entropy(GaussianMixture.standard(1), "a")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRIES))
+def test_a_list_none_text_or_array_where_one_number_belongs_is_a_typed_error(entry):
+    """Not float's TypeError or ValueError: a ContractError, or a DomainError for a check's parameter."""
+    error, run = SCALAR_ENTRIES[entry]
+    with pytest.raises(ValueError, match="must be one number") as info:
+        run()
+    assert type(info.value) is error
 
 
 POINT_ENTRY_POINTS = {
@@ -1185,10 +1213,22 @@ def test_writers_read_the_stack_and_build_no_states(tmp_path):
 def test_csv_cells_are_the_shortest_round_trip_text(tmp_path):
     # a Python float, NumPy float64 values from the smallest subnormal to near the largest float, an int and a str
     row = [0.1, *np.array([5e-324, -0.0, 1e-5, 1e16, 1e308]), 7, "one_shot"]
-    write_csv(tmp_path / "row.csv", ["a"], [row])
-    want = "a\n0.1,5e-324,-0.0,1e-05,1e+16,1e+308,7,one_shot\n"
+    write_csv(tmp_path / "row.csv", list("abcdefgh"), [[[cell] for cell in row]])  # one block of one-row columns
+    want = "a,b,c,d,e,f,g,h\n0.1,5e-324,-0.0,1e-05,1e+16,1e+308,7,one_shot\n"
     assert (tmp_path / "row.csv").read_bytes() == want.encode()
     assert want.splitlines()[1] == ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+
+
+def test_trajectory_csv_holds_a_few_states_of_cells_at_most(tmp_path):
+    # One state's cells, as the Python objects the writer formats, take n * m * (24 B float + 8 B list slot):
+    # 1.28 MB at n = 20 000, m = 2.  The writer makes a state's columns while it still holds the last one's, so
+    # it peaks near two states (2.6 MB measured).  A writer holding all 30 states' columns would need 38 MB.
+    n, m, states = 20_000, 2, 30
+    stack = np.random.default_rng(8).integers(-8, 8, size=(states, n, m)) / 4  # short cells, a faster write
+    rows = np.zeros((states, 2))
+    traj = Trajectory(tuple(0.1 * np.arange(states)), ParticleEnsemble(stack[0], 0), stack[1:], rows, rows)
+    assert _traced_peak(traj.to_csv, tmp_path / "traj.csv") <= 3 * n * m * 32
+    assert tmp_path.joinpath("traj.csv").read_text().count("\n") == 2 + states * n
 
 
 def test_trajectory_deterministic_export(tmp_path):

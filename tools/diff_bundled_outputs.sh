@@ -6,9 +6,10 @@
 # Extracts REV into a temporary directory (`git archive`, removed on exit) and
 # runs, in both trees, `pushforward fig1`, `trajectory fig2`, `pushforward
 # fig3` and `verify` (on fig2), each at the config's own seed, at --seed 3 and
-# at --seed 11: 12 runs per tree, each under `-W error::RuntimeWarning`, so a
-# run that warns exits non-zero.  The working tree's 12 runs are then made a
-# second time, since outputs must be byte-identical on a rerun.  Exits 1 if
+# at --seed 11: 12 runs per tree, each under `-W error::RuntimeWarning
+# -W error::DeprecationWarning -W error::FutureWarning` (the filter the tests
+# apply), so a run that warns exits non-zero.  The working tree's 12 runs are
+# then made a second time, since outputs must be byte-identical on a rerun.  Exits 1 if
 # any output file or exit code differs between REV and the working tree, or
 # between the two runs of the working tree, and then prints, for each
 # differing file, the largest absolute difference of its numbers
@@ -36,7 +37,8 @@ run_tree() {  # run_tree TREE OUT: the 12 runs of TREE, outputs and exit codes u
             dir="$out/${cmd}_${cfg}_seed_${seed:-config}"
             mkdir -p "$dir"
             code=0
-            (cd "$work" && PYTHONPATH="$tree/src" "$python" -W error::RuntimeWarning -m dae_transport "$cmd" \
+            (cd "$work" && PYTHONPATH="$tree/src" "$python" -W error::RuntimeWarning -W error::DeprecationWarning \
+                -W error::FutureWarning -m dae_transport "$cmd" \
                 --config "$tree/src/dae_transport/configs/$cfg.json" --out "$dir" ${seed:+--seed "$seed"}) \
                 >/dev/null 2>&1 || code=$?
             echo "$cmd $cfg seed=${seed:-config} exit=$code" >>"$out/exit_codes.txt"

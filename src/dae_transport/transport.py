@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -197,8 +197,9 @@ class Trajectory:
     layers: np.ndarray
     entropy: np.ndarray
     renyi2: np.ndarray
+    _checked: InitVar[bool] = False  # the flows' stack, checked and frozen by :func:`_trajectory`: kept as given
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
         times = tuple(float(t) for t in self.times)
         stack = np.asarray(self.layers, dtype=float)
         ent, ren = (_frozen(np.array(a, dtype=float)) for a in (self.entropy, self.renyi2))
@@ -211,7 +212,7 @@ class Trajectory:
             raise ContractError("all trajectory states must share n and m")
         if len(stack) + 1 != len(times) or ent.shape != (len(times), 2) or ren.shape != ent.shape:
             raise ContractError("times, states, and (value, stderr) rows of entropy and renyi2 must have equal length")
-        if stack.size:  # one constructor call checks the values; it adopts a frozen stack, else freezes a copy
+        if stack.size and not _checked:  # one constructor call checks the values and freezes a copy
             stack = ParticleEnsemble(stack.reshape(-1, stack.shape[2]), self.initial.seed).points.reshape(stack.shape)
         for key, value in zip(("times", "layers", "entropy", "renyi2"), (times, stack, ent, ren)):
             object.__setattr__(self, key, value)
@@ -277,12 +278,11 @@ def _trajectory(times: Sequence[float], ensemble: ParticleEnsemble, layers: np.n
                 evals: np.ndarray | None) -> Trajectory:
     """The one place ``ensemble`` and the ``(L, n, m)`` stack after it become a :class:`Trajectory`: row l of
     ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None`` marks sampled states."""
-    if evals is None:  # one constructor call checks the sampled states before the diagnostics read them
-        ParticleEnsemble(_frozen(layers).reshape(-1, ensemble.dim), ensemble.seed)
-        rows = np.array([_layer_diagnostics(x, ensemble.seed, i) for i, x in enumerate((ensemble.points, *layers))])
-    else:
-        rows = _path_rows(evals)
-    return Trajectory(times, ensemble, _frozen(layers), rows[:, :2], rows[:, 2:])
+    if layers.size:  # one constructor call checks the stack, adopted, before any diagnostics read it
+        ParticleEnsemble(_frozen(layers).reshape(-1, ensemble.dim), ensemble.seed, _adopt=True)
+    rows = _path_rows(evals) if evals is not None else np.array(
+        [_layer_diagnostics(x, ensemble.seed, i) for i, x in enumerate((ensemble.points, *layers))])
+    return Trajectory(times, ensemble, _frozen(layers), rows[:, :2], rows[:, 2:], _checked=True)
 
 
 # -- flows -------------------------------------------------------------------------
@@ -321,8 +321,8 @@ def compose(
         return _trajectory(times, ensemble, *Gaussian.of(mix0)._flow(ensemble.points, schedule.taus))
 
     layers = np.empty((len(schedule), ensemble.n, ensemble.dim))
-    for layer, tau in enumerate(schedule.taus):  # each layer trains on the state before it, checked
-        data = ParticleEnsemble(layers[layer - 1], ensemble.seed) if layer else ensemble
+    for layer, tau in enumerate(schedule.taus):  # each layer trains on the row before it, checked, not copied
+        data = ParticleEnsemble(layers[layer - 1], ensemble.seed, _adopt=True) if layer else ensemble
         layers[layer] = EmpiricalKernel(data, tau).apply(data.points)
     return _trajectory(times, ensemble, layers, None)
 

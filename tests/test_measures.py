@@ -101,7 +101,7 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def test_ensemble_copies_writeable_points_and_adopts_frozen_ones():
+def test_ensemble_copies_its_points_whoever_owns_them():
     # a writeable input, or a read-only view of writeable memory, is copied: the caller can change neither
     caller = np.arange(6.0).reshape(3, 2)
     view = _frozen_array(caller[1:].view())
@@ -117,13 +117,33 @@ def test_ensemble_copies_writeable_points_and_adopts_frozen_ones():
         ens = ParticleEnsemble(points, seed=0)
         assert not np.shares_memory(ens.points, raw) and not ens.points.flags.writeable
         np.testing.assert_array_equal(ens.points.ravel(), np.arange(6.0))
-    # a frozen owner, or a frozen view of one, is adopted as given; a frozen owner is still checked
+    # a frozen owner, or a frozen view of one, is copied as well, and a frozen owner is still checked
     owner = _frozen_array(np.arange(6.0).reshape(3, 2).copy())
-    assert ParticleEnsemble(owner, seed=0).points is owner
-    assert np.shares_memory(ParticleEnsemble(owner[1:], seed=0).points, owner)
-    assert np.shares_memory(ParticleEnsemble(owner[:, 0], seed=0).points, owner)  # a column is an (n, 1) view
+    for points in (owner, owner[1:], owner[:, 0]):  # a column is an (n, 1) view
+        ens = ParticleEnsemble(points, seed=0)
+        assert not np.shares_memory(ens.points, owner) and not ens.points.flags.writeable
+        assert ens.points.base is None and np.array_equal(ens.points.ravel(), np.ravel(points))
     with pytest.raises(ContractError, match="finite"):
         ParticleEnsemble(_frozen_array(np.array([[0.0], [math.nan]])), seed=0)
+
+
+def test_an_ensemble_stays_finite_and_frozen_when_its_caller_unfreezes_the_points():
+    # NumPy lets the owner of its memory turn the writeable flag back on, so a frozen input is no promise
+    a = _frozen_array(np.zeros((3, 2)))
+    ens = ParticleEnsemble(a, 0)
+    a.flags.writeable = True
+    a[0, 0] = np.nan
+    assert np.all(np.isfinite(ens.points)) and not ens.points.flags.writeable
+    with pytest.raises(ValueError):
+        ens.points[0, 0] = 1.0
+
+
+def test_the_package_s_own_arrays_are_adopted_checked_and_frozen_in_place():
+    fresh = np.arange(6.0).reshape(3, 2)
+    ens = ParticleEnsemble(fresh, 0, _adopt=True)
+    assert ens.points is fresh and not fresh.flags.writeable
+    with pytest.raises(ContractError, match="ensemble points must be finite"):
+        ParticleEnsemble(np.array([[0.0], [math.inf]]), 0, _adopt=True)
 
 
 MALFORMED = {
@@ -653,13 +673,13 @@ def test_kernel_pass_matches_one_chunk_when_chunked(monkeypatch, m):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
 
 
-def _assert_kernel_pass_matches_a_long_double_oracle(probes, data, var, near_pairs=False):
+def _assert_kernel_pass_matches_a_long_double_oracle(probes, data, var, near_pairs=False, weighted_mean=True):
     # the oracle sums (x - d)^2 directly in long double; with ``near_pairs`` the log mean may also
     # carry each near pair's rounding of the GEMM expansion, about eps |z|^2 at the scaled coordinates z,
-    # weighted by the pair's share of its row's kernel mass
+    # weighted by the pair's share of its row's kernel mass; without ``weighted_mean`` only the log mean is read
     from dae_transport import measures
 
-    log_mean, mean = measures._kernel_pass(probes, data, var, -0.7, weighted_mean=True)
+    log_mean, mean = measures._kernel_pass(probes, data, var, -0.7, weighted_mean=weighted_mean)
     x, d = probes.astype(np.longdouble), data.astype(np.longdouble)
     logk = -np.sum((x[:, None, :] - d[None, :, :]) ** 2, axis=2) / (2 * np.longdouble(var))
     shift = np.max(logk, axis=1)
@@ -671,6 +691,9 @@ def _assert_kernel_pass_matches_a_long_double_oracle(probes, data, var, near_pai
         z_sq = np.max(np.sum((data - data.mean(axis=0)) ** 2, axis=1)) / var
         bound += np.finfo(float).eps * z_sq * (1.0 - np.max(w, axis=1) / np.sum(w, axis=1))
     assert np.all(np.abs(log_mean - want_log) <= bound)
+    if not weighted_mean:
+        assert mean is None
+        return
     assert np.all(np.abs(mean - want_mean) <= 1e-13 * (1.0 + np.abs(want_mean)))
 
 
@@ -724,6 +747,32 @@ def test_symmetric_kernel_pass_matches_one_chunk_when_chunked(monkeypatch, m):
     for rows in (7, 1):
         for a, b in zip(one_chunk, both(rows)):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("weighted_mean", [True, False], ids=["map", "kde"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("block", [16, 64])
+@pytest.mark.parametrize("extra", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=["B-1", "B", "B+1", "2B+1"])
+def test_symmetric_kernel_pass_at_the_edges_of_its_row_blocks(monkeypatch, extra, block, m, weighted_mean):
+    # the symmetric route takes B = max(1, 2 * _KERNEL_CHUNK_PAIRS // n) rows a block; n = B - 1 and B fill one
+    # block, B + 1 ends in a block of one row, 2B + 1 takes three; each matches the oracle and the general route
+    from dae_transport import measures
+
+    n = extra[0] * block + extra[1]
+    monkeypatch.setattr(measures, "_KERNEL_CHUNK_PAIRS", block * n // 2)
+    blocks = []
+    fill_diagonal = np.fill_diagonal
+    monkeypatch.setattr(np, "fill_diagonal", lambda w, v: blocks.append(len(w)) or fill_diagonal(w, v))
+    data = np.random.default_rng(70 + n + m).normal(size=(n, m))
+    _assert_kernel_pass_matches_a_long_double_oracle(data, data, 0.3, weighted_mean=weighted_mean)
+    assert blocks == [block] * (n // block) + ([n % block] if n % block else [])
+    nudged = data.copy()
+    nudged[n // 2, 0] = np.nextafter(nudged[n // 2, 0], np.inf)
+    on_data = measures._kernel_pass(data, data, 0.3, 0.0, weighted_mean=weighted_mean)
+    off_data = measures._kernel_pass(nudged, data, 0.3, 0.0, weighted_mean=weighted_mean)
+    np.testing.assert_allclose(on_data[0], off_data[0], rtol=0.0, atol=1e-13)
+    if weighted_mean:
+        np.testing.assert_allclose(on_data[1], off_data[1], rtol=0.0, atol=1e-13)
 
 
 def test_probes_off_the_data_by_one_ulp_take_the_general_route(monkeypatch):

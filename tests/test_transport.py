@@ -316,6 +316,23 @@ def test_a_list_none_text_or_array_where_one_number_belongs_is_a_typed_error(ent
     assert type(info.value) is error
 
 
+HUGE_INT_ENTRIES = {  # an int past the largest float where one number belongs: (the error it raises, the call)
+    "FlowSchedule.uniform_steps": (ContractError, lambda: FlowSchedule.uniform(1.0, 10**400)),
+    "FlowSchedule.uniform_time": (ContractError, lambda: FlowSchedule.uniform(10**400, 2)),
+    "sample": (ContractError, lambda: sample(GaussianMixture.standard(1), 10**400, 0)),
+    "stein_residual": (DomainError, lambda: stein_residual(10**400, [0.1])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HUGE_INT_ENTRIES))
+def test_an_int_beyond_float_range_where_one_number_belongs_is_a_typed_error_with_a_short_message(entry):
+    """Not float's OverflowError, and not the int's 401 digits in the message."""
+    error, run = HUGE_INT_ENTRIES[entry]
+    with pytest.raises(ValueError, match="must be finite, got a number beyond float range") as info:
+        run()
+    assert type(info.value) is error and len(str(info.value)) < 80
+
+
 POINT_ENTRY_POINTS = {
     "score": lambda x: score(aniso(), x),
     "density": lambda x: density(aniso(), x),
@@ -853,6 +870,19 @@ def test_analytic_states_are_row_views_of_one_frozen_stack():
             assert np.shares_memory(state.points, layers[layer]) and not state.points.flags.writeable
             assert state.seed == 3 and np.array_equal(state.points, layers[layer])
     assert len(flows[0][0].layers) == 16 and len(flows[-1][0].layers) == 0
+
+
+def test_a_trajectory_its_caller_builds_keeps_a_copy_of_the_stack():
+    # as for an ensemble: the owner of a frozen stack can make it writeable again; only the flows' own stacks are kept
+    stack = np.zeros((3, 4, 2))
+    stack.flags.writeable = False
+    rows = np.zeros((3, 2))
+    traj = Trajectory((0.0, 0.1, 0.2), ParticleEnsemble(stack[0], 0), stack[1:], rows, rows)
+    stack.flags.writeable = True
+    stack[1, 0, 0] = np.nan
+    assert np.all(np.isfinite(traj.layers)) and not traj.layers.flags.writeable
+    with pytest.raises(ContractError, match="ensemble points must be finite"):
+        Trajectory((0.0, 0.1, 0.2), ParticleEnsemble(stack[0], 0), stack[1:], rows, rows)
 
 
 @pytest.mark.parametrize("flow", ["compose_1_layer", "compose_2_layers", "mixture_orbit"])

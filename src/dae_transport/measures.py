@@ -12,9 +12,11 @@ exponential in :func:`_shifted_exp`) so heavily smoothed mixtures do not
 underflow.  Each component covariance is stored with a cached spectral
 factorization that the mixture's own solves, log determinants, and square
 roots reuse; the density and its derivatives evaluate all components at
-once.  :func:`_log_normaliser` is the one log normalising constant, :func:`_spectral` the one ``V diag(values) V^T``
-(covariance and square roots alike), :func:`_decomposed` the one covariance validator (finite, symmetric, not
-flat), :func:`_pointwise` the one point-or-batch rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
+once; :func:`_posterior` is the one responsibility and pull pass, which :func:`score` and the DAE map with its
+log Jacobian determinant, :func:`_dae_map_log_det`, share.  :func:`_log_normaliser` is the one log normalising
+constant, :func:`_spectral` the one ``V diag(values) V^T`` (covariance, square roots and stacks alike),
+:func:`_decomposed` the one covariance validator (finite, symmetric, not flat), :func:`_pointwise` the one
+point-or-batch rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 
 :class:`Gaussian`, a mean and one eigenbasis, is the one route to the
 single-Gaussian closed forms.  The DAE map, the one-shot and continuous
@@ -71,10 +73,16 @@ class Estimate(NamedTuple):
 
     @classmethod
     def mean_of(cls, samples: np.ndarray) -> "Estimate":
-        """Monte Carlo mean of per-sample terms with its standard error; fewer than two samples have none."""
+        """Monte Carlo mean of per-sample terms with its standard error; fewer than two samples have none.
+
+        Past float range an infinite mean has stderr 0, as the closed forms' rows do, and a spread whose square
+        overflows has an infinite one.
+        """
         if samples.shape[0] < 2:
             raise ContractError(f"a Monte Carlo estimate needs at least two samples, got {samples.shape[0]}")
-        return cls(float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(samples.shape[0])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(np.mean(samples)), float(np.std(samples, ddof=1))
+        return cls(mean, 0.0 if math.isinf(mean) else std / math.sqrt(samples.shape[0]))
 
 
 def _shifted_exp(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -541,8 +549,8 @@ def _log_normaliser(evals: np.ndarray) -> np.ndarray:
 
 
 def _spectral(values: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """The symmetric matrix ``V diag(values) V^T`` of per-axis ``values`` in the eigenbasis ``V``."""
-    return (evecs * values) @ evecs.T
+    """The symmetric matrix ``V diag(values) V^T`` of per-axis ``values`` in the eigenbasis ``V``, or a stack."""
+    return (evecs * values[..., np.newaxis, :]) @ np.swapaxes(evecs, -1, -2)
 
 
 def _gaussian_entropy(m: int, log_det):
@@ -575,10 +583,40 @@ def _component_terms(mix: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray,
     return np.ascontiguousarray(logs.T), y
 
 
-def _weighted_pulls(mix: GaussianMixture, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_i weights[:, i] * (-S_i^{-1}(x - mu_i))``, adding the components in order."""
-    pulls = -(y / mix._evals[:, np.newaxis]) @ np.swapaxes(mix._evecs, 1, 2)
+def _pulls(mix: GaussianMixture, y: np.ndarray) -> np.ndarray:
+    """The (k, n, m) per-component pulls ``-S_i^{-1}(x_n - mu_i)`` of :func:`_component_terms`' offsets ``y``."""
+    return -(y / mix._evals[:, np.newaxis]) @ np.swapaxes(mix._evecs, 1, 2)
+
+
+def _weighted(weights: np.ndarray, pulls: np.ndarray) -> np.ndarray:
+    """``sum_i weights[:, i] * pulls[i]``, adding the components in order."""
     return np.sum(weights.T[:, :, np.newaxis] * pulls, axis=0)
+
+
+def _posterior(mix: GaussianMixture, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(resp, pulls, score)`` at (n, m) points: the (n, k) responsibilities, the :func:`_pulls` and their mean."""
+    logs, y = _component_terms(mix, pts)
+    resp = _shifted_exp(logs)[0]
+    resp /= resp.sum(axis=1, keepdims=True)
+    pulls = _pulls(mix, y)
+    return resp, pulls, _weighted(resp, pulls)
+
+
+def _dae_map_log_det(mix: GaussianMixture, t: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(D(x), log det J(x))`` of the DAE map ``D(x) = x + t score(smooth(mix, t), x)`` at (n, m) points.
+
+    ``D(x) = E[X | X + sqrt(t) Z = x]`` (Tweedie), so ``J = Cov(X | x) / t``, symmetric positive definite:
+    ``J = sum_i r_i [S_i (S_i + tI)^{-1} + t (g_i - s)(g_i - s)^T]``, with r the responsibilities, g the
+    pulls and s the score of one :func:`_posterior` pass over the smoothed mixture.  Both terms are PSD, so
+    nothing cancels far from the means.  ``D(x)`` is bit for bit ``transport.MixtureExact(mix, t).apply(x)``;
+    the Jacobian costs O(n k m^2) beyond that map.
+    """
+    resp, pulls, s = _posterior(smooth(mix, t), pts)
+    dev = pulls - s
+    shrink = _spectral(_dae_factor(mix._evals, t), mix._evecs).reshape(mix.k, -1)
+    spread = np.matmul(np.moveaxis(dev * resp.T[:, :, np.newaxis], 0, 2), np.moveaxis(dev, 0, 1))
+    jac = (resp @ shrink).reshape(spread.shape) + t * spread
+    return pts + t * s, np.linalg.slogdet(jac)[1]
 
 
 # -- densities and derivatives --------------------------------------------------
@@ -604,17 +642,14 @@ def score(mix: GaussianMixture, x) -> np.ndarray:
     Computed analytically as the responsibility-weighted sum of the
     per-component terms ``-S_i^{-1}(x - mu_i)``.
     """
-    logs, y = _component_terms(mix, x)
-    resp = _shifted_exp(logs)[0]
-    resp /= resp.sum(axis=1, keepdims=True)
-    return _weighted_pulls(mix, resp, y)
+    return _posterior(mix, x)[2]
 
 
 @_pointwise
 def density_gradient(mix: GaussianMixture, x) -> np.ndarray:
     """Gradient of the density itself: sum_i w_i N_i(x) (-S_i^{-1}(x - mu_i))."""
     logs, y = _component_terms(mix, x)
-    return _weighted_pulls(mix, np.exp(logs), y)
+    return _weighted(np.exp(logs), _pulls(mix, y))
 
 
 @_pointwise
@@ -685,8 +720,10 @@ def renyi_entropy(mix: GaussianMixture, alpha: float, n: int = MC_DEFAULT_N, see
 
 
 def _renyi_terms(log_p: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-sample Renyi terms ``(p^(alpha-1) - 1) / (alpha - 1)``, whose mean under p is the functional."""
-    return (np.exp((alpha - 1.0) * log_p) - 1.0) / (alpha - 1.0)
+    """Per-sample Renyi terms ``(p^(alpha-1) - 1) / (alpha - 1)``, whose mean under p is the functional; infinite
+    past exp overflow."""
+    with np.errstate(over="ignore"):
+        return (np.exp((alpha - 1.0) * log_p) - 1.0) / (alpha - 1.0)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -815,11 +852,13 @@ def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:
     """Log density of the equal-weight Gaussian KDE with shared covariance.
 
     One :func:`_kernel_pass` in coordinates whitened by the kernel covariance,
-    unlike building an n-component :class:`GaussianMixture`.  Data and
-    evaluation points must be finite.
+    unlike building an n-component :class:`GaussianMixture`.  Data, at least
+    one point, and evaluation points must be finite.
     """
     kernel = Gaussian.from_cov(cov)
     data, _ = _as_points(data, kernel.dim)
+    if data.shape[0] == 0:
+        raise ContractError("a kernel density estimate needs at least one data point, got none")
     pts, single = _as_points(x, kernel.dim)
     whiten = kernel.evecs / np.sqrt(kernel.evals)
     out, _ = _kernel_pass(pts @ whiten, data @ whiten, 1.0, _log_normaliser(kernel.evals))

@@ -8,7 +8,8 @@ Two map backends are provided:
   Nadaraya-Watson weighted mean with Gaussian kernel variance t.
 
 The single-Gaussian closed form of the same map is ``measures.Gaussian.denoise``;
-the one-shot orbit of a single Gaussian uses it, that of a mixture ``MixtureExact``.
+the one-shot orbit of a single Gaussian uses it, that of a mixture ``measures._dae_map_log_det``,
+``MixtureExact`` bit for bit with the log determinant of its Jacobian.
 
 Deep flows are compositions of such maps, each retrained on the current
 pushforward measure; the continuous flow is the same composition on a uniform
@@ -18,7 +19,9 @@ schedules produce identical trajectories bit for bit.
 Every flow writes its L later states into one (L, n, m) stack and hands its times, its input
 ensemble, the stack and, for Gaussian laws known in closed form, their eigenvalues (else None) to one
 builder, which records each state's entropy and Renyi-2 as (value, stderr) rows of two ``(T, 2)``
-arrays.  A :class:`Trajectory` keeps the ensemble beside the frozen stack and makes ``states`` on read.
+arrays.  A mixture orbit hands it the log Jacobian determinants of its maps instead: each DAE map is
+injective (a Brenier map), so one KDE of the input ensemble reads every state by change of variables.
+A :class:`Trajectory` keeps the ensemble beside the frozen stack and makes ``states`` on read.
 
 No single-Gaussian formula lives here: ``measures.Gaussian._flow`` and ``Gaussian._orbit`` return an
 analytic flow's stack and eigenvalue path, and ``measures._path_rows`` that path's entropy rows.  The
@@ -46,6 +49,7 @@ from .measures import (
     _checked_count,
     _checked_time,
     _checked_times,
+    _dae_map_log_det,
     _frozen,
     _kernel_pass,
     _moments,
@@ -260,28 +264,44 @@ class Trajectory:
 # -- diagnostics helpers -------------------------------------------------------------
 
 
-def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> tuple[float, float, float, float]:
-    """``(h, dh, r, dr)`` of a state, by seeded KDEs on capped subsamples; ``(-inf, 0, inf, 0)`` for a flat kernel."""
+def _kde_rows(points: np.ndarray, seed: int, layer: int, log_dets) -> list[tuple[float, float, float, float]]:
+    """``(h, dh, r, dr)`` of the law of ``D(points)`` for the log Jacobian determinants ``log_dets`` of each
+    injective map D at ``points``, all from one seeded KDE of ``points`` on capped subsamples: that law's log
+    density at a probe's image is the KDE's minus the map's log det there.  Each is ``(-inf, 0, inf, 0)`` for
+    a flat kernel."""
     rng = substream(seed, 100, layer)
     n = points.shape[0]
-    data, probes = (points[rng.choice(n, cap, replace=False)] if n > cap else points
+    data, probes = (rng.choice(n, cap, replace=False) if n > cap else slice(None)
                     for cap in (_KDE_DATA_CAP, _KDE_EVAL_CAP))
+    data = points[data]
     cov = silverman_covariance(data)
     try:  # the points are checked and the kernel finite and symmetric: only the positivity rule can fail here
-        lp = kde_log_density(data, cov, probes)
+        lp = kde_log_density(data, cov, points[probes])
     except ContractError:
-        return -math.inf, 0.0, math.inf, 0.0
-    return (*Estimate.mean_of(-lp), *Estimate.mean_of(_renyi_terms(lp, 2.0)))
+        return [(-math.inf, 0.0, math.inf, 0.0)] * len(log_dets)
+    return [(*Estimate.mean_of(ld[probes] - lp), *Estimate.mean_of(_renyi_terms(lp - ld[probes], 2.0)))
+            for ld in log_dets]
+
+
+def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> tuple[float, float, float, float]:
+    """``(h, dh, r, dr)`` of a state by :func:`_kde_rows` with no map."""
+    return _kde_rows(points, seed, layer, np.zeros((1, points.shape[0])))[0]
 
 
 def _trajectory(times: Sequence[float], ensemble: ParticleEnsemble, layers: np.ndarray,
-                evals: np.ndarray | None) -> Trajectory:
+                evals: np.ndarray | None, log_dets: np.ndarray | None = None) -> Trajectory:
     """The one place ``ensemble`` and the ``(L, n, m)`` stack after it become a :class:`Trajectory`: row l of
-    ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None`` marks sampled states."""
+    ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None`` marks sampled states, read by
+    one KDE each, or, given the ``(L, n)`` log Jacobian determinants of injective maps of ``ensemble`` onto the
+    layers, all by the initial state's KDE."""
     if layers.size:  # one constructor call checks the stack, adopted, before any diagnostics read it
         ParticleEnsemble(_frozen(layers).reshape(-1, ensemble.dim), ensemble.seed, _adopt=True)
-    rows = _path_rows(evals) if evals is not None else np.array(
-        [_layer_diagnostics(x, ensemble.seed, i) for i, x in enumerate((ensemble.points, *layers))])
+    if evals is not None:
+        rows = _path_rows(evals)
+    elif log_dets is not None:
+        rows = np.array(_kde_rows(ensemble.points, ensemble.seed, 0, [np.zeros(ensemble.n), *log_dets]))
+    else:
+        rows = np.array([_layer_diagnostics(x, ensemble.seed, i) for i, x in enumerate((ensemble.points, *layers))])
     return Trajectory(times, ensemble, _frozen(layers), rows[:, :2], rows[:, 2:], _checked=True)
 
 
@@ -371,15 +391,19 @@ def one_shot_orbit(
     """Orbit of the one-shot map: each time t maps the original points once.
 
     Unlike a composed flow, every state is produced by a single map trained on
-    the initial measure with noise variance t: ``Gaussian.denoise`` for k = 1, else :class:`MixtureExact`.
+    the initial measure with noise variance t: ``Gaussian.denoise`` for k = 1, else :class:`MixtureExact`'s
+    map.  A mixture's rows are one KDE of the ensemble at its probes x minus ``log det J_t(x)`` (change of
+    variables): O(n^2 m) once plus O(T n k m^2), where a KDE of each state would cost O(T n^2 m).
     """
     ts = _orbit_times(times)
     if ensemble.dim != mix0.dim:
         raise ContractError("ensemble dimension does not match measure dimension")
 
     if mix0.k > 1:
-        layers = np.stack([MixtureExact(mix0, t).apply(ensemble.points) for t in ts])
-        return _trajectory((0.0, *ts), ensemble, layers, None)
+        layers, log_dets = np.empty((len(ts), ensemble.n, ensemble.dim)), np.empty((len(ts), ensemble.n))
+        for i, t in enumerate(ts):
+            layers[i], log_dets[i] = _dae_map_log_det(mix0, t, ensemble.points)
+        return _trajectory((0.0, *ts), ensemble, layers, None, log_dets)
     return _trajectory((0.0, *ts), ensemble, *Gaussian.of(mix0)._orbit(ensemble.points, ts))
 
 

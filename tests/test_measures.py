@@ -156,6 +156,7 @@ MALFORMED = {
     "points_3d": (lambda: score(GaussianMixture.standard(1), np.zeros((2, 1, 1))), "scalar, a vector or an \\(n, m\\)"),
     "convolve_kernel_shape": (lambda: convolve(GaussianMixture.standard(2), np.eye(3)), "must be 2x2"),
     "silverman_one_point": (lambda: silverman_covariance(np.zeros((1, 2))), "at least two points"),
+    "kde_without_data": (lambda: kde_log_density(np.empty((0, 2)), np.eye(2), [[0.0, 0.0]]), "at least one data point"),
 }
 
 
@@ -798,3 +799,15 @@ def test_silverman_covariance_overflow_is_a_contract_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContractError, match="Silverman kernel covariance must be finite"):
             silverman_covariance(np.array([[-1e200, 0.0], [1e200, 1.0]] * 10))
+
+
+def test_spectral_of_a_stack_is_the_stack_of_each_matrix():
+    from dae_transport.measures import _spectral
+
+    rng = np.random.default_rng(2)
+    evecs = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(4)])
+    values = rng.uniform(0.5, 2.0, (4, 3))
+    stack = _spectral(values, evecs)
+    for matrix, v, q in zip(stack, values, evecs):
+        np.testing.assert_array_equal(matrix, _spectral(v, q))
+        np.testing.assert_allclose(matrix, q @ np.diag(v) @ q.T, rtol=1e-14, atol=1e-14)

@@ -354,27 +354,23 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 # -- pushforward command ----------------------------------------------------------
 
 
-def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[np.ndarray, list[tuple[float, np.ndarray]], bool]:
-    """The x-grid and (time, densities on it) for a 1-D measure; bool flags a curve lost to a zero variance."""
-    mix = cfg.mixture
-    g = Gaussian.of(mix)
-    curves = [(0.0, np.asarray(density(mix, cfg.curve)))]
-    if panel.mode == "composed":
-        flow = panel.schedule["flow"]
-        pairs = zip(flow.times, list(itertools.accumulate(flow.taus, Gaussian.one_shot, initial=g))[1:])
-    else:
-        push = g.one_shot if panel.mode == "one_shot" else g.continuous
-        pairs = [(t, push(t)) for t in panel.schedule["times"]]
-    singular = False
-    for t, h in pairs:
-        if h.evals[0] <= 0.0:
-            what = (f"singular at t={t} (critical time {g.critical_time!r})" if panel.mode == "continuous"
-                    else f"variance underflows to 0 at t={t}")  # the one-shot maps never turn singular
-            print(f"warning: pushforward {what}", file=sys.stderr)
-            singular = True
-        else:
-            curves.append((float(t), np.asarray(density(h.as_mixture(), cfg.curve))))
-    return cfg.curve[:, 0], curves, singular
+def _laws(g: Gaussian, mode: str, schedule) -> list[tuple[float, Gaussian]]:
+    """(time, law) of ``g`` from ``(0.0, g)``: along a composed :class:`FlowSchedule`, else at each time it holds."""
+    if mode == "composed":
+        return list(zip((0.0, *schedule.times), itertools.accumulate(schedule.taus, Gaussian.one_shot, initial=g)))
+    return [(0.0, g), *((float(t), (g.one_shot if mode == "one_shot" else g.continuous)(t)) for t in schedule)]
+
+
+def _density_curves(cfg: RunConfig, panel: Panel) -> tuple[list[tuple[float, np.ndarray]], bool]:
+    """(time, densities on the x-grid) for a 1-D measure; bool flags a curve lost to a zero variance."""
+    g = Gaussian.of(cfg.mixture)
+    laws = _laws(g, panel.mode, panel.schedule["flow" if panel.mode == "composed" else "times"])
+    lost = [t for t, h in laws if h.evals[0] <= 0.0]
+    for t in lost:
+        what = (f"singular at t={t} (critical time {g.critical_time!r})" if panel.mode == "continuous"
+                else f"variance underflows to 0 at t={t}")  # the one-shot maps never turn singular
+        print(f"warning: pushforward {what}", file=sys.stderr)
+    return [(t, np.asarray(density(h.as_mixture(), cfg.curve))) for t, h in laws if t not in lost], bool(lost)
 
 
 def _density_svg(cfg: RunConfig, xs: np.ndarray, curves) -> SvgCanvas:
@@ -404,12 +400,10 @@ def _abstract_columns(cfg: RunConfig, panel: Panel) -> list[tuple]:
     which the chart reports as sigma = 0.
     """
     g = Gaussian.of(cfg.mixture)
-    laws = [(t, g.continuous(t), "continuous") for t in np.linspace(0.0, g.critical_time, 81)]
-    laws += [(t, g.one_shot(float(t)), "one_shot") for t in np.linspace(0.0, 3.0, 61)]
-    flow = panel.schedule["flow"]
-    composed = itertools.accumulate(flow.taus, Gaussian.one_shot, initial=g)
-    laws += [(t, h, "composed") for t, h in zip((0.0, *flow.times), composed)]
-    return list(zip(*[(float(t), *map(float, _chart_sigma(h.cov)), h.entropy(), source) for t, h, source in laws]))
+    runs = (("continuous", np.linspace(0.0, g.critical_time, 81)[1:]), ("one_shot", np.linspace(0.0, 3.0, 61)[1:]),
+            ("composed", panel.schedule["flow"]))
+    return list(zip(*[(t, *map(float, _chart_sigma(h.cov)), h.entropy(), mode)
+                      for mode, schedule in runs for t, h in _laws(g, mode, schedule)]))
 
 
 def _abstract_svg(cfg: RunConfig, columns) -> SvgCanvas:
@@ -458,7 +452,7 @@ def cmd_pushforward(cfg: RunConfig) -> int:
     status = EXIT_OK
 
     if cfg.mixture.dim == 1:
-        xs, curves, singular = _density_curves(cfg, panel)
+        xs, (curves, singular) = cfg.curve[:, 0], _density_curves(cfg, panel)
         if singular:
             status = EXIT_SINGULAR
         if "csv" in cfg.formats:

@@ -26,9 +26,9 @@ decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they s
 :meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map runs, into one
 (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
 of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their entropy rows :func:`_path_rows`.
-:func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it
-enters the package, :func:`_checked_times` the one rule for a sequence of them, :func:`_checked_count` of a
-count, and :func:`_checked_parameter` of a verification parameter, each scalar read by :func:`_number`.
+:func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it enters the
+package, :func:`_checked_times` the one rule for a sequence of them (typed by :func:`_flat_floats`),
+:func:`_checked_count` of a count, and :func:`_checked_parameter` of a check's parameter, each read by :func:`_number`.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -320,11 +320,22 @@ def _checked_time(t, what: str = "time", positive: bool = False, signed: bool = 
     return t
 
 
-def _checked_times(values, what: str, positive: bool = False) -> np.ndarray:
-    """A flat float array of ``values``, a bare number as one; the first bad entry raises :func:`_checked_time`'s error."""
-    ts = np.atleast_1d(np.asarray(values, dtype=float))
-    if ts.ndim != 1:
+def _flat_floats(values, what: str) -> np.ndarray:
+    """A flat float array of ``values``, a bare number as one; the first entry not one number raises :func:`_number`."""
+    try:  # numbers are typed by NumPy with no per-entry work
+        ts = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        ts = np.array(values, dtype=object)
+    if ts.dtype.kind not in "biuf":  # text, None, a nesting or an int past float range: each entry as given
+        ts = np.frompyfunc(lambda v: _number(v, what), 1, 1)(np.array(values, dtype=object))
+    if (ts := np.atleast_1d(np.asarray(ts, dtype=float))).ndim != 1:
         raise ContractError(f"{what}s must form a flat sequence, got shape {ts.shape}")
+    return ts
+
+
+def _checked_times(values, what: str, positive: bool = False) -> np.ndarray:
+    """:func:`_flat_floats` of ``values``; the first entry out of range raises :func:`_checked_time`'s error."""
+    ts = _flat_floats(values, what)
     bad = np.flatnonzero(~((ts > 0.0 if positive else ts >= 0.0) & (ts < math.inf)))  # NaN fails both
     if bad.size:
         _checked_time(ts[bad[0]], what, positive)

@@ -16,11 +16,11 @@ pushforward measure; the continuous flow is the same composition on a uniform
 schedule, which is its broken-line (explicit Euler) approximation, so matching
 schedules produce identical trajectories bit for bit.
 
-Every flow writes its L later states into one (L, n, m) stack and hands its times, its input
-ensemble, the stack and, for Gaussian laws known in closed form, their eigenvalues (else None) to one
-builder, which records each state's entropy and Renyi-2 as (value, stderr) rows of two ``(T, 2)``
-arrays.  A mixture orbit hands it the log Jacobian determinants of its maps instead: each DAE map is
-injective (a Brenier map), so one KDE of the input ensemble reads every state by change of variables.
+Every flow writes its L later states into one (L, n, m) stack and hands its times, its input ensemble, the stack
+and, for Gaussian laws known in closed form, their eigenvalues (else None) to one builder, which records each
+state's entropy and Renyi-2 as (value, stderr) rows of two ``(T, 2)`` arrays.  Every sampled row comes from
+:func:`_kde_rows`: one KDE per state, or for a mixture orbit, whose DAE maps are injective (Brenier maps), one KDE
+of the input ensemble that reads every state by change of variables with the log Jacobian determinants of its maps.
 A :class:`Trajectory` keeps the ensemble beside the frozen stack and makes ``states`` on read.
 
 No single-Gaussian formula lives here: ``measures.Gaussian._flow`` and ``Gaussian._orbit`` return an
@@ -50,6 +50,7 @@ from .measures import (
     _checked_time,
     _checked_times,
     _dae_map_log_det,
+    _flat_floats,
     _frozen,
     _kernel_pass,
     _moments,
@@ -204,21 +205,21 @@ class Trajectory:
     _checked: InitVar[bool] = False  # the flows' stack, checked and frozen by :func:`_trajectory`: kept as given
 
     def __post_init__(self, _checked: bool):
-        times = tuple(float(t) for t in self.times)
+        ts = _flat_floats(self.times, "trajectory time")
         stack = np.asarray(self.layers, dtype=float)
         ent, ren = (_frozen(np.array(a, dtype=float)) for a in (self.entropy, self.renyi2))
-        if not times or times[0] != 0.0:
+        if not ts.size or ts[0] != 0.0:
             raise ContractError("trajectory times must start at 0")
         # a NaN fails every comparison, and an infinity is either last or followed by a time not above it
-        if not (math.isfinite(times[-1]) and all(a < b for a, b in zip(times, times[1:]))):
+        if not (math.isfinite(ts[-1]) and np.all(ts[1:] > ts[:-1])):
             raise ContractError("trajectory times must be finite and strictly increasing")
         if stack.shape[1:] != self.initial.points.shape:
             raise ContractError("all trajectory states must share n and m")
-        if len(stack) + 1 != len(times) or ent.shape != (len(times), 2) or ren.shape != ent.shape:
+        if len(stack) + 1 != len(ts) or ent.shape != (len(ts), 2) or ren.shape != ent.shape:
             raise ContractError("times, states, and (value, stderr) rows of entropy and renyi2 must have equal length")
         if stack.size and not _checked:  # one constructor call checks the values and freezes a copy
             stack = ParticleEnsemble(stack.reshape(-1, stack.shape[2]), self.initial.seed).points.reshape(stack.shape)
-        for key, value in zip(("times", "layers", "entropy", "renyi2"), (times, stack, ent, ren)):
+        for key, value in zip(("times", "layers", "entropy", "renyi2"), (tuple(ts.tolist()), stack, ent, ren)):
             object.__setattr__(self, key, value)
 
     @functools.cached_property
@@ -265,10 +266,9 @@ class Trajectory:
 
 
 def _kde_rows(points: np.ndarray, seed: int, layer: int, log_dets) -> list[tuple[float, float, float, float]]:
-    """``(h, dh, r, dr)`` of the law of ``D(points)`` for the log Jacobian determinants ``log_dets`` of each
-    injective map D at ``points``, all from one seeded KDE of ``points`` on capped subsamples: that law's log
-    density at a probe's image is the KDE's minus the map's log det there.  Each is ``(-inf, 0, inf, 0)`` for
-    a flat kernel."""
+    """``(h, dh, r, dr)`` of the law of ``points``, then of ``D(points)`` for each injective map D with log Jacobian
+    determinants ``log_dets`` at ``points``, all from one seeded KDE of ``points`` on capped subsamples minus the map's
+    log det at each probe (change of variables).  Each is ``(-inf, 0, inf, 0)`` for a flat kernel."""
     rng = substream(seed, 100, layer)
     n = points.shape[0]
     data, probes = (rng.choice(n, cap, replace=False) if n > cap else slice(None)
@@ -278,14 +278,9 @@ def _kde_rows(points: np.ndarray, seed: int, layer: int, log_dets) -> list[tuple
     try:  # the points are checked and the kernel finite and symmetric: only the positivity rule can fail here
         lp = kde_log_density(data, cov, points[probes])
     except ContractError:
-        return [(-math.inf, 0.0, math.inf, 0.0)] * len(log_dets)
-    return [(*Estimate.mean_of(ld[probes] - lp), *Estimate.mean_of(_renyi_terms(lp - ld[probes], 2.0)))
-            for ld in log_dets]
-
-
-def _layer_diagnostics(points: np.ndarray, seed: int, layer: int) -> tuple[float, float, float, float]:
-    """``(h, dh, r, dr)`` of a state by :func:`_kde_rows` with no map."""
-    return _kde_rows(points, seed, layer, np.zeros((1, points.shape[0])))[0]
+        return [(-math.inf, 0.0, math.inf, 0.0)] * (1 + len(log_dets))
+    return [(*Estimate.mean_of(ld - lp), *Estimate.mean_of(_renyi_terms(lp - ld, 2.0)))
+            for ld in (0.0, *(d[probes] for d in log_dets))]
 
 
 def _trajectory(times: Sequence[float], ensemble: ParticleEnsemble, layers: np.ndarray,
@@ -299,9 +294,9 @@ def _trajectory(times: Sequence[float], ensemble: ParticleEnsemble, layers: np.n
     if evals is not None:
         rows = _path_rows(evals)
     elif log_dets is not None:
-        rows = np.array(_kde_rows(ensemble.points, ensemble.seed, 0, [np.zeros(ensemble.n), *log_dets]))
+        rows = np.array(_kde_rows(ensemble.points, ensemble.seed, 0, log_dets))
     else:
-        rows = np.array([_layer_diagnostics(x, ensemble.seed, i) for i, x in enumerate((ensemble.points, *layers))])
+        rows = np.array([_kde_rows(x, ensemble.seed, i, ())[0] for i, x in enumerate((ensemble.points, *layers))])
     return Trajectory(times, ensemble, _frozen(layers), rows[:, :2], rows[:, 2:], _checked=True)
 
 
@@ -397,7 +392,7 @@ def one_shot_orbit(
     """
     ts = _orbit_times(times)
     if ensemble.dim != mix0.dim:
-        raise ContractError("ensemble dimension does not match measure dimension")
+        raise ContractError(f"ensemble dimension {ensemble.dim} does not match measure dimension {mix0.dim}")
 
     if mix0.k > 1:
         layers, log_dets = np.empty((len(ts), ensemble.n, ensemble.dim)), np.empty((len(ts), ensemble.n))
@@ -409,7 +404,7 @@ def one_shot_orbit(
 
 def _orbit_times(times: Sequence[float]) -> list[float]:
     """``times`` as floats: at least one, each finite and positive, strictly increasing."""
-    ts = _checked_times(times, "orbit time", positive=True).tolist()
-    if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
+    ts = _checked_times(times, "orbit time", positive=True)
+    if not ts.size or np.any(ts[1:] <= ts[:-1]):
         raise ContractError("orbit times must be nonempty and strictly increasing")
-    return ts
+    return ts.tolist()

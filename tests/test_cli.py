@@ -15,13 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dae_transport import ContractError, DomainError, ParticleEnsemble, Trajectory
+from dae_transport import ContractError, DomainError, FlowSchedule, Gaussian, ParticleEnsemble, Trajectory, density
 from dae_transport.cli import (
     ConfigError,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SINGULAR,
+    _density_curves,
+    _laws,
     _located,
     _trajectory_svg,
     load_config,
@@ -768,6 +770,34 @@ def test_pushforward_peak_matches_closed_form_variances(tmp_path):
         peaks[t] = max(peaks.get(t, 0.0), float(d))
     for t, var in (("0.5", 1.0 / 1.5**2), ("1.0", 0.25)):
         assert peaks[t] == pytest.approx(1.0 / math.sqrt(2 * math.pi * var), rel=1e-6)
+
+
+def test_laws_are_the_library_pushforwards_bit_for_bit():
+    g = Gaussian.from_cov([[2.0, 0.3], [0.3, 1.0]], [0.5, -1.0])
+    flow = FlowSchedule((0.1, 0.25, 0.05))
+    composed = _laws(g, "composed", flow)
+    assert [t for t, _ in composed] == [0.0, *flow.times]
+    assert np.array([h.evals for _, h in composed]).tobytes() == g.composed(flow.taus).tobytes()
+    times = (0.1, 0.3)
+    for mode, push in (("one_shot", g.one_shot), ("continuous", g.continuous)):
+        laws = _laws(g, mode, times)
+        assert laws[0] == (0.0, g) and [t for t, _ in laws] == [0.0, *times]
+        for (_, h), t in zip(laws[1:], times):
+            assert h.evals.tobytes() == push(t).evals.tobytes() and h.evecs is g.evecs and h.mean is g.mean
+
+
+@pytest.mark.parametrize("mode, schedule", [("one_shot", {"times": [0.5]}), ("composed", {"taus": [0.5]}),
+                                            ("continuous", {"t_end": 0.1, "steps": 2})])
+def test_density_curves_start_at_the_config_density_bit_for_bit(tmp_path, mode, schedule):
+    doc = {
+        "distribution": {"dim": 1, "components": [{"weight": 1.0, "mean": [0.3], "cov": [[0.37]]}]},
+        "mode": mode,
+        "schedule": schedule,
+    }
+    cfg = load_config(write_config(tmp_path, doc), None, str(tmp_path / "out"))
+    curves, singular = _density_curves(cfg, cfg.panels[0])
+    assert not singular and curves[0][0] == 0.0 and len(curves) > 1
+    assert curves[0][1].tobytes() == np.asarray(density(cfg.mixture, cfg.curve)).tobytes()
 
 
 def test_pushforward_abstract_chart(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -288,6 +289,33 @@ def test_sequence_time_entries_share_one_rule(entry, times):
     else:
         with pytest.raises(ContractError):
             run(times)
+
+
+def _trajectory_at(ts):
+    traj = one_shot_orbit(GaussianMixture.standard(1), [0.1], ParticleEnsemble([[0.7]], 0))
+    return Trajectory((0.0, *ts), traj.initial, traj.layers, traj.entropy, traj.renyi2).times
+
+
+TYPED_ENTRY_POINTS = {**SEQUENCE_ENTRY_POINTS, "Trajectory": _trajectory_at}
+
+
+@pytest.mark.parametrize("times", [["0.1"], ["abc"], [[0.1], [0.2, 0.3]], [10**400], [None]],
+                         ids=["numeric_text", "text", "ragged", "huge_int", "none"])
+@pytest.mark.parametrize("entry", sorted(TYPED_ENTRY_POINTS))
+def test_sequence_time_entries_type_their_entries(entry, times):
+    """An entry that is not one number is a ContractError naming it, not read as a float, NaN or NumPy's error."""
+    message = "beyond float range" if times == [10**400] else f"must be one number, got {times[0]!r}"
+    with pytest.raises(ContractError, match=re.escape(message)):
+        TYPED_ENTRY_POINTS[entry](times)
+
+
+@pytest.mark.parametrize("flow", [lambda mix, ens: compose(mix, FlowSchedule((0.1,)), ens),
+                                  lambda mix, ens: continuous_flow(mix, 0.1, 1, ens),
+                                  lambda mix, ens: one_shot_orbit(mix, [0.1], ens)],
+                         ids=["compose", "continuous_flow", "one_shot_orbit"])
+def test_flow_entries_name_both_dimensions_when_they_differ(flow):
+    with pytest.raises(ContractError, match="^ensemble dimension 2 does not match measure dimension 1$"):
+        flow(GaussianMixture.standard(1), ParticleEnsemble(np.zeros((12, 2)), 0))
 
 
 SCALAR_ENTRIES = {  # where one number belongs: (the error a wrong type raises, the call)
@@ -996,7 +1024,7 @@ def test_layer_diagnostics_and_bump_fields_draw_from_distinct_streams(monkeypatc
     monkeypatch.setattr(transport, "substream", recording)
     monkeypatch.setattr(verify, "substream", recording)
     mix = _two_mixture()
-    transport._layer_diagnostics(sample(mix, 50, 0).points, 0, 900)
+    transport._kde_rows(sample(mix, 50, 0).points, 0, 900, ())[0]
     verify._bump_field(0, 0, mix)
     assert paths == [(100, 900), (1000,)]
     draws = [rand.substream(0, *path).random(8) for path in paths]
@@ -1031,24 +1059,31 @@ def test_a_collapsing_empirical_flow_ends_in_the_collapsed_rows():
     assert rep.passed and not rep.details["strict"]
 
 
+def test_a_map_with_zero_log_det_gets_the_state_own_row():
+    from dae_transport import transport
+
+    x = sample(_two_mixture(), 300, 2).points
+    assert transport._kde_rows(x, 5, 3, [np.zeros(300)])[1] == transport._kde_rows(x, 5, 3, ())[0]
+
+
 def test_layer_diagnostics_collapse_by_the_positivity_rule_alone():
     from dae_transport import transport
 
     rng = np.random.default_rng(5)
     collapsed = (-math.inf, 0.0, math.inf, 0.0)
     line = np.column_stack([rng.standard_normal(200), np.zeros(200)])
-    assert transport._layer_diagnostics(line, 0, 0) == collapsed
+    assert transport._kde_rows(line, 0, 0, ())[0] == collapsed
     # lifted off the line: lambda_min / lambda_max about 1e-14 is still flat, about 1e-10 is a KDE
     for spread, flat in ((1e-7, True), (1e-5, False)):
         lifted = line + np.column_stack([np.zeros(200), spread * rng.standard_normal(200)])
-        row = transport._layer_diagnostics(lifted, 0, 0)
+        row = transport._kde_rows(lifted, 0, 0, ())[0]
         assert row == collapsed if flat else all(map(math.isfinite, row))
     # a covariance that is not finite is no collapse: it is still rejected, by a ContractError alone
     huge = np.array([[-1e200, 0.0], [1e200, 1.0]] * 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContractError, match="must be finite"):
-            transport._layer_diagnostics(huge, 0, 0)
+            transport._kde_rows(huge, 0, 0, ())[0]
 
 
 # -- one-shot orbit ------------------------------------------------------------------------

@@ -22,9 +22,9 @@ point-or-batch rule, and ``verify.ResidualReport`` the one owner of a check's ve
 single-Gaussian closed forms.  The DAE map, the one-shot and continuous
 pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
-decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they share, and
-:meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map runs, into one
-(L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
+decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they share (inlined in the float loop
+:func:`_one_shot_path`), and :meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map
+runs, into one (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
 of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their entropy rows :func:`_path_rows`.
 :func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it enters the
 package, :func:`_checked_times` the one rule for a sequence of them (typed by :func:`_flat_floats`),
@@ -40,7 +40,6 @@ centred coordinates, memory one chunk plus O((points + data) m); at the data two
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import InitVar, dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -422,12 +421,11 @@ class Gaussian:
     def composed(self, taus: Sequence[float]) -> np.ndarray:
         """Eigenvalue path of a composed one-shot flow: row l holds the eigenvalues after l layers, row 0 these.
 
-        An O(L m) float recursion per axis through :func:`_one_shot_evals` over finite, nonnegative taus,
-        so row l equals l repeated :meth:`one_shot`; no value is built per layer.
+        One plain O(L) float loop per axis, :func:`_one_shot_path`, over finite, nonnegative taus, so row l
+        equals l repeated :meth:`one_shot`; no value is built and no function called per layer.
         """
-        taus = _checked_times(taus, "layer variance")
-        return np.array([list(itertools.accumulate(taus.tolist(), _one_shot_evals, initial=lam))
-                         for lam in self.evals.tolist()]).T.copy()
+        halves = (0.5 * _checked_times(taus, "layer variance")).tolist()
+        return np.array([_one_shot_path(lam, halves) for lam in self.evals.tolist()], dtype=float).T.copy()
 
     def _flow(self, x: np.ndarray, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """``(states, path)`` of the composed flow on (n, m) points ``x``: ``path`` is :meth:`composed`, state l
@@ -542,10 +540,19 @@ def _dae_factor(lam, t):
     return (0.5 * lam) / (0.5 * lam + 0.5 * t)
 
 
+def _one_shot_path(lam, halves) -> list:
+    """``lam``, then its image under the one one-shot eigenvalue map ``lambda (lambda / (lambda + t))^2`` after each
+    layer of half variance ``0.5 t`` in ``halves``, on floats or arrays alike, with :func:`_dae_factor` inlined."""
+    path = [lam]
+    for h in halves:
+        q = (0.5 * lam) / (0.5 * lam + h)
+        path.append(lam := lam * (q * q))
+    return path
+
+
 def _one_shot_evals(lam, t):
-    """The one one-shot eigenvalue map ``lambda (lambda / (lambda + t))^2``, on floats or arrays alike."""
-    q = _dae_factor(lam, t)
-    return lam * (q * q)
+    """The one-shot eigenvalue map at one time ``t``: the last entry of :func:`_one_shot_path`."""
+    return _one_shot_path(lam, (0.5 * t,))[-1]
 
 
 def _log_dets(evals: np.ndarray) -> np.ndarray:
@@ -572,8 +579,8 @@ def _gaussian_entropy(m: int, log_det):
 def _gaussian_renyi(m: int, log_det, alpha: float):
     """Renyi functional of an m-dimensional Gaussian from its log determinant(s), infinite past exp overflow."""
     log_int = 0.5 * (1.0 - alpha) * (m * _LOG_2PI + np.asarray(log_det)) - 0.5 * m * math.log(alpha)
-    ints = [math.exp(v) if v < 700.0 else math.inf for v in log_int.ravel().tolist()]  # NumPy's exp moves last bits
-    return (np.reshape(ints, log_int.shape) - 1.0) / (alpha - 1.0)
+    ints = np.fromiter(map(math.exp, np.minimum(log_int, 700.0).ravel().tolist()), float)  # NumPy's exp moves last bits
+    return (np.where(log_int < 700.0, ints.reshape(log_int.shape), math.inf) - 1.0) / (alpha - 1.0)
 
 
 def _path_rows(path: np.ndarray) -> np.ndarray:

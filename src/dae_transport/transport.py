@@ -172,9 +172,9 @@ class FlowSchedule:
         """``steps`` layers of variance ``t_end / steps``, recorded at the times ``t_end * (i + 1) / steps``."""
         t_end = _checked_time(t_end, "total time", positive=True)
         steps = _checked_count(steps, "steps")
-        schedule = cls((t_end / steps,) * steps)
+        schedule, tau = object.__new__(cls), _checked_time(t_end / steps, "layer variance", positive=True)
         with np.errstate(over="ignore"):  # a last time past the largest float is rejected as inf
-            schedule._record(schedule.taus, t_end * np.arange(1, steps + 1) / steps)
+            schedule._record((tau,) * steps, t_end * np.arange(1, steps + 1) / steps)
         return schedule
 
     @property
@@ -202,24 +202,28 @@ class Trajectory:
     layers: np.ndarray
     entropy: np.ndarray
     renyi2: np.ndarray
-    _checked: InitVar[bool] = False  # the flows' stack, checked and frozen by :func:`_trajectory`: kept as given
+    _checked: InitVar[bool] = False  # the flows' times tuple and stack, checked by their builders: kept as given
 
     def __post_init__(self, _checked: bool):
-        ts = _flat_floats(self.times, "trajectory time")
-        stack = np.asarray(self.layers, dtype=float)
+        times, stack = self.times, np.asarray(self.layers, dtype=float)
+        if stack.shape == (0,):  # an empty sequence: no layers after ``initial``
+            stack = stack.reshape(0, *self.initial.points.shape)
         ent, ren = (_frozen(np.array(a, dtype=float)) for a in (self.entropy, self.renyi2))
-        if not ts.size or ts[0] != 0.0:
-            raise ContractError("trajectory times must start at 0")
-        # a NaN fails every comparison, and an infinity is either last or followed by a time not above it
-        if not (math.isfinite(ts[-1]) and np.all(ts[1:] > ts[:-1])):
-            raise ContractError("trajectory times must be finite and strictly increasing")
+        if not _checked:
+            ts = _flat_floats(times, "trajectory time")
+            if not ts.size or ts[0] != 0.0:
+                raise ContractError("trajectory times must start at 0")
+            # a NaN fails every comparison, and an infinity is either last or followed by a time not above it
+            if not (math.isfinite(ts[-1]) and np.all(ts[1:] > ts[:-1])):
+                raise ContractError("trajectory times must be finite and strictly increasing")
+            times = tuple(ts.tolist())
         if stack.shape[1:] != self.initial.points.shape:
             raise ContractError("all trajectory states must share n and m")
-        if len(stack) + 1 != len(ts) or ent.shape != (len(ts), 2) or ren.shape != ent.shape:
+        if len(stack) + 1 != len(times) or ent.shape != (len(times), 2) or ren.shape != ent.shape:
             raise ContractError("times, states, and (value, stderr) rows of entropy and renyi2 must have equal length")
         if stack.size and not _checked:  # one constructor call checks the values and freezes a copy
             stack = ParticleEnsemble(stack.reshape(-1, stack.shape[2]), self.initial.seed).points.reshape(stack.shape)
-        for key, value in zip(("times", "layers", "entropy", "renyi2"), (tuple(ts.tolist()), stack, ent, ren)):
+        for key, value in zip(("times", "layers", "entropy", "renyi2"), (times, stack, ent, ren)):
             object.__setattr__(self, key, value)
 
     @functools.cached_property
@@ -283,12 +287,12 @@ def _kde_rows(points: np.ndarray, seed: int, layer: int, log_dets) -> list[tuple
             for ld in (0.0, *(d[probes] for d in log_dets))]
 
 
-def _trajectory(times: Sequence[float], ensemble: ParticleEnsemble, layers: np.ndarray,
+def _trajectory(times: tuple[float, ...], ensemble: ParticleEnsemble, layers: np.ndarray,
                 evals: np.ndarray | None, log_dets: np.ndarray | None = None) -> Trajectory:
-    """The one place ``ensemble`` and the ``(L, n, m)`` stack after it become a :class:`Trajectory`: row l of
-    ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None`` marks sampled states, read by
-    one KDE each, or, given the ``(L, n)`` log Jacobian determinants of injective maps of ``ensemble`` onto the
-    layers, all by the initial state's KDE."""
+    """The one place ``ensemble`` and the ``(L, n, m)`` stack after it become a :class:`Trajectory`, at the checked
+    ``times`` kept as its tuple: row l of ``evals`` holds the eigenvalues of state l's Gaussian law (stderr 0); ``None``
+    marks sampled states, read by one KDE each, or, given the ``(L, n)`` log Jacobian determinants of injective maps
+    of ``ensemble`` onto the layers, all by the initial state's KDE."""
     if layers.size:  # one constructor call checks the stack, adopted, before any diagnostics read it
         ParticleEnsemble(_frozen(layers).reshape(-1, ensemble.dim), ensemble.seed, _adopt=True)
     if evals is not None:

@@ -6,6 +6,7 @@ shims; the last test pins them to this route bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from dae_transport import (
     smooth,
 )
 from dae_transport.cli import _chart_sigma
-from dae_transport.measures import _moments
+from dae_transport.measures import _dae_factor, _moments, _one_shot_evals
 
 ANISO = np.diag([2.0, 1.0])
 ZERO2 = np.zeros(2)
@@ -112,6 +113,46 @@ def test_composed_rows_equal_repeated_one_shot(cov):
         h, lam = h.one_shot(tau), lam * (lam / (lam + tau)) ** 2
         assert np.array_equal(row, h.evals) and np.array_equal(row, lam)
     assert np.all(path[-2:] == 0.0)
+
+
+def _seeded_path_case(seed: int, layers: int, m: int) -> tuple[Gaussian, np.ndarray]:
+    """A random m-dimensional Gaussian and ``layers`` taus: zeros and tiny taus first, while every eigenvalue is still
+    positive, then taus log-uniform from 1e-300 to 1e300, which drive eigenvalues through subnormals to 0."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    g = Gaussian.from_cov((basis * 10.0 ** rng.uniform(-2, 2, m)) @ basis.T)
+    taus = 10.0 ** rng.uniform(-300, 300, layers)
+    head = layers // 3
+    taus[:head] = np.where(rng.random(head) < 0.5, 0.0, 10.0 ** rng.uniform(-300, -200, head))
+    return g, taus
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("layers", [0, 1, 2, 2000])
+def test_composed_equals_the_accumulated_one_shot_map_bit_for_bit(layers, m):
+    # the float loop against the per-layer calls it replaces: ``_one_shot_evals``, and the map through ``_dae_factor``
+    def by_factor(lam, tau):
+        q = _dae_factor(lam, tau)
+        return lam * (q * q)
+
+    for seed in range(3):
+        g, taus = _seeded_path_case(seed, layers, m)
+        path = g.composed(taus)
+        assert path.shape == (layers + 1, m) and path.dtype == np.float64 and path.flags.c_contiguous
+        for step in (_one_shot_evals, by_factor):
+            reference = [list(itertools.accumulate(taus.tolist(), step, initial=lam)) for lam in g.evals.tolist()]
+            assert path.tobytes() == np.array(reference).T.copy().tobytes()
+
+
+def test_composed_path_through_subnormals_to_zero_is_bit_for_bit():
+    # 1 -> about 1e-206 -> a subnormal 1e-310, whose halves lose bits -> still subnormal -> 0 (underflow) -> 0
+    taus = [1e103, 1e-154, 1e-320, 1e-300, 0.5]
+    path = STD1.composed(taus)[:, 0].tolist()
+    assert all(0.0 < v < 2.2250738585072014e-308 for v in path[2:4]) and path[4:] == [0.0, 0.0]
+    assert path == list(itertools.accumulate(taus, _one_shot_evals, initial=1.0))
+    g, taus = _seeded_path_case(0, 2000, 5)
+    tiny = g.composed(taus)
+    assert np.any((tiny > 0.0) & (tiny < 2.2250738585072014e-308)) and np.any(tiny[-1] == 0.0)
 
 
 @pytest.mark.parametrize("taus", [[-1.0], [math.nan], [0.1, math.inf], [0.1, 0.2, -1e-300]])

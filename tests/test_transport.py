@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -213,6 +215,44 @@ def test_uniform_schedule_records_one_time_grid():
     assert info.value.critical_time == last
     with pytest.raises(ContractError, match="to inf"):
         FlowSchedule.uniform(1e308, 2)  # t_end * 2 / 2 overflows, although every layer's variance is finite
+
+
+def test_uniform_schedule_is_the_constructed_one_on_the_time_grid():
+    rng = np.random.default_rng(35)
+    for t_end, steps in [(0.45, 2000), (1.0, 1), *zip(10.0 ** rng.uniform(-300, 300, 20), rng.integers(1, 500, 20))]:
+        t_end, steps = float(t_end), int(steps)
+        s = FlowSchedule.uniform(t_end, steps)
+        assert s.taus == FlowSchedule((t_end / steps,) * steps).taus and type(s.taus) is tuple
+        assert s.times == tuple(t_end * (i + 1) / steps for i in range(steps))
+        assert all(type(v) is float for v in (*s.taus, *s.times))
+    for args, message in [((1e308, 2), "cumulative times must strictly increase and stay finite: layer 1 variance "
+                                       "5e+307 moves the time from 5e+307 to inf"),
+                          ((5e-324, 3), "layer variance must be finite and positive, got 0.0")]:
+        with pytest.raises(Exception) as err:
+            FlowSchedule.uniform(*args)
+        assert type(err.value) is ContractError and str(err.value) == message
+
+
+def test_python_calls_per_flow_do_not_grow_with_layers():
+    # aim 1: an analytic flow's per-layer work runs in loops and NumPy, so its Python calls are the same at any L
+    package = os.path.dirname(continuous_flow.__code__.co_filename)
+    mix, ens = aniso(), ParticleEnsemble(np.random.default_rng(4).standard_normal((64, 2)), seed=0)
+
+    def calls(steps: int) -> int:
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and package in frame.f_code.co_filename
+        continuous_flow(mix, 0.45, steps, ens)  # any first-call work happens before counting
+        sys.setprofile(profile)
+        try:
+            continuous_flow(mix, 0.45, steps, ens)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    assert calls(8) == calls(2000) > 0
 
 
 def test_schedule_rejects_empty_and_nonpositive():
@@ -1374,6 +1414,21 @@ def test_writers_read_the_stack_and_build_no_states(tmp_path):
         assert body == [[repr(t), str(i), *map(repr, row)] for t, x in zip(traj.times, points)
                         for i, row in enumerate(x.tolist())]
         assert [r["mean"] for r in records] == [_moments(x)[0].tolist() for x in points]
+
+
+@pytest.mark.parametrize("layers", [[], (), np.empty((0, 2, 2))])
+def test_a_one_state_trajectory_takes_an_empty_sequence_of_layers(layers, tmp_path):
+    ens = ParticleEnsemble(np.array([[1.0, 1.0], [0.5, -0.5]]), seed=77)
+    traj = Trajectory((0.0,), ens, layers, [[1.5, 0.0]], [[0.25, 0.0]])
+    assert traj.layers.shape == (0, 2, 2) and traj.times == (0.0,) and traj.states == (ens,)
+    traj.to_csv(tmp_path / "traj.csv")
+    assert tmp_path.joinpath("traj.csv").read_text().splitlines() == [
+        "# seed=77", "time,particle_id,x1,x2", "0.0,0,1.0,1.0", "0.0,1,0.5,-0.5"]
+    records = traj.diagnostics_json()["records"]
+    assert len(records) == 1 and (records[0]["time"], records[0]["entropy"], records[0]["renyi2"]) == (0.0, 1.5, 0.25)
+    assert records[0]["mean"] == [0.75, 0.25]
+    with pytest.raises(ContractError, match="equal length"):
+        Trajectory((0.0, 0.1), ens, layers, [[1.5, 0.0]] * 2, [[0.25, 0.0]] * 2)
 
 
 def test_csv_cells_are_the_shortest_round_trip_text(tmp_path):

@@ -414,9 +414,9 @@ class Gaussian:
         return GaussianMixture.single(self.mean, self.cov)
 
     def one_shot(self, t: float) -> "Gaussian":
-        """Pushforward under the one-shot map: ``S (I + t S^{-1})^{-2}``; t = 0 is exact."""
+        """Pushforward under the one-shot map: ``S (I + t S^{-1})^{-2}``; this law if half of t is 0 (a zero layer)."""
         t = _checked_time(t, signed=True)
-        return self if t == 0.0 else Gaussian(self.mean, _frozen(_one_shot_evals(self.evals, t)), self.evecs)
+        return self if 0.5 * t == 0.0 else Gaussian(self.mean, _frozen(_one_shot_evals(self.evals, t)), self.evecs)
 
     def composed(self, taus: Sequence[float]) -> np.ndarray:
         """Eigenvalue path of a composed one-shot flow: row l holds the eigenvalues after l layers, row 0 these.
@@ -545,7 +545,10 @@ def _one_shot_path(lam, halves) -> list:
     layer of half variance ``0.5 t`` in ``halves``, on floats or arrays alike, with :func:`_dae_factor` inlined."""
     path = [lam]
     for h in halves:
-        q = (0.5 * lam) / (0.5 * lam + h)
+        try:
+            q = (0.5 * lam) / (0.5 * lam + h)
+        except ZeroDivisionError:  # 0.5 lam and h both 0 on floats: a zero layer is the identity, as in one_shot
+            q = 1.0
         path.append(lam := lam * (q * q))
     return path
 

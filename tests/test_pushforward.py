@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dae_transport import (
     ContractError,
@@ -153,6 +155,28 @@ def test_composed_path_through_subnormals_to_zero_is_bit_for_bit():
     g, taus = _seeded_path_case(0, 2000, 5)
     tiny = g.composed(taus)
     assert np.any((tiny > 0.0) & (tiny < 2.2250738585072014e-308)) and np.any(tiny[-1] == 0.0)
+
+
+def test_a_zero_layer_keeps_an_eigenvalue_of_zero():
+    # 0.5 * 0 / (0.5 * 0 + 0) is 0/0; half of 5e-324 underflows to 0, so that layer is a zero layer too
+    assert STD1.composed([1e300, 0.0]).tolist() == [[1.0], [0.0], [0.0]]
+    assert STD1.one_shot(1e300).composed([0.0]).tolist() == [[0.0], [0.0]]
+    assert STD1.one_shot(1e300).one_shot(5e-324).evals.tolist() == [0.0]
+
+
+EXTREME_LAYERS = st.lists(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1.0, 1e300]), max_size=8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(lam=st.sampled_from([1e-300, 1.0, 1e300]), taus=EXTREME_LAYERS, split=st.integers(0, 8))
+def test_chains_of_one_shot_and_composed_equal_repeated_one_shot(lam, taus, split):
+    # the first ``split`` layers as one_shot calls, the rest as one composed path; the suite raises every RuntimeWarning
+    laws = list(itertools.accumulate(taus, Gaussian.one_shot, initial=Gaussian.from_cov([[lam]])))
+    reference = np.array([law.evals for law in laws])
+    split = min(split, len(taus))
+    rows = laws[split].composed(taus[split:])
+    assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+    assert rows.tobytes() == reference[split:].tobytes()
 
 
 @pytest.mark.parametrize("taus", [[-1.0], [math.nan], [0.1, math.inf], [0.1, 0.2, -1e-300]])

@@ -23,9 +23,9 @@ single-Gaussian closed forms.  The DAE map, the one-shot and continuous
 pushforwards (themselves ``Gaussian`` values), the continuous map, the
 entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
 decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they share (inlined in the float loop
-:func:`_one_shot_path`), and :meth:`Gaussian._scaled` the one eigen-scaling that every single-Gaussian point map
-runs, into one (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The analytic flows
-of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their entropy rows :func:`_path_rows`.
+:func:`_one_shot_path`), and :meth:`Gaussian._scaled` the one affine map every single-Gaussian point map runs, one
+GEMM per state into one (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The
+analytic flows of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their rows :func:`_path_rows`.
 :func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it enters the
 package, :func:`_checked_times` the one rule for a sequence of them (typed by :func:`_flat_floats`),
 :func:`_checked_count` of a count, and :func:`_checked_parameter` of a check's parameter, each read by :func:`_number`.
@@ -61,7 +61,6 @@ MC_DEFAULT_N = 100_000
 
 #: Most (point, datum) pairs one cache-sized chunk of a kernel pass holds at once.
 _KERNEL_CHUNK_PAIRS = 65_536
-_SCALED_CHUNK_ELEMENTS = 32768  # most elements of one (layers x particles) tile of :meth:`Gaussian._scaled`
 
 
 class Estimate(NamedTuple):
@@ -431,14 +430,13 @@ class Gaussian:
         """``(states, path)`` of the composed flow on (n, m) points ``x``: ``path`` is :meth:`composed`, state l
         :meth:`_scaled` at the product of the first l layers' :func:`_dae_factor`; no layers give (0, n, m) states."""
         path = self.composed(taus := np.asarray(taus, dtype=float))
-        factors = np.cumprod(_dae_factor(path[:-1], taus[:, None]), axis=0)
-        return self._scaled(x, factors), path
+        return self._scaled(x, np.cumprod(_dae_factor(path[:-1], taus[:, None]), axis=0)), path
 
     def _orbit(self, x: np.ndarray, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """``(states, path)`` of the one-shot orbit: state i is :meth:`denoise` at ``ts[i]``, path row i + 1 its law."""
-        t_col = np.array(ts)[:, None]
-        path = np.vstack([self.evals, _one_shot_evals(self.evals, t_col)])
-        return self._scaled(x, _dae_factor(self.evals, t_col)), path
+        """``(states, path)`` of the one-shot orbit: state i is :meth:`denoise` at ``ts[i]``, path row i + 1 its law,
+        ``evals F_i^2``: bit for bit :func:`_one_shot_evals`, and 0 where that is 0/0 (half of lambda and t both 0)."""
+        factors = _dae_factor(self.evals, np.array(ts)[:, None])
+        return self._scaled(x, factors), np.vstack([self.evals, self.evals * (factors * factors)])
 
     def continuous(self, t: float) -> "Gaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
@@ -478,28 +476,18 @@ class Gaussian:
         return self._scaled(x, np.sqrt(1.0 - 2.0 * t / self.evals)[None])[0]
 
     def _scaled(self, x: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """The (L, n, m) stack whose row l is ``V (Z0 F) + mean``, F row l of an ``(L, m)`` stack of per-axis factors.
+        """The (L, n, m) stack whose row l is ``(x - mean) V diag(F_l) V^T + mean``, F_l row l of (L, m) factors.
 
-        The one eigen-scaling of every single-Gaussian point map, on the (m, n) eigen-coordinates ``Z0 = V^T (x -
-        mean)^T``, in cache-sized tiles: ``ceil(m n / cap)`` balanced tiles of b or b - 1 particles (cap =
-        :data:`_SCALED_CHUNK_ELEMENTS`), c = max(1, cap // (m b)) layers at a time.  A tile is scaled into one reused
-        buffer, one batched m x m GEMM into a second, then ``+ mean`` into its rows.  A state depends on n, not on L;
-        up to m = 8 it is bit for bit the untiled ``V (Z0 F) + mean``, past that BLAS edge kernels may move last bits.
+        One GEMM per state, of the rows ``[x - mean, 1]`` against ``[V diag(F_l) V^T ; mean]`` (:func:`_spectral`),
+        into the stack.  A state depends on n, not on L: within ``(2 m + 2) eps (|V| |Z0 F_l| + |result|)`` of the
+        row form ``(Z0 F_l) V^T + mean``, ``Z0 = (x - mean) V``, and that bit for bit if V is a signed permutation
+        and the mean 0.
         """
-        z0 = self.evecs.T @ (x - self.mean).T
-        (m, n), cap = z0.shape, _SCALED_CHUNK_ELEMENTS
-        tiles = max(1, min(n, -(-z0.size // cap)))  # one empty tile at n = 0
-        b = max(1, -(-n // tiles))
-        c = max(1, min(len(factors), cap // (m * b)))
-        stack, scaled, moved = np.empty((len(factors), n, m)), np.empty(c * m * b), np.empty(c * m * b)
-        for lo, hi in ((n * i // tiles, n * (i + 1) // tiles) for i in range(tiles)):
-            for start in range(0, len(factors), c):
-                f = factors[start:start + c, :, None]
-                size, shape = len(f) * m * (hi - lo), (len(f), m, hi - lo)
-                out = np.matmul(self.evecs, np.multiply(z0[:, lo:hi], f, out=scaled[:size].reshape(shape)),
-                                out=moved[:size].reshape(shape))
-                np.add(out, self.mean[:, None], out=stack[start:start + c, lo:hi].transpose(0, 2, 1))
-        return stack
+        n, m = x.shape  # the stack first: made after the rows, it read 1 MB more peak RSS at n = 100 000
+        stack, right, rows = np.empty((len(factors), n, m)), np.empty((len(factors), m + 1, m)), np.ones((n, m + 1))
+        right[:, :m], right[:, m] = _spectral(factors, self.evecs), self.mean
+        np.subtract(x, self.mean, out=rows[:, :m])  # an x - mean past float range warns here, as it overflows
+        return np.matmul(rows, right, out=stack)
 
     def w2(self, other: "Gaussian") -> float:
         """Quadratic Wasserstein (Bures-Wasserstein) distance to ``other``.
@@ -535,9 +523,10 @@ def _dae_factor(lam, t):
     """The DAE map's factor ``lambda / (lambda + t)`` on an eigen-axis, on floats or arrays alike.
 
     Taken of halves, as :func:`_decomposed` symmetrizes, so no finite lambda or t overflows; bit for
-    bit ``lam / (lam + t)`` wherever that sum is finite and no operand is subnormal.
+    bit ``lam / (lam + t)`` wherever that sum is finite and no operand is subnormal.  An axis whose half
+    eigenvalue is 0 has the factor 0 (to the mean) at every t > 0, half of t underflowing or not: no 0/0.
     """
-    return (0.5 * lam) / (0.5 * lam + 0.5 * t)
+    return (half := 0.5 * lam) / (half + 0.5 * t + (half == 0.0))  # + 1 only where the factor is 0 anyway
 
 
 def _one_shot_path(lam, halves) -> list:

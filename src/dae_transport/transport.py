@@ -155,16 +155,17 @@ class FlowSchedule:
         if taus.size == 0:
             raise ContractError(f"schedule must contain at least one layer, in a flat sequence; got shape {taus.shape}")
         with np.errstate(over="ignore"):  # a sum past the largest float is rejected as inf
-            self._record(tuple(taus.tolist()), np.cumsum(taus))
+            self._record(tuple(taus.tolist()), taus.copy(), np.cumsum(taus))
 
-    def _record(self, taus: tuple[float, ...], times: np.ndarray) -> None:
-        """Keep ``taus`` and the times after each layer, which must strictly increase and stay finite."""
+    def _record(self, taus: tuple[float, ...], array: np.ndarray, times: np.ndarray) -> None:
+        """Keep ``taus``, their frozen ``array`` (the analytic flow's) and the strictly increasing, finite times."""
         stuck = np.flatnonzero((times[1:] <= times[:-1]) | np.isinf(times[1:]))
         if stuck.size:
             i = int(stuck[0]) + 1
             raise ContractError(f"cumulative times must strictly increase and stay finite: layer {i} variance "
                                 f"{taus[i]!r} moves the time from {float(times[i - 1])!r} to {float(times[i])!r}")
         object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "_taus", _frozen(array))
         object.__setattr__(self, "_times", tuple(times.tolist()))
 
     @classmethod
@@ -174,7 +175,7 @@ class FlowSchedule:
         steps = _checked_count(steps, "steps")
         schedule, tau = object.__new__(cls), _checked_time(t_end / steps, "layer variance", positive=True)
         with np.errstate(over="ignore"):  # a last time past the largest float is rejected as inf
-            schedule._record((tau,) * steps, t_end * np.arange(1, steps + 1) / steps)
+            schedule._record((tau,) * steps, np.full(steps, tau), t_end * np.arange(1, steps + 1) / steps)
         return schedule
 
     @property
@@ -337,7 +338,7 @@ def compose(
 
     times = (0.0, *schedule.times)
     if retrain == "analytic":
-        return _trajectory(times, ensemble, *Gaussian.of(mix0)._flow(ensemble.points, schedule.taus))
+        return _trajectory(times, ensemble, *Gaussian.of(mix0)._flow(ensemble.points, schedule._taus))
 
     layers = np.empty((len(schedule), ensemble.n, ensemble.dim))
     for layer, tau in enumerate(schedule.taus):  # each layer trains on the row before it, checked, not copied

@@ -164,6 +164,25 @@ def test_a_zero_layer_keeps_an_eigenvalue_of_zero():
     assert STD1.one_shot(1e300).one_shot(5e-324).evals.tolist() == [0.0]
 
 
+def test_a_zero_eigenvalue_maps_its_axis_to_the_mean_at_every_positive_time():
+    # _dae_factor(0, t) is 0 where half of t underflows too (no 0/0); the suite raises every RuntimeWarning
+    assert STD1.one_shot(1e300).denoise([1.0], 5e-324) == 0.0 == STD1.one_shot(1e300).denoise([1.0], 1e-300)
+    assert _dae_factor(0.0, 5e-324) == 0.0 and _dae_factor(np.zeros(2), np.array([5e-324, 1e300])).tolist() == [0, 0]
+    # the zero eigenvalue on the second axis, 2 on the first; x - mean and each factor are exact here
+    mean, x = np.array([0.5, -1.0]), np.array([[3.0, 7.0], [-2.0, 0.25]])
+    g = Gaussian(mean, np.array([0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    times = [5e-324, 1e-320, 1e-300, 1.0, 1e300]
+    for t in times:
+        assert np.all(g.denoise(x, t)[:, 1] == mean[1]), t
+    # at t = 0 the map is the identity, and half of 5e-324 underflows, so the positive axis is unchanged
+    assert g.denoise(x, 0.0).tolist() == x.tolist()
+    assert g.denoise(x, 5e-324).tolist() == [[3.0, -1.0], [-2.0, -1.0]]
+    states, path = g._orbit(x, times)
+    assert np.all(path[:, 0] == 0.0) and all(np.array_equal(s, g.denoise(x, t)) for s, t in zip(states, times))
+    states, path = g._flow(x, np.array(times))
+    assert np.all(path[:, 0] == 0.0) and np.all(states[:, :, 1] == mean[1])
+
+
 EXTREME_LAYERS = st.lists(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1.0, 1e300]), max_size=8)
 
 

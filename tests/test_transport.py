@@ -43,7 +43,7 @@ from dae_transport import (
     smooth,
     stein_residual,
 )
-from dae_transport.measures import _SCALED_CHUNK_ELEMENTS, _dae_factor, _moments
+from dae_transport.measures import _dae_factor, _moments
 from dae_transport.svg import write_csv, write_json
 
 ANISO_COV = np.diag([2.0, 1.0])
@@ -770,30 +770,54 @@ def _random_gaussian(rng, m: int, spread: float = 1.0) -> GaussianMixture:
     return GaussianMixture.single(rng.standard_normal(m), 0.5 * (cov + cov.T))
 
 
-def _analytic_states_reference(x0: np.ndarray, g0: Gaussian, taus) -> list[np.ndarray]:
-    """The analytic flow's states on (n, m) rows, ``(z0 * F_l) @ V^T + mean``, with the eigenvalue map written out."""
+def _analytic_states_reference(x0: np.ndarray, g0: Gaussian, taus) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The analytic flow's states on (n, m) rows, ``(z0 * F_l) @ V^T + mean``, with the eigenvalue map written out,
+    and the scale ``|V| |z0 F_l| + |state|`` of each state's dot-product rounding bound (0 for the input)."""
     lam = [g0.evals]
     for tau in taus[:-1]:
         lam.append(lam[-1] * (lam[-1] / (lam[-1] + tau)) ** 2)
     lam = np.array(lam)
     factors = np.cumprod(lam / (lam + np.array(taus)[:, None]), axis=0)
     z0 = (x0 - g0.mean) @ g0.evecs
-    return [x0] + [(z0 * f) @ g0.evecs.T + g0.mean for f in factors]
+    states = [(z0 * f) @ g0.evecs.T + g0.mean for f in factors]
+    scales = [np.abs(z0 * f) @ np.abs(g0.evecs.T) + np.abs(state) for f, state in zip(factors, states)]
+    return [x0, *states], [np.zeros_like(x0), *scales]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_analytic_states_equal_the_row_formula_bit_for_bit(m):
-    # the flow scales the (m, n) eigen-coordinates; every state must equal the (n, m) row form exactly
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
+def test_analytic_states_lie_within_the_dot_product_bound_of_the_row_formula(m):
+    # a state is one GEMM of [x - mean, 1] against [V diag(F_l) V^T ; mean]; the row formula scales z0 = (x - mean) V
+    # first.  Both are m-term dot products plus a mean, so on a rotated, shifted law they differ by at most
+    # 2 gamma_m |V| |z0 F_l| + 2 u |result|, below (2 m + 2) eps (|V| |z0 F_l| + |result|)
     rng = np.random.default_rng(m)
     mix = _random_gaussian(rng, m, 10.0)
+    assert (m == 1 or np.count_nonzero(Gaussian.of(mix).evecs) > m) and np.all(mix.means != 0.0)
+    taus = tuple(rng.uniform(0.01, 0.3, size=5).tolist())
+    for n in (1, 7, 64, 1000, 100_000):
+        ens = ParticleEnsemble(2.0 * rng.standard_normal((n, m)) + mix.means[0], seed=0)
+        traj = compose(mix, FlowSchedule(taus), ens, "analytic")
+        want, scales = _analytic_states_reference(ens.points, Gaussian.of(mix), taus)
+        assert len(traj.states) == len(want)
+        for state, points, scale in zip(traj.states, want, scales):
+            assert np.all(np.abs(state.points - points) <= (2 * m + 2) * np.finfo(float).eps * scale), (m, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
+def test_analytic_states_of_an_axis_aligned_centred_law_equal_the_row_formula_bit_for_bit(m):
+    # shuffled, distinct variances on the axes and mean 0, as every bundled law: V is a signed permutation, so
+    # V diag(F_l) V^T is diagonal and each entry of a state is one product, rounded once on either route
+    rng = np.random.default_rng(20 + m)
+    mix = GaussianMixture.single(np.zeros(m), np.diag(rng.permutation(np.geomspace(1.0, 10.0, m))))
+    g = Gaussian.of(mix)
+    assert np.array_equal(np.abs(g.evecs), np.abs(g.evecs).astype(bool)) and np.count_nonzero(g.evecs) == m
     taus = tuple(rng.uniform(0.01, 0.3, size=5).tolist())
     for n in (1, 7, 64, 1000, 100_000):
         ens = ParticleEnsemble(2.0 * rng.standard_normal((n, m)), seed=0)
         traj = compose(mix, FlowSchedule(taus), ens, "analytic")
-        want = _analytic_states_reference(ens.points, Gaussian.of(mix), taus)
+        want, _ = _analytic_states_reference(ens.points, g, taus)
         assert len(traj.states) == len(want)
         for state, points in zip(traj.states, want):
-            assert np.array_equal(state.points, points), (m, n)
+            assert state.points.tobytes() == points.tobytes(), (m, n)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -832,79 +856,28 @@ def test_analytic_renyi_column_is_the_scalar_formula_bit_for_bit():
 
 @pytest.mark.parametrize("n", [3, 64, 257])
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 16])
-def test_analytic_states_do_not_depend_on_the_chunk_edges(m, n):
-    # the analytic flows scale c layers per chunk; a state is the same at every position in its chunk
-    c = max(1, _SCALED_CHUNK_ELEMENTS // (n * m))
+def test_analytic_states_do_not_depend_on_the_layer_count(m, n):
+    # a state of a longer flow is the state of the flow cut after it, and an orbit state is denoise at its time
     rng = np.random.default_rng(100 * m + n)
     mix = _random_gaussian(rng, m, 10.0)
     g, ens = Gaussian.of(mix), ParticleEnsemble(2.0 * rng.standard_normal((n, m)), seed=0)
-    taus = tuple(rng.uniform(1e-4, 1e-3, size=2 * c + 3).tolist())
+    taus = tuple(rng.uniform(1e-4, 1e-3, size=9).tolist())
     traj = compose(mix, FlowSchedule(taus), ens, "analytic")
     assert all(not s.points.flags.writeable for s in traj.states)
-    for layers in sorted({1, c - 1, c, c + 1, 2 * c, len(taus)} - {0}):
+    for layers in (1, 2, 4, 8, 9):
         alone = compose(mix, FlowSchedule(taus[:layers]), ens, "analytic").states[-1]
-        assert np.array_equal(traj.states[layers].points, alone.points), (layers, c)
-    times = np.cumsum(rng.uniform(1e-3, 1.0, size=c + 2)).tolist()
+        assert np.array_equal(traj.states[layers].points, alone.points), layers
+    times = np.cumsum(rng.uniform(1e-3, 1.0, size=6)).tolist()
     orbit = one_shot_orbit(mix, times, ens)
     assert all(not s.points.flags.writeable for s in orbit.states)
     for t, state in zip(times, orbit.states[1:]):
         assert np.array_equal(state.points, g.denoise(ens.points, t)), t
 
 
-def _tiling(n, m):
-    """The particle tile count, the widest tile and the layers per tile of ``Gaussian._scaled``."""
-    tiles = min(n, -(-n * m // _SCALED_CHUNK_ELEMENTS))
-    width = -(-n // tiles)
-    return tiles, width, max(1, _SCALED_CHUNK_ELEMENTS // (m * width))
-
-
-def _tile_edge_counts(m):
-    cap = _SCALED_CHUNK_ELEMENTS
-    # n m = cap - m, cap, cap + m (or the nearest n at m not dividing cap), two tiles' worth and one more particle,
-    # and three tiles' worth and one more: an unbalanced tiling would leave a 1-particle tail at the last two
-    return sorted({1, 7, cap // m - 1, cap // m, cap // m + 1, 2 * cap // m + 1, 3 * (cap // m) + 1})
-
-
-def _untiled(g, x, factors):
-    """The reference: ``V (Z0 F_l) + mean`` one layer at a time over the whole (m, n) array."""
-    z0 = g.evecs.T @ (x - g.mean).T
-    return np.stack([(g.evecs @ (z0 * f[:, None]) + g.mean[:, None]).T for f in factors])
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
-def test_scaled_tiles_equal_the_untiled_scaling_bit_for_bit(m):
-    rng = np.random.default_rng(7 + m)
-    g = Gaussian.of(_random_gaussian(rng, m, 10.0))
-    for n in _tile_edge_counts(m):
-        tiles, width, c = _tiling(n, m)
-        assert width * m <= _SCALED_CHUNK_ELEMENTS + m and (tiles == 1) == (n * m <= _SCALED_CHUNK_ELEMENTS)
-        x = 2.0 * rng.standard_normal((n, m))
-        for layers in sorted({1, c, c + 1}):
-            factors = rng.uniform(0.2, 1.0, size=(layers, m))
-            got, want = g._scaled(x, factors), _untiled(g, x, factors)
-            assert got.tobytes() == want.tobytes(), (n, layers, tiles, c)
-
-
-def test_scaled_tiles_stay_within_the_dot_product_bound_at_m_16():
-    # from m = 16 OpenBLAS's edge kernels depend on the column count, so a tile's columns may round differently
-    # from the whole array's, by about 1e-15 on unit-scale data.  Both are m-term dot products plus a mean,
-    # so they differ by at most 2 gamma_m |V| |Z0 F| + 2 u |result|, below (2 m + 2) eps (|V| |Z0 F| + |result|).
-    m, rng = 16, np.random.default_rng(16)
-    g = Gaussian.of(_random_gaussian(rng, m, 1.0))
-    for n in _tile_edge_counts(m):
-        x = rng.standard_normal((n, m)) + g.mean
-        factors = rng.uniform(0.2, 1.0, size=(_tiling(n, m)[2] + 1, m))
-        got, want = g._scaled(x, factors), _untiled(g, x, factors)
-        z0 = np.abs(g.evecs.T @ (x - g.mean).T)
-        scale = np.stack([(np.abs(g.evecs) @ (z0 * f[:, None])).T for f in factors]) + np.abs(want)
-        assert np.all(np.abs(got - want) <= (2 * m + 2) * np.finfo(float).eps * scale), n
-
-
-def test_a_chunk_of_analytic_states_holding_an_inf_is_rejected():
-    # x - mean overflows to -inf for the particle at -1e308, so every state of every chunk of c layers holds it
+def test_analytic_states_holding_an_inf_are_rejected():
+    # x - mean overflows to -inf for the particle at -1e308, so every state holds it
     mix, ens = GaussianMixture.single([1e308], [[1.0]]), ParticleEnsemble(np.array([[-1e308], [0.0]]), seed=0)
-    c = _SCALED_CHUNK_ELEMENTS // ens.points.size
-    flows = (lambda: compose(mix, FlowSchedule((1e-6,) * (2 * c + 3)), ens, "analytic"),
+    flows = (lambda: compose(mix, FlowSchedule((1e-6,) * 5), ens, "analytic"),
              lambda: one_shot_orbit(mix, [0.1, 0.2], ens))
     for flow in flows:
         with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
@@ -913,8 +886,7 @@ def test_a_chunk_of_analytic_states_holding_an_inf_is_rejected():
 
 
 def test_analytic_states_are_row_views_of_one_frozen_stack():
-    # at n m > _SCALED_CHUNK_ELEMENTS the particles are tiled and a tile's chunk is one layer, yet the states are
-    # rows of one (L, n, m) array, not per-tile copies;
+    # the analytic states are rows of one (L, n, m) array, not per-state copies;
     # the sampled flows and a singularity's one-time partial hold their states the same way, made only when read
     mix = GaussianMixture.single([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])
     ens = ParticleEnsemble(np.random.default_rng(4).standard_normal((100_000, 2)), seed=3)
@@ -1354,10 +1326,9 @@ def test_entropy_rows_are_read_only_arrays_that_the_view_and_the_json_read(monke
         raise AssertionError("a flow built a per-time record")
 
     n, m = 64, 2
-    c = _SCALED_CHUNK_ELEMENTS // (n * m)
     ens = ParticleEnsemble(np.random.default_rng(3).standard_normal((n, m)), seed=0)
     monkeypatch.setattr(transport, "FlowDiagnostics", refuse)
-    flows = [compose(aniso(), FlowSchedule((1e-3,) * (2 * c + 3)), ens, "analytic"),
+    flows = [compose(aniso(), FlowSchedule((1e-3,) * 515), ens, "analytic"),
              compose(_two_mixture(), FlowSchedule((0.1, 0.2)), ens, "empirical")]
     monkeypatch.undo()
     for traj in flows:

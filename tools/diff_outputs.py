@@ -10,7 +10,11 @@ and in the working tree again:
   each at the config's own seed, at ``--seed 3`` and at ``--seed 11``;
 * one sampled run: at seeds 0, 1 and 2, an 8-component 2-D Gaussian mixture drawn from the seed, 2000 particles
   sampled from it, the empirical ``compose`` on ``FlowSchedule.uniform(0.2, 4)`` and the ``one_shot_orbit`` at
-  t = 0.1, 0.2, 0.3, 0.4, each trajectory written through its own ``to_csv`` and ``diagnostics_json``.
+  t = 0.1, 0.2, 0.3, 0.4; then a 3-D Gaussian drawn from the seed, rotated (variances 0.5, 1, 2 on a random
+  orthonormal basis) with a nonzero mean, 500 particles sampled from it, the analytic ``compose`` on taus
+  0.05, 0.1, 0.2, the ``continuous_flow`` to t = 0.2 in 8 steps and the ``one_shot_orbit`` at t = 0.1, 0.5, 1.  Each
+  trajectory is written through its own ``to_csv`` and ``diagnostics_json``.  The bundled laws are all axis-aligned
+  with mean 0, so only the rotated Gaussian shows a last-bit move of the analytic flows' arithmetic.
 
 Every run goes under ``-W error::RuntimeWarning -W error::DeprecationWarning -W error::FutureWarning`` (the tests'
 filter), so a run that warns exits non-zero.  One comparator walks the output trees, REV against the working tree
@@ -60,6 +64,13 @@ for seed in (0, 1, 2):
     ens = dt.sample(mix, 2000, seed)
     flows = {"compose": dt.compose(mix, dt.FlowSchedule.uniform(0.2, 4), ens, retrain="empirical"),
              "orbit": dt.one_shot_orbit(mix, (0.1, 0.2, 0.3, 0.4), ens)}
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    cov = (basis * np.array([0.5, 1.0, 2.0])) @ basis.T
+    law = dt.GaussianMixture.single(rng.uniform(-2.0, 2.0, 3), 0.5 * (cov + cov.T))
+    ens = dt.sample(law, 500, seed)
+    flows |= {"analytic_compose": dt.compose(law, dt.FlowSchedule((0.05, 0.1, 0.2)), ens, retrain="analytic"),
+              "analytic_continuous": dt.continuous_flow(law, 0.2, 8, ens),
+              "analytic_orbit": dt.one_shot_orbit(law, (0.1, 0.5, 1.0), ens)}
     for name, traj in flows.items():
         traj.to_csv(f"{out}/seed_{seed}_{name}.csv")
         write_json(f"{out}/seed_{seed}_{name}_diagnostics.json", traj.diagnostics_json())

@@ -114,12 +114,12 @@ def _checked_value(obj: _Object, key: str, value, kind, positive: bool):
         expected = "an object" if kind is dict else "a list"
     else:
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        expected = f"a finite{' positive' if positive else ''} {'integer' if kind is int else 'number'}"
         try:
             if number and math.isfinite(value) and (kind is float or value == int(value)) and (value > 0 or not positive):
                 return kind(value)
-        except OverflowError:  # an integer beyond float range
-            pass
-        expected = f"a finite{' positive' if positive else ''} {'integer' if kind is int else 'number'}"
+        except OverflowError:  # an integer beyond float range, named as the library names it: without its digits
+            raise ConfigError(f"{key} must be {expected}, got an integer beyond float range", obj.line(key)) from None
     raise ConfigError(f"{key} must be {expected}, got {value!r}", obj.line(key))
 
 
@@ -355,9 +355,9 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 
 
 def _laws(g: Gaussian, mode: str, schedule) -> list[tuple[float, Gaussian]]:
-    """(time, law) of ``g`` from ``(0.0, g)``: along a composed :class:`FlowSchedule`, else at each time it holds."""
+    """(time, law) of ``g`` from time 0: along a composed :class:`FlowSchedule`'s path, else at each time it holds."""
     if mode == "composed":
-        return list(zip((0.0, *schedule.times), itertools.accumulate(schedule.taus, Gaussian.one_shot, initial=g)))
+        return list(zip((0.0, *schedule.times), map(g._law, g.composed(schedule.taus))))
     return [(0.0, g), *((float(t), (g.one_shot if mode == "one_shot" else g.continuous)(t)) for t in schedule)]
 
 

@@ -19,16 +19,17 @@ constant, :func:`_spectral` the one ``V diag(values) V^T`` (covariance, square r
 point-or-batch rule, and ``verify.ResidualReport`` the one owner of a check's verdict.
 
 :class:`Gaussian`, a mean and one eigenbasis, is the one route to the
-single-Gaussian closed forms.  The DAE map, the one-shot and continuous
-pushforwards (themselves ``Gaussian`` values), the continuous map, the
-entropies and the Bures-Wasserstein distance are all eigenvalue maps of one
-decomposed covariance, :func:`_dae_factor` is the one per-axis DAE factor they share (inlined in the float loop
-:func:`_one_shot_path`), and :meth:`Gaussian._scaled` the one affine map every single-Gaussian point map runs, one
-GEMM per state into one (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The
+single-Gaussian closed forms.  The DAE map, the one-shot and continuous pushforwards (``Gaussian`` values, each
+made by :meth:`Gaussian._law`), the continuous map, the entropies and the Bures-Wasserstein distance are all
+eigenvalue maps of one decomposed covariance.  :func:`_dae_factor` is the one per-axis DAE factor they share (the
+one-shot law's ``lambda F^2`` too; inlined in the float loop :func:`_one_shot_path`, the one composed law), and
+:meth:`Gaussian._scaled` the one affine map every single-Gaussian point map runs, one GEMM per state into one
+(L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The
 analytic flows of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their rows :func:`_path_rows`.
 :func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it enters the
 package, :func:`_checked_times` the one rule for a sequence of them (typed by :func:`_flat_floats`),
-:func:`_checked_count` of a count, and :func:`_checked_parameter` of a check's parameter, each read by :func:`_number`.
+:func:`_checked_count` of a count, and :func:`_checked_parameter` of a check's parameter, each read by :func:`_number`;
+:func:`_floats` is the one conversion of an array argument, which names it when it does not hold numbers.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import InitVar, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -96,6 +98,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """``x`` as a float array; text, a ragged nesting or an int past float range raises ContractError naming ``what``."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"{what} must be an array of numbers ({exc})") from None
+
+
 def _decomposed(mean: np.ndarray, cov: np.ndarray, what: str):
     """``(cov, evals, evecs)`` of finite (m, m) or (k, m, m) covariances symmetric to 1e-12 * max(1, max |cov|).
 
@@ -134,9 +144,9 @@ class GaussianMixture:
     covs: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        mu = np.atleast_2d(np.asarray(self.means, dtype=float))
-        cov = np.asarray(self.covs, dtype=float)
+        w = np.atleast_1d(_floats(self.weights, "mixture weights"))
+        mu = np.atleast_2d(_floats(self.means, "mixture means"))
+        cov = _floats(self.covs, "mixture covariances")
         if cov.ndim == 2:
             cov = cov[np.newaxis]
         if w.ndim != 1 or mu.ndim != 2 or cov.ndim != 3 or w.shape != mu.shape[:1]:
@@ -225,7 +235,7 @@ class ParticleEnsemble:
     _adopt: InitVar[bool] = False  # the package's own fresh array: checked, kept, not copied
 
     def __post_init__(self, _adopt: bool):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _floats(self.points, "ensemble points")
         pts = pts[:, np.newaxis] if pts.ndim == 1 else pts
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ContractError("ensemble points must form a nonempty (n, m) array")
@@ -263,16 +273,16 @@ def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- point handling -----------------------------------------------------------
 
 
-def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
+def _as_points(x, dim: int, what: str = "points") -> tuple[np.ndarray, bool]:
     """Coerce finite x (a scalar or vector is one point) into an (n, dim) array; report whether it was one point."""
-    arr = np.asarray(x, dtype=float)
+    arr = _floats(x, what)
     if not np.all(np.isfinite(arr)):
-        raise ContractError("points must be finite")
+        raise ContractError(f"{what} must be finite")
     if arr.ndim > 2:
-        raise ContractError("points must be a scalar, a vector or an (n, m) array")
+        raise ContractError(f"{what} must be a scalar, a vector or an (n, m) array")
     pts = arr if arr.ndim == 2 else arr.reshape(1, -1)
     if pts.shape[1] != dim:
-        raise ContractError(f"points have dimension {pts.shape[1]}, expected {dim}")
+        raise ContractError(f"{what} have dimension {pts.shape[1]}, expected {dim}")
     return pts, arr.ndim < 2
 
 
@@ -341,9 +351,10 @@ def _checked_times(values, what: str, positive: bool = False) -> np.ndarray:
 
 
 def _checked_count(value, what: str) -> int:
-    """A count as an int >= 1: whole floats such as 3.0 pass, fractions, NaN and inf raise :class:`ContractError`."""
-    if not ((count := _number(value, what)) >= 1.0 and count.is_integer()):
-        raise ContractError(f"{what} must be >= 1 and whole, got {value}")
+    """A count as an int in [1, sys.maxsize], NumPy's index range: whole floats such as 3.0 pass; fractions, NaN, inf
+    and counts past that range raise :class:`ContractError`."""
+    if not (1.0 <= (count := _number(value, what)) <= sys.maxsize and count.is_integer()):
+        raise ContractError(f"{what} must be >= 1 and whole, at most {sys.maxsize}, got {value}")
     return int(count)
 
 
@@ -386,8 +397,8 @@ class Gaussian:
     @classmethod
     def from_cov(cls, cov, mean=None) -> "Gaussian":
         """Decompose a covariance that :func:`_decomposed` accepts (mean defaults to 0)."""
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        mean = np.zeros(cov.shape[0]) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
+        cov = np.atleast_2d(_floats(cov, "Gaussian covariance"))
+        mean = np.zeros(cov.shape[0]) if mean is None else np.atleast_1d(_floats(mean, "Gaussian mean"))
         _, evals, evecs = _decomposed(mean, cov, "Gaussian")
         return cls(_frozen(mean.copy()), _frozen(evals), _frozen(evecs))
 
@@ -412,10 +423,14 @@ class Gaussian:
     def as_mixture(self) -> GaussianMixture:
         return GaussianMixture.single(self.mean, self.cov)
 
+    def _law(self, evals: np.ndarray) -> "Gaussian":
+        """This mean and eigenbasis with the eigenvalues ``evals``, frozen: the one maker of a pushforward law."""
+        return Gaussian(self.mean, _frozen(evals), self.evecs)
+
     def one_shot(self, t: float) -> "Gaussian":
-        """Pushforward under the one-shot map: ``S (I + t S^{-1})^{-2}``; this law if half of t is 0 (a zero layer)."""
+        """One-shot pushforward: eigenvalues ``lambda F^2``, F the :func:`_dae_factor`; this law if half of t is 0."""
         t = _checked_time(t, signed=True)
-        return self if 0.5 * t == 0.0 else Gaussian(self.mean, _frozen(_one_shot_evals(self.evals, t)), self.evecs)
+        return self if 0.5 * t == 0.0 else self._law(self.evals * np.square(_dae_factor(self.evals, t)))
 
     def composed(self, taus: Sequence[float]) -> np.ndarray:
         """Eigenvalue path of a composed one-shot flow: row l holds the eigenvalues after l layers, row 0 these.
@@ -434,14 +449,13 @@ class Gaussian:
 
     def _orbit(self, x: np.ndarray, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """``(states, path)`` of the one-shot orbit: state i is :meth:`denoise` at ``ts[i]``, path row i + 1 its law,
-        ``evals F_i^2``: bit for bit :func:`_one_shot_evals`, and 0 where that is 0/0 (half of lambda and t both 0)."""
+        ``evals F_i^2``: bit for bit :meth:`one_shot`, and 0 where half of lambda and t are both 0 (a zero layer)."""
         factors = _dae_factor(self.evals, np.array(ts)[:, None])
         return self._scaled(x, factors), np.vstack([self.evals, self.evals * (factors * factors)])
 
     def continuous(self, t: float) -> "Gaussian":
         """Pushforward under the continuous flow: ``S - 2 t I`` (unchecked against the horizon)."""
-        t = _checked_time(t, signed=True)
-        return Gaussian(self.mean, _frozen(self.evals - 2.0 * t), self.evecs)
+        return self._law(self.evals - 2.0 * _checked_time(t, signed=True))
 
     def check_horizon(self, t: float, what: str, closed: bool = False) -> None:
         """Raise :class:`SingularityError` once ``t`` reaches the critical time.
@@ -540,11 +554,6 @@ def _one_shot_path(lam, halves) -> list:
             q = 1.0
         path.append(lam := lam * (q * q))
     return path
-
-
-def _one_shot_evals(lam, t):
-    """The one-shot eigenvalue map at one time ``t``: the last entry of :func:`_one_shot_path`."""
-    return _one_shot_path(lam, (0.5 * t,))[-1]
 
 
 def _log_dets(evals: np.ndarray) -> np.ndarray:
@@ -690,7 +699,7 @@ def smooth(mix: GaussianMixture, t: float) -> GaussianMixture:
 
 def convolve(mix: GaussianMixture, cov) -> GaussianMixture:
     """Convolve with a centered Gaussian of full covariance ``cov``; a sum past the largest float is a ContractError."""
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    cov = np.atleast_2d(_floats(cov, "kernel covariance"))
     if cov.shape != (mix.dim, mix.dim):
         raise ContractError(f"kernel covariance must be {mix.dim}x{mix.dim}")
     with np.errstate(over="ignore"):  # a sum past the largest float is rejected below
@@ -770,10 +779,10 @@ def stein_residual(t: float, eps) -> np.ndarray:
     residual is zero up to rounding.
     """
     t = _checked_parameter(t, "noise variance")
-    arr = np.asarray(eps, dtype=float)
+    arr = _floats(eps, "noise values eps")
     if arr.size == 0:
         raise ContractError("stein_residual needs at least one noise value eps")
-    pts, single = _as_points(arr, 1 if arr.ndim == 0 else arr.shape[-1])
+    pts, single = _as_points(arr, 1 if arr.ndim == 0 else arr.shape[-1], "noise values eps")
     noise = GaussianMixture.single(np.zeros(pts.shape[1]), t * np.eye(pts.shape[1]))
     res = -t * density_gradient(noise, pts) - pts * density(noise, pts)[:, np.newaxis]
     return res[0] if single else res
@@ -787,10 +796,10 @@ def silverman_covariance(points: np.ndarray, factor: float = 1.0) -> np.ndarray:
 
     Returns ``factor^2 * (4 / (m + 2))^(2 / (m + 4)) * n^(-2 / (m + 4)) * cov``.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points, "points")
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        raise ContractError(f"bandwidth selection needs at least two points in an (n, m) array, got shape {pts.shape}")
     n, m = pts.shape
-    if n < 2:
-        raise ContractError("bandwidth selection needs at least two points")
     beta = (4.0 / (m + 2.0)) ** (2.0 / (m + 4.0)) * n ** (-2.0 / (m + 4.0))
     with np.errstate(over="ignore"):  # an overflow is the ContractError below, not a RuntimeWarning
         cov = (factor * factor) * beta * _moments(pts)[1]
@@ -866,7 +875,7 @@ def kde_log_density(data: np.ndarray, cov, x) -> np.ndarray:
     one point, and evaluation points must be finite.
     """
     kernel = Gaussian.from_cov(cov)
-    data, _ = _as_points(data, kernel.dim)
+    data, _ = _as_points(data, kernel.dim, "data")
     if data.shape[0] == 0:
         raise ContractError("a kernel density estimate needs at least one data point, got none")
     pts, single = _as_points(x, kernel.dim)

@@ -330,12 +330,7 @@ def compose(
     is no singular time here; the horizon check of :func:`continuous_flow` is
     the one singularity rule.
     """
-    retrain = _retrain_mode(mix0.k, retrain)
-    if ensemble.dim != mix0.dim:
-        raise ContractError(f"ensemble dimension {ensemble.dim} does not match measure dimension {mix0.dim}")
-    if retrain == "empirical" and ensemble.n < 10:
-        raise ContractError(f"empirical retraining needs at least 10 particles, got {ensemble.n}")
-
+    retrain = _flow_mode(mix0, ensemble, retrain)
     times = (0.0, *schedule.times)
     if retrain == "analytic":
         return _trajectory(times, ensemble, *Gaussian.of(mix0)._flow(ensemble.points, schedule._taus))
@@ -345,6 +340,17 @@ def compose(
         data = ParticleEnsemble(layers[layer - 1], ensemble.seed, _adopt=True) if layer else ensemble
         layers[layer] = EmpiricalKernel(data, tau).apply(data.points)
     return _trajectory(times, ensemble, layers, None)
+
+
+def _flow_mode(mix0: GaussianMixture, ensemble: ParticleEnsemble, retrain: str | None) -> str:
+    """The :func:`_retrain_mode` of a flow of ``ensemble`` from ``mix0``, whose dimensions must agree, and which
+    needs 10 particles to retrain empirically: the one rule of :func:`compose` and :func:`continuous_flow`."""
+    retrain = _retrain_mode(mix0.k, retrain)
+    if ensemble.dim != mix0.dim:
+        raise ContractError(f"ensemble dimension {ensemble.dim} does not match measure dimension {mix0.dim}")
+    if retrain == "empirical" and ensemble.n < 10:
+        raise ContractError(f"empirical retraining needs at least 10 particles, got {ensemble.n}")
+    return retrain
 
 
 def _retrain_mode(k: int, retrain: str | None) -> str:
@@ -370,10 +376,9 @@ def continuous_flow(
     mode defaults as in :func:`compose`.  For a single Gaussian the last
     recorded time must stay strictly below the singular time (half the smallest
     covariance eigenvalue); past it the :class:`SingularityError` carries the
-    initial state as a one-time trajectory in ``partial``.
+    initial state as a one-time trajectory in ``partial``; the arguments are judged before the horizon.
     """
-    if ensemble.dim != mix0.dim:
-        raise ContractError(f"ensemble dimension {ensemble.dim} does not match measure dimension {mix0.dim}")
+    retrain = _flow_mode(mix0, ensemble, retrain)
     schedule = FlowSchedule.uniform(t_end, steps)
     if mix0.k == 1:
         g = Gaussian.of(mix0)

@@ -32,10 +32,12 @@ from .measures import (
     Gaussian,
     GaussianMixture,
     _checked_alpha,
+    _checked_count,
     _checked_parameter,
     _checked_time,
     _checked_times,
     _moments,
+    _number,
     convolve,
     density,
     density_gradient,
@@ -113,10 +115,14 @@ def probe_lattice(extent: float, per_axis: int, dim: int) -> np.ndarray:
     """Regular lattice over [-extent, extent]^dim, ``per_axis`` points an axis.
 
     The lattice rule: its step (so its points) and its sample covariance must be
-    finite, else ContractError, raised without a RuntimeWarning on the way; so must be ``per_axis`` and ``dim`` >= 1.
+    finite, else ContractError, raised without a RuntimeWarning on the way; so must be ``extent`` one number and
+    ``per_axis`` and ``dim`` whole counts >= 1.
     """
-    if per_axis < 1 or dim < 1:
-        raise ContractError(f"a lattice needs per_axis >= 1 and dim >= 1, got {per_axis} and {dim}")
+    extent = _number(extent, "lattice extent")
+    try:
+        per_axis, dim = _checked_count(per_axis, "per_axis"), _checked_count(dim, "dim")
+    except ContractError as exc:
+        raise ContractError(f"a lattice needs per_axis >= 1 and dim >= 1: {exc}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         mesh = np.meshgrid(*[np.linspace(-extent, extent, per_axis)] * dim, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)

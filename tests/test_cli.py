@@ -84,6 +84,14 @@ def test_overlong_integer_is_config_error(tmp_path, capsys):
     assert "config error at line 1: invalid JSON" in capsys.readouterr().err
 
 
+def test_an_integer_beyond_float_range_is_named_without_its_digits(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"mode": "composed", "schedule": {"t_end": 0.4, "steps": 1' + "0" * 400 + "}}\n")
+    assert main(["trajectory", "--config", str(path)]) == EXIT_CONFIG
+    message = "steps must be a finite positive integer, got an integer beyond float range"
+    assert capsys.readouterr().err == f"config error at line 1: {message}\n"
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
@@ -204,6 +212,10 @@ MIXTURE_1D = {
         ("composed", {("schedule",): {"taus": [0.1], "t_end": 0.4, "steps": 4}}, "t_end"),
         ("composed", {("schedule",): {"t_end": 0.4, "steps": 4, "taus": [0.1]}}, "taus"),
         ("composed", {("schedule",): {"taus": [0.1], "steps": 4}}, "steps"),
+        # a count past float range, and a schedule with no time source at all
+        ("composed", {("schedule",): {"t_end": 0.4, "steps": 10**400}}, "steps"),
+        ("one_shot", {("schedule",): {}}, "schedule"),
+        ("continuous", {("schedule",): {"steps": 4}}, "schedule"),
     ],
     ids=[
         "steps_zero", "t_string", "n_string", "grid_list", "panels_list", "t_end_nan", "retrain_bogus",
@@ -217,7 +229,8 @@ MIXTURE_1D = {
         "unknown_outputs_key", "unknown_schedule_key", "key_of_another_modes_schedule", "unknown_panel_key",
         "root_mode_beside_panels", "root_schedule_beside_panels", "root_retrain_beside_panels",
         "one_shot_t_and_times", "one_shot_times_and_t_end", "one_shot_t_end_and_t", "composed_taus_and_t_end",
-        "composed_t_end_and_taus", "composed_taus_and_steps",
+        "composed_t_end_and_taus", "composed_taus_and_steps", "steps_beyond_float_range", "one_shot_no_time_source",
+        "continuous_no_time_source",
     ],
 )
 def test_malformed_field_is_config_error_at_its_line(tmp_path, mode, edits, key):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -42,15 +43,25 @@ def test_identical_trees_give_0_and_print_nothing(tool, capsys, tmp_path):
 
 def test_a_csv_cell_off_by_1e_12_gives_that_file_and_the_difference(tool, capsys, tmp_path):
     trees = _trees(tmp_path, {"run/a.csv": CSV.replace("0.25", "0.250000000001")})
-    assert _compare(tool, capsys, *trees) == (1, ["run/a.csv: largest absolute difference 1e-12 (1e-12 of the "
-                                                  "largest |value|)"])
+    assert _compare(tool, capsys, *trees) == (1, ["run/a.csv: largest absolute difference 1e-12, largest relative "
+                                                  "difference 4e-12"])
 
 
 def test_a_comment_line_alone_is_no_numeric_difference(tool, capsys, tmp_path):
     # the bytes differ, so the file is reported, but every number is the same
     trees = _trees(tmp_path, {"run/a.csv": CSV.replace("# seed 7", "# seed 8")})
-    assert _compare(tool, capsys, *trees) == (1, ["run/a.csv: largest absolute difference 0 (0 of the largest "
-                                                  "|value|)"])
+    assert _compare(tool, capsys, *trees) == (1, ["run/a.csv: largest absolute difference 0, largest relative "
+                                                  "difference 0"])
+
+
+def test_a_one_ulp_move_beside_an_id_column_reads_as_its_own_relative_size(tool, capsys, tmp_path):
+    # each pair is scaled by its own size, not by the file's largest |value| (here the id 499)
+    rows = "".join(f"0.5,{i},{5.0 if i == 7 else i / 8}\n" for i in range(500))
+    moved = rows.replace("0.5,7,5.0\n", f"0.5,7,{math.nextafter(5.0, 6.0)!r}\n")
+    trees = _trees(tmp_path, {"run/a.csv": "time,particle_id,x1\n" + moved})
+    (tmp_path / "old" / "run" / "a.csv").write_text("time,particle_id,x1\n" + rows)
+    assert _compare(tool, capsys, *trees) == (1, ["run/a.csv: largest absolute difference 8.88e-16, largest relative "
+                                                  "difference 1.78e-16"])
 
 
 def test_a_changed_text_cell_gives_structure_differs(tool, capsys, tmp_path):
@@ -60,8 +71,8 @@ def test_a_changed_text_cell_gives_structure_differs(tool, capsys, tmp_path):
 
 def test_a_changed_json_leaf_gives_its_difference_and_an_extra_key_structure_differs(tool, capsys, tmp_path):
     trees = _trees(tmp_path / "leaf", {"run/a.json": JSON.replace("1.25", "1.75")})
-    assert _compare(tool, capsys, *trees) == (1, ["run/a.json: largest absolute difference 0.5 (0.0714 of the "
-                                                  "largest |value|)"])
+    assert _compare(tool, capsys, *trees) == (1, ["run/a.json: largest absolute difference 0.5, largest relative "
+                                                  "difference 0.286"])
     trees = _trees(tmp_path / "key", {"run/a.json": JSON.replace('"seed": 7,', '"seed": 7, "n": 2,')})
     assert _compare(tool, capsys, *trees) == (1, ["run/a.json: structure differs"])
 

@@ -11,7 +11,8 @@ import dae_transport
 from dae_transport import cli, measures, pushforward, svg, transport, verify
 
 # names folded into ``Gaussian`` (one value, one validator, one W2), ``denoising_shift``, which is ``apply(x) - x``,
-# ``ChartFrame``, folded into ``SvgCanvas`` (one chart class), and ``_spectrum``, folded into ``_decomposed``
+# ``ChartFrame``, folded into ``SvgCanvas`` (one chart class), ``_spectrum``, folded into ``_decomposed``, and
+# ``_one_shot_evals``, whose one-shot law ``Gaussian.one_shot`` writes with ``_dae_factor``
 REMOVED = (
     "AbstractPoint",
     "ChartFrame",
@@ -19,6 +20,7 @@ REMOVED = (
     "SOURCE_CONTINUOUS",
     "SOURCE_ONE_SHOT",
     "_SpectralGaussian",
+    "_one_shot_evals",
     "_spectrum",
     "abstract_coordinates",
     "analytic_continuous_map",
@@ -50,7 +52,7 @@ def test_removed_names_are_gone_from_package_and_modules():
 
 def test_only_measures_binds_the_single_gaussian_algebra():
     # the flows, the checks and the CLI reach the eigenvalue formulas only through ``Gaussian`` and ``_path_rows``
-    algebra = ("_dae_factor", "_one_shot_evals", "_log_dets", "_gaussian_entropy", "_gaussian_renyi", "_decomposed",
+    algebra = ("_dae_factor", "_log_dets", "_gaussian_entropy", "_gaussian_renyi", "_decomposed",
                "_log_normaliser", "_spectral")
     assert all(hasattr(measures, name) for name in algebra)
     for module in (transport, verify, cli):
@@ -64,6 +66,19 @@ def test_only_measures_calls_the_gaussian_constructor():
         calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Gaussian"]
         assert calls == [], module.__name__
+
+
+def test_inside_measures_only_from_cov_of_and_law_call_the_gaussian_constructor():
+    # every pushforward law is ``Gaussian._law`` of new eigenvalues; ``cls`` is the constructor in a classmethod
+    tree = ast.parse(Path(measures.__file__).read_text())
+    gaussian = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Gaussian")
+
+    def calls(fn, name: str) -> bool:
+        return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name for node in ast.walk(fn))
+
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    makers = {fn.name for fn in functions if calls(fn, "Gaussian") or (fn in gaussian.body and calls(fn, "cls"))}
+    assert makers == {"from_cov", "of", "_law"}
 
 
 def test_pushforward_defines_only_the_three_entry_points():

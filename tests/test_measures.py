@@ -141,13 +141,14 @@ def test_an_ensemble_stays_finite_and_frozen_when_its_caller_unfreezes_the_point
 def test_the_package_s_own_arrays_are_adopted_checked_and_frozen_in_place():
     fresh = np.arange(6.0).reshape(3, 2)
     ens = ParticleEnsemble(fresh, 0, _adopt=True)
-    assert ens.points is fresh and not fresh.flags.writeable
+    assert ens.points is fresh and not fresh.flags.writeable and repr(ens) == "ParticleEnsemble(n=3, dim=2, seed=0)"
     with pytest.raises(ContractError, match="ensemble points must be finite"):
         ParticleEnsemble(np.array([[0.0], [math.inf]]), 0, _adopt=True)
 
 
 MALFORMED = {
     "mixture_without_components": (lambda: GaussianMixture.from_components([]), "at least one component"),
+    "mixture_shapes_differ": (lambda: GaussianMixture([0.5, 0.5], [[0.0]], [[[1.0]]]), "must have shapes"),
     "from_cov_shape_mismatch": (lambda: Gaussian.from_cov(np.eye(2), [0.0]), "does not match mean shape"),
     "declared_dim_differs": (
         lambda: GaussianMixture.from_json_dict({"dim": 2, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}),
@@ -187,8 +188,10 @@ def test_covariance_must_be_positive_definite():
             {"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": cov.tolist()}]}
         ),
         lambda cov: kde_log_density(np.zeros((3, 2)), cov, [0.0, 0.0]),
+        lambda cov: GaussianMixture([1.0], [0.0, 0.0], cov),  # one (m, m) covariance is one component's
     ],
-    ids=["Gaussian.from_cov", "GaussianMixture.single", "GaussianMixture.from_json_dict", "kde_log_density"],
+    ids=["Gaussian.from_cov", "GaussianMixture.single", "GaussianMixture.from_json_dict", "kde_log_density",
+         "GaussianMixture_one_covariance"],
 )
 def test_one_positivity_rule_at_every_entry(entry):
     # lambda_min <= 1e-12 lambda_max is rejected where the covariance enters, so no
@@ -232,7 +235,7 @@ def test_from_json_dict_reads_a_literal_document():
         {"weight": 0.75, "mean": [0.0, 3.0], "cov": [[1.0, 0.0], [0.0, 4.0]]},
     ]}
     mix = GaussianMixture.from_json_dict(doc)
-    assert (mix.k, mix.dim) == (2, 2)
+    assert (mix.k, mix.dim) == (2, 2) and repr(mix) == "GaussianMixture(k=2, dim=2)"
     np.testing.assert_array_equal(mix.weights, [0.25, 0.75])
     np.testing.assert_array_equal(mix.means, [[1.0, -2.0], [0.0, 3.0]])
     np.testing.assert_array_equal(mix.covs, [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 4.0]]])

@@ -24,7 +24,7 @@ from dae_transport import (
     smooth,
 )
 from dae_transport.cli import _chart_sigma
-from dae_transport.measures import _dae_factor, _moments, _one_shot_evals
+from dae_transport.measures import _dae_factor, _moments
 
 ANISO = np.diag([2.0, 1.0])
 ZERO2 = np.zeros(2)
@@ -129,21 +129,22 @@ def _seeded_path_case(seed: int, layers: int, m: int) -> tuple[Gaussian, np.ndar
     return g, taus
 
 
+def _by_factor(lam, tau):
+    """The one-shot eigenvalue map through ``_dae_factor``, the reference the float loop inlines."""
+    q = _dae_factor(lam, tau)
+    return lam * (q * q)
+
+
 @pytest.mark.parametrize("m", [1, 2, 5])
 @pytest.mark.parametrize("layers", [0, 1, 2, 2000])
 def test_composed_equals_the_accumulated_one_shot_map_bit_for_bit(layers, m):
-    # the float loop against the per-layer calls it replaces: ``_one_shot_evals``, and the map through ``_dae_factor``
-    def by_factor(lam, tau):
-        q = _dae_factor(lam, tau)
-        return lam * (q * q)
-
+    # the float loop against the per-layer map through ``_dae_factor``
     for seed in range(3):
         g, taus = _seeded_path_case(seed, layers, m)
         path = g.composed(taus)
         assert path.shape == (layers + 1, m) and path.dtype == np.float64 and path.flags.c_contiguous
-        for step in (_one_shot_evals, by_factor):
-            reference = [list(itertools.accumulate(taus.tolist(), step, initial=lam)) for lam in g.evals.tolist()]
-            assert path.tobytes() == np.array(reference).T.copy().tobytes()
+        reference = [list(itertools.accumulate(taus.tolist(), _by_factor, initial=lam)) for lam in g.evals.tolist()]
+        assert path.tobytes() == np.array(reference).T.copy().tobytes()
 
 
 def test_composed_path_through_subnormals_to_zero_is_bit_for_bit():
@@ -151,7 +152,7 @@ def test_composed_path_through_subnormals_to_zero_is_bit_for_bit():
     taus = [1e103, 1e-154, 1e-320, 1e-300, 0.5]
     path = STD1.composed(taus)[:, 0].tolist()
     assert all(0.0 < v < 2.2250738585072014e-308 for v in path[2:4]) and path[4:] == [0.0, 0.0]
-    assert path == list(itertools.accumulate(taus, _one_shot_evals, initial=1.0))
+    assert path == list(itertools.accumulate(taus, _by_factor, initial=1.0))
     g, taus = _seeded_path_case(0, 2000, 5)
     tiny = g.composed(taus)
     assert np.any((tiny > 0.0) & (tiny < 2.2250738585072014e-308)) and np.any(tiny[-1] == 0.0)

@@ -29,6 +29,7 @@ from dae_transport import (
     check_variational_minimizer,
     compose,
     continuous_flow,
+    convolve,
     density,
     density_gradient,
     entropy,
@@ -40,6 +41,7 @@ from dae_transport import (
     renyi_entropy,
     sample,
     score,
+    silverman_covariance,
     smooth,
     stein_residual,
 )
@@ -403,7 +405,9 @@ def test_an_int_beyond_float_range_where_one_number_belongs_is_a_typed_error_wit
 
 POINT_ENTRY_POINTS = {
     "score": lambda x: score(aniso(), x),
+    "log_density": lambda x: log_density(aniso(), x),
     "density": lambda x: density(aniso(), x),
+    "density_gradient": lambda x: density_gradient(aniso(), x),
     "laplacian_density": lambda x: laplacian_density(aniso(), x),
     "MixtureExact": lambda x: MixtureExact(aniso(), 0.3).apply(x),
     "Gaussian.denoise": lambda x: ANISO_G.denoise(x, 0.3),
@@ -420,6 +424,30 @@ POINT_ENTRY_POINTS = {
 def test_point_entry_points_reject_nonfinite_points(entry, bad):
     with pytest.raises(ContractError, match="finite"):
         POINT_ENTRY_POINTS[entry]([[0.0, 0.0], [bad, 1.0]])
+
+
+PROBED_ENTRIES = {  # text and ragged points at every point entry, then each value a probe of the public API raised raw
+    **{f"{entry}_text": lambda f=f: f("x") for entry, f in POINT_ENTRY_POINTS.items()},
+    **{f"{entry}_ragged": lambda f=f: f([[0.0, 0.0], [1.0]]) for entry, f in POINT_ENTRY_POINTS.items()},
+    "ParticleEnsemble_text": lambda: ParticleEnsemble("x", 0),
+    "GaussianMixture_text_weights": lambda: GaussianMixture("x", [[0.0]], [[[1.0]]]),
+    "Gaussian.from_cov_text": lambda: Gaussian.from_cov("x"),
+    "convolve_ragged_kernel": lambda: convolve(aniso(), [[1.0, 0.0], [0.0]]),
+    "silverman_covariance_one_axis": lambda: silverman_covariance([1.0, 2.0, 3.0]),
+    "probe_lattice_text_extent": lambda: probe_lattice("3", 3, 2),
+    "FlowSchedule.uniform_steps_past_the_index_range": lambda: FlowSchedule.uniform(0.3, 1e300),
+    "sample_past_the_index_range": lambda: sample(aniso(), 1e300, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROBED_ENTRIES))
+def test_probed_inputs_raise_a_contract_error_where_they_enter(entry):
+    """Not NumPy's ValueError, a TypeError or an OverflowError: exactly the class from ``errors.py``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Exception) as info:
+            PROBED_ENTRIES[entry]()
+    assert type(info.value) is ContractError
 
 
 def _two_mixture() -> GaussianMixture:
@@ -1283,6 +1311,16 @@ def test_continuous_flow_checks_the_dimension_before_the_horizon():
     ens_3d = ParticleEnsemble(np.zeros((4, 3)), seed=0)
     with pytest.raises(ContractError, match="dimension") as err:
         continuous_flow(GaussianMixture.standard(2), 5.0, 2, ens_3d)
+    assert type(err.value) is ContractError
+
+
+@pytest.mark.parametrize("t_end", [0.2, 5.0], ids=["inside_horizon", "past_horizon"])
+@pytest.mark.parametrize("retrain, n", [("bogus", 20), ("empirical", 5)], ids=["unknown_retrain", "five_particles"])
+def test_continuous_flow_judges_its_retrain_rule_before_the_horizon(retrain, n, t_end):
+    # the horizon of N(0, diag(2, 1)) is 0.5: a bad argument is a ContractError on either side of it, not a singularity
+    mix = GaussianMixture.single([0.0, 0.0], np.diag([2.0, 1.0]))
+    with pytest.raises(Exception, match="retrain") as err:
+        continuous_flow(mix, t_end, 4, sample(mix, n, 0), retrain=retrain)
     assert type(err.value) is ContractError
 
 

@@ -20,8 +20,8 @@ Every run goes under ``-W error::RuntimeWarning -W error::DeprecationWarning -W 
 filter), so a run that warns exits non-zero.  One comparator walks the output trees, REV against the working tree
 and the working tree against its rerun, and prints each file on one side only, each differing exit code, and for
 each differing CSV or JSON file the largest absolute difference of its numbers (CSV cells off ``#`` lines, or JSON
-leaves) and that difference over the largest finite |value| of the two files, or ``structure differs``; any other
-differing file (an SVG chart) just ``differs``.
+leaves) and the largest relative one, each differing pair over its own ``max(|a|, |b|)``, so particle ids and times
+do not scale a coordinate's move; or ``structure differs``.  Any other differing file (an SVG chart) just ``differs``.
 
 Prints the working tree's exit codes.  Exits 1 on any difference, 0 if all is identical, 2 on bad usage.  Set
 PYTHON to choose the interpreter (default: the one running this script); TMPDIR picks where the extracted tree and
@@ -121,10 +121,13 @@ def _leaves(path: Path) -> tuple[list, list[float]]:
     return _cut(json.loads(text), numbers), numbers
 
 
-def _gap(a: float, b: float) -> float:
+def _gaps(a: float, b: float) -> tuple[float, float]:
+    """The absolute and relative difference of two numbers: 0 if equal (NaN to NaN too), inf if one is not finite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
+        return 0.0, 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf, math.inf
+    return abs(a - b), abs(a - b) / max(abs(a), abs(b))
 
 
 def describe(old: Path, new: Path) -> str:
@@ -137,9 +140,8 @@ def describe(old: Path, new: Path) -> str:
         return "structure differs"
     if shape != other:
         return "structure differs"
-    gap = max(map(_gap, xs, ys), default=0.0)
-    scale = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)  # 0 only if gap is 0 or inf
-    return f"largest absolute difference {gap:.3g} ({gap / scale if scale else gap:.3g} of the largest |value|)"
+    gap, rel = map(max, zip((0.0, 0.0), *map(_gaps, xs, ys)))  # each column's largest, 0 for no numbers
+    return f"largest absolute difference {gap:.3g}, largest relative difference {rel:.3g}"
 
 
 def compare(old_root: Path, new_root: Path) -> int:

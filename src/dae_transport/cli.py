@@ -14,10 +14,10 @@ Outputs are deterministic given (config, seed): no timestamps, and every
 file goes through the one writer in :mod:`dae_transport.svg` (shortest
 round-trip floats, sorted JSON keys, ``\n`` line endings).
 
-A rule the library owns (schedules, times, retrain modes, lattices) is
-asked of its owner by :func:`_library_check`, at the key's line.  A key the
-config format does not know is a config error at its line (:func:`_known`);
-a ``distribution``'s own keys are the library's to judge.
+A rule the library owns (every number, by its kind's rule, so a bool is none;
+seeds, schedules, times, retrain modes, lattices) is asked of its owner by :func:`_library_check`
+at the key's line.  A key the config format does not know is a config error at its line
+(:func:`_known`); a ``distribution``'s own keys are the library's to judge.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -34,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .measures import Gaussian, GaussianMixture, ParticleEnsemble, density, sample
+from .measures import Gaussian, GaussianMixture, ParticleEnsemble, _checked_count, _checked_time, density, sample
+from .rand import _checked_seed
 from .svg import SvgCanvas, write_csv, write_json
 from .transport import FlowSchedule, Trajectory, _orbit_times, _retrain_mode, compose, continuous_flow, one_shot_orbit
 from .verify import EXPECTED_FAILURES, default_checks, probe_lattice
@@ -94,33 +94,11 @@ def _located(raw: str, i: int) -> tuple[object, int]:
     return _Object(pairs, raw, brace, starts), i + 1
 
 
-def _field(obj: _Object, key: str, kind, default=None, positive: bool = False):
-    """``obj[key]`` checked against ``kind``; a bad value is a ConfigError at the key's line.
-
-    ``kind`` is ``dict`` or ``list`` (type checked), ``int`` or ``float`` (a
-    finite JSON number, integral for ``int``, and > 0 if ``positive``), or a
-    one-element list such as ``[float]`` for a list of such numbers.
-    """
-    if isinstance(kind, list):
-        return [_checked_value(obj, key, v, kind[0], positive) for v in _field(obj, key, list)]
-    return _checked_value(obj, key, obj.get(key, default), kind, positive)
-
-
-def _checked_value(obj: _Object, key: str, value, kind, positive: bool):
-    """``value``, read from ``obj[key]``, checked against ``kind`` as :func:`_field` says."""
-    if kind in (dict, list):
-        if isinstance(value, kind):
-            return value
-        expected = "an object" if kind is dict else "a list"
-    else:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        expected = f"a finite{' positive' if positive else ''} {'integer' if kind is int else 'number'}"
-        try:
-            if number and math.isfinite(value) and (kind is float or value == int(value)) and (value > 0 or not positive):
-                return kind(value)
-        except OverflowError:  # an integer beyond float range, named as the library names it: without its digits
-            raise ConfigError(f"{key} must be {expected}, got an integer beyond float range", obj.line(key)) from None
-    raise ConfigError(f"{key} must be {expected}, got {value!r}", obj.line(key))
+def _field(obj: _Object, key: str, kind: type, default=None):
+    """``obj[key]`` (``default`` if absent), a ``dict`` or ``list`` as ``kind`` says, else a ConfigError at its line."""
+    if not isinstance(value := obj.get(key, default), kind):
+        raise ConfigError(f"{key} must be {'an object' if kind is dict else 'a list'}, got {value!r}", obj.line(key))
+    return value
 
 
 def _known(obj: _Object, *keys: str) -> _Object:
@@ -162,12 +140,17 @@ class RunConfig:
     root: _Object  # the located config, for the lines of what a command rejects
 
 
-def _library_check(obj: _Object, key: str, check, *args):
-    """The library's ``check(*args)``; a value it rejects is a ConfigError at the line of ``obj[key]``."""
+def _library_check(obj: _Object, key: str, check, *args, **options):
+    """The library's ``check(*args, **options)``; a value it rejects is a ConfigError at the line of ``obj[key]``."""
     try:
-        return check(*args)
+        return check(*args, **options)
     except ValueError as exc:  # a ContractError, or another ValueError from reading the value
         raise ConfigError(str(exc), obj.line(key)) from exc
+
+
+def _config_number(obj: _Object, key: str, check, default=None, **options):
+    """``obj[key]`` (``default`` if absent) read by the library's ``check(value, key, **options)`` at the key's line."""
+    return _library_check(obj, key, check, obj.get(key, default), key, **options)
 
 
 def _validate_schedule(panel: _Object, mode: str) -> dict:
@@ -181,17 +164,18 @@ def _validate_schedule(panel: _Object, mode: str) -> dict:
         raise ConfigError(f"{mode} schedule takes one time source, got {[*spec][0]!r} and {key!r}", spec.line(key))
     uniform = "t_end" in spec and "steps" in spec
     if uniform:
-        t_end, steps = _field(spec, "t_end", float, positive=True), _field(spec, "steps", int, positive=True)
+        t_end = _config_number(spec, "t_end", _checked_time, positive=True)
+        steps = _config_number(spec, "steps", _checked_count)
     if mode == "composed":
         if "taus" in spec:
-            return {"flow": _library_check(spec, "taus", FlowSchedule, _field(spec, "taus", [float]))}
+            return {"flow": _library_check(spec, "taus", FlowSchedule, _field(spec, "taus", list))}
         if not uniform:
             raise ConfigError("composed schedule needs 'taus' or ('t_end','steps')", line)
         return {"flow": _library_check(spec, "t_end", FlowSchedule.uniform, t_end, steps)}
     if mode == "one_shot" and "t" in spec:
-        key, times = "t", [_field(spec, "t", float)]
+        key, times = "t", [spec["t"]]
     elif mode == "one_shot" and "times" in spec:
-        key, times = "times", _field(spec, "times", [float])
+        key, times = "times", _field(spec, "times", list)
     elif uniform:
         key, times = "t_end", _library_check(spec, "t_end", FlowSchedule.uniform, t_end, steps).times
     else:
@@ -221,16 +205,14 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
         mixture = _library_check(doc, "distribution", GaussianMixture.from_json_dict, plain["distribution"])
 
     particles = _known(_field(doc, "particles", dict, {}), "n", "seed")
-    n = _field(particles, "n", int, 100, positive=True)
-    seed = _field(particles, "seed", int, 0)
-    if seed_override is not None:
-        seed = int(seed_override)
+    n, seed = _config_number(particles, "n", _checked_count, 100), _config_number(particles, "seed", _checked_seed, 0)
+    seed = seed if seed_override is None else _checked_seed(seed_override)
 
     lattices = _known(_field(doc, "grid", dict, {}), "per_axis", "extent", "points", "curve_extent")
-    per_axis = _field(lattices, "per_axis", int, 9, positive=True)
-    grid_extent = _field(lattices, "extent", float, 3.0, positive=True)
-    points = _field(lattices, "points", int, 401, positive=True)
-    curve_extent = _field(lattices, "curve_extent", float, 4.0, positive=True)
+    per_axis = _config_number(lattices, "per_axis", _checked_count, 9)
+    grid_extent = _config_number(lattices, "extent", _checked_time, 3.0, positive=True)
+    points = _config_number(lattices, "points", _checked_count, 401)
+    curve_extent = _config_number(lattices, "curve_extent", _checked_time, 4.0, positive=True)
     grid = _library_check(lattices, "extent", probe_lattice, grid_extent, per_axis, 1 if mixture is None else mixture.dim)
     curve = _library_check(lattices, "curve_extent", probe_lattice, curve_extent, points, 1)
 
@@ -243,9 +225,10 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
 
     # a root mode/schedule/retrain makes the root itself the one panel, named after its mode
     if "panels" in doc:
-        panel_docs = [_known(p, *_PANEL_KEYS) for p in _field(doc, "panels", [dict])]
-        if not panel_docs:
-            raise ConfigError("panels must be a nonempty list", doc.line("panels"))
+        if not (panel_docs := _field(doc, "panels", list)) or not all(isinstance(p, dict) for p in panel_docs):
+            what = "list of objects" if panel_docs else "list"
+            raise ConfigError(f"panels must be a nonempty {what}", doc.line("panels"))
+        panel_docs = [_known(p, *_PANEL_KEYS) for p in panel_docs]
     else:
         panel_docs = [doc] if "mode" in doc else []
     run_name = _checked_name(str(doc.get("name", path.stem)), doc)

@@ -26,10 +26,10 @@ one-shot law's ``lambda F^2`` too; inlined in the float loop :func:`_one_shot_pa
 :meth:`Gaussian._scaled` the one affine map every single-Gaussian point map runs, one GEMM per state into one
 (L, n, m) stack that one :class:`ParticleEnsemble` call checks and, frozen, adopts.  The
 analytic flows of ``transport`` are :meth:`Gaussian._flow` and :meth:`Gaussian._orbit`, their rows :func:`_path_rows`.
-:func:`_checked_time` is the one check every time, noise variance, and layer variance passes where it enters the
-package, :func:`_checked_times` the one rule for a sequence of them (typed by :func:`_flat_floats`),
-:func:`_checked_count` of a count, and :func:`_checked_parameter` of a check's parameter, each read by :func:`_number`;
-:func:`_floats` is the one conversion of an array argument, which names it when it does not hold numbers.
+The one number rule is :func:`_number`, under which a bool or text is no number (:func:`_holds_no_number`), as for
+every entry of a sequence (:func:`_flat_floats`) and array (:func:`_floats`, judged by its dtype); on it stand
+:func:`_checked_time` (every time, noise variance and layer variance), :func:`_checked_times` (a sequence of them),
+:func:`_checked_count` and :func:`_checked_parameter` (a check's); a seed is ``rand._checked_seed``'s, the CLI's too.
 
 On the sample side, :func:`_kernel_pass` is the one Gaussian kernel sum over
 data (kernel regression map and KDE alike), in O(points * data * m) time, half
@@ -49,7 +49,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError, SingularityError
-from .rand import substream
+from .rand import _checked_seed, substream
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -98,8 +98,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _holds_no_number(x) -> bool:
+    """Whether ``x`` is or holds a bool or text, which NumPy reads as numbers: a NumPy value by its dtype, with no
+    per-entry work, a list or tuple entry by entry."""
+    if isinstance(x, (list, tuple)):  # all plain floats and ints: none, at C speed
+        return not {float, int}.issuperset(map(type, x)) and any(map(_holds_no_number, x))
+    return isinstance(x, (bool, str, bytes)) or getattr(getattr(x, "dtype", None), "kind", "f") in "bSU"
+
+
 def _floats(x, what: str) -> np.ndarray:
-    """``x`` as a float array; text, a ragged nesting or an int past float range raises ContractError naming ``what``."""
+    """``x`` as a float array; a bool, text, a ragged nesting or an int past float range raises ContractError naming
+    ``what``."""
+    if _holds_no_number(x):
+        raise ContractError(f"{what} must be an array of numbers, got a bool or text")
     try:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -177,13 +188,8 @@ class GaussianMixture:
         comps = list(components)
         if not comps:
             raise ContractError("mixture needs at least one component")
-        try:
-            w = np.array([c[0] for c in comps], dtype=float)
-            mu = np.array([np.atleast_1d(c[1]) for c in comps], dtype=float)
-            cov = np.array([np.atleast_2d(c[2]) for c in comps], dtype=float)
-        except ValueError as exc:  # ragged shapes across components
-            raise ContractError(f"components do not share a common dimension: {exc}") from exc
-        return cls(w, mu, cov)
+        return cls([c[0] for c in comps], [np.atleast_1d(_floats(c[1], "mixture means")) for c in comps],
+                   [np.atleast_2d(_floats(c[2], "mixture covariances")) for c in comps])
 
     @classmethod
     def single(cls, mean: Sequence[float], cov: Sequence[Sequence[float]]):
@@ -193,7 +199,7 @@ class GaussianMixture:
     @classmethod
     def standard(cls, dim: int):
         """Standard normal in ``dim`` dimensions."""
-        return cls.single(np.zeros(dim), np.eye(dim))
+        return cls.single(np.zeros(dim := _checked_count(dim, "dim")), np.eye(dim))
 
     # -- basic accessors ------------------------------------------------------
 
@@ -212,16 +218,13 @@ class GaussianMixture:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GaussianMixture":
-        """The mixture of ``{"dim", "components": [{"weight", "mean", "cov"}, ...]}``; ``dim`` finite, whole, not a bool."""
+        """The mixture of ``{"dim", "components": [{"weight", "mean", "cov"}, ...]}``; ``dim`` is a count."""
         try:
-            dim = doc["dim"]
-            comps = doc["components"]
+            dim, comps = doc["dim"], doc["components"]
             mix = cls.from_components([(c["weight"], c["mean"], c["cov"]) for c in comps])
         except (KeyError, TypeError) as exc:
             raise ContractError(f"malformed mixture document: {exc}") from exc
-        if isinstance(dim, bool) or not (isinstance(dim, int) or (isinstance(dim, float) and dim.is_integer())):
-            raise ContractError(f"dim must be a finite integer, got {dim!r}")
-        if mix.dim != dim:
+        if mix.dim != _checked_count(dim, "dim"):
             raise ContractError(f"declared dim {dim} does not match component dim {mix.dim}")
         return mix
 
@@ -243,7 +246,7 @@ class ParticleEnsemble:
             if not (math.isfinite(pts.sum()) or (math.isfinite(pts.min()) and math.isfinite(pts.max()))):
                 raise ContractError("ensemble points must be finite")
         object.__setattr__(self, "points", _frozen(pts if _adopt else pts.copy()))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
 
     @property
     def n(self) -> int:
@@ -308,9 +311,10 @@ def _pointwise(body):
 
 
 def _number(value, what: str, error: type = ContractError) -> float:
-    """``value`` as one float; a sequence, ``None``, text or an array of one or more dimensions raises ``error``."""
-    try:  # float alone would read the text "0.5", and an older NumPy's one-element array with a warning
-        if not isinstance(value, (str, bytes)) and getattr(value, "ndim", 0) == 0:
+    """``value`` as one float, by the one number rule: a bool, a sequence, ``None``, text or an array of one or more
+    dimensions raises ``error``."""
+    try:  # float alone would read the text "0.5" and True, and an older NumPy's one-element array with a warning
+        if not _holds_no_number(value) and getattr(value, "ndim", 0) == 0:
             return float(value)
     except OverflowError:  # an int past the largest float
         raise error(f"{what} must be finite, got a number beyond float range") from None
@@ -330,11 +334,11 @@ def _checked_time(t, what: str = "time", positive: bool = False, signed: bool = 
 
 def _flat_floats(values, what: str) -> np.ndarray:
     """A flat float array of ``values``, a bare number as one; the first entry not one number raises :func:`_number`."""
-    try:  # numbers are typed by NumPy with no per-entry work
+    try:  # an array is typed by its dtype with no per-entry work; a list or tuple is also scanned for bools
         ts = np.asarray(values)
     except ValueError:  # a ragged nesting
         ts = np.array(values, dtype=object)
-    if ts.dtype.kind not in "biuf":  # text, None, a nesting or an int past float range: each entry as given
+    if ts.dtype.kind not in "iuf" or _holds_no_number(values):  # a bool, text, None, a nesting, an int past float range
         ts = np.frompyfunc(lambda v: _number(v, what), 1, 1)(np.array(values, dtype=object))
     if (ts := np.atleast_1d(np.asarray(ts, dtype=float))).ndim != 1:
         raise ContractError(f"{what}s must form a flat sequence, got shape {ts.shape}")
@@ -380,11 +384,11 @@ class Gaussian:
 
     Every single-Gaussian object of the transport keeps V and maps the
     eigenvalues: the one-shot pushforward sends lambda to
-    lambda (lambda / (lambda + t))^2 (no overflow at any finite lambda or t),
+    lambda (lambda / (lambda + t))^2 (no overflow at any finite lambda and t >= 0),
     the continuous pushforward to lambda - 2 t.  Maps return new values and
     never re-decompose, so a composed flow factorizes once.  :meth:`from_cov`
-    is the validating constructor.  :meth:`one_shot` and :meth:`continuous`
-    take any finite t, which lets finite-difference stencils step slightly below 0;
+    is the validating constructor.  :meth:`one_shot` (above minus the smallest eigenvalue) and
+    :meth:`continuous` take any finite t, which lets finite-difference stencils step slightly below 0;
     the point maps :meth:`denoise` and :meth:`continuous_map` check their time
     and points.  Entropies are read straight from the eigenvalues, so
     contractions far below what mixture validation accepts stay representable.
@@ -428,8 +432,10 @@ class Gaussian:
         return Gaussian(self.mean, _frozen(evals), self.evecs)
 
     def one_shot(self, t: float) -> "Gaussian":
-        """One-shot pushforward: eigenvalues ``lambda F^2``, F the :func:`_dae_factor`; this law if half of t is 0."""
-        t = _checked_time(t, signed=True)
+        """One-shot pushforward: eigenvalues ``lambda F^2``, F the :func:`_dae_factor`; this law if half of t is 0, and
+        :class:`DomainError` at or below minus the smallest eigenvalue, F's pole."""
+        if (t := _checked_time(t, signed=True)) <= -self.evals[0] and 0.5 * t != 0.0:
+            raise DomainError(f"one-shot time must be above minus the smallest eigenvalue {self.evals[0]}, got {t}")
         return self if 0.5 * t == 0.0 else self._law(self.evals * np.square(_dae_factor(self.evals, t)))
 
     def composed(self, taus: Sequence[float]) -> np.ndarray:
@@ -463,7 +469,7 @@ class Gaussian:
         ``closed`` admits the boundary itself (up to 5e-13), where the
         pushforward covariance first loses rank.
         """
-        tc = self.critical_time
+        t, tc = _checked_time(t, signed=True), self.critical_time
         if (t > tc + 5e-13) if closed else (t >= tc):
             raise SingularityError(f"{what} is singular at t = {tc!r} (requested t = {t!r})", critical_time=tc)
 
@@ -720,6 +726,7 @@ def entropy(mix: GaussianMixture, n: int = MC_DEFAULT_N, seed: int = 0) -> Estim
     ``(m/2) log(2 pi e) + (1/2) log det S`` with zero standard error; a
     k >= 2 mixture gets a seeded Monte Carlo estimate with its standard error.
     """
+    n, seed = _checked_count(n, "sample size"), _checked_seed(seed)  # typed where input enters, used or not
     if mix.k == 1:
         return Estimate(Gaussian.of(mix).entropy(), 0.0)
     return Estimate.mean_of(-log_density(mix, sample(mix, n, seed).points))
@@ -732,7 +739,7 @@ def renyi_entropy(mix: GaussianMixture, alpha: float, n: int = MC_DEFAULT_N, see
     otherwise.  ``alpha`` must be positive and different from 1 (use
     :func:`entropy` for the alpha -> 1 limit).
     """
-    alpha = _checked_alpha(alpha)
+    alpha, n, seed = _checked_alpha(alpha), _checked_count(n, "sample size"), _checked_seed(seed)
     if mix.k == 1:
         return Estimate(Gaussian.of(mix).renyi(alpha), 0.0)
     return Estimate.mean_of(_renyi_terms(log_density(mix, sample(mix, n, seed).points), alpha))
@@ -801,6 +808,7 @@ def silverman_covariance(points: np.ndarray, factor: float = 1.0) -> np.ndarray:
         raise ContractError(f"bandwidth selection needs at least two points in an (n, m) array, got shape {pts.shape}")
     n, m = pts.shape
     beta = (4.0 / (m + 2.0)) ** (2.0 / (m + 4.0)) * n ** (-2.0 / (m + 4.0))
+    factor = _number(factor, "bandwidth factor")
     with np.errstate(over="ignore"):  # an overflow is the ContractError below, not a RuntimeWarning
         cov = (factor * factor) * beta * _moments(pts)[1]
     if not np.all(np.isfinite(cov)):

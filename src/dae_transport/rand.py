@@ -1,9 +1,11 @@
 """Deterministic random streams.
 
 All randomness in the package flows through :func:`substream`, which maps a
-64-bit user seed plus an integer path to an independent Philox stream.
-Philox is counter-based, so streams are reproducible bit-for-bit across
-platforms and independent of how work is partitioned.
+user seed (taken mod 2^64) plus an integer path to an independent Philox
+stream.  A seed is a whole number of any sign, such as ``-3`` or ``3.0``, by
+the one seed rule :func:`_checked_seed`: a bool, a fraction, NaN, inf, text or
+``None`` raises ``ContractError``.  Philox is counter-based, so streams are
+reproducible bit-for-bit across platforms and independent of partitioning.
 
 Stream path registry (keep stable; serialized results depend on it).  A
 family of streams takes a nested path ``(family, index)``, so no index of one
@@ -26,14 +28,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
+
 _MASK64 = (1 << 64) - 1
 
 
+def _checked_seed(seed, what: str = "seed") -> int:
+    """``seed`` as an int by the one seed rule, else :class:`ContractError` naming ``what``."""
+    if (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)) or (
+            isinstance(seed, (float, np.floating)) and float(seed).is_integer()):
+        return int(seed)
+    raise ContractError(f"{what} must be a finite whole number, got {seed!r}")
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Return the Philox generator for substream ``path`` under ``seed``.
+    """Return the Philox generator for substream ``path`` under ``seed``, a seed by :func:`_checked_seed`.
 
     The same ``(seed, path)`` always yields an identical stream; distinct
     paths yield statistically independent streams.
     """
-    ss = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(_checked_seed(seed) & _MASK64, spawn_key=path)
     return np.random.Generator(np.random.Philox(ss))

@@ -49,7 +49,7 @@ from .measures import (
     smooth,
     stein_residual,
 )
-from .rand import substream
+from .rand import _checked_seed, substream
 from .transport import EmpiricalKernel, MixtureExact, Trajectory, continuous_flow
 
 #: Per-check residual tolerances (single source of truth, mirrored in the docs).
@@ -98,8 +98,9 @@ class ResidualReport:
         tol = TOLERANCES[self.name]
         max_abs = float(np.max(np.abs(res))) if res.size else 0.0
         grid = None if self.grid is None else np.asarray(self.grid, dtype=float)
-        for key, value in zip(("grid", "residuals", "tolerance", "details", "max_abs", "passed"),
-                              (grid, res, tol, dict(self.details), max_abs, bool(max_abs <= tol))):
+        seed = None if self.seed is None else _checked_seed(self.seed)
+        for key, value in zip(("grid", "residuals", "seed", "tolerance", "details", "max_abs", "passed"),
+                              (grid, res, seed, tol, dict(self.details), max_abs, bool(max_abs <= tol))):
             object.__setattr__(self, key, value)
 
     @property
@@ -119,10 +120,7 @@ def probe_lattice(extent: float, per_axis: int, dim: int) -> np.ndarray:
     ``per_axis`` and ``dim`` whole counts >= 1.
     """
     extent = _number(extent, "lattice extent")
-    try:
-        per_axis, dim = _checked_count(per_axis, "per_axis"), _checked_count(dim, "dim")
-    except ContractError as exc:
-        raise ContractError(f"a lattice needs per_axis >= 1 and dim >= 1: {exc}") from None
+    per_axis, dim = _checked_count(per_axis, "per_axis"), _checked_count(dim, "dim")
     with np.errstate(over="ignore", invalid="ignore"):
         mesh = np.meshgrid(*[np.linspace(-extent, extent, per_axis)] * dim, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -172,8 +170,7 @@ def check_variational_minimizer(mix0: GaussianMixture, t: float, n: int = 100_00
     ``details`` carries the raw margins.
     """
     t = _checked_parameter(t, "noise variance")
-    n = int(n)
-    if n < 1000:
+    if (n := _checked_count(n, "sample pairs")) < 1000:
         raise ContractError(f"need at least 1000 sample pairs, got {n}")
     grid = probe_lattice(2.0, 81 if mix0.dim == 1 else 9, mix0.dim)
 
@@ -248,7 +245,7 @@ def check_continuity_t0(mix0: GaussianMixture, dt: float = _DT, n: int = 100_000
     convolution), so the comparison is unbiased and limited by Monte Carlo
     noise only.
     """
-    dt = _checked_parameter(dt, "dt", 1e-3)
+    dt, n, seed = _checked_parameter(dt, "dt", 1e-3), _checked_count(n, "sample size"), _checked_seed(seed)
     gaussian_mode = mix0.k == 1
     name = "continuity_t0_gaussian" if gaussian_mode else "continuity_t0_mixture"
     grid = probe_lattice(2.0, 17 if mix0.dim == 1 else 9, mix0.dim)
@@ -269,7 +266,7 @@ def check_continuity_t0(mix0: GaussianMixture, dt: float = _DT, n: int = 100_000
         details = {
             "mode": "particle_kde",
             "dt": dt,
-            "n": int(n),
+            "n": n,
             "bandwidth_cov": bw.tolist(),
             "bandwidth_rule": "silverman x 3 (derivative smoothing)",
         }

@@ -27,6 +27,7 @@ from dae_transport import (
     smooth,
     stein_residual,
 )
+from dae_transport.rand import substream
 from helpers import fd_gradient, fd_laplacian
 
 
@@ -552,6 +553,25 @@ def test_sample_deterministic_given_seed():
     b = sample(mix, 500, 99)
     np.testing.assert_array_equal(a.points, b.points)
     assert a.seed == b.seed == 99
+
+
+@pytest.mark.parametrize("seed", [3, -3, 3.0, -3.0, np.int64(3), np.float64(3.0), 2**70])
+def test_a_seed_is_a_whole_number_of_any_sign_with_one_stream(seed):
+    exact = sample(two_mixture(), 50, int(seed))
+    ens = sample(two_mixture(), 50, seed)
+    assert type(ens.seed) is int and ens.seed == seed and ParticleEnsemble([[0.0]], seed).seed == seed
+    assert ens.points.tobytes() == exact.points.tobytes()
+    assert substream(seed, 1).random(4).tolist() == substream(int(seed) % 2**64, 1).random(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, "3", None, math.nan, math.inf, [3], np.array(3)])
+@pytest.mark.parametrize("entry", ["ParticleEnsemble", "sample", "substream"])
+def test_a_seed_that_is_no_whole_number_is_a_contract_error(entry, seed):
+    call = {"ParticleEnsemble": lambda: ParticleEnsemble([[0.0]], seed), "sample": lambda: sample(two_mixture(), 5, seed),
+            "substream": lambda: substream(seed, 0)}[entry]
+    with pytest.raises(Exception, match="seed must be a finite whole number") as info:
+        call()
+    assert type(info.value) is ContractError
 
 
 def test_sample_mixture_weights_respected():

@@ -184,6 +184,22 @@ def test_a_zero_eigenvalue_maps_its_axis_to_the_mean_at_every_positive_time():
     assert np.all(path[:, 0] == 0.0) and np.all(states[:, :, 1] == mean[1])
 
 
+def test_a_one_shot_time_at_or_below_minus_the_smallest_eigenvalue_is_a_domain_error():
+    # the factor lambda / (lambda + t) has its pole at t = -lambda_min; the suite raises every RuntimeWarning
+    g = Gaussian.from_cov(np.diag([2.0, 1.0]))
+    for t in (-1.0, -1.5, -1e300):
+        with pytest.raises(DomainError, match="above minus the smallest eigenvalue 1.0"):
+            g.one_shot(t)
+    # stencil times just below 0 keep working, as does a time just above the pole
+    assert np.all(np.isfinite(g.one_shot(-1e-4).evals)) and g.one_shot(-0.5).evals[0] == 4.0
+    assert g.one_shot(-0.999).evals[0] > 1e5
+    # a law whose eigenvalue underflowed to 0 has its pole at 0, where half of a subnormal t is 0: the law itself
+    flat = Gaussian.from_cov([[1.0]]).one_shot(1e300)
+    assert flat.one_shot(-5e-324) is flat
+    with pytest.raises(DomainError):
+        flat.one_shot(-1e-4)
+
+
 EXTREME_LAYERS = st.lists(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1.0, 1e300]), max_size=8)
 
 

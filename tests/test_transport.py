@@ -437,6 +437,12 @@ PROBED_ENTRIES = {  # text and ragged points at every point entry, then each val
     "probe_lattice_text_extent": lambda: probe_lattice("3", 3, 2),
     "FlowSchedule.uniform_steps_past_the_index_range": lambda: FlowSchedule.uniform(0.3, 1e300),
     "sample_past_the_index_range": lambda: sample(aniso(), 1e300, 0),
+    # NumPy reads a bool or numeric text inside a list as a number; an array is judged by its dtype
+    "ParticleEnsemble_bool_entry": lambda: ParticleEnsemble([[True, 0.5]], 0),
+    "ParticleEnsemble_bool_array": lambda: ParticleEnsemble(np.array([[True, False]]), 0),
+    "ParticleEnsemble_numeric_text_entry": lambda: ParticleEnsemble([["0.5", 0.5]], 0),
+    "GaussianMixture_bool_weight": lambda: GaussianMixture([True], [[0.0]], [[[1.0]]]),
+    "GaussianMixture.from_components_bool_mean": lambda: GaussianMixture.from_components([(1.0, [True], [[1.0]])]),
 }
 
 

@@ -77,7 +77,7 @@ def test_lattice_rule_rejects_a_lattice_that_is_not_finite_without_a_warning(ext
 def test_lattice_rule_rejects_an_empty_lattice(per_axis, dim):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(Exception, match="per_axis >= 1 and dim >= 1") as err:
+        with pytest.raises(Exception, match=r"(per_axis|dim) must be >= 1 and whole") as err:
             probe_lattice(1.0, per_axis, dim)
     assert type(err.value) is ContractError
 
@@ -153,8 +153,11 @@ def test_variational_requires_positive_t_and_min_n():
     for t in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             check_variational_minimizer(STD1, t=t, n=10_000)
-    with pytest.raises(ContractError):
-        check_variational_minimizer(STD1, t=0.5, n=10)
+    # n is read as a count, then held to its floor of 1000
+    for n in (10, 999, "x", 1000.7, True, math.inf):
+        with pytest.raises(Exception) as info:
+            check_variational_minimizer(STD1, t=0.5, n=n)
+        assert type(info.value) is ContractError, n
 
 
 # -- continuity at t = 0 ---------------------------------------------------------------
